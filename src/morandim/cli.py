@@ -113,6 +113,7 @@ def cmd_validate(args) -> int:
 
 def cmd_dims(args) -> int:
     spec, label = _load_spec(args)
+    started = time.monotonic()
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     known = {"sstar", "sa", "falconer", "moran"}
     bad = set(which) - known
@@ -146,7 +147,6 @@ def cmd_dims(args) -> int:
 
     indeterminate = False
     outputs = []
-    started = time.monotonic()
     for rep in reports:
         obj = rep.to_json_dict()
         _emit(obj, args.pretty)
@@ -244,6 +244,7 @@ def cmd_cutset(args) -> int:
         raise ConfigError("cutset needs --s and --epsilon")
     budget = args.node_budget or DEFAULT_NODE_BUDGET
     c = cutset(spec, args.s, args.epsilon, node_budget=budget)
+    rows = c.entries() if args.out else ()  # checks the word cap before any output
     summary = {
         "config": label,
         "s": c.s,
@@ -260,7 +261,7 @@ def cmd_cutset(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
         with open(args.out, "w") as f:
             f.write("word,depth,log_phi\n")
-            for word, lph in c.entries():
+            for word, lph in rows:
                 f.write(f"{word},{len(word)},{lph!r}\n")
     return EXIT_BUDGET if c.truncated else EXIT_OK
 

@@ -18,13 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    ContractionViolated,
-    InapplicableEstimator,
-    NonsingularityViolated,
-)
-from .symbolic import DEFAULT_NODE_BUDGET, logsumexp, make_engine
+from .errors import BudgetExceeded, InapplicableEstimator
+from .symbolic import DEFAULT_NODE_BUDGET, make_engine
 from .system import (
     Box,
     LevelSpec,
@@ -106,23 +101,11 @@ def _classify_liminf(xs, vals) -> int:
     """Trend class of a log net-measure series (liminf criterion).
 
     Above the critical value, deeper windows keep revealing cheaper covers,
-    so the global minimum drifts late; below it, costs only grow.
+    so the global minimum drifts late; below it, costs only grow.  This is
+    the limsup rule on the negated series: the thresholds are mirror images
+    (log 1e-3 == -log 1e3 exactly) and the classes swap.
     """
-    if len(vals) < 3:
-        return INDETERMINATE
-    vals = np.asarray(vals, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    if float(vals.max() - vals.min()) < 1e-12:
-        return INDETERMINATE
-    span = xs[-1] - xs[0]
-    rho = float((xs[int(np.argmin(vals))] - xs[0]) / span)
-    tail = vals[xs >= xs[0] + (2.0 / 3.0) * span]
-    tmin = float(tail.min()) if tail.size else float(vals[-1])
-    if tmin < _LOG_THETA_LOW and rho >= _TREND_SPLIT:
-        return ABOVE
-    if tmin > _LOG_THETA_HIGH and rho < _TREND_SPLIT:
-        return BELOW
-    return ABOVE if rho >= _TREND_SPLIT else BELOW
+    return -_classify_limsup(xs, -np.asarray(vals, dtype=float))
 
 
 def _check_soundness(probes) -> bool:
@@ -183,10 +166,7 @@ def _bisect(classify, lo: float, hi: float, tol: float, trace: list):
 def _finding_flags(spec: SystemSpec) -> list:
     out = []
     for f in validate(spec):
-        if f.code in ("ContractionViolated", "NonsingularityViolated"):
-            if f.code == "ContractionViolated":
-                raise ContractionViolated(f"{f.where}: {f.message}")
-            raise NonsingularityViolated(f"{f.where}: {f.message}")
+        f.raise_if_invariant()
         out.append(f"{f.severity}:{f.code}")
     return out
 
@@ -253,8 +233,10 @@ def net_measure(spec: SystemSpec, s: float, k: int, K: int,
     """
     if not 1 <= k <= K:
         raise ValueError("need 1 <= k <= K")
-    engine = make_engine(spec)
-    log_v, truncated, _ = engine.net_measure_log(s, k, K, node_budget)
+    (item,) = make_engine(spec).net_measure_series(s, [(k, K)], node_budget)
+    if item is None:
+        raise BudgetExceeded(f"net-measure window [{k}, {K}] does not fit the node budget")
+    log_v, truncated = item
     try:
         value = math.exp(log_v)
     except OverflowError:
@@ -284,28 +266,16 @@ def estimate_sA(spec: SystemSpec, tol: float = 0.02, depth_schedule=None,
 
     def classify(s):
         xs, vals = [], []
-        if hasattr(engine, "net_measure_series"):
-            series = engine.net_measure_series(s, depth_schedule, node_budget)
-            for (k, _), item in zip(depth_schedule, series):
-                if item is None:
-                    saw_truncation.append(True)
-                    continue
-                log_v, truncated = item
-                if truncated:
-                    saw_truncation.append(True)
-                xs.append(float(k))
-                vals.append(log_v)
-        else:
-            for k, K in depth_schedule:
-                try:
-                    log_v, truncated, _ = engine.net_measure_log(s, k, K, node_budget)
-                except BudgetExceeded:
-                    saw_truncation.append(True)
-                    continue
-                if truncated:
-                    saw_truncation.append(True)
-                xs.append(float(k))
-                vals.append(log_v)
+        series = engine.net_measure_series(s, depth_schedule, node_budget)
+        for (k, _), item in zip(depth_schedule, series):
+            if item is None:
+                saw_truncation.append(True)
+                continue
+            log_v, truncated = item
+            if truncated:
+                saw_truncation.append(True)
+            xs.append(float(k))
+            vals.append(log_v)
         return _classify_liminf(xs, vals)
 
     est, bracket, bflags = _bisect(classify, 0.0, spec.dim + 1.0, tol, trace)
@@ -321,6 +291,27 @@ def estimate_sA(spec: SystemSpec, tol: float = 0.02, depth_schedule=None,
         "engine": engine.kind,
     }
     return DimensionReport("s_A", est, bracket, schedule, flags, trace)
+
+
+def _decreasing_root(f, hi: float, tol: float, trace=None):
+    """Bracket (lo, hi) of width <= tol around the zero of a decreasing f.
+
+    The search starts on [0, hi] and doubles hi (up to 64) while f(hi) > 0.
+    Bisection probes go to ``trace`` as {"s", "log_p"} entries when given.
+    """
+    lo = 0.0
+    while f(hi) > 0.0 and hi < 64.0:
+        lo, hi = hi, hi * 2.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        v = f(mid)
+        if trace is not None:
+            trace.append({"s": mid, "log_p": v})
+        if v > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _stationary_spec(level: LevelSpec) -> SystemSpec:
@@ -358,17 +349,7 @@ def pressure_root(level: LevelSpec, tol: float = 1e-7, max_depth: int | None = N
         s1, s2 = engine.level_log_sums(s, (k1, k2))
         return (s2 - s1) / (k2 - k1)
 
-    lo, hi = 0.0, level.dim + 1.0
-    while log_p(hi) > 0.0 and hi < 64.0:
-        lo, hi = hi, hi * 2.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        v = log_p(mid)
-        trace.append({"s": mid, "log_p": v})
-        if v > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _decreasing_root(log_p, level.dim + 1.0, tol, trace)
     schedule = {"kind": "pressure_ratio", "depths": [k1, k2], "engine": engine.kind}
     return DimensionReport("falconer", 0.5 * (lo + hi), (lo, hi), schedule, flags, trace)
 
@@ -391,6 +372,18 @@ def _scalar_ratios(spec: SystemSpec) -> dict:
     return ratios
 
 
+def _moran_root(spec: SystemSpec, ratios: dict, occ: dict) -> float:
+    """Root d of prod_i sum_j c_ij^d = 1, level i taken occ[i] times."""
+    def f(dd):
+        return math.fsum(
+            cnt * math.log(math.fsum(c ** dd for c in ratios[idx]))
+            for idx, cnt in occ.items()
+        )
+
+    lo, hi = _decreasing_root(f, spec.dim + 1.0, 1e-12)
+    return 0.5 * (lo + hi)
+
+
 def moran_dk(spec: SystemSpec, k: int) -> float:
     """Unique root of prod_{i<=k} sum_j c_ij^d = 1 for scalar systems."""
     if k < 1:
@@ -400,23 +393,7 @@ def moran_dk(spec: SystemSpec, k: int) -> float:
     for i in range(1, k + 1):
         idx = spec.schedule.level_index(i)
         occ[idx] = occ.get(idx, 0) + 1
-
-    def f(dd):
-        return math.fsum(
-            cnt * math.log(math.fsum(c ** dd for c in ratios[idx]))
-            for idx, cnt in occ.items()
-        )
-
-    lo, hi = 0.0, spec.dim + 1.0
-    while f(hi) > 0.0 and hi < 64.0:
-        lo, hi = hi, hi * 2.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _moran_root(spec, ratios, occ)
 
 
 def moran_dims(spec: SystemSpec, k_max: int = 200):
@@ -429,26 +406,10 @@ def moran_dims(spec: SystemSpec, k_max: int = 200):
     occ = {}
     trace = []
     d_ks = []
-
-    def f(dd):
-        return math.fsum(
-            cnt * math.log(math.fsum(c ** dd for c in ratios[idx]))
-            for idx, cnt in occ.items()
-        )
-
     for k in range(1, k_max + 1):
         idx = spec.schedule.level_index(k)
         occ[idx] = occ.get(idx, 0) + 1
-        lo, hi = 0.0, spec.dim + 1.0
-        while f(hi) > 0.0 and hi < 64.0:
-            lo, hi = hi, hi * 2.0
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if f(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        d_ks.append(0.5 * (lo + hi))
+        d_ks.append(_moran_root(spec, ratios, occ))
         trace.append({"k": k, "d_k": d_ks[-1]})
 
     w0 = max(0, k_max // 2 - 1)

@@ -57,3 +57,10 @@ class Finding:
             "message": self.message,
             "where": self.where,
         }
+
+    def raise_if_invariant(self) -> None:
+        """Raise the matching error for a contraction or nonsingularity finding."""
+        if self.code == "ContractionViolated":
+            raise ContractionViolated(f"{self.where}: {self.message}")
+        if self.code == "NonsingularityViolated":
+            raise NonsingularityViolated(f"{self.where}: {self.message}")

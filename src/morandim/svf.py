@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonsingularityViolated
 from .linalg import Matrix, log_singular_values
 
 
@@ -71,17 +70,10 @@ def phi(t: Matrix, s: float) -> float:
     return math.exp(log_phi(t, s).log_value)
 
 
-def log_phi_scalar(log_svs_desc, s: float) -> float:
-    """log phi^s for one matrix given its descending log singular values."""
-    return float(log_phi_from_logs(np.asarray(log_svs_desc, dtype=float), s))
-
-
 __all__ = [
     "LogPhi",
     "branch_index",
     "log_phi",
     "log_phi_from_logs",
-    "log_phi_scalar",
     "phi",
-    "NonsingularityViolated",
 ]

@@ -1,14 +1,20 @@
 """Words, cylinder products, and cut-set construction over the level tree.
 
-Three traversal engines back every tree quantity (cut-set sums, net-measure
-dynamic programs, per-depth sums):
+Three traversal engines back every tree quantity.  Each offers the same
+four entry points: ``schedule_log_sums`` (cut-set sums over an epsilon
+schedule), ``cutset_groups``, ``net_measure_series`` (the net-measure
+dynamic program for a list of (k, K) depth windows, evaluated off one
+pass) and ``level_log_sums`` (per-depth sums).
 
 * ``UniformEngine``   — every level's maps are identical, so all words at a
   depth share one product; the tree collapses to a chain with multiplicities.
 * ``DiagonalEngine``  — stationary diagonal families commute per axis, so
   words collapse to per-map choice counts with multinomial multiplicities.
 * ``GenericEngine``   — vectorized level-by-level expansion with a node
-  budget; the only engine that pays the exponential price.
+  budget; the only engine that pays the exponential price.  All four
+  entry points run one shared walk that expands the tree level by level,
+  hands each level to a visitor, and keeps the children whose alpha_m lies
+  above a stop value.
 
 Equal-product aggregation is the central performance decision: the shipped
 block fixtures have 9^k-size levels that reduce to O(1) work per depth.
@@ -18,7 +24,7 @@ log domain so depth-hundreds products stay finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -52,16 +58,6 @@ class Word:
 
     def __len__(self):
         return len(self.digits)
-
-    def parent(self) -> "Word":
-        return Word(self.digits[:-1])
-
-    def child(self, digit: int) -> "Word":
-        return Word(self.digits + (digit,))
-
-    def is_prefix_of(self, other) -> bool:
-        o = other.digits if isinstance(other, Word) else tuple(other)
-        return len(self.digits) <= len(o) and o[: len(self.digits)] == self.digits
 
     def __str__(self):
         return "-".join(str(d) for d in self.digits) if self.digits else "(empty)"
@@ -141,9 +137,10 @@ def logsumexp(values) -> float:
     return m + math.log(float(np.sum(np.exp(arr - m))))
 
 
-def log_int(n: int) -> float:
-    """Natural log of a (possibly huge) positive integer."""
-    return math.log(n)
+def _log_row_sums(grouped: np.ndarray) -> np.ndarray:
+    """Row-wise logsumexp of an (N, n) array."""
+    mx = grouped.max(axis=1)
+    return mx + np.log(np.exp(grouped - mx[:, None]).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +211,7 @@ class UniformEngine:
         grp = CutGroup(
             depth=t,
             count=count,
-            log_count=log_int(count),
+            log_count=math.log(count),
             log_phi=float(log_phi_from_logs(self.log_svs_at(t), s)),
             log_alpha_m=float(self.log_svs_at(t)[m - 1]),
             log_alpha_m_parent=float(self.log_svs_at(t - 1)[m - 1]),
@@ -223,29 +220,32 @@ class UniformEngine:
 
     def schedule_log_sums(self, s: float, log_eps_list, node_budget: int):
         m = branch_index(s, self.d)
-        sums, complete = [], []
+        depths = []
         t = 1
         for le in log_eps_list:
             while self.log_svs_at(t)[m - 1] > le + _STOP_SNAP:
                 t += 1
-            sums.append(log_int(self.count_at(t)) + float(log_phi_from_logs(self.log_svs_at(t), s)))
-            complete.append(True)
-        return sums, complete, t
+            depths.append(t)
+        return self.level_log_sums(s, depths), [True] * len(depths), t
 
-    def net_measure_log(self, s: float, k: int, K: int, node_budget: int):
-        self._extend(K)
-        v = float(log_phi_from_logs(self.log_svs_at(K), s))
-        for t in range(K - 1, -1, -1):
-            child = math.log(self.spec.level(t + 1).branch_count) + v
-            if t >= k:
-                v = min(float(log_phi_from_logs(self.log_svs_at(t), s)), child)
-            else:
-                v = child
-        return v, False, K
+    def net_measure_series(self, s: float, windows, node_budget: int):
+        """Net-measure values for (k, K) windows; the chain never truncates."""
+        K_max = max(K for _, K in windows)
+        self._extend(K_max)
+        lph = log_phi_from_logs(np.stack(self._log_svs[: K_max + 1]), s).tolist()
+        log_n = [0.0] + [math.log(self.spec.branch_count(t)) for t in range(1, K_max + 1)]
+        out = []
+        for k, K in windows:
+            v = lph[K]
+            for t in range(K - 1, -1, -1):
+                child = log_n[t + 1] + v
+                v = min(lph[t], child) if t >= k else child
+            out.append((v, False))
+        return out
 
     def level_log_sums(self, s: float, depths):
         return [
-            log_int(self.count_at(t)) + float(log_phi_from_logs(self.log_svs_at(t), s))
+            math.log(self.count_at(t)) + float(log_phi_from_logs(self.log_svs_at(t), s))
             for t in depths
         ]
 
@@ -311,15 +311,6 @@ class DiagonalEngine:
         lf = self._log_factorials(t)
         return lf[t] - lf[comps].sum(axis=1)
 
-    @staticmethod
-    def _multinomial(comp) -> int:
-        total = int(sum(comp))
-        out = 1
-        for c in comp:
-            out *= math.comb(total, int(c))
-            total -= int(c)
-        return out
-
     # -- cut-sets ------------------------------------------------------------
     def cutset_groups(self, s: float, log_eps: float, node_budget: int):
         m = branch_index(s, self.d)
@@ -341,7 +332,7 @@ class DiagonalEngine:
                             CutGroup(
                                 depth=depth,
                                 count=count,
-                                log_count=log_int(count),
+                                log_count=math.log(count),
                                 log_phi=float(log_phi_from_logs(logs, s)),
                                 log_alpha_m=la,
                                 log_alpha_m_parent=parent_la,
@@ -364,8 +355,7 @@ class DiagonalEngine:
         buckets = np.full(J, -math.inf)
         log_eps_min = float(le[-1])
         nodes = 0
-        truncated = False
-        frontier_alpha_max = -math.inf
+        frontier_alpha_max = -math.inf  # stays -inf unless the budget cuts the walk
 
         t = 0
         alive = np.array([True])
@@ -397,36 +387,36 @@ class DiagonalEngine:
             alive = child_counts > -math.inf
             nodes += int(alive.sum())
             if nodes > node_budget and alive.any():
-                truncated = True
                 frontier_alpha_max = float(child_la[alive].max())
                 break
             log_counts = child_counts
             parent_la = child_la
             t += 1
-        sums = [float(v) for v in buckets]
-        if truncated:
-            complete = [frontier_alpha_max <= float(l) for l in le]
-        else:
-            complete = [True] * len(le)
-        return sums, complete, nodes
+        complete = [frontier_alpha_max <= float(l) for l in le]
+        return [float(v) for v in buckets], complete, nodes
 
     # -- net measure and level sums -------------------------------------------
-    def net_measure_log(self, s: float, k: int, K: int, node_budget: int):
-        nodes = sum(self.comps_at(t).shape[0] for t in range(K + 1))
-        if nodes > node_budget:
-            raise BudgetExceeded(f"net-measure state count {nodes} exceeds budget")
-        v = np.asarray(log_phi_from_logs(self._log_svs_of(self.comps_at(K)), s))
-        for t in range(K - 1, -1, -1):
-            rows = self.child_rows(t)                   # (C_t, M)
-            grouped = v[rows]
-            mx = grouped.max(axis=1)
-            child = mx + np.log(np.exp(grouped - mx[:, None]).sum(axis=1))
-            if t >= k:
-                own = np.asarray(log_phi_from_logs(self._log_svs_of(self.comps_at(t)), s))
-                v = np.minimum(own, child)
-            else:
-                v = child
-        return float(v[0]), False, nodes
+    def net_measure_series(self, s: float, windows, node_budget: int):
+        """Net-measure values for (k, K) windows over the composition lattice.
+
+        A window whose lattice states through depth K exceed the budget is
+        None.
+        """
+        K_max = max(K for _, K in windows)
+        states = np.cumsum([self.comps_at(t).shape[0] for t in range(K_max + 1)])
+        lph = [np.asarray(log_phi_from_logs(self._log_svs_of(self.comps_at(t)), s))
+               for t in range(K_max + 1)]
+        out = []
+        for k, K in windows:
+            if states[K] > node_budget:
+                out.append(None)
+                continue
+            v = lph[K]
+            for t in range(K - 1, -1, -1):
+                child = _log_row_sums(v[self.child_rows(t)])
+                v = np.minimum(lph[t], child) if t >= k else child
+            out.append((float(v[0]), False))
+        return out
 
     def level_log_sums(self, s: float, depths):
         out = []
@@ -439,7 +429,10 @@ class DiagonalEngine:
 
 
 class GenericEngine:
-    """Budgeted vectorized level-by-level expansion for heterogeneous systems."""
+    """Budgeted vectorized level-by-level expansion for heterogeneous systems.
+
+    Every traversal is one ``_walk`` with its own per-level visitor.
+    """
 
     kind = "generic"
 
@@ -456,131 +449,88 @@ class GenericEngine:
             self._level_cache[k] = (mats, logdets)
         return self._level_cache[k]
 
-    @staticmethod
-    def _root():
-        return {
-            "Q": None,  # set lazily per dim
-            "log_scale": np.zeros(1),
-            "log_det": np.zeros(1),
-        }
-
-    def _expand(self, state, k: int):
-        """Children of every node in ``state`` through level k's maps."""
+    def _expand(self, Q, log_scale, log_det, k: int):
+        """Children of every node through level k's maps, rescaled to unit norm."""
         mats, logdets = self._level_maps(k)
         n = mats.shape[0]
-        Q = state["Q"]
         raw = np.einsum("nij,mjk->nmik", Q, mats).reshape(-1, self.d, self.d)
-        log_scale = np.repeat(state["log_scale"], n)
-        log_det = np.repeat(state["log_det"], n) + np.tile(logdets, Q.shape[0])
+        log_det = np.repeat(log_det, n) + np.tile(logdets, Q.shape[0])
         if self.d == 1:
             a1 = np.abs(raw[:, 0, 0])
         elif self.d == 2:
             a1, _ = sv2_batch(raw)
         else:
             a1 = np.linalg.svd(raw, compute_uv=False)[:, 0]
-        log_scale = log_scale + np.log(a1)
-        Q_next = raw / a1[:, None, None]
-        return {"Q": Q_next, "log_scale": log_scale, "log_det": log_det}
+        log_scale = np.repeat(log_scale, n) + np.log(a1)
+        return raw / a1[:, None, None], log_scale, log_det
 
-    def _log_svs(self, state) -> np.ndarray:
-        """(N, d) descending log singular values for a level state."""
-        ls = state["log_scale"]
+    def _log_svs(self, Q, log_scale, log_det) -> np.ndarray:
+        """(N, d) descending log singular values of a level."""
         if self.d == 1:
-            return ls[:, None]
+            return log_scale[:, None]
         if self.d == 2:
-            return np.stack([ls, state["log_det"] - ls], axis=1)
-        vals = np.linalg.svd(state["Q"], compute_uv=False)
-        return ls[:, None] + np.log(vals)
+            return np.stack([log_scale, log_det - log_scale], axis=1)
+        return log_scale[:, None] + np.log(np.linalg.svd(Q, compute_uv=False))
 
-    def _initial(self):
-        return {
-            "Q": np.eye(self.d)[None],
-            "log_scale": np.zeros(1),
-            "log_det": np.zeros(1),
-        }
+    def _walk(self, visit, m: int = 1, log_stop: float = -math.inf,
+              node_budget: float = math.inf, max_depth: float = math.inf):
+        """Expand the tree from the root, one level at a time.
+
+        Each level goes to ``visit(depth, logs, la, parent_la)``: its (N, d)
+        log singular values, its log alpha_m, and the log alpha_m of the
+        parents it was expanded from (one per parent).  Children with
+        alpha_m above ``log_stop`` are kept; without a stop value the level
+        is kept whole, uncopied.  A level that would take the count of
+        expanded nodes past ``node_budget`` is not expanded.  Returns
+        (truncated, max log alpha_m of the unexpanded frontier, nodes).
+        """
+        Q, log_scale, log_det = np.eye(self.d)[None], np.zeros(1), np.zeros(1)
+        parent_la = np.zeros(1)
+        depth = nodes = 0
+        while Q.shape[0] > 0 and depth < max_depth:
+            depth += 1
+            if nodes + Q.shape[0] * self.spec.branch_count(depth) > node_budget:
+                return True, float(np.max(parent_la)), nodes
+            Q, log_scale, log_det = self._expand(Q, log_scale, log_det, depth)
+            nodes += log_scale.size
+            logs = self._log_svs(Q, log_scale, log_det)
+            la = logs[:, m - 1]
+            visit(depth, logs, la, parent_la)
+            if log_stop > -math.inf:
+                keep = la > log_stop + _STOP_SNAP
+                Q, log_scale, log_det, la = Q[keep], log_scale[keep], log_det[keep], la[keep]
+            parent_la = la
+        return False, -math.inf, nodes
 
     def schedule_log_sums(self, s: float, log_eps_list, node_budget: int):
         m = branch_index(s, self.d)
         le = np.asarray(log_eps_list)
-        log_eps_min = float(le[-1])
         buckets = [[] for _ in le]
-        state = self._initial()
-        parent_alpha = np.zeros(1)
-        nodes = 0
-        truncated = False
-        frontier_alpha_max = -math.inf
-        depth = 0
-        while state["Q"].shape[0] > 0:
-            depth += 1
-            n = self.spec.level(depth).branch_count
-            if nodes + state["Q"].shape[0] * n > node_budget:
-                truncated = True
-                frontier_alpha_max = float(np.max(parent_alpha))
-                break
-            child = self._expand(state, depth)
-            nodes += child["log_scale"].size
-            logs = self._log_svs(child)
-            la = logs[:, m - 1]
-            pa = np.repeat(parent_alpha, n)
+
+        def visit(depth, logs, la, parent_la):
+            pa = np.repeat(parent_la, self.spec.branch_count(depth))
             lph = log_phi_from_logs(logs, s)
             for i, eps_i in enumerate(le):
                 mask = (la <= eps_i + _STOP_SNAP) & (pa > eps_i + _STOP_SNAP)
                 if np.any(mask):
                     buckets[i].append(logsumexp(lph[mask]))
-            alive = la > log_eps_min + _STOP_SNAP
-            state = {
-                "Q": child["Q"][alive],
-                "log_scale": child["log_scale"][alive],
-                "log_det": child["log_det"][alive],
-            }
-            parent_alpha = la[alive]
-        sums = [logsumexp(b) for b in buckets]
-        if truncated:
-            complete = [frontier_alpha_max <= float(l) for l in le]
-        else:
-            complete = [True] * len(le)
-        return sums, complete, nodes
+
+        _, frontier_la, nodes = self._walk(visit, m, float(le[-1]), node_budget)
+        return [logsumexp(b) for b in buckets], [frontier_la <= float(l) for l in le], nodes
 
     def cutset_groups(self, s: float, log_eps: float, node_budget: int):
-        sums_state = self._initial()
         m = branch_index(s, self.d)
         groups = []
-        parent_alpha = np.zeros(1)
-        nodes = 0
-        truncated = False
-        depth = 0
-        state = sums_state
-        while state["Q"].shape[0] > 0:
-            depth += 1
-            n = self.spec.level(depth).branch_count
-            if nodes + state["Q"].shape[0] * n > node_budget:
-                truncated = True
-                break
-            child = self._expand(state, depth)
-            nodes += child["log_scale"].size
-            logs = self._log_svs(child)
-            la = logs[:, m - 1]
-            pa = np.repeat(parent_alpha, n)
-            stopped = la <= log_eps + _STOP_SNAP
+
+        def visit(depth, logs, la, parent_la):
+            pa = np.repeat(parent_la, self.spec.branch_count(depth))
             lph = log_phi_from_logs(logs, s)
-            for i in np.nonzero(stopped)[0]:
-                groups.append(
-                    CutGroup(
-                        depth=depth,
-                        count=1,
-                        log_count=0.0,
-                        log_phi=float(lph[i]),
-                        log_alpha_m=float(la[i]),
-                        log_alpha_m_parent=float(pa[i]),
-                    )
-                )
-            alive = ~stopped
-            state = {
-                "Q": child["Q"][alive],
-                "log_scale": child["log_scale"][alive],
-                "log_det": child["log_det"][alive],
-            }
-            parent_alpha = la[alive]
+            for i in np.nonzero(la <= log_eps + _STOP_SNAP)[0]:
+                groups.append(CutGroup(depth=depth, count=1, log_count=0.0,
+                                       log_phi=float(lph[i]), log_alpha_m=float(la[i]),
+                                       log_alpha_m_parent=float(pa[i])))
+
+        truncated, _, nodes = self._walk(visit, m, log_eps, node_budget)
         return groups, truncated, nodes
 
     def max_depth_within(self, node_budget: int, K_cap: int = 64) -> int:
@@ -594,73 +544,44 @@ class GenericEngine:
             t += 1
         return max(t, 1)
 
-    def _tree_log_svs(self, K: int, node_budget: int):
-        """Full tree to depth K as per-level (N_t, d) log-sv arrays."""
-        levels = []
-        state = self._initial()
-        total = 1
-        for t in range(1, K + 1):
-            n = self.spec.level(t).branch_count
-            if total + state["Q"].shape[0] * n > node_budget:
-                return levels, True
-            state = self._expand(state, t)
-            total += state["log_scale"].size
-            levels.append(self._log_svs(state))
-        return levels, False
-
-    def _net_dp_from_logphi(self, logphi, k: int, K_eff: int) -> float:
-        v = logphi[K_eff - 1]
-        for t in range(K_eff - 1, 0, -1):
-            n = self.spec.level(t + 1).branch_count
-            grouped = v.reshape(-1, n)
-            mx = grouped.max(axis=1, keepdims=True)
-            child = (mx + np.log(np.exp(grouped - mx).sum(axis=1, keepdims=True))).reshape(-1)
-            if t >= k:
-                v = np.minimum(logphi[t - 1], child)
-            else:
-                v = child
-        mx = float(np.max(v))
-        return mx + math.log(float(np.sum(np.exp(v - mx))))
-
-    def net_measure_log(self, s: float, k: int, K: int, node_budget: int):
-        levels, truncated = self._tree_log_svs(K, node_budget)
-        K_eff = len(levels)
-        if K_eff < k:
-            raise BudgetExceeded(
-                f"net-measure tree to depth {k} does not fit the node budget"
-            )
-        logphi = [np.asarray(log_phi_from_logs(lv, s), dtype=float).reshape(-1)
-                  for lv in levels]
-        root = self._net_dp_from_logphi(logphi, k, K_eff)
-        nodes = sum(len(l) for l in levels)
-        return root, truncated or K_eff < K, nodes
-
     def net_measure_series(self, s: float, windows, node_budget: int):
-        """Values for many (k, K) windows off one shared tree expansion."""
-        K_max = max(K for _, K in windows)
-        levels, truncated = self._tree_log_svs(K_max, node_budget)
-        K_eff = len(levels)
-        logphi = [np.asarray(log_phi_from_logs(lv, s), dtype=float).reshape(-1)
-                  for lv in levels]
+        """Net-measure values for (k, K) windows off one tree expansion.
+
+        The tree is expanded once, to the deepest horizon that fits the
+        budget; a window whose min depth lies beyond it is None, and a
+        window cut short or sharing a truncated expansion is flagged
+        truncated.
+        """
+        logphi = []  # logphi[t - 1]: per-node log phi^s at depth t
+
+        def visit(depth, logs, la, parent_la):
+            logphi.append(np.asarray(log_phi_from_logs(logs, s), dtype=float).reshape(-1))
+
+        # the root counts as one node of the budget
+        truncated, _, _ = self._walk(visit, node_budget=node_budget - 1,
+                                     max_depth=max(K for _, K in windows))
         out = []
         for k, K in windows:
-            Kw = min(K, K_eff)
+            Kw = min(K, len(logphi))
             if Kw < k:
                 out.append(None)
                 continue
-            root = self._net_dp_from_logphi(logphi, k, Kw)
-            out.append((root, truncated or Kw < K))
+            v = logphi[Kw - 1]
+            for t in range(Kw - 1, 0, -1):
+                child = _log_row_sums(v.reshape(-1, self.spec.branch_count(t + 1)))
+                v = np.minimum(logphi[t - 1], child) if t >= k else child
+            out.append((logsumexp(v), truncated or Kw < K))
         return out
 
     def level_log_sums(self, s: float, depths):
-        want = sorted(set(int(t) for t in depths))
+        want = {int(t) for t in depths}
         out = {}
-        state = self._initial()
-        for t in range(1, want[-1] + 1):
-            state = self._expand(state, t)
-            if t in want:
-                lph = np.asarray(log_phi_from_logs(self._log_svs(state), s)).reshape(-1)
-                out[t] = logsumexp(lph)
+
+        def visit(depth, logs, la, parent_la):
+            if depth in want:
+                out[depth] = logsumexp(np.asarray(log_phi_from_logs(logs, s)).reshape(-1))
+
+        self._walk(visit, max_depth=max(want))
         return [out[t] for t in depths]
 
 
@@ -696,18 +617,9 @@ def _merge_groups(groups):
         key = (g.depth, round(g.log_phi, 12), round(g.log_alpha_m, 12),
                round(g.log_alpha_m_parent, 12))
         if key in merged:
-            old = merged[key]
-            cnt = old.count + g.count
-            merged[key] = CutGroup(
-                depth=g.depth,
-                count=cnt,
-                log_count=log_int(cnt),
-                log_phi=g.log_phi,
-                log_alpha_m=g.log_alpha_m,
-                log_alpha_m_parent=g.log_alpha_m_parent,
-            )
-        else:
-            merged[key] = g
+            cnt = merged[key].count + g.count
+            g = replace(g, count=cnt, log_count=math.log(cnt))
+        merged[key] = g
     return list(merged.values())
 
 
@@ -730,8 +642,14 @@ class CutSet:
         return logsumexp([g.log_count + g.log_phi for g in self.groups])
 
     def entries(self, max_words: int = _WORD_ENUM_CAP) -> Iterator[tuple]:
-        """Enumerate (Word, log_phi) pairs via an independent recursive walk."""
-        yield from iter_cutset_words(self.spec, self.s, self.epsilon, max_words)
+        """Enumerate (Word, log_phi) pairs via an independent recursive walk.
+
+        Raises BudgetExceeded at once when the cut-set holds more than
+        ``max_words`` words.
+        """
+        if self.word_count() > max_words:
+            raise BudgetExceeded(f"cut-set enumeration exceeds {max_words} words")
+        return iter_cutset_words(self.spec, self.s, self.epsilon, max_words)
 
 
 def iter_cutset_words(spec: SystemSpec, s: float, epsilon: float,

@@ -16,14 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ERROR,
-    WARNING,
-    ConfigError,
-    ContractionViolated,
-    Finding,
-    NonsingularityViolated,
-)
+from .errors import ERROR, WARNING, ConfigError, Finding
 from .linalg import SINGULAR_DET_TOL, Matrix, op_norm, singular_values
 
 SCHEDULE_KINDS = ("constant", "periodic", "explicit_prefix_then_periodic", "geometric_blocks")
@@ -65,9 +58,6 @@ class LevelSpec:
 
     def maps_all_diagonal(self) -> bool:
         return all(m.is_diagonal() for m in self.maps)
-
-    def maps_all_scalar(self) -> bool:
-        return all(m.is_scalar() for m in self.maps)
 
 
 @dataclass(frozen=True)
@@ -211,11 +201,6 @@ class SystemSpec:
         return self.schedule.level(k).branch_count
 
 
-def level(spec: SystemSpec, k: int) -> LevelSpec:
-    """The level-k branch count and maps per the schedule rule."""
-    return spec.level(k)
-
-
 def alpha_bounds(spec: SystemSpec) -> AlphaBounds:
     """sup alpha_1 and inf alpha_d over the finitely many distinct levels."""
     plus = 0.0
@@ -302,31 +287,46 @@ def _require_keys(obj: dict, allowed: set, required: set, path: str):
         raise ConfigError(f"{path}: missing field(s) {sorted(missing)}")
 
 
+_KIND_NAMES = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _typed(obj: dict, key: str, kind, path: str, required: bool = False):
+    """obj[key] checked to be a ``kind`` (a bool is not an integer).
+
+    An absent or null optional field is None.
+    """
+    value = obj.get(key)
+    if value is None and not required:
+        return None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ConfigError(f"{path}.{key}: expected {_KIND_NAMES[kind]}")
+    return value
+
+
 def _vector(value, d: int, path: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (d,):
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (d,):
         raise ConfigError(f"{path}: expected a length-{d} vector")
     return arr
 
 
 def _parse_level(obj, d: int, path: str) -> LevelSpec:
     _require_keys(obj, {"branch_count", "maps", "digits"}, {"branch_count", "maps"}, path)
-    n = obj["branch_count"]
-    if not isinstance(n, int):
-        raise ConfigError(f"{path}.branch_count: expected an integer")
+    n = _typed(obj, "branch_count", int, path, required=True)
     maps = []
-    for j, rows in enumerate(obj["maps"]):
+    for j, rows in enumerate(_typed(obj, "maps", list, path, required=True)):
         try:
             maps.append(Matrix.from_rows(rows))
         except Exception as exc:
             raise ConfigError(f"{path}.maps[{j}]: {exc}") from exc
         if maps[-1].dim != d:
             raise ConfigError(f"{path}.maps[{j}]: expected a {d}x{d} matrix")
-    digits = None
-    if obj.get("digits") is not None:
-        digits = tuple(
-            _vector(v, d, f"{path}.digits[{j}]") for j, v in enumerate(obj["digits"])
-        )
+    digits = _typed(obj, "digits", list, path)
+    if digits is not None:
+        digits = tuple(_vector(v, d, f"{path}.digits[{j}]") for j, v in enumerate(digits))
     try:
         return LevelSpec(branch_count=n, maps=tuple(maps), digits=digits)
     except ConfigError as exc:
@@ -351,8 +351,8 @@ def parse_structure(document) -> SystemSpec:
         {"dim", "seed_region", "schedule", "translations"},
         "$",
     )
-    d = document["dim"]
-    if not isinstance(d, int) or d < 1:
+    d = _typed(document, "dim", int, "$", required=True)
+    if d < 1:
         raise ConfigError("$.dim: expected a positive integer")
 
     reg = document["seed_region"]
@@ -368,16 +368,13 @@ def parse_structure(document) -> SystemSpec:
         "$.schedule",
     )
     levels = tuple(
-        _parse_level(lvl, d, f"$.schedule.levels[{i}]") for i, lvl in enumerate(sch["levels"])
+        _parse_level(lvl, d, f"$.schedule.levels[{i}]")
+        for i, lvl in enumerate(_typed(sch, "levels", list, "$.schedule", required=True))
     )
+    ints = {key: _typed(sch, key, int, "$.schedule")
+            for key in ("block_base", "block_ratio", "period")}
     try:
-        schedule = Schedule(
-            kind=sch["kind"],
-            levels=levels,
-            block_base=sch.get("block_base"),
-            block_ratio=sch.get("block_ratio"),
-            period=sch.get("period"),
-        )
+        schedule = Schedule(kind=sch["kind"], levels=levels, **ints)
     except ConfigError as exc:
         raise ConfigError(f"$.schedule: {exc}") from exc
 
@@ -388,11 +385,10 @@ def parse_structure(document) -> SystemSpec:
         {"kind"},
         "$.translations",
     )
-    alphabet = None
-    if tr.get("alphabet") is not None:
+    alphabet = _typed(tr, "alphabet", list, "$.translations")
+    if alphabet is not None:
         alphabet = tuple(
-            _vector(v, d, f"$.translations.alphabet[{j}]")
-            for j, v in enumerate(tr["alphabet"])
+            _vector(v, d, f"$.translations.alphabet[{j}]") for j, v in enumerate(alphabet)
         )
     region = None
     if tr.get("region") is not None:
@@ -401,15 +397,16 @@ def parse_structure(document) -> SystemSpec:
             _vector(tr["region"]["lo"], d, "$.translations.region.lo"),
             _vector(tr["region"]["hi"], d, "$.translations.region.hi"),
         )
-    table = None
-    if tr.get("table") is not None:
+    table = _typed(tr, "table", dict, "$.translations")
+    if table is not None:
         table = {
             str(word): _vector(vec, d, f"$.translations.table[{word!r}]")
-            for word, vec in tr["table"].items()
+            for word, vec in table.items()
         }
+    seed = _typed(tr, "seed", int, "$.translations")
     try:
         translations = TranslationScheme(
-            kind=tr["kind"], alphabet=alphabet, seed=tr.get("seed"), region=region, table=table
+            kind=tr["kind"], alphabet=alphabet, seed=seed, region=region, table=table
         )
     except ConfigError as exc:
         raise ConfigError(f"$.translations: {exc}") from exc
@@ -439,12 +436,7 @@ def parse_spec(document) -> SystemSpec:
     """
     spec = parse_structure(document)
     for f in validate(spec):
-        if f.severity != ERROR:
-            continue
-        if f.code == "ContractionViolated":
-            raise ContractionViolated(f"{f.where}: {f.message}")
-        if f.code == "NonsingularityViolated":
-            raise NonsingularityViolated(f"{f.where}: {f.message}")
+        f.raise_if_invariant()
     return spec
 
 

@@ -1,8 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+
+from morandim import cli
+from morandim.system import fixture_document
 
 CLI = [sys.executable, "-m", "morandim.cli"]
 
@@ -162,3 +166,80 @@ def test_boxdim_middle_thirds_cli_slope():
     rep = json.loads(proc.stdout.strip())
     assert abs(rep["estimate"] - 0.630930) <= 0.03
     assert rep["schedule"]["mode"] == "full_enumeration"
+
+
+def test_cutset_over_word_cap_leaves_no_file(tmp_path):
+    out = tmp_path / "f.csv"
+    proc = run_cli("cutset", "--fixture", "example_5_4", "--s", "1.2",
+                   "--epsilon", "1e-9", "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "budget"
+    assert not out.exists()
+
+
+def test_dims_manifest_times_the_estimators(tmp_path, monkeypatch):
+    real = cli.estimate_sstar
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_sstar", slow)
+    out = tmp_path / "run"
+    assert cli.main(["dims", "--fixture", "middle_thirds", "--which", "sstar",
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["wall_time_s"] >= 0.2
+
+
+def _set_period(doc):
+    doc["schedule"]["period"] = "1"
+
+
+def _null_maps(doc):
+    doc["schedule"]["levels"][0]["maps"] = None
+
+
+def _list_table(doc):
+    doc["translations"]["table"] = [1]
+
+
+def _bool_dim(doc):
+    doc["dim"] = True
+
+
+def _string_corner(doc):
+    doc["seed_region"]["lo"] = "ab"
+
+
+def _float_block_base(doc):
+    doc["schedule"]["block_base"] = 2.5
+
+
+def _string_seed(doc):
+    doc["translations"]["seed"] = "x"
+
+
+@pytest.mark.parametrize("fixture_name,mutate", [
+    ("example_5_3", _set_period),
+    ("middle_thirds", _null_maps),
+    ("middle_thirds", _list_table),
+    ("middle_thirds", _bool_dim),
+    ("middle_thirds", _string_corner),
+    ("example_5_4", _float_block_base),
+    ("random_affine", _string_seed),
+])
+def test_mistyped_config_field_exit_1(tmp_path, fixture_name, mutate):
+    doc = fixture_document(fixture_name)
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"

@@ -10,6 +10,7 @@ from morandim.dims import (
     ABOVE,
     BELOW,
     INDETERMINATE,
+    default_depth_schedule,
     estimate_sA,
     estimate_sstar,
     moran_dims,
@@ -17,9 +18,9 @@ from morandim.dims import (
     net_measure,
     pressure_root,
 )
-from morandim.errors import InapplicableEstimator, NonsingularityViolated
+from morandim.errors import BudgetExceeded, InapplicableEstimator, NonsingularityViolated
 from morandim.linalg import Matrix, op_norm
-from morandim.symbolic import Word, product
+from morandim.symbolic import DEFAULT_NODE_BUDGET, GenericEngine, Word, make_engine, product
 from morandim.system import (
     Box,
     LevelSpec,
@@ -109,6 +110,42 @@ def test_net_measure_monotonicity():
 def test_net_measure_argument_check():
     with pytest.raises(ValueError):
         net_measure(fixture("middle_thirds"), 1.0, 3, 2)
+
+
+@pytest.mark.parametrize("name,kind,budget", [
+    ("middle_thirds", "uniform", DEFAULT_NODE_BUDGET),
+    ("random_diag_pair", "diagonal", DEFAULT_NODE_BUDGET),
+    ("example_5_3", "generic", 3000),
+])
+def test_net_measure_series_matches_single_windows(name, kind, budget):
+    spec = fixture(name)
+    engine = make_engine(spec)
+    assert engine.kind == kind
+    windows = default_depth_schedule(spec, engine, budget)
+    for s in (0.6, 1.1, 1.7):
+        series = engine.net_measure_series(s, windows, budget)
+        assert len(series) == len(windows)
+        for (k, K), item in zip(windows, series):
+            table = net_measure(spec, s, k, K, node_budget=budget)
+            assert item == (table.log_value, table.truncated)
+
+
+@pytest.mark.parametrize("name", ["middle_thirds", "example_5_4", "random_diag_pair"])
+def test_aggregated_net_measure_matches_generic_walk(name):
+    spec = fixture(name)
+    windows = [(1, 4), (2, 6), (3, 6), (5, 6)]
+    for s in (0.6, 1.1, 1.7):
+        fast = make_engine(spec).net_measure_series(s, windows, DEFAULT_NODE_BUDGET)
+        walk = GenericEngine(spec).net_measure_series(s, windows, DEFAULT_NODE_BUDGET)
+        for (a, _), (b, _) in zip(fast, walk):
+            assert a == pytest.approx(b, rel=1e-9)
+
+
+def test_net_measure_window_over_budget_raises():
+    spec = fixture("random_diag_pair")
+    assert make_engine(spec).kind == "diagonal"
+    with pytest.raises(BudgetExceeded):
+        net_measure(spec, 1.0, 2, 50, node_budget=100)
 
 
 # ---------------------------------------------------------------------------
