@@ -242,16 +242,24 @@ def cmd_cutset(args) -> int:
     spec, label = _load_spec(args)
     if args.s is None or args.epsilon is None:
         raise ConfigError("cutset needs --s and --epsilon")
+    if not 0.0 < args.epsilon < 1.0:
+        raise ConfigError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
+    if not 0.0 < args.s < math.inf:
+        raise ConfigError(f"--s must be positive and finite, got {args.s}")
     budget = args.node_budget or DEFAULT_NODE_BUDGET
+    if budget < 1:
+        raise ConfigError(f"--node-budget must be >= 1, got {budget}")
     c = cutset(spec, args.s, args.epsilon, node_budget=budget)
-    rows = c.entries() if args.out else ()  # checks the word cap before any output
+    # checks truncation and the word cap before any output
+    rows = c.entries() if args.out else ()
+    log_sum = c.log_sum()
     summary = {
         "config": label,
         "s": c.s,
         "m": c.m,
         "epsilon": c.epsilon,
         "word_count": c.word_count(),
-        "log_sum": c.log_sum(),
+        "log_sum": log_sum if math.isfinite(log_sum) else None,
         "truncated": c.truncated,
         "node_budget_used": c.node_budget_used,
     }

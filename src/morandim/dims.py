@@ -2,14 +2,13 @@
 
 The limit quantities are replaced by trend classification over explicit
 epsilon / depth schedules.  For a candidate exponent s the cut-set cost
-series is classified "above the critical value" when its running maximum
-stabilizes early (the limsup evidence dies out) and "below" when new
-records keep forming late in the schedule or the tail blows past the
-absolute threshold; net-measure series mirror this with running minima.
-Bisection then pins the classification boundary.  Every report carries the
-schedule, thresholds, and per-probe trace that produced it, and a run that
-cannot classify consistently returns an IndeterminateTrend report with the
-widest bracket instead of an estimate.
+series is classified "above the critical value" when its global maximum
+sits in the first third of the schedule (the limsup evidence dies out) and
+"below" when it sits later (new records keep forming); net-measure series
+mirror this with running minima.  Bisection then pins the classification
+boundary.  Every report carries the schedule, thresholds, and per-probe
+trace that produced it, and a run that cannot classify consistently returns
+an IndeterminateTrend report with the widest bracket instead of an estimate.
 """
 from __future__ import annotations
 
@@ -30,10 +29,9 @@ from .system import (
     validate,
 )
 
+# Recorded in every report's schedule; no class depends on them.
 THETA_LOW = 1e-3
 THETA_HIGH = 1e3
-_LOG_THETA_LOW = math.log(THETA_LOW)
-_LOG_THETA_HIGH = math.log(THETA_HIGH)
 
 # Trend split: a series whose global extremum sits in the late region keeps
 # setting records, i.e. the limit evidence is still growing.
@@ -86,14 +84,7 @@ def _classify_limsup(xs, vals) -> int:
     xs = np.asarray(xs, dtype=float)
     if float(vals.max() - vals.min()) < 1e-12:
         return INDETERMINATE  # flat series carries no trend evidence
-    span = xs[-1] - xs[0]
-    rho = float((xs[int(np.argmax(vals))] - xs[0]) / span)
-    tail = vals[xs >= xs[0] + (2.0 / 3.0) * span]
-    tmax = float(tail.max()) if tail.size else float(vals[-1])
-    if tmax > _LOG_THETA_HIGH and rho >= _TREND_SPLIT:
-        return BELOW
-    if tmax < _LOG_THETA_LOW and rho < _TREND_SPLIT:
-        return ABOVE
+    rho = float((xs[int(np.argmax(vals))] - xs[0]) / (xs[-1] - xs[0]))
     return BELOW if rho >= _TREND_SPLIT else ABOVE
 
 
@@ -102,8 +93,7 @@ def _classify_liminf(xs, vals) -> int:
 
     Above the critical value, deeper windows keep revealing cheaper covers,
     so the global minimum drifts late; below it, costs only grow.  This is
-    the limsup rule on the negated series: the thresholds are mirror images
-    (log 1e-3 == -log 1e3 exactly) and the classes swap.
+    the limsup rule on the negated series with the classes swapped.
     """
     return -_classify_limsup(xs, -np.asarray(vals, dtype=float))
 

@@ -14,7 +14,10 @@ pass) and ``level_log_sums`` (per-depth sums).
   budget; the only engine that pays the exponential price.  All four
   entry points run one shared walk that expands the tree level by level,
   hands each level to a visitor, and keeps the children whose alpha_m lies
-  above a stop value.
+  above a stop value.  The unpruned tree's log singular values do not
+  depend on s, so it is expanded once per engine and reused by every
+  net-measure and level-sum probe; the pruned walks behind the cut-set
+  sums depend on m and the stop scale and still expand per call.
 
 Equal-product aggregation is the central performance decision: the shipped
 block fixtures have 9^k-size levels that reduce to O(1) work per depth.
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import BudgetExceeded, MoranDimError
 from .linalg import Matrix, SingularValues, mat_mul, singular_values, sv2_batch
 from .svf import branch_index, log_phi_from_logs
-from .system import SystemSpec
+from .system import SystemSpec, validate
 
 DEFAULT_NODE_BUDGET = 10_000_000
 _MAX_CHAIN_DEPTH = 1_000_000
@@ -431,7 +434,8 @@ class DiagonalEngine:
 class GenericEngine:
     """Budgeted vectorized level-by-level expansion for heterogeneous systems.
 
-    Every traversal is one ``_walk`` with its own per-level visitor.
+    Every traversal is one ``_walk`` with its own per-level visitor; the
+    unpruned walk runs once per engine and its levels are kept (``_tree``).
     """
 
     kind = "generic"
@@ -440,6 +444,7 @@ class GenericEngine:
         self.spec = spec
         self.d = spec.dim
         self._level_cache = {}
+        self._tree_logs = []  # unpruned levels kept across probes, see _tree
 
     def _level_maps(self, k: int):
         if k not in self._level_cache:
@@ -453,7 +458,7 @@ class GenericEngine:
         """Children of every node through level k's maps, rescaled to unit norm."""
         mats, logdets = self._level_maps(k)
         n = mats.shape[0]
-        raw = np.einsum("nij,mjk->nmik", Q, mats).reshape(-1, self.d, self.d)
+        raw = np.matmul(Q[:, None], mats[None]).reshape(-1, self.d, self.d)
         log_det = np.repeat(log_det, n) + np.tile(logdets, Q.shape[0])
         if self.d == 1:
             a1 = np.abs(raw[:, 0, 0])
@@ -462,7 +467,8 @@ class GenericEngine:
         else:
             a1 = np.linalg.svd(raw, compute_uv=False)[:, 0]
         log_scale = np.repeat(log_scale, n) + np.log(a1)
-        return raw / a1[:, None, None], log_scale, log_det
+        raw /= a1[:, None, None]
+        return raw, log_scale, log_det
 
     def _log_svs(self, Q, log_scale, log_det) -> np.ndarray:
         """(N, d) descending log singular values of a level."""
@@ -533,33 +539,49 @@ class GenericEngine:
         truncated, _, nodes = self._walk(visit, m, log_eps, node_budget)
         return groups, truncated, nodes
 
-    def max_depth_within(self, node_budget: int, K_cap: int = 64) -> int:
-        total, t = 1, 0
+    def _horizon(self, node_budget: float, max_depth: int) -> int:
+        """Depth an unpruned ``_walk`` reaches within ``node_budget`` and
+        ``max_depth``; it follows from the branch counts alone."""
+        depth = nodes = 0
         width = 1
-        while t < K_cap:
-            width *= self.spec.level(t + 1).branch_count
-            if total + width > node_budget:
+        while depth < max_depth:
+            width *= self.spec.branch_count(depth + 1)
+            if nodes + width > node_budget:
                 break
-            total += width
-            t += 1
-        return max(t, 1)
+            nodes += width
+            depth += 1
+        return depth
+
+    def max_depth_within(self, node_budget: int, K_cap: int = 64) -> int:
+        # the root counts as one node of the budget
+        return max(self._horizon(node_budget - 1, K_cap), 1)
+
+    def _tree(self, max_depth: int, node_budget: float = math.inf):
+        """Per-depth (N_t, d) log singular values of the unpruned tree.
+
+        Returns the levels 1..H, H the horizon ``_walk`` would reach, and
+        whether the budget cut them short of ``max_depth``.  The levels do
+        not depend on s: they are expanded once per engine and sliced by
+        later requests; only a deeper horizon walks again from the root.
+        """
+        depth = self._horizon(node_budget, max_depth)
+        if depth > len(self._tree_logs):
+            self._tree_logs = []
+            self._walk(lambda t, logs, la, pa: self._tree_logs.append(logs),
+                       max_depth=depth)
+        return self._tree_logs[:depth], depth < max_depth
 
     def net_measure_series(self, s: float, windows, node_budget: int):
-        """Net-measure values for (k, K) windows off one tree expansion.
+        """Net-measure values for (k, K) windows off the cached tree.
 
-        The tree is expanded once, to the deepest horizon that fits the
-        budget; a window whose min depth lies beyond it is None, and a
-        window cut short or sharing a truncated expansion is flagged
-        truncated.
+        The tree reaches the deepest horizon that fits the budget; a window
+        whose min depth lies beyond it is None, and a window cut short or
+        sharing a truncated tree is flagged truncated.
         """
-        logphi = []  # logphi[t - 1]: per-node log phi^s at depth t
-
-        def visit(depth, logs, la, parent_la):
-            logphi.append(np.asarray(log_phi_from_logs(logs, s), dtype=float).reshape(-1))
-
         # the root counts as one node of the budget
-        truncated, _, _ = self._walk(visit, node_budget=node_budget - 1,
-                                     max_depth=max(K for _, K in windows))
+        levels, truncated = self._tree(max(K for _, K in windows), node_budget - 1)
+        logphi = [np.asarray(log_phi_from_logs(logs, s), dtype=float).reshape(-1)
+                  for logs in levels]  # logphi[t - 1]: per-node log phi^s at depth t
         out = []
         for k, K in windows:
             Kw = min(K, len(logphi))
@@ -574,15 +596,9 @@ class GenericEngine:
         return out
 
     def level_log_sums(self, s: float, depths):
-        want = {int(t) for t in depths}
-        out = {}
-
-        def visit(depth, logs, la, parent_la):
-            if depth in want:
-                out[depth] = logsumexp(np.asarray(log_phi_from_logs(logs, s)).reshape(-1))
-
-        self._walk(visit, max_depth=max(want))
-        return [out[t] for t in depths]
+        levels, _ = self._tree(max(depths))
+        return [logsumexp(np.asarray(log_phi_from_logs(levels[t - 1], s)).reshape(-1))
+                for t in depths]
 
 
 def make_engine(spec: SystemSpec):
@@ -644,9 +660,13 @@ class CutSet:
     def entries(self, max_words: int = _WORD_ENUM_CAP) -> Iterator[tuple]:
         """Enumerate (Word, log_phi) pairs via an independent recursive walk.
 
-        Raises BudgetExceeded at once when the cut-set holds more than
-        ``max_words`` words.
+        Raises BudgetExceeded at once when the cut-set was truncated by its
+        node budget or holds more than ``max_words`` words.
         """
+        if self.truncated:
+            raise BudgetExceeded(
+                f"cut-set truncated at {self.node_budget_used} nodes; no words to enumerate"
+            )
         if self.word_count() > max_words:
             raise BudgetExceeded(f"cut-set enumeration exceeds {max_words} words")
         return iter_cutset_words(self.spec, self.s, self.epsilon, max_words)
@@ -715,6 +735,8 @@ def cutset(spec: SystemSpec, s: float, epsilon: float,
         raise ValueError("cut-sets need s > 0")
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
+    for finding in validate(spec):
+        finding.raise_if_invariant()
     engine = make_engine(spec)
     m = branch_index(s, spec.dim)
     groups, truncated, nodes = engine.cutset_groups(s, math.log(epsilon), node_budget)

@@ -180,6 +180,53 @@ def test_cutset_over_word_cap_leaves_no_file(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,code,error", [
+    (("--fixture", "example_5_2", "--s", "1", "--epsilon", "0.1"), 2, "inapplicable"),
+    (("--fixture", "middle_thirds", "--s", "1", "--epsilon", "2"), 1, "config"),
+    (("--fixture", "middle_thirds", "--s", "0", "--epsilon", "0.1"), 1, "config"),
+    (("--fixture", "middle_thirds", "--s", "1", "--epsilon", "0.1",
+      "--node-budget", "-3"), 1, "config"),
+])
+def test_cutset_bad_input_exits_with_one_json_line(args, code, error):
+    proc = run_cli("cutset", *args)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+
+
+TRUNCATED_CUTSET = ("cutset", "--fixture", "example_5_3", "--s", "1.1",
+                    "--epsilon", "1e-6", "--node-budget", "200")
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_truncated_cutset_dump_leaves_no_file(tmp_path):
+    out = tmp_path / "f.csv"
+    proc = run_cli(*TRUNCATED_CUTSET, "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "budget"
+    assert not out.exists()
+
+
+def test_truncated_cutset_summary_is_strict_json():
+    proc = run_cli(*TRUNCATED_CUTSET)
+    assert proc.returncode == 3
+    summary = _strict_json(proc.stdout)
+    assert summary["truncated"] is True
+    assert summary["word_count"] == 0
+    assert summary["log_sum"] is None
+
+
 def test_dims_manifest_times_the_estimators(tmp_path, monkeypatch):
     real = cli.estimate_sstar
 

@@ -236,6 +236,21 @@ def test_classifier_basic_shapes():
     assert _classify_liminf(xs, decaying) == ABOVE
 
 
+def test_classify_limsup_is_the_extremum_position_rule():
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        n = int(rng.integers(3, 25))
+        xs = np.cumsum(rng.uniform(0.1, 3.0, n))
+        # offsets and spreads put tails on both sides of log 1e-3 and log 1e3
+        vals = rng.uniform(-20, 20) + rng.normal(0, 10.0 ** rng.uniform(-2, 1.5), n)
+        rho = (xs[np.argmax(vals)] - xs[0]) / (xs[-1] - xs[0])
+        assert _classify_limsup(xs, vals) == (BELOW if rho >= 1 / 3 else ABOVE)
+    for n in (0, 1, 2):
+        assert _classify_limsup(np.arange(n), rng.normal(size=n)) == INDETERMINATE
+    for level in (-20.0, 0.0, 20.0):
+        assert _classify_limsup(np.arange(12), np.full(12, level)) == INDETERMINATE
+
+
 def test_estimate_sstar_middle_thirds():
     rep = estimate_sstar(fixture("middle_thirds"), tol=0.02)
     assert rep.estimate == pytest.approx(S_SIM, abs=0.02)

@@ -1,11 +1,14 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from morandim.dims import estimate_sA
 from morandim.linalg import Matrix
 from morandim.symbolic import (
     CutSet,
+    GenericEngine,
     Word,
     common_prefix,
     cutset,
@@ -172,3 +175,91 @@ def test_tie_case_stops():
     c = cutset(mt, 0.5, 3.0 ** -3)
     assert c.word_count() == 8
     assert all(g.depth == 3 for g in c.groups)
+
+
+# ---------------------------------------------------------------------------
+# the generic engine's cached level tree
+# ---------------------------------------------------------------------------
+
+TREE_BUDGET = 3000  # example_5_3 reaches depth 9 within it
+# windows within the horizon, one cut short of it and one past it (None);
+# a request cut short by the budget flags every window truncated
+TREE_WINDOWS = [(2, 4), (4, 6), (6, 9), (8, 12), (10, 12)]
+
+
+def _generic_engine():
+    engine = make_engine(fixture("example_5_3"))
+    assert isinstance(engine, GenericEngine)
+    return engine
+
+
+def test_cached_tree_probes_match_fresh_engines():
+    shared = _generic_engine()
+    for s in (0.6, 1.2, 1.37, 2.5):
+        got = shared.net_measure_series(s, TREE_WINDOWS, TREE_BUDGET)
+        assert got == _generic_engine().net_measure_series(s, TREE_WINDOWS, TREE_BUDGET)
+        assert got[-1] is None
+        assert all(item[1] is True for item in got[:-1])
+        within = shared.net_measure_series(s, TREE_WINDOWS[:3], TREE_BUDGET)
+        assert within == _generic_engine().net_measure_series(s, TREE_WINDOWS[:3], TREE_BUDGET)
+        assert all(item[1] is False for item in within)
+
+
+def test_cached_tree_serves_shallower_and_deeper_requests():
+    engine = _generic_engine()
+    engine.net_measure_series(1.2, [(1, 3), (2, 4)], 100)
+    deeper = engine.net_measure_series(1.2, TREE_WINDOWS, TREE_BUDGET)
+    assert deeper == _generic_engine().net_measure_series(1.2, TREE_WINDOWS, TREE_BUDGET)
+    shallower = engine.net_measure_series(1.2, TREE_WINDOWS, 500)
+    assert shallower == _generic_engine().net_measure_series(1.2, TREE_WINDOWS, 500)
+
+
+def test_cached_tree_level_sums_match_fresh_engine():
+    engine = _generic_engine()
+    engine.net_measure_series(1.2, TREE_WINDOWS, TREE_BUDGET)
+    for depths in ((3, 9, 5), (4, 11)):
+        assert (engine.level_log_sums(1.3, depths)
+                == _generic_engine().level_log_sums(1.3, depths))
+
+
+def test_estimate_sA_expands_each_depth_once(monkeypatch):
+    calls = collections.Counter()
+    expand = GenericEngine._expand
+
+    def counted(self, Q, log_scale, log_det, k):
+        calls[k] += 1
+        return expand(self, Q, log_scale, log_det, k)
+
+    monkeypatch.setattr(GenericEngine, "_expand", counted)
+    rep = estimate_sA(fixture("example_5_3"), node_budget=TREE_BUDGET)
+    assert len(rep.trace) > 1
+    horizon = max(K for _, K in rep.schedule["windows"])
+    assert dict(calls) == {k: 1 for k in range(1, horizon + 1)}
+
+
+def _einsum_expand(engine, Q, log_scale, log_det, k):
+    """Reference expansion: einsum products, singular values from the SVD."""
+    mats, logdets = engine._level_maps(k)
+    n, d = mats.shape[0], mats.shape[1]
+    raw = np.einsum("nij,mjk->nmik", Q, mats).reshape(-1, d, d)
+    a1 = np.linalg.svd(raw, compute_uv=False)[:, 0]
+    return (raw / a1[:, None, None], np.repeat(log_scale, n) + np.log(a1),
+            np.repeat(log_det, n) + np.tile(logdets, Q.shape[0]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_matmul_expansion_matches_einsum(d):
+    rng = np.random.default_rng(100 + d)
+    maps = tuple(Matrix(rng.uniform(-0.6, 0.6, (d, d)) + 0.3 * np.eye(d)) for _ in range(3))
+    spec = SystemSpec(d, Schedule("constant", (LevelSpec(3, maps),)),
+                      TranslationScheme("explicit", table={}),
+                      Box(np.zeros(d), np.ones(d)))
+    engine = GenericEngine(spec)
+    for _ in range(5):
+        Q = rng.normal(size=(40, d, d))
+        log_scale, log_det = rng.normal(size=40), rng.normal(size=40)
+        want = _einsum_expand(engine, Q, log_scale, log_det, 1)
+        got = engine._expand(Q, log_scale, log_det, 1)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
