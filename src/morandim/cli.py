@@ -98,6 +98,14 @@ def _write_manifest(out_dir, command, label, overrides, seed, outputs, started):
         f.write("\n")
 
 
+def _node_budget(args) -> int:
+    if args.node_budget is None:
+        return DEFAULT_NODE_BUDGET
+    if args.node_budget < 1:
+        raise ConfigError(f"--node-budget must be >= 1, got {args.node_budget}")
+    return args.node_budget
+
+
 def cmd_validate(args) -> int:
     spec, label = _load_spec(args)
     findings = validate(spec)
@@ -120,7 +128,7 @@ def cmd_dims(args) -> int:
     if bad:
         raise ConfigError(f"unknown estimator(s) {sorted(bad)}; choose from {sorted(known)}")
 
-    budget = args.node_budget or DEFAULT_NODE_BUDGET
+    budget = _node_budget(args)
     tol = args.tol
 
     def run(name):
@@ -240,15 +248,14 @@ def cmd_render(args) -> int:
 
 def cmd_cutset(args) -> int:
     spec, label = _load_spec(args)
+    started = time.monotonic()
     if args.s is None or args.epsilon is None:
         raise ConfigError("cutset needs --s and --epsilon")
     if not 0.0 < args.epsilon < 1.0:
         raise ConfigError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
     if not 0.0 < args.s < math.inf:
         raise ConfigError(f"--s must be positive and finite, got {args.s}")
-    budget = args.node_budget or DEFAULT_NODE_BUDGET
-    if budget < 1:
-        raise ConfigError(f"--node-budget must be >= 1, got {budget}")
+    budget = _node_budget(args)
     c = cutset(spec, args.s, args.epsilon, node_budget=budget)
     # checks truncation and the word cap before any output
     rows = c.entries() if args.out else ()
@@ -271,6 +278,9 @@ def cmd_cutset(args) -> int:
             f.write("word,depth,log_phi\n")
             for word, lph in rows:
                 f.write(f"{word},{len(word)},{lph!r}\n")
+        _write_manifest(out_dir, "cutset", label,
+                        {"s": c.s, "epsilon": c.epsilon, "node_budget": budget},
+                        args.seed, [args.out], started)
     return EXIT_BUDGET if c.truncated else EXIT_OK
 
 

@@ -246,11 +246,18 @@ def default_depth_schedule(spec: SystemSpec, engine, node_budget: int) -> list:
 def estimate_sA(spec: SystemSpec, tol: float = 0.02, depth_schedule=None,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> DimensionReport:
     """Critical exponent of the net measure, by trend-classified bisection
-    over a schedule of (min depth, horizon) windows."""
+    over a schedule of (min depth, horizon) windows.
+
+    Raises BudgetExceeded when the schedule holds no window, as the default
+    one does when ``node_budget`` is too small for any window on the
+    generic engine.
+    """
     flags = _finding_flags(spec)
     engine = make_engine(spec)
     if depth_schedule is None:
         depth_schedule = default_depth_schedule(spec, engine, node_budget)
+    if not depth_schedule:
+        raise BudgetExceeded(f"no net-measure depth window fits the node budget {node_budget}")
     trace = []
     saw_truncation = []
 

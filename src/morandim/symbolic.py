@@ -17,7 +17,12 @@ pass) and ``level_log_sums`` (per-depth sums).
   above a stop value.  The unpruned tree's log singular values do not
   depend on s, so it is expanded once per engine and reused by every
   net-measure and level-sum probe; the pruned walks behind the cut-set
-  sums depend on m and the stop scale and still expand per call.
+  sums depend on m and the stop scale and still expand per call.  Its
+  net-measure window DP stops at the window's min depth and sums that
+  level directly.
+
+Both tree DPs reduce each node's children with ``_log_row_sums``, a fold of
+``np.logaddexp`` over the children's columns.
 
 Equal-product aggregation is the central performance decision: the shipped
 block fixtures have 9^k-size levels that reduce to O(1) work per depth.
@@ -141,9 +146,18 @@ def logsumexp(values) -> float:
 
 
 def _log_row_sums(grouped: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp of an (N, n) array."""
-    mx = grouped.max(axis=1)
-    return mx + np.log(np.exp(grouped - mx[:, None]).sum(axis=1))
+    """Row-wise logsumexp of an (N, n) array, as a fresh (N,) array.
+
+    Folds ``np.logaddexp`` over the n columns: the first pair allocates the
+    result and every later column is added into it in place.
+    """
+    n = grouped.shape[1]
+    if n == 1:
+        return grouped[:, 0].copy()
+    out = np.logaddexp(grouped[:, 0], grouped[:, 1])
+    for j in range(2, n):
+        np.logaddexp(out, grouped[:, j], out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +588,12 @@ class GenericEngine:
     def net_measure_series(self, s: float, windows, node_budget: int):
         """Net-measure values for (k, K) windows off the cached tree.
 
-        The tree reaches the deepest horizon that fits the budget; a window
-        whose min depth lies beyond it is None, and a window cut short or
-        sharing a truncated tree is flagged truncated.
+        The min-recursion runs from the window's horizon up to its min depth
+        k, folding each node's children with ``_log_row_sums``; above k the
+        DP would only sum children, so the value is the logsumexp of the
+        depth-k vector.  The tree reaches the deepest horizon that fits the
+        budget; a window whose min depth lies beyond it is None, and a window
+        cut short or sharing a truncated tree is flagged truncated.
         """
         # the root counts as one node of the budget
         levels, truncated = self._tree(max(K for _, K in windows), node_budget - 1)
@@ -589,9 +606,9 @@ class GenericEngine:
                 out.append(None)
                 continue
             v = logphi[Kw - 1]
-            for t in range(Kw - 1, 0, -1):
-                child = _log_row_sums(v.reshape(-1, self.spec.branch_count(t + 1)))
-                v = np.minimum(logphi[t - 1], child) if t >= k else child
+            for t in range(Kw - 1, k - 1, -1):
+                v = _log_row_sums(v.reshape(-1, self.spec.branch_count(t + 1)))
+                np.minimum(logphi[t - 1], v, out=v)
             out.append((logsumexp(v), truncated or Kw < K))
         return out
 

@@ -186,9 +186,42 @@ def test_cutset_over_word_cap_leaves_no_file(tmp_path):
     (("--fixture", "middle_thirds", "--s", "0", "--epsilon", "0.1"), 1, "config"),
     (("--fixture", "middle_thirds", "--s", "1", "--epsilon", "0.1",
       "--node-budget", "-3"), 1, "config"),
+    (("--fixture", "middle_thirds", "--s", "1", "--epsilon", "0.1",
+      "--node-budget", "0"), 1, "config"),
 ])
 def test_cutset_bad_input_exits_with_one_json_line(args, code, error):
     proc = run_cli("cutset", *args)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+
+
+def test_cutset_out_writes_manifest_beside_the_csv(tmp_path):
+    out = tmp_path / "dump" / "cut.csv"
+    run_cli("cutset", "--fixture", "middle_thirds", "--s", "0.5",
+            "--epsilon", "0.012", "--out", str(out), check=True)
+    manifest = json.loads((out.parent / "manifest.json").read_text())
+    assert manifest["command"] == "cutset"
+    assert manifest["outputs"] == [str(out)]
+    assert manifest["overrides"] == {"s": 0.5, "epsilon": 0.012, "node_budget": 10_000_000}
+    over_cap = tmp_path / "over" / "cut.csv"
+    proc = run_cli("cutset", "--fixture", "example_5_4", "--s", "1.2",
+                   "--epsilon", "1e-9", "--out", str(over_cap))
+    assert proc.returncode == 3
+    assert not over_cap.parent.exists()
+
+
+@pytest.mark.parametrize("budget,code,error", [
+    ("-5", 1, "config"),
+    ("0", 1, "config"),
+    ("2", 3, "budget"),  # too small for any net-measure depth window
+])
+def test_dims_bad_node_budget_exits_with_one_json_line(budget, code, error):
+    proc = run_cli("dims", "--fixture", "example_5_3", "--which", "sa",
+                   "--node-budget", budget)
     assert proc.returncode == code
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr

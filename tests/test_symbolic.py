@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from morandim.symbolic import (
     cutset,
     cutset_sum,
     iter_cutset_words,
+    _log_row_sums,
     make_engine,
     product,
 )
@@ -263,3 +265,89 @@ def test_matmul_expansion_matches_einsum(d):
         for a, b in zip(got, want):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def _shifted_log_row_sums(x):
+    """Reference row logsumexp shifted by the row max (the pre-fold helper)."""
+    mx = x.max(axis=1)
+    return mx + np.log(np.exp(x - mx[:, None]).sum(axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_log_row_sums_matches_reference(n):
+    rng = np.random.default_rng(200 + n)
+    x = rng.uniform(-5.0, 5.0, (64, n))
+    got = _log_row_sums(x)
+    assert got.shape == (64,)
+    assert not np.shares_memory(got, x)
+    assert np.max(np.abs(got - np.log(np.exp(x).sum(axis=1)))) <= 1e-13
+    # rows offset by -1000 or +1000 under- or overflow the unshifted
+    # reference; with n > 1 each row also spreads over more than 800
+    wide = rng.uniform(-100.0, 100.0, (64, n)) + rng.choice([-1000.0, 1000.0], (64, 1))
+    if n > 1:
+        wide[:, 1] = wide[:, 0] - 850.0
+        wide[3, 1] = -math.inf
+    want = _shifted_log_row_sums(wide)
+    assert np.all(np.isfinite(want))
+    with np.errstate(over="ignore", divide="ignore"):
+        assert not np.all(np.isfinite(np.log(np.exp(wide).sum(axis=1))))
+    got = _log_row_sums(wide)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def _word_levels(spec, depth, s):
+    """Per-depth log phi^s vectors from per-word products, lexicographic order."""
+    cache = {}
+    levels = []
+    for t in range(1, depth + 1):
+        ranges = [range(1, spec.branch_count(j) + 1) for j in range(1, t + 1)]
+        levels.append(np.array([product(spec, Word(w), cache).log_phi(s)
+                                for w in itertools.product(*ranges)]))
+    return levels
+
+
+def _reference_net_measure(spec, levels, k, K):
+    """The window DP reduced all the way to depth 1 with the shifted helper."""
+    v = levels[K - 1]
+    for t in range(K - 1, 0, -1):
+        child = _shifted_log_row_sums(v.reshape(-1, spec.branch_count(t + 1)))
+        v = np.minimum(levels[t - 1], child) if t >= k else child
+    mx = v.max()
+    return mx + math.log(np.exp(v - mx).sum())
+
+
+def _check_net_measure_series(spec, budget, windows):
+    engine = make_engine(spec)
+    assert isinstance(engine, GenericEngine)
+    horizon = max(K for _, K in windows)
+    for s in (0.0, 0.5, 1.37, 2.5, 3.5):
+        levels = _word_levels(spec, horizon, s)
+        got = engine.net_measure_series(s, windows, budget)
+        for (k, K), item in zip(windows, got):
+            assert item is not None and item[1] is False
+            want = _reference_net_measure(spec, levels, k, K)
+            assert abs(item[0] - want) <= 1e-12 * max(1.0, abs(want)), (s, k, K)
+
+
+def test_generic_net_measure_series_matches_full_depth_dp():
+    # example_5_3 reaches depth 9 within TREE_BUDGET; k = 1 and k = K windows
+    windows = [(1, 9), (1, 4), (1, 1), (3, 3), (9, 9), (2, 7), (5, 9)]
+    _check_net_measure_series(fixture("example_5_3"), TREE_BUDGET, windows)
+
+
+def test_generic_net_measure_series_on_mixed_branching():
+    # LevelSpec rejects one-map levels, so this generated system mixes 2- and
+    # 3-map levels; the one-column fold is covered by the kernel test above
+    rng = np.random.default_rng(314)
+
+    def shear():
+        a, b = rng.uniform(0.2, 0.45, 2)
+        return Matrix.from_rows([[a, rng.uniform(-0.2, 0.2)], [0.0, b]])
+
+    levels = (LevelSpec(2, (shear(), shear())), LevelSpec(3, (shear(), shear(), shear())),
+              LevelSpec(2, (shear(), shear())))
+    spec = SystemSpec(2, Schedule("periodic", levels),
+                      TranslationScheme("explicit", table={}),
+                      Box(np.zeros(2), np.ones(2)))
+    windows = [(1, 8), (1, 2), (2, 2), (2, 5), (4, 8), (8, 8)]
+    _check_net_measure_series(spec, 10_000, windows)
