@@ -1,9 +1,10 @@
 """Command-line surface: validate, dims, boxdim, render, cutset.
 
 One JSON object per line on stdout (``--pretty`` indents them).  Exit
-codes are a stable contract: 0 success, 1 unreadable/invalid config,
-2 inapplicable estimator or invariant error, 3 budget exhaustion or an
-indeterminate trend.  Seeded commands are byte-reproducible; every file
+codes are a stable contract: 0 success, 1 unreadable/invalid config or
+argument, 2 inapplicable estimator or invariant error, 3 budget exhaustion
+or an indeterminate trend, 4 internal error (a defect).  Errors are one
+JSON line on stderr.  Seeded commands are byte-reproducible; every file
 output gets a manifest written beside it.
 """
 from __future__ import annotations
@@ -17,25 +18,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
-from .attractor import (
-    boxdim_fit,
-    default_scales,
-    occupied_pixels,
-    render,
-    sample_cloud,
-    select_scales,
-    write_pgm,
-)
+from .attractor import (boxdim_fit, default_scales, occupied_pixels, render, sample_cloud,
+                        select_scales, write_pgm)
 from .dims import estimate_sA, estimate_sstar, moran_dims, pressure_root
-from .errors import (
-    BudgetExceeded,
-    ConfigError,
-    ContractionViolated,
-    DimensionMismatch,
-    InapplicableEstimator,
-    MoranDimError,
-    NonsingularityViolated,
-)
+from .errors import (BudgetExceeded, ConfigError, ContractionViolated, DimensionMismatch,
+                     InapplicableEstimator, MoranDimError, NonsingularityViolated)
 from .symbolic import DEFAULT_NODE_BUDGET, cutset
 from .system import fixture_document, parse_structure, validate
 
@@ -43,43 +30,50 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INAPPLICABLE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
+
+ESTIMATORS = ("sstar", "sa", "falconer", "moran")
+
+
+def _names(text: str) -> list:
+    return [w.strip() for w in text.split(",") if w.strip()]
+
+
+def _floats(text: str) -> list:
+    return [float(v) for v in text.split(",")]
 
 
 def _emit(obj, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(obj, indent=2, sort_keys=False))
-    else:
-        print(json.dumps(obj, separators=(",", ":"), sort_keys=False))
+    print(json.dumps(obj, indent=2) if pretty else json.dumps(obj, separators=(",", ":")))
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2)
+        f.write("\n")
 
 
 def _load_spec(args):
     if args.fixture:
-        doc = fixture_document(args.fixture)
-        label = f"fixture:{args.fixture}"
-    else:
-        if not args.config:
-            raise ConfigError("pass a config path or --fixture NAME")
-        try:
-            with open(args.config) as f:
-                doc = json.load(f)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
-        label = args.config
-    return parse_structure(doc), label
+        return parse_structure(fixture_document(args.fixture)), f"fixture:{args.fixture}"
+    if not args.config:
+        raise ConfigError("pass a config path or --fixture NAME")
+    try:
+        with open(args.config) as f:
+            doc = json.load(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from exc
+    return parse_structure(doc), args.config
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("MORAN_DIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _cloud(spec, args):
+    """The sampled attractor; a map that does not contract leaves none to sample."""
+    for finding in validate(spec):
+        if finding.code == "ContractionViolated":
+            finding.raise_if_invariant()
+    return sample_cloud(spec, depth=args.depth, mode="auto", count=args.count, seed=args.seed)
 
 
 def _write_manifest(out_dir, command, label, overrides, seed, outputs, started):
@@ -92,44 +86,22 @@ def _write_manifest(out_dir, command, label, overrides, seed, outputs, started):
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - started, 6),
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
-
-
-def _node_budget(args) -> int:
-    if args.node_budget is None:
-        return DEFAULT_NODE_BUDGET
-    if args.node_budget < 1:
-        raise ConfigError(f"--node-budget must be >= 1, got {args.node_budget}")
-    return args.node_budget
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def cmd_validate(args) -> int:
     spec, label = _load_spec(args)
     findings = validate(spec)
-    result = {
-        "config": label,
-        "findings": [f.to_dict() for f in findings],
-        "errors": sum(1 for f in findings if f.severity == "error"),
-        "warnings": sum(1 for f in findings if f.severity == "warning"),
-    }
-    _emit(result, args.pretty)
-    return EXIT_INAPPLICABLE if result["errors"] else EXIT_OK
+    errors = sum(1 for f in findings if f.severity == "error")
+    _emit({"config": label, "findings": [f.to_dict() for f in findings], "errors": errors,
+           "warnings": sum(1 for f in findings if f.severity == "warning")}, args.pretty)
+    return EXIT_INAPPLICABLE if errors else EXIT_OK
 
 
 def cmd_dims(args) -> int:
     spec, label = _load_spec(args)
     started = time.monotonic()
-    which = [w.strip() for w in args.which.split(",") if w.strip()]
-    known = {"sstar", "sa", "falconer", "moran"}
-    bad = set(which) - known
-    if bad:
-        raise ConfigError(f"unknown estimator(s) {sorted(bad)}; choose from {sorted(known)}")
-
-    budget = _node_budget(args)
-    tol = args.tol
+    which, tol, budget = _names(args.which), args.tol, args.node_budget
 
     def run(name):
         if name == "sstar":
@@ -138,53 +110,47 @@ def cmd_dims(args) -> int:
             return [estimate_sA(spec, tol=tol, node_budget=budget)]
         if name == "falconer":
             if spec.schedule.kind != "constant":
-                raise InapplicableEstimator(
-                    "the pressure root needs a stationary (constant) schedule"
-                )
+                raise InapplicableEstimator("the pressure root needs a stationary (constant) "
+                                            "schedule")
             return [pressure_root(spec.schedule.levels[0], tol=max(tol * 1e-4, 1e-9))]
         if name == "moran":
-            lower, upper = moran_dims(spec, k_max=args.depth or 200)
-            return [lower, upper]
+            return list(moran_dims(spec, k_max=args.depth))
         raise AssertionError(name)
 
     reports = []
-    with ThreadPoolExecutor(max_workers=_thread_count(args)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(which), os.cpu_count() or 1)) as pool:
         futures = [pool.submit(run, name) for name in which]
         for fut in futures:
             reports.extend(fut.result())
 
-    indeterminate = False
     outputs = []
     for rep in reports:
         obj = rep.to_json_dict()
         _emit(obj, args.pretty)
-        if rep.estimate is None:
-            indeterminate = True
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, f"{rep.quantity}.json")
-            with open(path, "w") as f:
-                json.dump(obj, f, indent=2)
-                f.write("\n")
-            outputs.append(path)
+            outputs.append(os.path.join(args.out, f"{rep.quantity}.json"))
+            _write_json(outputs[-1], obj)
     if args.out:
         _write_manifest(args.out, "dims", label,
                         {"which": args.which, "tol": tol, "node_budget": budget},
                         args.seed, outputs, started)
-    return EXIT_BUDGET if indeterminate else EXIT_OK
+    return EXIT_BUDGET if any(rep.estimate is None for rep in reports) else EXIT_OK
 
 
 def cmd_boxdim(args) -> int:
     spec, label = _load_spec(args)
     started = time.monotonic()
-    depth = args.depth or 10
-    count = args.count or 200_000
-    seed = args.seed if args.seed is not None else 7
-    cloud = sample_cloud(spec, depth=depth, mode="auto", count=count, seed=seed)
+    depth, count, seed = args.depth, args.count, args.seed
+    cloud = _cloud(spec, args)
     if args.scales:
-        scales = [float(v) for v in args.scales.split(",")]
+        scales = _floats(args.scales)
     else:
-        scales = select_scales(cloud, default_scales(spec, depth))
+        try:
+            candidates = default_scales(spec, depth)
+        except ValueError as exc:
+            raise ConfigError(f"boxdim --depth {depth}: {exc}") from exc
+        scales = select_scales(cloud, candidates)
     curve = boxdim_fit(cloud, scales)
     report = {
         "quantity": "boxdim_slope",
@@ -207,9 +173,7 @@ def cmd_boxdim(args) -> int:
             for e, c in zip(curve.scales, curve.counts):
                 f.write(f"{e!r},{c},{math.log(1.0 / e)!r},{math.log(c)!r}\n")
         json_path = os.path.join(args.out, "report.json")
-        with open(json_path, "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
+        _write_json(json_path, report)
         _write_manifest(args.out, "boxdim", label,
                         {"depth": depth, "count": count, "scales": args.scales},
                         seed, [csv_path, json_path], started)
@@ -221,25 +185,15 @@ def cmd_render(args) -> int:
     started = time.monotonic()
     if spec.dim != 2:
         raise DimensionMismatch(f"render needs a 2-dimensional system, got d={spec.dim}")
-    depth = args.depth or 8
-    seed = args.seed if args.seed is not None else 7
-    count = args.count or 200_000
-    cloud = sample_cloud(spec, depth=depth, mode="auto", count=count, seed=seed)
-    resolution = args.resolution or 512
+    depth, count, seed, resolution = args.depth, args.count, args.seed, args.resolution
+    cloud = _cloud(spec, args)
     raster = render(cloud, resolution)
-    out_path = args.out or "render.pgm"
-    out_dir = os.path.dirname(out_path) or "."
+    out_path, out_dir = args.out, os.path.dirname(args.out) or "."
     os.makedirs(out_dir, exist_ok=True)
     write_pgm(raster, out_path)
-    _emit({
-        "command": "render",
-        "out": out_path,
-        "resolution": resolution,
-        "occupied_pixels": occupied_pixels(raster),
-        "depth": depth,
-        "count": cloud.count,
-        "seed": seed,
-    }, args.pretty)
+    _emit({"command": "render", "out": out_path, "resolution": resolution,
+           "occupied_pixels": occupied_pixels(raster), "depth": depth, "count": cloud.count,
+           "seed": seed}, args.pretty)
     _write_manifest(out_dir, "render", label,
                     {"depth": depth, "resolution": resolution, "count": count},
                     seed, [out_path], started)
@@ -249,28 +203,13 @@ def cmd_render(args) -> int:
 def cmd_cutset(args) -> int:
     spec, label = _load_spec(args)
     started = time.monotonic()
-    if args.s is None or args.epsilon is None:
-        raise ConfigError("cutset needs --s and --epsilon")
-    if not 0.0 < args.epsilon < 1.0:
-        raise ConfigError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
-    if not 0.0 < args.s < math.inf:
-        raise ConfigError(f"--s must be positive and finite, got {args.s}")
-    budget = _node_budget(args)
-    c = cutset(spec, args.s, args.epsilon, node_budget=budget)
+    c = cutset(spec, args.s, args.epsilon, node_budget=args.node_budget)
     # checks truncation and the word cap before any output
     rows = c.entries() if args.out else ()
     log_sum = c.log_sum()
-    summary = {
-        "config": label,
-        "s": c.s,
-        "m": c.m,
-        "epsilon": c.epsilon,
-        "word_count": c.word_count(),
-        "log_sum": log_sum if math.isfinite(log_sum) else None,
-        "truncated": c.truncated,
-        "node_budget_used": c.node_budget_used,
-    }
-    _emit(summary, args.pretty)
+    _emit({"config": label, "s": c.s, "m": c.m, "epsilon": c.epsilon,
+           "word_count": c.word_count(), "log_sum": log_sum if math.isfinite(log_sum) else None,
+           "truncated": c.truncated, "node_budget_used": c.node_budget_used}, args.pretty)
     if args.out:
         out_dir = os.path.dirname(args.out) or "."
         os.makedirs(out_dir, exist_ok=True)
@@ -279,63 +218,109 @@ def cmd_cutset(args) -> int:
             for word, lph in rows:
                 f.write(f"{word},{len(word)},{lph!r}\n")
         _write_manifest(out_dir, "cutset", label,
-                        {"s": c.s, "epsilon": c.epsilon, "node_budget": budget},
+                        {"s": c.s, "epsilon": c.epsilon, "node_budget": args.node_budget},
                         args.seed, [args.out], started)
     return EXIT_BUDGET if c.truncated else EXIT_OK
 
 
+def _arg(convert, ok, what, keep_text=False):
+    """An argparse ``type`` that requires ``ok(convert(text))``; ``keep_text``
+    returns the text itself, for list flags the manifest records as given."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return text if keep_text else value
+    return parse
+
+
+_COUNT = _arg(int, lambda v: v >= 1, "an integer >= 1")
+_POSITIVE = _arg(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+
+# Every flag once: option string, argparse type, help.
+_FLAGS = {
+    "which": ("--which", _arg(_names, lambda v: v and set(v) <= set(ESTIMATORS),
+                              f"a comma list from {','.join(ESTIMATORS)}", True), "estimators"),
+    "tol": ("--tol", _POSITIVE, "bisection bracket width"),
+    "depth": ("--depth", _COUNT, "coding depth (boxdim, render) or Moran k_max (dims)"),
+    "count": ("--count", _COUNT, "sample size when full enumeration does not fit"),
+    "seed": ("--seed", _arg(int, lambda v: v >= 0, "an integer >= 0"), "sampling seed"),
+    "scales": ("--scales", _arg(_floats, lambda v: len(set(v)) >= 2 and all(
+        0.0 < e < math.inf for e in v), "two or more distinct positive finite numbers", True),
+        "box-count scales instead of the automatic ones"),
+    "resolution": ("--resolution", _COUNT, "raster side in pixels"),
+    "threads": ("--threads", int, "accepted and ignored"),
+    "node_budget": ("--node-budget", _COUNT, "tree nodes a walk may expand"),
+    "out": ("--out", None, "output directory (dims, boxdim) or file (render, cutset)"),
+    "s": ("--s", _POSITIVE, "exponent of the cut-set"),
+    "epsilon": ("--epsilon", _arg(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), "cut-set scale"),
+}
+
+# Per subcommand: handler and {flag: default}, besides the config, --fixture
+# and --pretty that all take.  A default of ``...`` marks a required flag.
+_COMMANDS = {
+    "validate": (cmd_validate, {}),
+    "dims": (cmd_dims, {"which": "sstar,sa", "tol": 0.02, "depth": 200, "seed": None,
+                        "threads": None, "node_budget": DEFAULT_NODE_BUDGET, "out": None}),
+    "boxdim": (cmd_boxdim, {"depth": 10, "count": 200_000, "seed": 7, "scales": None,
+                            "threads": None, "out": None}),
+    "render": (cmd_render, {"depth": 8, "count": 200_000, "seed": 7, "resolution": 512,
+                            "threads": None, "out": "render.pgm"}),
+    "cutset": (cmd_cutset, {"s": ..., "epsilon": ...,
+                            "node_budget": DEFAULT_NODE_BUDGET, "seed": None, "out": None}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors become ConfigErrors: exit 1 with one JSON line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="morandim",
-        description="Dimension estimators and attractor tools for level-dependent "
-                    "affine contraction systems",
-    )
+    p = _Parser(prog="morandim", description="Dimension estimators and attractor tools "
+                "for level-dependent affine contraction systems")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in [
-        ("validate", cmd_validate),
-        ("dims", cmd_dims),
-        ("boxdim", cmd_boxdim),
-        ("render", cmd_render),
-        ("cutset", cmd_cutset),
-    ]:
-        sp = sub.add_parser(name)
+    for name, (fn, defaults) in _COMMANDS.items():
+        sp = sub.add_parser(name, allow_abbrev=False,  # `dims --s 1` must not set --seed
+                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         sp.set_defaults(func=fn)
         sp.add_argument("config", nargs="?", help="path to a JSON config")
         sp.add_argument("--fixture", help="bundled fixture name instead of a config path")
-        sp.add_argument("--which", default="sstar,sa",
-                        help="comma list from sstar,sa,falconer,moran (dims)")
-        sp.add_argument("--tol", type=float, default=0.02)
-        sp.add_argument("--depth", type=int)
-        sp.add_argument("--count", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--scales", help="comma list of epsilon scales (boxdim)")
-        sp.add_argument("--resolution", type=int)
-        sp.add_argument("--threads", type=int)
-        sp.add_argument("--node-budget", type=int, dest="node_budget")
-        sp.add_argument("--pretty", action="store_true")
-        sp.add_argument("--out", help="output directory (dims/boxdim) or file (render/cutset)")
-        sp.add_argument("--s", type=float, help="exponent for the cutset dump")
-        sp.add_argument("--epsilon", type=float, help="scale for the cutset dump")
+        sp.add_argument("--pretty", action="store_true", help="indent the JSON output")
+        for dest, default in defaults.items():
+            flag, kind, text = _FLAGS[dest]
+            sp.add_argument(flag, type=kind, help=text, required=default is ...,
+                            default=None if default is ... else default)
     return p
 
 
+# JSON error tag and exit code per exception kind, first match wins.  The last
+# entry catches defects, which still end in one JSON line, never a traceback.
+_FAILURES = (
+    (ConfigError, "config", EXIT_CONFIG),
+    ((InapplicableEstimator, ContractionViolated, NonsingularityViolated, DimensionMismatch),
+     "inapplicable", EXIT_INAPPLICABLE),
+    (BudgetExceeded, "budget", EXIT_BUDGET),
+    (MoranDimError, "invalid", EXIT_INAPPLICABLE),
+    (OSError, "config", EXIT_CONFIG),  # a config or --out path that cannot be used
+    (Exception, "internal", EXIT_INTERNAL),
+)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
-    except (InapplicableEstimator, ContractionViolated, NonsingularityViolated,
-            DimensionMismatch) as exc:
-        print(json.dumps({"error": "inapplicable", "message": str(exc)}), file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    except BudgetExceeded as exc:
-        print(json.dumps({"error": "budget", "message": str(exc)}), file=sys.stderr)
-        return EXIT_BUDGET
-    except MoranDimError as exc:
-        print(json.dumps({"error": "invalid", "message": str(exc)}), file=sys.stderr)
-        return EXIT_INAPPLICABLE
+    except Exception as exc:
+        error, code = next((e, c) for kind, e, c in _FAILURES if isinstance(exc, kind))
+        message = f"{type(exc).__name__}: {exc}" if code == EXIT_INTERNAL else str(exc)
+        print(json.dumps({"error": error, "message": message}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

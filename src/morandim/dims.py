@@ -105,8 +105,15 @@ def _check_soundness(probes) -> bool:
     return not belows or not aboves or max(belows) < min(aboves)
 
 
+def _check_tol(tol: float) -> None:
+    # Any such tol ends the bisections: they also stop once the midpoint leaves (lo, hi).
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 def _bisect(classify, lo: float, hi: float, tol: float, trace: list):
     """Bisection with three-way probes; returns (estimate, bracket, flags)."""
+    _check_tol(tol)
     flags = []
     probes = []
 
@@ -129,6 +136,8 @@ def _bisect(classify, lo: float, hi: float, tol: float, trace: list):
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         c = probe(mid)
         if c == INDETERMINATE:
             width = hi - lo
@@ -296,11 +305,14 @@ def _decreasing_root(f, hi: float, tol: float, trace=None):
     The search starts on [0, hi] and doubles hi (up to 64) while f(hi) > 0.
     Bisection probes go to ``trace`` as {"s", "log_p"} entries when given.
     """
+    _check_tol(tol)
     lo = 0.0
     while f(hi) > 0.0 and hi < 64.0:
         lo, hi = hi, hi * 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         v = f(mid)
         if trace is not None:
             trace.append({"s": mid, "log_p": v})

@@ -43,7 +43,8 @@ from .svf import branch_index, log_phi_from_logs
 from .system import SystemSpec, validate
 
 DEFAULT_NODE_BUDGET = 10_000_000
-_MAX_CHAIN_DEPTH = 1_000_000
+# Exact per-depth word counts make chain memory quadratic: 10^4 levels of 9 maps ~ 20 MB.
+_MAX_CHAIN_DEPTH = 10_000
 _WORD_ENUM_CAP = 200_000
 # Stopping comparisons happen in the log domain with a relative snap so the
 # tie case alpha_m == epsilon stops even when the two floats were produced

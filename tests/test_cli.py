@@ -323,3 +323,122 @@ def test_mistyped_config_field_exit_1(tmp_path, fixture_name, mutate):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "config"
+
+
+def _main(capsys, *argv):
+    started = time.monotonic()
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err, time.monotonic() - started
+
+
+@pytest.mark.parametrize("argv", [
+    ("dims", "--fixture", "example_5_4", "--which", "sstar", "--tol", "nan"),
+    ("dims", "--fixture", "example_5_4", "--which", "sstar", "--tol", "0"),
+    ("dims", "--fixture", "example_5_4", "--which", "sstar", "--tol", "-1"),
+    ("dims", "--fixture", "scalar_blocks", "--which", "moran", "--depth", "-3"),
+    ("dims", "--fixture", "scalar_blocks", "--which", "moran", "--depth", "0"),
+    ("dims", "--fixture", "scalar_blocks", "--which", "moran", "--depth", "abc"),
+    ("dims", "--fixture", "middle_thirds", "--which", ""),
+    ("dims", "--fixture", "middle_thirds", "--which", " , "),
+    ("boxdim", "--fixture", "middle_thirds", "--depth", "-2"),
+    ("boxdim", "--fixture", "middle_thirds", "--count", "0"),
+    ("boxdim", "--fixture", "middle_thirds", "--scales", "0.5,abc"),
+    ("boxdim", "--fixture", "middle_thirds", "--scales", "0.5,0.5"),
+    ("boxdim", "--fixture", "middle_thirds", "--scales", "-1,0.5"),
+    ("boxdim", "--fixture", "middle_thirds", "--scales=-1,0.5"),
+    ("boxdim", "--fixture", "middle_thirds", "--seed", "-1"),
+    ("boxdim", "--fixture", "middle_thirds", "--depth", "2"),  # too shallow for two scales
+    ("render", "--fixture", "sierpinski_carpet", "--resolution", "-5"),
+    ("render", "--fixture", "sierpinski_carpet", "--resolution", "0"),
+    ("validate", "--fixture", "middle_thirds", "--tol", "7"),
+    ("validate", "--fixture", "middle_thirds", "--depth", "3"),
+    ("dims", "--fixture", "middle_thirds", "--which", "falconer", "--s", "1"),
+    ("cutset", "--fixture", "middle_thirds", "--s", "1", "--eps", "0.1"),
+    ("cutset", "--fixture", "middle_thirds", "--s", "1"),
+    ("cutset", "--fixture", "middle_thirds", "--s", "inf", "--epsilon", "0.1"),
+    ("nope",),
+    (),
+])
+def test_bad_argument_exits_1_with_one_json_config_line(capsys, argv):
+    code, out, err, elapsed = _main(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+    assert elapsed < 10.0
+
+
+def test_tiny_tol_finishes(capsys):
+    code, out, err, elapsed = _main(capsys, "dims", "--fixture", "example_5_4",
+                                    "--which", "sstar", "--tol", "1e-300")
+    assert code in (0, 3)
+    assert err == ""
+    rep = json.loads(out)
+    assert rep["bracket"][0] <= 4 / 3 + 0.05 and rep["bracket"][1] >= 4 / 3 - 0.05
+    assert elapsed < 10.0
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, cli.argparse._SubParsersAction))
+    declared = {name: {a.dest for a in parser._actions if a.dest != "help"}
+                for name, parser in sub.choices.items()}
+    common = {"config", "fixture", "pretty"}
+    assert declared == {
+        "validate": common,
+        "dims": common | {"which", "tol", "depth", "seed", "threads", "node_budget", "out"},
+        "boxdim": common | {"depth", "count", "seed", "scales", "threads", "out"},
+        "render": common | {"depth", "count", "seed", "resolution", "threads", "out"},
+        "cutset": common | {"s", "epsilon", "node_budget", "seed", "out"},
+    }
+    assert sum(len(flags) for flags in declared.values()) == 39
+
+
+def test_unexpected_exception_exits_4_with_one_json_line(capsys, monkeypatch):
+    def boom(spec):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "validate", boom)
+    code, out, err, _ = _main(capsys, "validate", "--fixture", "middle_thirds")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "internal", "message": "RuntimeError: boom"}
+
+
+@pytest.mark.parametrize("command", [
+    ("boxdim", "--depth", "6"),
+    ("render", "--depth", "6", "--resolution", "8"),
+])
+def test_sampling_a_non_contracting_map_is_inapplicable(tmp_path, capsys, command):
+    doc = fixture_document("similarity_pair")
+    doc["schedule"]["levels"][0]["maps"][1][0][0] = 1e308
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err, _ = _main(capsys, *command, str(path), "--out", str(tmp_path / "o.pgm"))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "inapplicable"
+
+
+def test_unusable_out_path_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err, _ = _main(capsys, "boxdim", "--fixture", "middle_thirds", "--depth", "8",
+                              "--out", str(taken))
+    assert code == 1
+    assert json.loads(err.splitlines()[-1])["error"] == "config"
+
+
+def test_cutset_whose_diameters_never_vanish_stops_at_the_chain_cap(capsys):
+    code, out, err, elapsed = _main(capsys, "cutset", "--fixture", "example_5_1",
+                                    "--s", "0.7", "--epsilon", "0.05")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "budget"
+    assert elapsed < 10.0

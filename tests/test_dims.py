@@ -7,6 +7,7 @@ import pytest
 from morandim.dims import (
     _classify_liminf,
     _classify_limsup,
+    _decreasing_root,
     ABOVE,
     BELOW,
     INDETERMINATE,
@@ -309,3 +310,24 @@ def test_estimate_sstar_user_schedule():
     assert rep.estimate == pytest.approx(S_SIM, abs=0.02)
     with pytest.raises(ValueError):
         estimate_sstar(mt, eps_schedule=[0.1, 0.2])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_estimators_reject_a_tol_that_is_not_finite_and_positive(tol):
+    mt = fixture("middle_thirds")
+    for estimate in (estimate_sstar, estimate_sA):
+        with pytest.raises(ValueError, match="tol"):
+            estimate(mt, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        pressure_root(mt.schedule.levels[0], tol=tol)
+
+
+def test_tiny_tol_stops_when_the_bracket_cannot_split():
+    lo, hi = _decreasing_root(lambda s: 0.3 - s, 1.0, 1e-300)
+    assert lo < 0.3 <= hi and 0.5 * (lo + hi) in (lo, hi)  # no float strictly inside
+    mt = fixture("middle_thirds")
+    rep = estimate_sstar(mt, tol=1e-300)
+    assert len(rep.trace) < 80
+    assert rep.bracket[0] <= math.log(2) / math.log(3) <= rep.bracket[1]
+    root = pressure_root(mt.schedule.levels[0], tol=1e-300)
+    assert abs(root.estimate - math.log(2) / math.log(3)) < 1e-9
