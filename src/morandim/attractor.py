@@ -5,11 +5,19 @@ anchored at the seed region's center; the truncation error alpha_plus^K
 times the seed diameter rides along on every cloud so box-count scales can
 be chosen above it.  All sampling is a pure function of
 (spec, depth, mode, count, seed).
+
+Box counting folds a point's d grid indices, offset by their per-axis
+minimum, into one int64 key and counts the distinct keys of the sorted key
+array; a scale whose key would leave int64 raises ``ValueError`` instead of
+wrapping.  Each cloud caches its counts by scale, so ``select_scales`` and
+``boxdim_fit`` count every scale once.  ``saturated`` marks a random-codes
+count too close to the sample size to resolve the set; the CLI reports a fit
+over such a scale with the flag ``sample_saturated``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +30,9 @@ FULL_ENUM_BUDGET = 10_000_000
 # Half-open grid cells with a relative snap so points sitting exactly on a
 # cell boundary (ternary-aligned fixtures) land in their own cell.
 _GRID_SNAP = 1e-9
+_INT64_LIMIT = 2 ** 63
+# Share of the sample size above which a random-codes box count is saturated.
+SATURATION_FRACTION = 0.1
 
 
 @dataclass
@@ -37,6 +48,9 @@ class PointCloud:
     trunc_error: float
     region_lo: np.ndarray | None = None
     region_hi: np.ndarray | None = None
+    # epsilon -> occupied-cell count, filled by select_scales and boxdim_fit;
+    # it assumes ``points`` is not changed once counted.
+    box_counts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -197,14 +211,59 @@ def sample_cloud(spec: SystemSpec, depth: int, mode: str = "auto",
     )
 
 
+def _grid_keys(points: np.ndarray, epsilon: float) -> np.ndarray:
+    """One int64 key per point for its half-open grid cell of side eps.
+
+    The cell indices, offset by their per-axis minimum, fold row-major with
+    strides from the per-axis spans, so keys lie in [0, prod(spans)) and two
+    points share a key iff they share a cell.  Raises ``ValueError`` when an
+    index or the key space would leave int64, i.e. when eps is too fine a
+    grid for the points' extent; the check runs on the float indices before
+    any cast, so nothing wraps.
+    """
+    cells = np.floor(points / epsilon + _GRID_SNAP)
+    lo, hi = cells.min(axis=0), cells.max(axis=0)
+    if not (lo.min() >= -_INT64_LIMIT and hi.max() < _INT64_LIMIT):  # also rejects nan
+        raise ValueError(f"scale {epsilon!r} puts grid indices outside int64")
+    # exact integers: a float inside the int64 range converts without loss
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if math.prod(spans) >= _INT64_LIMIT:
+        raise ValueError(f"scale {epsilon!r} is too fine for an int64 grid key over "
+                         f"this cloud's extent")
+    idx = cells.astype(np.int64)
+    idx -= lo.astype(np.int64)  # fits: each span is below 2**63
+    key = idx[:, 0].copy()
+    for axis in range(1, idx.shape[1]):
+        key *= spans[axis]
+        key += idx[:, axis]
+    return key
+
+
 def box_count(cloud: PointCloud, epsilon: float) -> int:
-    """Occupied half-open grid cells [i*eps, (i+1)*eps)^d anchored at the origin."""
+    """Occupied half-open grid cells [i*eps, (i+1)*eps)^d anchored at the origin:
+    the distinct values of the sorted ``_grid_keys``."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if cloud.points.shape[0] == 0:
         return 0
-    idx = np.floor(cloud.points / epsilon + _GRID_SNAP).astype(np.int64)
-    return int(np.unique(idx, axis=0).shape[0])
+    key = _grid_keys(cloud.points, epsilon)
+    key.sort()
+    return 1 + int(np.count_nonzero(np.diff(key)))
+
+
+def _counted(cloud: PointCloud, epsilon: float) -> int:
+    """``box_count`` through the cloud's cache, so each scale is counted once."""
+    epsilon = float(epsilon)
+    if epsilon not in cloud.box_counts:
+        cloud.box_counts[epsilon] = box_count(cloud, epsilon)
+    return cloud.box_counts[epsilon]
+
+
+def saturated(cloud: PointCloud, count: int,
+              saturation_fraction: float = SATURATION_FRACTION) -> bool:
+    """Whether ``count`` occupied cells of a randomly sampled cloud are too many
+    for the sample size to resolve; full enumerations never saturate."""
+    return cloud.mode == "random_codes" and count > saturation_fraction * cloud.count
 
 
 def boxdim_fit(cloud: PointCloud, scales) -> BoxCountCurve:
@@ -212,7 +271,7 @@ def boxdim_fit(cloud: PointCloud, scales) -> BoxCountCurve:
     scales = [float(e) for e in scales]
     if len(set(scales)) < 2:
         raise ValueError("degenerate scale range: need >= 2 distinct scales")
-    counts = [box_count(cloud, e) for e in scales]
+    counts = [_counted(cloud, e) for e in scales]
     if any(c == 0 for c in counts):
         raise ValueError("empty cloud has no box-count slope")
     x = np.log(1.0 / np.asarray(scales))
@@ -265,7 +324,8 @@ def default_scales(spec: SystemSpec, depth: int, max_scales: int = 8) -> list:
     return scales[:max_scales]
 
 
-def select_scales(cloud: PointCloud, candidates, saturation_fraction: float = 0.1,
+def select_scales(cloud: PointCloud, candidates,
+                  saturation_fraction: float = SATURATION_FRACTION,
                   min_scales: int = 4) -> list:
     """Drop scales whose occupied-cell count saturates the sample size.
 
@@ -278,8 +338,7 @@ def select_scales(cloud: PointCloud, candidates, saturation_fraction: float = 0.
         return list(candidates)
     kept = []
     for e in sorted(candidates, reverse=True):
-        c = box_count(cloud, e)
-        if c > saturation_fraction * cloud.count and len(kept) >= min_scales:
+        if saturated(cloud, _counted(cloud, e), saturation_fraction) and len(kept) >= min_scales:
             break
         kept.append(e)
     return kept

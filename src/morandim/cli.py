@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .attractor import (boxdim_fit, default_scales, occupied_pixels, render, sample_cloud,
-                        select_scales, write_pgm)
+                        saturated, select_scales, write_pgm)
 from .dims import estimate_sA, estimate_sstar, moran_dims, pressure_root
 from .errors import (BudgetExceeded, ConfigError, ContractionViolated, DimensionMismatch,
                      InapplicableEstimator, MoranDimError, NonsingularityViolated)
@@ -47,10 +47,22 @@ def _emit(obj, pretty: bool) -> None:
     print(json.dumps(obj, indent=2) if pretty else json.dumps(obj, separators=(",", ":")))
 
 
+def _write_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: through a temp file in
+    the same directory, renamed over ``path`` once complete."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    f = open(tmp, "w")  # overwrites a stale temp file left by a killed run
+    try:
+        with f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write_json(path, obj) -> None:
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")
+    _write_file(path, json.dumps(obj, indent=2) + "\n")
 
 
 def _load_spec(args):
@@ -123,18 +135,17 @@ def cmd_dims(args) -> int:
         for fut in futures:
             reports.extend(fut.result())
 
-    outputs = []
-    for rep in reports:
-        obj = rep.to_json_dict()
-        _emit(obj, args.pretty)
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            outputs.append(os.path.join(args.out, f"{rep.quantity}.json"))
-            _write_json(outputs[-1], obj)
-    if args.out:
+    objs = [rep.to_json_dict() for rep in reports]
+    if args.out:  # every file is written before anything is printed
+        os.makedirs(args.out, exist_ok=True)
+        outputs = [os.path.join(args.out, f"{rep.quantity}.json") for rep in reports]
+        for path, obj in zip(outputs, objs):
+            _write_json(path, obj)
         _write_manifest(args.out, "dims", label,
                         {"which": args.which, "tol": tol, "node_budget": budget},
                         args.seed, outputs, started)
+    for obj in objs:
+        _emit(obj, args.pretty)
     return EXIT_BUDGET if any(rep.estimate is None for rep in reports) else EXIT_OK
 
 
@@ -144,14 +155,19 @@ def cmd_boxdim(args) -> int:
     depth, count, seed = args.depth, args.count, args.seed
     cloud = _cloud(spec, args)
     if args.scales:
-        scales = _floats(args.scales)
+        scales, source = _floats(args.scales), f"--scales {args.scales}"
     else:
         try:
             candidates = default_scales(spec, depth)
         except ValueError as exc:
             raise ConfigError(f"boxdim --depth {depth}: {exc}") from exc
-        scales = select_scales(cloud, candidates)
-    curve = boxdim_fit(cloud, scales)
+        scales, source = None, f"--depth {depth}"
+    try:  # a scale too fine for the int64 grid key
+        if scales is None:
+            scales = select_scales(cloud, candidates)
+        curve = boxdim_fit(cloud, scales)
+    except ValueError as exc:
+        raise ConfigError(f"boxdim {source}: {exc}") from exc
     report = {
         "quantity": "boxdim_slope",
         "estimate": curve.slope,
@@ -159,24 +175,23 @@ def cmd_boxdim(args) -> int:
         "schedule": {"scales": curve.scales, "depth": depth, "count": cloud.count,
                      "seed": seed, "mode": cloud.mode,
                      "trunc_error": cloud.trunc_error},
-        "flags": [],
+        "flags": ["sample_saturated"] if any(saturated(cloud, c) for c in curve.counts) else [],
         "trace": [{"epsilon": e, "count": c} for e, c in zip(curve.scales, curve.counts)],
         "r2": curve.r2,
         "intercept": curve.intercept,
     }
-    _emit(report, args.pretty)
-    if args.out:
+    if args.out:  # every file is written before anything is printed
         os.makedirs(args.out, exist_ok=True)
         csv_path = os.path.join(args.out, "curve.csv")
-        with open(csv_path, "w") as f:
-            f.write("epsilon,count,log_inv_eps,log_count\n")
-            for e, c in zip(curve.scales, curve.counts):
-                f.write(f"{e!r},{c},{math.log(1.0 / e)!r},{math.log(c)!r}\n")
+        _write_file(csv_path, "epsilon,count,log_inv_eps,log_count\n" + "".join(
+            f"{e!r},{c},{math.log(1.0 / e)!r},{math.log(c)!r}\n"
+            for e, c in zip(curve.scales, curve.counts)))
         json_path = os.path.join(args.out, "report.json")
         _write_json(json_path, report)
         _write_manifest(args.out, "boxdim", label,
                         {"depth": depth, "count": count, "scales": args.scales},
                         seed, [csv_path, json_path], started)
+    _emit(report, args.pretty)
     return EXIT_OK
 
 

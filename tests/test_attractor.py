@@ -5,6 +5,7 @@ import pytest
 
 from morandim.attractor import (
     PointCloud,
+    _grid_keys,
     box_count,
     boxdim_fit,
     default_scales,
@@ -12,6 +13,7 @@ from morandim.attractor import (
     project,
     render,
     sample_cloud,
+    saturated,
     select_scales,
     write_pgm,
 )
@@ -262,3 +264,93 @@ def test_random_iid_translations_lie_in_region():
     region = spec.translations.region
     for W in _translation_arrays(spec, codes, seed=21):
         assert (W >= region.lo).all() and (W <= region.hi).all()
+
+
+# ---------------------------------------------------------------------------
+# the int64 grid key, its refusal bound, and the per-cloud count cache
+# ---------------------------------------------------------------------------
+
+def _row_sort_count(points, eps):
+    """The row-sort counter the folded key replaced, kept as the reference."""
+    idx = np.floor(np.asarray(points) / eps + 1e-9).astype(np.int64)
+    return int(np.unique(idx, axis=0).shape[0])
+
+
+def test_box_count_key_equals_row_sort_reference():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, strategies as st
+
+    # ternary cell boundaries k/3^t, plain floats, and their negatives
+    coord = st.one_of(
+        st.builds(lambda k, t: k / 3.0 ** t, st.integers(-60, 60), st.integers(0, 4)),
+        st.floats(-5.0, 5.0, allow_nan=False),
+    )
+
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+               st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=40)),
+           st.data(),
+           st.one_of(st.builds(lambda t: 3.0 ** -t, st.integers(0, 5)),
+                     st.floats(1e-3, 4.0)))
+    def check(rows, data, eps):
+        # repeat some rows so duplicate points are always in play
+        rows = rows + data.draw(st.lists(st.sampled_from(rows), max_size=10))
+        points = np.asarray(rows, dtype=float)
+        assert box_count(_manual_cloud(points), eps) == _row_sort_count(points, eps)
+        # the key is the row-major rank of the offset indices in the span box
+        idx = np.floor(points / eps + 1e-9).astype(np.int64)
+        idx -= idx.min(axis=0)
+        spans = tuple(int(s) for s in idx.max(axis=0) + 1)
+        key = _grid_keys(points, eps)
+        assert key.min() >= 0 and key.max() < math.prod(spans)
+        assert np.array_equal(np.stack(np.unravel_index(key, spans), axis=1), idx)
+
+    check()
+
+
+def test_box_count_on_a_full_enumeration_equals_row_sort_reference():
+    cl = sample_cloud(fixture("random_affine"), 8, mode="full_enumeration", seed=5)
+    for eps in default_scales(fixture("random_affine"), 8):
+        assert box_count(cl, eps) == _row_sort_count(cl.points, eps)
+
+
+def test_box_count_refuses_a_key_outside_int64():
+    # spans 2^32 - 1 and 2^31: 2^63 - 2^31 keys fit
+    assert box_count(_manual_cloud([[0.0, 0.0], [2.0 ** 32 - 2, 2.0 ** 31 - 1]]), 1.0) == 2
+    assert box_count(_manual_cloud([[-2.0 ** 63], [-2.0 ** 63]]), 1.0) == 1
+    for points in ([[0.0, 0.0], [2.0 ** 32 - 1, 2.0 ** 31 - 1]],  # 2^63 keys
+                   [[2.0 ** 63]],  # an index past int64
+                   [[0.0, 0.0, 0.0], [2.0 ** 21] * 3]):
+        with pytest.raises(ValueError, match="int64"):
+            box_count(_manual_cloud(points), 1.0)
+    cl = sample_cloud(fixture("middle_thirds"), 4, mode="full_enumeration")
+    with pytest.raises(ValueError, match="int64"):
+        box_count(cl, 1e-300)
+    with pytest.raises(ValueError, match="int64"):
+        boxdim_fit(cl, [1e-300, 1e-301])
+
+
+def test_select_scales_and_fit_count_each_scale_once(box_count_calls):
+    spec = fixture("example_5_4")
+    cl = sample_cloud(spec, 8, mode="random_codes", count=20_000, seed=3)
+    fresh = sample_cloud(spec, 8, mode="random_codes", count=20_000, seed=3)
+    kept = select_scales(cl, default_scales(spec, 8))
+    curve = boxdim_fit(cl, kept)
+    assert len(box_count_calls) == len(set(box_count_calls))
+    assert set(kept) <= set(box_count_calls)
+    assert curve.counts == [box_count(fresh, e) for e in kept]
+    assert len(set(curve.counts)) == len(kept)
+
+
+def test_count_cache_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        PointCloud(dim=1, points=np.zeros((1, 1)), depth=1, mode="manual", seed=0,
+                   count=1, trunc_error=0.0, box_counts={0.5: 99})
+    cl = _manual_cloud([[0.0], [0.7]])
+    assert cl.box_counts == {} and "box_counts" not in repr(cl)
+
+
+def test_saturated_only_for_random_codes():
+    cl = sample_cloud(fixture("middle_thirds"), 6, mode="full_enumeration")
+    assert not saturated(cl, cl.count)
+    rnd = sample_cloud(fixture("middle_thirds"), 6, mode="random_codes", count=100, seed=1)
+    assert saturated(rnd, 11) and not saturated(rnd, 10)

@@ -349,6 +349,7 @@ def _main(capsys, *argv):
     ("boxdim", "--fixture", "middle_thirds", "--scales=-1,0.5"),
     ("boxdim", "--fixture", "middle_thirds", "--seed", "-1"),
     ("boxdim", "--fixture", "middle_thirds", "--depth", "2"),  # too shallow for two scales
+    ("boxdim", "--fixture", "middle_thirds", "--depth", "4", "--scales", "1e-300,1e-301"),
     ("render", "--fixture", "sierpinski_carpet", "--resolution", "-5"),
     ("render", "--fixture", "sierpinski_carpet", "--resolution", "0"),
     ("validate", "--fixture", "middle_thirds", "--tol", "7"),
@@ -442,3 +443,72 @@ def test_cutset_whose_diameters_never_vanish_stops_at_the_chain_cap(capsys):
     assert out == ""
     assert json.loads(err)["error"] == "budget"
     assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("fixture_name, flags", [
+    ("example_5_4", []),
+    # 139,818 and 198,787 of 200k samples occupied at the two finest kept scales
+    ("sierpinski_carpet", ["sample_saturated"]),
+])
+def test_boxdim_counts_each_scale_once_and_flags_saturation(capsys, box_count_calls,
+                                                            fixture_name, flags):
+    code, out, err, _ = _main(capsys, "boxdim", "--fixture", fixture_name, "--seed", "7")
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["flags"] == flags
+    assert len(box_count_calls) == len(set(box_count_calls))
+    assert set(rep["schedule"]["scales"]) <= set(box_count_calls)
+
+
+def test_full_enumeration_boxdim_is_never_flagged(capsys):
+    code, out, _, _ = _main(capsys, "boxdim", "--fixture", "random_affine", "--seed", "7")
+    rep = json.loads(out)
+    assert code == 0 and rep["schedule"]["mode"] == "full_enumeration"
+    assert rep["flags"] == []
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (("boxdim", "--fixture", "middle_thirds", "--depth", "8"), "report.json"),
+    (("boxdim", "--fixture", "middle_thirds", "--depth", "8"), "manifest.json"),
+    (("dims", "--fixture", "middle_thirds", "--which", "falconer"), "falconer.json"),
+])
+def test_unwritable_out_file_leaves_no_stdout_and_no_temp_file(tmp_path, capsys, argv, blocked):
+    out_dir = tmp_path / "out"
+    (out_dir / blocked).mkdir(parents=True)  # a directory where a file must go
+    code, out, err, _ = _main(capsys, *argv, "--out", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+    assert all(not p.name.endswith(".tmp") for p in out_dir.iterdir())
+
+
+def test_stale_temp_file_from_a_killed_run_is_overwritten(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    monkeypatch.setattr(cli.os, "getpid", lambda: 4242)
+    (out_dir / "report.json.4242.tmp").write_text("partial")
+    code, out, _, _ = _main(capsys, "boxdim", "--fixture", "middle_thirds", "--depth", "8",
+                            "--out", str(out_dir))
+    assert code == 0
+    assert json.loads((out_dir / "report.json").read_text()) == json.loads(out)
+    assert all(not p.name.endswith(".tmp") for p in out_dir.iterdir())
+
+
+def test_too_fine_scales_are_blamed_on_scales(capsys):
+    code, out, err, _ = _main(capsys, "boxdim", "--fixture", "middle_thirds", "--depth", "4",
+                              "--scales", "1e-300,1e-301")
+    assert code == 1 and out == ""
+    message = json.loads(err)["message"]
+    assert message.startswith("boxdim --scales 1e-300,1e-301:") and "int64" in message
+
+
+def test_out_files_are_complete_and_alone(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, _, _ = _main(capsys, "boxdim", "--fixture", "middle_thirds", "--depth", "8",
+                            "--out", str(out_dir))
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["curve.csv", "manifest.json",
+                                                         "report.json"]
+    assert json.loads((out_dir / "report.json").read_text()) == json.loads(out)
+    rows = (out_dir / "curve.csv").read_text().splitlines()
+    assert len(rows) == 1 + len(json.loads(out)["trace"])
