@@ -5,19 +5,21 @@ codes are a stable contract: 0 success, 1 unreadable/invalid config or
 argument, 2 inapplicable estimator or invariant error, 3 budget exhaustion
 or an indeterminate trend, 4 internal error (a defect).  Errors are one
 JSON line on stderr.  Seeded commands are byte-reproducible; every file
-output gets a manifest written beside it.
+output gets a manifest written beside it, and every file is written whole
+before anything is printed.  Everything runs in one thread: ``--threads``
+is accepted and ignored.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from . import __version__
+from . import __version__, dims
 from .attractor import (boxdim_fit, default_scales, occupied_pixels, render, sample_cloud,
                         saturated, select_scales, write_pgm)
 from .dims import estimate_sA, estimate_sstar, moran_dims, pressure_root
@@ -47,22 +49,28 @@ def _emit(obj, pretty: bool) -> None:
     print(json.dumps(obj, indent=2) if pretty else json.dumps(obj, separators=(",", ":")))
 
 
-def _write_file(path, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all: through a temp file in
-    the same directory, renamed over ``path`` once complete."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    f = open(tmp, "w")  # overwrites a stale temp file left by a killed run
+def _write_file(path, write) -> None:
+    """Write ``path`` whole or not at all: ``write(tmp)`` writes a temp file in
+    the same directory, which is renamed over ``path`` once complete."""
+    tmp = f"{path}.{os.getpid()}.tmp"  # a stale temp file left by a killed run is overwritten
     try:
-        with f:
-            f.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 
+def _write_text(path, text: str) -> None:
+    def write(tmp):
+        with open(tmp, "w") as f:
+            f.write(text)
+    _write_file(path, write)
+
+
 def _write_json(path, obj) -> None:
-    _write_file(path, json.dumps(obj, indent=2) + "\n")
+    _write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
 def _load_spec(args):
@@ -111,15 +119,29 @@ def cmd_validate(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    """Run the ``--which`` estimators one after another and print their
+    reports in ``--which`` order.
+
+    s* and s_A share one engine, built once the system passes validation.
+    s_A runs first, so the pruned walks of s* read the level tree it keeps.
+    Each estimator runs once, and errors are raised in ``--which`` order, as
+    if each estimator had run alone.
+    """
     spec, label = _load_spec(args)
     started = time.monotonic()
     which, tol, budget = _names(args.which), args.tol, args.node_budget
+    engine = None
 
     def run(name):
+        nonlocal engine
+        if name in ("sstar", "sa") and engine is None:
+            for finding in validate(spec):  # no engine for a system that breaks an invariant
+                finding.raise_if_invariant()
+            engine = dims.make_engine(spec)
         if name == "sstar":
-            return [estimate_sstar(spec, tol=tol, node_budget=budget)]
+            return [estimate_sstar(spec, tol=tol, node_budget=budget, engine=engine)]
         if name == "sa":
-            return [estimate_sA(spec, tol=tol, node_budget=budget)]
+            return [estimate_sA(spec, tol=tol, node_budget=budget, engine=engine)]
         if name == "falconer":
             if spec.schedule.kind != "constant":
                 raise InapplicableEstimator("the pressure root needs a stationary (constant) "
@@ -129,11 +151,17 @@ def cmd_dims(args) -> int:
             return list(moran_dims(spec, k_max=args.depth))
         raise AssertionError(name)
 
+    results = {}
+    for name in sorted(dict.fromkeys(which), key=lambda name: name == "sstar"):
+        try:
+            results[name] = run(name)
+        except MoranDimError as exc:
+            results[name] = exc
     reports = []
-    with ThreadPoolExecutor(max_workers=min(len(which), os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(run, name) for name in which]
-        for fut in futures:
-            reports.extend(fut.result())
+    for name in which:
+        if isinstance(results[name], MoranDimError):
+            raise results[name]
+        reports.extend(results[name])
 
     objs = [rep.to_json_dict() for rep in reports]
     if args.out:  # every file is written before anything is printed
@@ -183,7 +211,7 @@ def cmd_boxdim(args) -> int:
     if args.out:  # every file is written before anything is printed
         os.makedirs(args.out, exist_ok=True)
         csv_path = os.path.join(args.out, "curve.csv")
-        _write_file(csv_path, "epsilon,count,log_inv_eps,log_count\n" + "".join(
+        _write_text(csv_path, "epsilon,count,log_inv_eps,log_count\n" + "".join(
             f"{e!r},{c},{math.log(1.0 / e)!r},{math.log(c)!r}\n"
             for e, c in zip(curve.scales, curve.counts)))
         json_path = os.path.join(args.out, "report.json")
@@ -204,14 +232,14 @@ def cmd_render(args) -> int:
     cloud = _cloud(spec, args)
     raster = render(cloud, resolution)
     out_path, out_dir = args.out, os.path.dirname(args.out) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    write_pgm(raster, out_path)
-    _emit({"command": "render", "out": out_path, "resolution": resolution,
-           "occupied_pixels": occupied_pixels(raster), "depth": depth, "count": cloud.count,
-           "seed": seed}, args.pretty)
+    os.makedirs(out_dir, exist_ok=True)  # every file is written before anything is printed
+    _write_file(out_path, lambda tmp: write_pgm(raster, tmp))
     _write_manifest(out_dir, "render", label,
                     {"depth": depth, "resolution": resolution, "count": count},
                     seed, [out_path], started)
+    _emit({"command": "render", "out": out_path, "resolution": resolution,
+           "occupied_pixels": occupied_pixels(raster), "depth": depth, "count": cloud.count,
+           "seed": seed}, args.pretty)
     return EXIT_OK
 
 
@@ -219,22 +247,19 @@ def cmd_cutset(args) -> int:
     spec, label = _load_spec(args)
     started = time.monotonic()
     c = cutset(spec, args.s, args.epsilon, node_budget=args.node_budget)
-    # checks truncation and the word cap before any output
-    rows = c.entries() if args.out else ()
+    if args.out:  # checks truncation and the word cap, then writes every file before printing
+        rows = c.entries()
+        out_dir = os.path.dirname(args.out) or "."
+        os.makedirs(out_dir, exist_ok=True)
+        _write_text(args.out, "word,depth,log_phi\n" + "".join(
+            f"{word},{len(word)},{lph!r}\n" for word, lph in rows))
+        _write_manifest(out_dir, "cutset", label,
+                        {"s": c.s, "epsilon": c.epsilon, "node_budget": args.node_budget},
+                        args.seed, [args.out], started)
     log_sum = c.log_sum()
     _emit({"config": label, "s": c.s, "m": c.m, "epsilon": c.epsilon,
            "word_count": c.word_count(), "log_sum": log_sum if math.isfinite(log_sum) else None,
            "truncated": c.truncated, "node_budget_used": c.node_budget_used}, args.pretty)
-    if args.out:
-        out_dir = os.path.dirname(args.out) or "."
-        os.makedirs(out_dir, exist_ok=True)
-        with open(args.out, "w") as f:
-            f.write("word,depth,log_phi\n")
-            for word, lph in rows:
-                f.write(f"{word},{len(word)},{lph!r}\n")
-        _write_manifest(out_dir, "cutset", label,
-                        {"s": c.s, "epsilon": c.epsilon, "node_budget": args.node_budget},
-                        args.seed, [args.out], started)
     return EXIT_BUDGET if c.truncated else EXIT_OK
 
 

@@ -179,16 +179,18 @@ def default_eps_log_schedule(spec: SystemSpec, engine_kind: str) -> list:
 
 
 def estimate_sstar(spec: SystemSpec, tol: float = 0.02, eps_schedule=None,
-                   node_budget: int = DEFAULT_NODE_BUDGET) -> DimensionReport:
+                   node_budget: int = DEFAULT_NODE_BUDGET, engine=None) -> DimensionReport:
     """Critical exponent of cut-set cost sums, by trend-classified bisection.
 
     ``eps_schedule`` takes plain epsilon values in (0,1), strictly
     decreasing; by default a geometric schedule in alpha_plus is used whose
     length adapts to the engine (aggregated engines afford far deeper
-    trees than the generic walker).
+    trees than the generic walker).  ``engine`` is ``make_engine(spec)``,
+    built here when not given.
     """
     flags = _finding_flags(spec)
-    engine = make_engine(spec)
+    if engine is None:
+        engine = make_engine(spec)
     if eps_schedule is not None:
         log_eps = [math.log(e) for e in eps_schedule]
         if any(b >= a for a, b in zip(log_eps, log_eps[1:])):
@@ -253,16 +255,18 @@ def default_depth_schedule(spec: SystemSpec, engine, node_budget: int) -> list:
 
 
 def estimate_sA(spec: SystemSpec, tol: float = 0.02, depth_schedule=None,
-                node_budget: int = DEFAULT_NODE_BUDGET) -> DimensionReport:
+                node_budget: int = DEFAULT_NODE_BUDGET, engine=None) -> DimensionReport:
     """Critical exponent of the net measure, by trend-classified bisection
     over a schedule of (min depth, horizon) windows.
 
     Raises BudgetExceeded when the schedule holds no window, as the default
     one does when ``node_budget`` is too small for any window on the
-    generic engine.
+    generic engine.  ``engine`` is ``make_engine(spec)``, built here when
+    not given.
     """
     flags = _finding_flags(spec)
-    engine = make_engine(spec)
+    if engine is None:
+        engine = make_engine(spec)
     if depth_schedule is None:
         depth_schedule = default_depth_schedule(spec, engine, node_budget)
     if not depth_schedule:

@@ -53,8 +53,10 @@ def log_phi_from_logs(log_svs, s: float) -> np.ndarray:
     if s > d:
         return (s / d) * logs.sum(axis=-1)
     m = branch_index(s, d)
-    head = logs[..., : m - 1].sum(axis=-1)
-    return head + (s - m + 1) * logs[..., m - 1]
+    out = (s - m + 1) * logs[..., m - 1]
+    # the head log a_1 + ... + log a_{m-1}; one column is read as it is, not summed
+    out += logs[..., 0] if m == 2 else logs[..., : m - 1].sum(axis=-1)
+    return out
 
 
 def log_phi(t: Matrix, s: float) -> LogPhi:

@@ -16,10 +16,13 @@ pass) and ``level_log_sums`` (per-depth sums).
   hands each level to a visitor, and keeps the children whose alpha_m lies
   above a stop value.  The unpruned tree's log singular values do not
   depend on s, so it is expanded once per engine and reused by every
-  net-measure and level-sum probe; the pruned walks behind the cut-set
-  sums depend on m and the stop scale and still expand per call.  Its
-  net-measure window DP stops at the window's min depth and sums that
+  probe: the pruned walks behind the cut-set sums read its levels through
+  the indices of their surviving nodes and expand only past its horizon.
+  Its net-measure window DP stops at the window's min depth and sums that
   level directly.
+
+The cut-set sums over an epsilon schedule visit, at each depth, only the
+buckets that depth can reach.
 
 Both tree DPs reduce each node's children with ``_log_row_sums``, a fold of
 ``np.logaddexp`` over the children's columns.
@@ -394,7 +397,7 @@ class DiagonalEngine:
             e_child_la = child_la[e_child]
             i_lo = np.searchsorted(neg_le, -e_parent_la, side="right")
             i_hi = np.searchsorted(neg_le, -e_child_la, side="right")
-            for b in range(J):
+            for b in range(i_lo.min(), i_hi.max()):  # the buckets an edge can reach
                 mask = (i_lo <= b) & (b < i_hi)
                 if mask.any():
                     buckets[b] = np.logaddexp(buckets[b], logsumexp(e_terms[mask]))
@@ -472,12 +475,14 @@ class GenericEngine:
     def _expand(self, Q, log_scale, log_det, k: int):
         """Children of every node through level k's maps, rescaled to unit norm."""
         mats, logdets = self._level_maps(k)
-        n = mats.shape[0]
-        raw = np.matmul(Q[:, None], mats[None]).reshape(-1, self.d, self.d)
-        log_det = np.repeat(log_det, n) + np.tile(logdets, Q.shape[0])
-        if self.d == 1:
+        n, d, N = mats.shape[0], self.d, Q.shape[0]
+        # one (N*d, d) @ (d, n*d) product: every row of every Q times the maps side by side
+        side = mats.transpose(1, 0, 2).reshape(d, n * d)
+        raw = (Q.reshape(-1, d) @ side).reshape(N, d, n, d).transpose(0, 2, 1, 3).reshape(-1, d, d)
+        log_det = np.repeat(log_det, n) + np.tile(logdets, N)
+        if d == 1:
             a1 = np.abs(raw[:, 0, 0])
-        elif self.d == 2:
+        elif d == 2:
             a1, _ = sv2_batch(raw)
         else:
             a1 = np.linalg.svd(raw, compute_uv=False)[:, 0]
@@ -493,9 +498,29 @@ class GenericEngine:
             return np.stack([log_scale, log_det - log_scale], axis=1)
         return log_scale[:, None] + np.log(np.linalg.svd(Q, compute_uv=False))
 
+    def _products(self, idx, depth: int):
+        """Unit-norm products, log scales and log dets of the depth-``depth``
+        nodes ``idx`` (all of them when None), expanded from the root along
+        their ancestors only."""
+        wants = []  # the nodes wanted at depths depth, depth - 1, ..., 1
+        for t in range(depth, 0, -1):
+            wants.append(idx)
+            if idx is not None:
+                idx = np.unique(idx // self.spec.branch_count(t))
+        Q, log_scale, log_det = np.eye(self.d)[None], np.zeros(1), np.zeros(1)
+        parents = np.zeros(1, dtype=np.intp)
+        for t, want in enumerate(reversed(wants), start=1):
+            Q, log_scale, log_det = self._expand(Q, log_scale, log_det, t)
+            if want is not None:
+                n = self.spec.branch_count(t)
+                rows = np.searchsorted((parents[:, None] * n + np.arange(n)).reshape(-1), want)
+                Q, log_scale, log_det = Q[rows], log_scale[rows], log_det[rows]
+                parents = want
+        return Q, log_scale, log_det
+
     def _walk(self, visit, m: int = 1, log_stop: float = -math.inf,
               node_budget: float = math.inf, max_depth: float = math.inf):
-        """Expand the tree from the root, one level at a time.
+        """Walk the tree from the root, one level at a time.
 
         Each level goes to ``visit(depth, logs, la, parent_la)``: its (N, d)
         log singular values, its log alpha_m, and the log alpha_m of the
@@ -504,34 +529,63 @@ class GenericEngine:
         is kept whole, uncopied.  A level that would take the count of
         expanded nodes past ``node_budget`` is not expanded.  Returns
         (truncated, max log alpha_m of the unexpanded frontier, nodes).
+
+        Levels the engine keeps (``_tree``) are read, not expanded: the walk
+        carries the indices of its kept nodes into the level (None while the
+        whole level is kept, which is then read as it is), and node i's
+        children sit at i*n .. i*n + n - 1 of the next level.  Past the kept
+        levels it expands its own frontier, whose products it first
+        re-expands from the root along the frontier's ancestors.
         """
-        Q, log_scale, log_det = np.eye(self.d)[None], np.zeros(1), np.zeros(1)
+        kept = self._tree_logs
+        idx = Q = None
         parent_la = np.zeros(1)
         depth = nodes = 0
-        while Q.shape[0] > 0 and depth < max_depth:
+        while parent_la.size > 0 and depth < max_depth:
             depth += 1
-            if nodes + Q.shape[0] * self.spec.branch_count(depth) > node_budget:
+            n = self.spec.branch_count(depth)
+            if nodes + parent_la.size * n > node_budget:
                 return True, float(np.max(parent_la)), nodes
-            Q, log_scale, log_det = self._expand(Q, log_scale, log_det, depth)
-            nodes += log_scale.size
-            logs = self._log_svs(Q, log_scale, log_det)
+            if depth <= len(kept):
+                logs = kept[depth - 1]
+                if idx is not None:
+                    idx = (idx[:, None] * n + np.arange(n)).reshape(-1)
+                    logs = np.take(logs, idx, axis=0)
+            else:
+                if Q is None:
+                    Q, log_scale, log_det = self._products(idx, depth - 1)
+                Q, log_scale, log_det = self._expand(Q, log_scale, log_det, depth)
+                logs = self._log_svs(Q, log_scale, log_det)
+            nodes += logs.shape[0]
             la = logs[:, m - 1]
             visit(depth, logs, la, parent_la)
             if log_stop > -math.inf:
                 keep = la > log_stop + _STOP_SNAP
-                Q, log_scale, log_det, la = Q[keep], log_scale[keep], log_det[keep], la[keep]
+                if not keep.all():
+                    la = la[keep]
+                    if Q is not None:
+                        Q, log_scale, log_det = Q[keep], log_scale[keep], log_det[keep]
+                    else:
+                        idx = np.nonzero(keep)[0] if idx is None else idx[keep]
             parent_la = la
         return False, -math.inf, nodes
 
     def schedule_log_sums(self, s: float, log_eps_list, node_budget: int):
         m = branch_index(s, self.d)
         le = np.asarray(log_eps_list)
+        neg_le = -(le + _STOP_SNAP)  # increasing, for searchsorted
         buckets = [[] for _ in le]
 
         def visit(depth, logs, la, parent_la):
+            # bucket i can hold a node only if la.min() <= le[i] + snap < parent_la.max()
+            lo = np.searchsorted(neg_le, -parent_la.max(), side="right")
+            hi = np.searchsorted(neg_le, -la.min(), side="right")
+            if lo >= hi:
+                return
             pa = np.repeat(parent_la, self.spec.branch_count(depth))
             lph = log_phi_from_logs(logs, s)
-            for i, eps_i in enumerate(le):
+            for i in range(lo, hi):
+                eps_i = le[i]
                 mask = (la <= eps_i + _STOP_SNAP) & (pa > eps_i + _STOP_SNAP)
                 if np.any(mask):
                     buckets[i].append(logsumexp(lph[mask]))
@@ -577,13 +631,13 @@ class GenericEngine:
         Returns the levels 1..H, H the horizon ``_walk`` would reach, and
         whether the budget cut them short of ``max_depth``.  The levels do
         not depend on s: they are expanded once per engine and sliced by
-        later requests; only a deeper horizon walks again from the root.
+        later requests; a deeper horizon reads them and expands past them.
         """
         depth = self._horizon(node_budget, max_depth)
         if depth > len(self._tree_logs):
-            self._tree_logs = []
-            self._walk(lambda t, logs, la, pa: self._tree_logs.append(logs),
-                       max_depth=depth)
+            levels = []
+            self._walk(lambda t, logs, la, pa: levels.append(logs), max_depth=depth)
+            self._tree_logs = levels
         return self._tree_logs[:depth], depth < max_depth
 
     def net_measure_series(self, s: float, windows, node_budget: int):

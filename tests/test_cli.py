@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -151,13 +152,14 @@ def test_dims_indeterminate_exit_3():
     assert "indeterminate_trend" in rep["flags"]
 
 
-def test_env_var_thread_fallback(monkeypatch):
+def test_env_var_thread_fallback():
+    # MORAN_DIM_THREADS is read by nothing: the estimators run in sequence
     import os
+    argv = ["dims", "--fixture", "middle_thirds", "--which", "sstar,sa"]
     env = dict(os.environ, MORAN_DIM_THREADS="2")
-    proc = subprocess.run(CLI + ["dims", "--fixture", "middle_thirds",
-                                 "--which", "falconer"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
+    with_var = subprocess.run(CLI + argv, capture_output=True, text=True, env=env)
+    assert with_var.returncode == 0
+    assert with_var.stdout == run_cli(*argv, check=True).stdout
 
 
 def test_boxdim_middle_thirds_cli_slope():
@@ -512,3 +514,48 @@ def test_out_files_are_complete_and_alone(tmp_path, capsys):
     assert json.loads((out_dir / "report.json").read_text()) == json.loads(out)
     rows = (out_dir / "curve.csv").read_text().splitlines()
     assert len(rows) == 1 + len(json.loads(out)["trace"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("cutset", "--fixture", "middle_thirds", "--s", "0.5", "--epsilon", "0.012"),
+    ("render", "--fixture", "sierpinski_carpet", "--depth", "3", "--resolution", "27"),
+])
+def test_unusable_out_file_leaves_no_stdout_and_no_temp_file(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.mkdir()  # a directory where the file must go
+    code, out, err, _ = _main(capsys, *argv, "--out", str(taken))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(taken.iterdir()) == []
+
+
+def _dims_lines(capsys, fixture_name, which, *extra):
+    code, out, err, _ = _main(capsys, "dims", "--fixture", fixture_name, "--which", which,
+                              *extra)
+    assert code == 0 and err == ""
+    return out.splitlines()
+
+
+@pytest.mark.parametrize("fixture_name, names, extra", [
+    ("random_diag_pair", ("sstar", "sa", "falconer"), ()),
+    ("example_5_3", ("sstar", "sa"), ("--node-budget", "3000")),  # the generic engine
+])
+def test_dims_prints_reports_in_which_order(capsys, fixture_name, names, extra):
+    alone = {name: _dims_lines(capsys, fixture_name, name, *extra) for name in names}
+    for order in itertools.permutations(names):
+        got = _dims_lines(capsys, fixture_name, ",".join(order), *extra)
+        assert got == [line for name in order for line in alone[name]]
+
+
+@pytest.mark.parametrize("which", ["sstar", "sa", "sstar,sa", "sa,sstar"])
+def test_dims_on_a_singular_system_is_inapplicable(capsys, which):
+    code, out, err, _ = _main(capsys, "dims", "--fixture", "example_5_2", "--which", which)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "inapplicable"

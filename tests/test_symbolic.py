@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from morandim.dims import estimate_sA
+from morandim.dims import default_eps_log_schedule, estimate_sA
 from morandim.linalg import Matrix
+from morandim.svf import branch_index, log_phi_from_logs
 from morandim.symbolic import (
+    _STOP_SNAP,
     CutSet,
+    DiagonalEngine,
     GenericEngine,
     Word,
     common_prefix,
@@ -16,6 +19,7 @@ from morandim.symbolic import (
     cutset_sum,
     iter_cutset_words,
     _log_row_sums,
+    logsumexp,
     make_engine,
     product,
 )
@@ -257,9 +261,9 @@ def test_matmul_expansion_matches_einsum(d):
                       TranslationScheme("explicit", table={}),
                       Box(np.zeros(d), np.ones(d)))
     engine = GenericEngine(spec)
-    for _ in range(5):
-        Q = rng.normal(size=(40, d, d))
-        log_scale, log_det = rng.normal(size=40), rng.normal(size=40)
+    for rows in (1, 40, 40, 40, 40):  # one row: the root's expansion
+        Q = rng.normal(size=(rows, d, d))
+        log_scale, log_det = rng.normal(size=rows), rng.normal(size=rows)
         want = _einsum_expand(engine, Q, log_scale, log_det, 1)
         got = engine._expand(Q, log_scale, log_det, 1)
         for a, b in zip(got, want):
@@ -351,3 +355,165 @@ def test_generic_net_measure_series_on_mixed_branching():
                       Box(np.zeros(2), np.ones(2)))
     windows = [(1, 8), (1, 2), (2, 2), (2, 5), (4, 8), (8, 8)]
     _check_net_measure_series(spec, 10_000, windows)
+
+
+# ---------------------------------------------------------------------------
+# pruned walks over the kept tree, and live buckets, on generated systems
+# ---------------------------------------------------------------------------
+
+KEPT_DEPTH = 3
+# decreasing; the smallest prunes the small-map words at depth 2, inside the kept levels
+GEN_EPS = (0.3, 0.15, 0.08, 0.04, 0.02)
+GEN_S = (0.3, 0.9, 1.0, 1.4, 2.0, 2.6, 3.5)
+
+
+def _map_with_svs(rng, d, lo, hi):
+    """A d x d matrix whose singular values lie in [lo, hi]."""
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    v, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return Matrix(u @ np.diag(rng.uniform(lo, hi, d)) @ v.T)
+
+
+def _generated_system(d, branches, seed, diagonal=False):
+    """A periodic system (constant when ``diagonal``) with one level per entry of
+    ``branches``.  Each level's first map has singular values in [0.1, 0.12],
+    its second in [0.4, 0.5] and the others in [0.1, 0.5]: every word of the
+    first maps stops by depth 2 at epsilon 0.02, every word of the second lives
+    through depth 4, and every word stops by depth 6."""
+    rng = np.random.default_rng(seed)
+
+    def make(j):
+        lo, hi = ((0.1, 0.12), (0.4, 0.5))[j] if j < 2 else (0.1, 0.5)
+        return Matrix(np.diag(rng.uniform(lo, hi, d))) if diagonal else _map_with_svs(rng, d, lo, hi)
+
+    levels = tuple(LevelSpec(n, tuple(make(j) for j in range(n))) for n in branches)
+    return SystemSpec(d, Schedule("constant" if diagonal else "periodic", levels),
+                      TranslationScheme("explicit", table={}),
+                      Box(np.zeros(d), np.ones(d)))
+
+
+def _walk_budgets(spec):
+    """Budgets that trip the pruned walk at depth 2, at depth 3 (inside the kept
+    levels, with a pruned frontier) and never, past the kept levels."""
+    n1, n2 = spec.branch_count(1), spec.branch_count(2)
+    return (n1 + 1, n1 + n1 * n2 + 1, 20_000)
+
+
+def _generated_systems(st, diagonal=False):
+    return st.builds(_generated_system, st.sampled_from([1, 2, 3]),
+                     st.lists(st.sampled_from([2, 3]), min_size=1 if diagonal else 2,
+                              max_size=1 if diagonal else 3),
+                     st.integers(0, 2 ** 32 - 1), st.just(diagonal))
+
+
+def test_pruned_walks_on_the_kept_tree_match_fresh_walks():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=60)
+    @given(_generated_systems(st), st.sampled_from(GEN_S))
+    def check(spec, s):
+        log_eps = [math.log(e) for e in GEN_EPS]
+        kept = GenericEngine(spec)
+        kept.level_log_sums(1.0, [KEPT_DEPTH])
+        assert len(kept._tree_logs) == KEPT_DEPTH
+        for budget in _walk_budgets(spec):
+            assert (kept.schedule_log_sums(s, log_eps, budget)
+                    == GenericEngine(spec).schedule_log_sums(s, log_eps, budget))
+            for le in log_eps[::2]:
+                assert (kept.cutset_groups(s, le, budget)
+                        == GenericEngine(spec).cutset_groups(s, le, budget))
+        groups, truncated, _ = kept.cutset_groups(s, log_eps[-1], 20_000)
+        assert not truncated and max(g.depth for g in groups) > KEPT_DEPTH
+
+    check()
+
+
+def test_engine_sums_match_independent_walker_on_generated_systems():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=60)
+    @given(st.one_of(_generated_systems(st), _generated_systems(st, diagonal=True)),
+           st.sampled_from(GEN_S), st.booleans())
+    def check(spec, s, keep_tree):
+        engine = make_engine(spec)
+        if keep_tree and isinstance(engine, GenericEngine):
+            engine.level_log_sums(1.0, [KEPT_DEPTH])
+        walker = [math.log(math.fsum(math.exp(lp) for _, lp in iter_cutset_words(spec, s, e)))
+                  for e in GEN_EPS]
+        assert cutset_sum(cutset(spec, s, GEN_EPS[-1])) == pytest.approx(
+            math.exp(walker[-1]), rel=1e-10)
+        for budget in _walk_budgets(spec):
+            sums, complete, _ = engine.schedule_log_sums(
+                s, [math.log(e) for e in GEN_EPS], budget)
+            if isinstance(engine, GenericEngine):  # the small budgets cut short the 0.02 bucket
+                assert all(complete) == (budget == 20_000)
+            for got, want, ok in zip(sums, walker, complete):
+                if ok:
+                    assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+    check()
+
+
+def _all_bucket_schedule_sums(engine, s, log_eps_list, node_budget):
+    """DiagonalEngine.schedule_log_sums with its bucket loop over every bucket
+    at every depth, kept as the reference for the live-bucket loop."""
+    m = branch_index(s, engine.d)
+    le = np.asarray(log_eps_list)
+    neg_le = -(le + _STOP_SNAP)
+    J = len(le)
+    buckets = np.full(J, -math.inf)
+    nodes = 0
+    frontier_alpha_max = -math.inf
+    t = 0
+    alive = np.array([True])
+    log_counts = np.zeros(1)
+    parent_la = engine._log_svs_of(engine.comps_at(0))[:, m - 1]
+    while alive.any():
+        child_rows = engine.child_rows(t)
+        child_comps = engine.comps_at(t + 1)
+        child_logs = engine._log_svs_of(child_comps)
+        child_la = child_logs[:, m - 1]
+        child_lph = np.asarray(log_phi_from_logs(child_logs, s))
+        src = np.nonzero(alive)[0]
+        e_parent_la = np.repeat(parent_la[src], engine.n_maps)
+        e_child = child_rows[src].reshape(-1)
+        e_terms = np.repeat(log_counts[src], engine.n_maps) + child_lph[e_child]
+        e_child_la = child_la[e_child]
+        i_lo = np.searchsorted(neg_le, -e_parent_la, side="right")
+        i_hi = np.searchsorted(neg_le, -e_child_la, side="right")
+        for b in range(J):
+            mask = (i_lo <= b) & (b < i_hi)
+            if mask.any():
+                buckets[b] = np.logaddexp(buckets[b], logsumexp(e_terms[mask]))
+        cont = e_child_la > float(le[-1]) + _STOP_SNAP
+        child_counts = np.full(child_comps.shape[0], -math.inf)
+        np.logaddexp.at(child_counts, e_child[cont], e_terms[cont] - child_lph[e_child[cont]])
+        alive = child_counts > -math.inf
+        nodes += int(alive.sum())
+        if nodes > node_budget and alive.any():
+            frontier_alpha_max = float(child_la[alive].max())
+            break
+        log_counts = child_counts
+        parent_la = child_la
+        t += 1
+    complete = [frontier_alpha_max <= float(v) for v in le]
+    return [float(v) for v in buckets], complete, nodes
+
+
+def test_diagonal_live_buckets_match_all_bucket_reference():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=60)
+    @given(_generated_systems(st, diagonal=True), st.sampled_from(GEN_S),
+           st.sampled_from([3, 30, 20_000]))
+    def check(spec, s, budget):
+        engine = DiagonalEngine(spec)
+        for log_eps in ([math.log(e) for e in GEN_EPS],
+                        default_eps_log_schedule(spec, "diagonal")[:24]):
+            assert (engine.schedule_log_sums(s, log_eps, budget)
+                    == _all_bucket_schedule_sums(engine, s, log_eps, budget))
+
+    check()
