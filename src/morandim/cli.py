@@ -146,7 +146,8 @@ def cmd_dims(args) -> int:
             if spec.schedule.kind != "constant":
                 raise InapplicableEstimator("the pressure root needs a stationary (constant) "
                                             "schedule")
-            return [pressure_root(spec.schedule.levels[0], tol=max(tol * 1e-4, 1e-9))]
+            return [pressure_root(spec.schedule.levels[0], tol=max(tol * 1e-4, 1e-9),
+                                  node_budget=budget)]
         if name == "moran":
             return list(moran_dims(spec, k_max=args.depth))
         raise AssertionError(name)

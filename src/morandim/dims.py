@@ -51,7 +51,6 @@ class NetMeasureTable:
     K: int
     value: float
     log_value: float
-    truncated: bool = False
 
 
 @dataclass
@@ -230,20 +229,20 @@ def net_measure(spec: SystemSpec, s: float, k: int, K: int,
 
     Dynamic program on the level tree: leaves at depth K cost their own
     phi, inner nodes at depth >= k take the cheaper of covering themselves
-    or their children, shallower nodes must pass to children.
+    or their children, shallower nodes must pass to children.  Raises
+    BudgetExceeded when the tree through depth K, root included, holds more
+    than ``node_budget`` classes (the chain engine is not budgeted).
     """
     if not 1 <= k <= K:
         raise ValueError("need 1 <= k <= K")
-    (item,) = make_engine(spec).net_measure_series(s, [(k, K)], node_budget)
-    if item is None:
+    (log_v,) = make_engine(spec).net_measure_series(s, [(k, K)], node_budget)
+    if log_v is None:
         raise BudgetExceeded(f"net-measure window [{k}, {K}] does not fit the node budget")
-    log_v, truncated = item
     try:
         value = math.exp(log_v)
     except OverflowError:
         value = math.inf
-    return NetMeasureTable(s=float(s), k=k, K=K, value=value,
-                           log_value=log_v, truncated=truncated)
+    return NetMeasureTable(s=float(s), k=k, K=K, value=value, log_value=log_v)
 
 
 def default_depth_schedule(spec: SystemSpec, engine, node_budget: int) -> list:
@@ -259,6 +258,8 @@ def estimate_sA(spec: SystemSpec, tol: float = 0.02, depth_schedule=None,
     """Critical exponent of the net measure, by trend-classified bisection
     over a schedule of (min depth, horizon) windows.
 
+    A window whose tree through its horizon does not fit ``node_budget`` is
+    left out of every probe and the report is flagged ``budget_truncated``.
     Raises BudgetExceeded when the schedule holds no window, as the default
     one does when ``node_budget`` is too small for any window on the
     generic engine.  ``engine`` is ``make_engine(spec)``, built here when
@@ -277,13 +278,10 @@ def estimate_sA(spec: SystemSpec, tol: float = 0.02, depth_schedule=None,
     def classify(s):
         xs, vals = [], []
         series = engine.net_measure_series(s, depth_schedule, node_budget)
-        for (k, _), item in zip(depth_schedule, series):
-            if item is None:
+        for (k, _), log_v in zip(depth_schedule, series):
+            if log_v is None:
                 saw_truncation.append(True)
                 continue
-            log_v, truncated = item
-            if truncated:
-                saw_truncation.append(True)
             xs.append(float(k))
             vals.append(log_v)
         return _classify_liminf(xs, vals)
@@ -343,19 +341,20 @@ def pressure_root(level: LevelSpec, tol: float = 1e-7, max_depth: int | None = N
 
     p(s) is estimated by the ratio (S_{k2}/S_{k1})^(1/(k2-k1)) of depth
     sums, which cancels the bounded prefactor; p is strictly decreasing in
-    s, so plain bisection is sound.
+    s, so plain bisection is sound.  By default k2 is 96, or the deepest
+    depth whose class tree, root included, fits ``node_budget``, and k1 is
+    k2 // 2; raises BudgetExceeded when that leaves k2 below 2.
     """
     if level.branch_count < 2:
         raise InapplicableEstimator("pressure root needs at least 2 maps")
     spec = _stationary_spec(level)
     flags = _finding_flags(spec)
     engine = make_engine(spec)
-    if max_depth is None:
-        max_depth = 96 if engine.kind in ("uniform", "diagonal") else max(
-            8, engine.max_depth_within(node_budget)
-        )
-    k1 = max(1, max_depth // 2)
-    k2 = max_depth
+    k2 = engine.max_depth_within(node_budget, 96) if max_depth is None else max_depth
+    if k2 < 2:
+        raise BudgetExceeded(f"pressure depths need k2 >= 2; the node budget {node_budget} "
+                             f"gives k2 = {k2}")
+    k1 = k2 // 2
     trace = []
 
     def log_p(s):

@@ -1,31 +1,34 @@
 """Words, cylinder products, and cut-set construction over the level tree.
 
-Three traversal engines back every tree quantity.  Each offers the same
-four entry points: ``schedule_log_sums`` (cut-set sums over an epsilon
-schedule), ``cutset_groups``, ``net_measure_series`` (the net-measure
-dynamic program for a list of (k, K) depth windows, evaluated off one
-pass) and ``level_log_sums`` (per-depth sums).
+Every tree quantity has four entry points on each engine:
+``schedule_log_sums`` (cut-set sums over an epsilon schedule),
+``cutset_groups``, ``net_measure_series`` (the net-measure dynamic program
+for a list of (k, K) depth windows, evaluated off one pass) and
+``level_log_sums`` (per-depth sums).  They are written twice:
 
-* ``UniformEngine``   — every level's maps are identical, so all words at a
-  depth share one product; the tree collapses to a chain with multiplicities.
-* ``DiagonalEngine``  — stationary diagonal families commute per axis, so
-  words collapse to per-map choice counts with multinomial multiplicities.
-* ``GenericEngine``   — vectorized level-by-level expansion with a node
-  budget; the only engine that pays the exponential price.  All four
-  entry points run one shared walk that expands the tree level by level,
-  hands each level to a visitor, and keeps the children whose alpha_m lies
-  above a stop value.  The unpruned tree's log singular values do not
-  depend on s, so it is expanded once per engine and reused by every
-  probe: the pruned walks behind the cut-set sums read its levels through
-  the indices of their surviving nodes and expand only past its horizon.
-  Its net-measure window DP stops at the window's min depth and sums that
-  level directly.
+* ``UniformEngine`` — every level's maps are identical, so all words at a
+  depth share one product; the tree collapses to a chain with
+  multiplicities, and its four traversals are scalar loops over it.
+* ``_ClassTree`` — the four traversals over a level tree of classes, for
+  two level stores.  ``DiagonalEngine`` is the composition lattice of a
+  stationary diagonal family: diagonal maps commute, so a class is a
+  per-map choice count with a multinomial word count.  ``GenericEngine``
+  has one class per word; it is the only store that pays the exponential
+  price.  Its unpruned levels do not depend on s, so they are expanded
+  once per engine and reused by every probe; the pruned walks read them
+  through the indices of their surviving nodes and expand only past them.
 
-The cut-set sums over an epsilon schedule visit, at each depth, only the
-buckets that depth can reach.
+The two kinds of traversal keep two budget rules.  A net-measure window is
+evaluated exactly when the classes through its horizon K, root included,
+fit the node budget, and is None otherwise; the tree is built only that
+deep.  A pruned walk (the cut-set quantities) pays, per level, the distinct
+classes it expands, and stops before the level that would exceed the
+budget.  The cut-set sums over an epsilon schedule visit, at each depth,
+only the buckets that depth can reach.
 
-Both tree DPs reduce each node's children with ``_log_row_sums``, a fold of
-``np.logaddexp`` over the children's columns.
+The net-measure DP reduces each class's children with ``_log_row_sums``, a
+fold of ``np.logaddexp`` over the children's columns, and stops at the
+window's min depth, where it sums that level weighted by the word counts.
 
 Equal-product aggregation is the central performance decision: the shipped
 block fixtures have 9^k-size levels that reduce to O(1) work per depth.
@@ -34,8 +37,9 @@ log domain so depth-hundreds products stay finite.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -218,6 +222,10 @@ class UniformEngine:
         self._extend(t)
         return self._log_svs[t]
 
+    def max_depth_within(self, node_budget: int, K_cap: int = 64) -> int:
+        """Deepest depth <= K_cap whose chain, root included, fits the budget."""
+        return min(K_cap, node_budget - 1)
+
     def stop_depth(self, m: int, log_eps: float) -> int:
         t = 1
         while True:
@@ -250,7 +258,7 @@ class UniformEngine:
         return self.level_log_sums(s, depths), [True] * len(depths), t
 
     def net_measure_series(self, s: float, windows, node_budget: int):
-        """Net-measure values for (k, K) windows; the chain never truncates."""
+        """Net-measure log values for (k, K) windows; the chain is not budgeted."""
         K_max = max(K for _, K in windows)
         self._extend(K_max)
         lph = log_phi_from_logs(np.stack(self._log_svs[: K_max + 1]), s).tolist()
@@ -261,7 +269,7 @@ class UniformEngine:
             for t in range(K - 1, -1, -1):
                 child = log_n[t + 1] + v
                 v = min(lph[t], child) if t >= k else child
-            out.append((v, False))
+            out.append(v)
         return out
 
     def level_log_sums(self, s: float, depths):
@@ -271,15 +279,131 @@ class UniformEngine:
         ]
 
 
-class DiagonalEngine:
-    """Choice-count engine for stationary families of diagonal maps.
+class _ClassTree:
+    """The four traversals over a level tree of classes.
 
-    Diagonal maps commute per axis, so a word reduces to how many times
-    each map was chosen; per-axis log products are linear in those counts.
-    The composition lattice (one row per count vector, per depth) is cached
-    independently of the exponent, and every per-exponent pass is a
-    vectorized sweep over it.  Multiplicities stay exact integers on the
-    small cut-set path and live in the log domain on the schedule path.
+    A class is a set of same-depth words whose products share their
+    singular values, and whose extensions by any one suffix again fall in
+    one class: a single word on the generic walker, a choice-count vector on
+    the composition lattice.  A subclass gives the class counts per depth
+    (``_widths``), the per-depth (C_t, d) log singular values (``_levels``),
+    the log word count of each class (``_log_mults``, None when every class
+    is one word), the children of each class (``_child_values``), and a
+    pruned walk.
+
+    ``_walk(visit, m, log_stop, node_budget)`` walks the tree from the root,
+    one level at a time, and keeps the children whose alpha_m lies above
+    ``log_stop``.  Each level goes to ``visit(depth, logs, la, parent_la,
+    count)``: the (E, d) log singular values of every child of every kept
+    class, one row per edge, parent-major; their log alpha_m; the kept
+    parents' log alpha_m; and the parents' exact live word counts (None when
+    every class is one word).  A level costs the distinct classes it
+    expands, and one that would take the count past ``node_budget`` is not
+    expanded.  Returns (truncated, max log alpha_m of the unexpanded
+    frontier, classes expanded).
+    """
+
+    def max_depth_within(self, node_budget: int, K_cap: int = 64) -> int:
+        """Deepest depth <= K_cap whose class tree, root included, fits the budget."""
+        depth, nodes = 0, 1
+        for width in itertools.islice(self._widths(), K_cap):
+            nodes += width
+            if nodes > node_budget:
+                break
+            depth += 1
+        return depth
+
+    def schedule_log_sums(self, s: float, log_eps_list, node_budget: int):
+        m = branch_index(s, self.d)
+        le = np.asarray(log_eps_list)
+        neg_le = -(le + _STOP_SNAP)  # increasing, for searchsorted
+        buckets = [[] for _ in le]
+
+        def visit(depth, logs, la, parent_la, count):
+            # bucket i can hold a node only if la.min() <= le[i] + snap < parent_la.max()
+            lo = np.searchsorted(neg_le, -parent_la.max(), side="right")
+            hi = np.searchsorted(neg_le, -la.min(), side="right")
+            if lo >= hi:
+                return
+            n = self.spec.branch_count(depth)
+            pa = np.repeat(parent_la, n)
+            terms = log_phi_from_logs(logs, s)
+            if count is not None:  # math.log takes exact counts of any size
+                terms += np.repeat([math.log(c) for c in count], n)
+            for i in range(lo, hi):
+                eps_i = le[i]
+                mask = (la <= eps_i + _STOP_SNAP) & (pa > eps_i + _STOP_SNAP)
+                if np.any(mask):
+                    buckets[i].append(logsumexp(terms[mask]))
+
+        _, frontier_la, nodes = self._walk(visit, m, float(le[-1]), node_budget)
+        return [logsumexp(b) for b in buckets], [frontier_la <= float(l) for l in le], nodes
+
+    def cutset_groups(self, s: float, log_eps: float, node_budget: int):
+        """One group per stopping edge: a word, or a lattice class reached
+        from one parent class, with that parent's live word count."""
+        m = branch_index(s, self.d)
+        groups = []
+
+        def visit(depth, logs, la, parent_la, count):
+            n = self.spec.branch_count(depth)
+            pa = np.repeat(parent_la, n)
+            lph = log_phi_from_logs(logs, s)
+            for i in np.nonzero(la <= log_eps + _STOP_SNAP)[0]:
+                c = 1 if count is None else count[i // n]
+                groups.append(CutGroup(depth=depth, count=c, log_count=math.log(c),
+                                       log_phi=float(lph[i]), log_alpha_m=float(la[i]),
+                                       log_alpha_m_parent=float(pa[i])))
+
+        truncated, _, nodes = self._walk(visit, m, log_eps, node_budget)
+        return groups, truncated, nodes
+
+    def net_measure_series(self, s: float, windows, node_budget: int):
+        """Net-measure log values for (k, K) windows, None for a window whose
+        class tree through K, root included, does not fit the budget.
+
+        The tree is built to the deepest K that fits.  The min-recursion runs
+        from K up to the min depth k, folding each class's children with
+        ``_log_row_sums``; above k the DP would only add children together,
+        so the value is the logsumexp of the depth-k vector weighted by the
+        classes' word counts.
+        """
+        horizon = self.max_depth_within(node_budget, max(K for _, K in windows))
+        logphi = [np.asarray(log_phi_from_logs(logs, s), dtype=float).reshape(-1)
+                  for logs in self._levels(horizon)]  # logphi[t - 1]: per-class log phi^s at depth t
+        out = []
+        for k, K in windows:
+            if K > horizon:
+                out.append(None)
+                continue
+            v = logphi[K - 1]
+            for t in range(K - 1, k - 1, -1):
+                v = _log_row_sums(self._child_values(t, v))
+                np.minimum(logphi[t - 1], v, out=v)
+            mults = self._log_mults(k)
+            out.append(logsumexp(v if mults is None else v + mults))
+        return out
+
+    def level_log_sums(self, s: float, depths):
+        levels = self._levels(max(depths))
+        out = []
+        for t in depths:
+            terms = np.asarray(log_phi_from_logs(levels[t - 1], s)).reshape(-1)
+            mults = self._log_mults(t)
+            out.append(logsumexp(terms if mults is None else terms + mults))
+        return out
+
+
+class DiagonalEngine(_ClassTree):
+    """Composition-lattice level store for stationary families of diagonal maps.
+
+    Diagonal maps commute per axis, so a word's product depends only on how
+    many times each map was chosen: the classes are the count vectors, and
+    class c's children are c + e_j.  The lattice is extended level by level
+    on demand and cached independently of the exponent: per depth the (C_t,
+    d) log singular values, the log multinomial word counts, and the
+    (C_t, M) map from each class to its children's rows.  Pruned walks carry
+    exact integer live-word counts per class.
     """
 
     kind = "diagonal"
@@ -292,168 +416,83 @@ class DiagonalEngine:
         self.log_c = np.array(
             [[math.log(abs(m.entries[i, i])) for i in range(self.d)] for m in lvl.maps]
         )  # (M, d)
-        self._comps = [np.zeros((1, self.n_maps), dtype=np.int64)]
-        self._child_idx = []  # child_idx[t][i, j] = row of comps[t][i]+e_j in comps[t+1]
+        self._comps = np.zeros((1, self.n_maps), dtype=np.int64)  # the deepest level's classes
+        self._logs = [np.zeros((1, self.d))]
+        self._log_mult = [np.zeros(1)]
+        self._child_idx = []  # child_idx[t][i, j] = row of class i + e_j at depth t + 1
         self._log_fact = np.zeros(1)
 
-    # -- composition lattice -------------------------------------------------
-    def _extend_lattice(self, t: int) -> None:
-        while len(self._comps) <= t:
-            cur = self._comps[-1]
-            M = self.n_maps
-            stacked = np.repeat(cur, M, axis=0)
-            bump = np.tile(np.eye(M, dtype=np.int64), (cur.shape[0], 1))
-            children = stacked + bump
+    def _extend(self, t: int) -> None:
+        while len(self._logs) <= t:
+            cur, M = self._comps, self.n_maps
+            children = np.repeat(cur, M, axis=0) + np.tile(np.eye(M, dtype=np.int64),
+                                                           (cur.shape[0], 1))
             nxt, inverse = np.unique(children, axis=0, return_inverse=True)
-            self._comps.append(nxt)
+            self._comps = nxt
             self._child_idx.append(inverse.reshape(cur.shape[0], M))
-
-    def comps_at(self, t: int) -> np.ndarray:
-        self._extend_lattice(t)
-        return self._comps[t]
+            self._logs.append(-np.sort(-(nxt.astype(float) @ self.log_c), axis=1))
+            self._log_mult.append(self._log_multinomials(nxt))
 
     def child_rows(self, t: int) -> np.ndarray:
-        self._extend_lattice(t + 1)
+        self._extend(t + 1)
         return self._child_idx[t]
-
-    def _log_svs_of(self, comps: np.ndarray) -> np.ndarray:
-        """(C, d) descending log singular values for composition rows."""
-        prods = comps.astype(float) @ self.log_c
-        return -np.sort(-prods, axis=1)
-
-    def _log_factorials(self, n: int) -> np.ndarray:
-        if self._log_fact.size <= n:
-            ln = np.concatenate([[0.0], np.log(np.arange(1, n + 1, dtype=float))])
-            self._log_fact = np.cumsum(ln)
-        return self._log_fact
 
     def _log_multinomials(self, comps: np.ndarray) -> np.ndarray:
         t = int(comps[0].sum())
-        lf = self._log_factorials(t)
-        return lf[t] - lf[comps].sum(axis=1)
+        if self._log_fact.size <= t:
+            ln = np.concatenate([[0.0], np.log(np.arange(1, t + 1, dtype=float))])
+            self._log_fact = np.cumsum(ln)
+        return self._log_fact[t] - self._log_fact[comps].sum(axis=1)
 
-    # -- cut-sets ------------------------------------------------------------
-    def cutset_groups(self, s: float, log_eps: float, node_budget: int):
-        m = branch_index(s, self.d)
-        groups, truncated, nodes = [], False, 0
-        frontier = {(0,) * self.n_maps: 1}  # comp -> exact alive word count
-        depth = 0
-        while frontier:
-            depth += 1
-            children = {}
-            for comp in sorted(frontier):
-                count = frontier[comp]
-                parent_la = float(self._log_svs_of(np.asarray([comp]))[0, m - 1])
-                for j in range(self.n_maps):
-                    child = tuple(c + (1 if i == j else 0) for i, c in enumerate(comp))
-                    logs = self._log_svs_of(np.asarray([child]))[0]
-                    la = float(logs[m - 1])
-                    if la <= log_eps + _STOP_SNAP:
-                        groups.append(
-                            CutGroup(
-                                depth=depth,
-                                count=count,
-                                log_count=math.log(count),
-                                log_phi=float(log_phi_from_logs(logs, s)),
-                                log_alpha_m=la,
-                                log_alpha_m_parent=parent_la,
-                            )
-                        )
-                    else:
-                        children[child] = children.get(child, 0) + count
-            nodes += len(children)
-            if nodes > node_budget:
-                truncated = True
-                break
-            frontier = children
-        return _merge_groups(groups), truncated, nodes
-
-    def schedule_log_sums(self, s: float, log_eps_list, node_budget: int):
-        m = branch_index(s, self.d)
-        le = np.asarray(log_eps_list)   # decreasing
-        neg_le = -(le + _STOP_SNAP)     # increasing, for searchsorted
-        J = len(le)
-        buckets = np.full(J, -math.inf)
-        log_eps_min = float(le[-1])
-        nodes = 0
-        frontier_alpha_max = -math.inf  # stays -inf unless the budget cuts the walk
-
+    def _widths(self):
         t = 0
-        alive = np.array([True])
-        log_counts = np.zeros(1)
-        parent_la = self._log_svs_of(self.comps_at(0))[:, m - 1]
-        while alive.any():
-            child_rows = self.child_rows(t)
-            child_comps = self.comps_at(t + 1)
-            child_logs = self._log_svs_of(child_comps)
-            child_la = child_logs[:, m - 1]
-            child_lph = np.asarray(log_phi_from_logs(child_logs, s))
-            # edges from alive parents
-            src = np.nonzero(alive)[0]
-            rows = child_rows[src]                      # (A, M)
-            e_parent_la = np.repeat(parent_la[src], self.n_maps)
-            e_child = rows.reshape(-1)
-            e_terms = np.repeat(log_counts[src], self.n_maps) + child_lph[e_child]
-            e_child_la = child_la[e_child]
-            i_lo = np.searchsorted(neg_le, -e_parent_la, side="right")
-            i_hi = np.searchsorted(neg_le, -e_child_la, side="right")
-            for b in range(i_lo.min(), i_hi.max()):  # the buckets an edge can reach
-                mask = (i_lo <= b) & (b < i_hi)
-                if mask.any():
-                    buckets[b] = np.logaddexp(buckets[b], logsumexp(e_terms[mask]))
-            # propagate alive mass to children
-            cont = e_child_la > log_eps_min + _STOP_SNAP
-            child_counts = np.full(child_comps.shape[0], -math.inf)
-            np.logaddexp.at(child_counts, e_child[cont], e_terms[cont] - child_lph[e_child[cont]])
-            alive = child_counts > -math.inf
-            nodes += int(alive.sum())
-            if nodes > node_budget and alive.any():
-                frontier_alpha_max = float(child_la[alive].max())
-                break
-            log_counts = child_counts
-            parent_la = child_la
+        while True:
             t += 1
-        complete = [frontier_alpha_max <= float(l) for l in le]
-        return [float(v) for v in buckets], complete, nodes
+            yield math.comb(t + self.n_maps - 1, self.n_maps - 1)
 
-    # -- net measure and level sums -------------------------------------------
-    def net_measure_series(self, s: float, windows, node_budget: int):
-        """Net-measure values for (k, K) windows over the composition lattice.
+    def _levels(self, depth: int) -> list:
+        self._extend(depth)
+        return self._logs[1:depth + 1]
 
-        A window whose lattice states through depth K exceed the budget is
-        None.
-        """
-        K_max = max(K for _, K in windows)
-        states = np.cumsum([self.comps_at(t).shape[0] for t in range(K_max + 1)])
-        lph = [np.asarray(log_phi_from_logs(self._log_svs_of(self.comps_at(t)), s))
-               for t in range(K_max + 1)]
-        out = []
-        for k, K in windows:
-            if states[K] > node_budget:
-                out.append(None)
-                continue
-            v = lph[K]
-            for t in range(K - 1, -1, -1):
-                child = _log_row_sums(v[self.child_rows(t)])
-                v = np.minimum(lph[t], child) if t >= k else child
-            out.append((float(v[0]), False))
-        return out
+    def _log_mults(self, t: int) -> np.ndarray:
+        self._extend(t)
+        return self._log_mult[t]
 
-    def level_log_sums(self, s: float, depths):
-        out = []
-        for t in depths:
-            comps = self.comps_at(t)
-            logs = self._log_svs_of(comps)
-            terms = self._log_multinomials(comps) + np.asarray(log_phi_from_logs(logs, s))
-            out.append(logsumexp(terms))
-        return out
+    def _child_values(self, t: int, v: np.ndarray) -> np.ndarray:
+        return v[self.child_rows(t)]
+
+    def _walk(self, visit, m: int, log_stop: float, node_budget: float):
+        """The pruned walk (see ``_ClassTree``): the kept children merge
+        into their classes, adding up their parents' live word counts."""
+        idx = np.zeros(1, dtype=np.intp)     # kept classes of the current depth
+        count = np.ones(1, dtype=object)     # live words in each kept class
+        parent_la = np.zeros(1)
+        depth = nodes = 0
+        while idx.size > 0:
+            child = self.child_rows(depth)[idx].reshape(-1)
+            classes, inverse = np.unique(child, return_inverse=True)
+            if nodes + classes.size > node_budget:
+                return True, float(np.max(parent_la)), nodes
+            depth += 1
+            nodes += classes.size
+            logs = self._logs[depth][child]
+            la = logs[:, m - 1]
+            visit(depth, logs, la, parent_la, count)
+            keep = la > log_stop + _STOP_SNAP
+            merged = np.zeros(classes.size, dtype=object)
+            np.add.at(merged, inverse[keep], np.repeat(count, self.n_maps)[keep])
+            live = np.flatnonzero(merged)
+            idx, count = classes[live], merged[live]
+            parent_la = self._logs[depth][idx, m - 1]
+        return False, -math.inf, nodes
 
 
-class GenericEngine:
+class GenericEngine(_ClassTree):
     """Budgeted vectorized level-by-level expansion for heterogeneous systems.
 
-    Every traversal is one ``_walk`` with its own per-level visitor; the
-    unpruned walk runs once per engine and its levels are kept (``_tree``).
+    Every class is one word, and node i's children sit at i*n .. i*n + n - 1
+    of the next level.  The unpruned tree is expanded once per engine and
+    its levels are kept (``_levels``); the pruned ``_walk`` reads them.
     """
 
     kind = "generic"
@@ -462,7 +501,7 @@ class GenericEngine:
         self.spec = spec
         self.d = spec.dim
         self._level_cache = {}
-        self._tree_logs = []  # unpruned levels kept across probes, see _tree
+        self._tree_logs = []  # unpruned levels kept across probes, see _levels
 
     def _level_maps(self, k: int):
         if k not in self._level_cache:
@@ -518,22 +557,12 @@ class GenericEngine:
                 parents = want
         return Q, log_scale, log_det
 
-    def _walk(self, visit, m: int = 1, log_stop: float = -math.inf,
-              node_budget: float = math.inf, max_depth: float = math.inf):
-        """Walk the tree from the root, one level at a time.
+    def _walk(self, visit, m: int, log_stop: float, node_budget: float):
+        """The pruned walk (see ``_ClassTree``) over words.
 
-        Each level goes to ``visit(depth, logs, la, parent_la)``: its (N, d)
-        log singular values, its log alpha_m, and the log alpha_m of the
-        parents it was expanded from (one per parent).  Children with
-        alpha_m above ``log_stop`` are kept; without a stop value the level
-        is kept whole, uncopied.  A level that would take the count of
-        expanded nodes past ``node_budget`` is not expanded.  Returns
-        (truncated, max log alpha_m of the unexpanded frontier, nodes).
-
-        Levels the engine keeps (``_tree``) are read, not expanded: the walk
+        Levels the engine keeps (``_levels``) are read, not expanded: the walk
         carries the indices of its kept nodes into the level (None while the
-        whole level is kept, which is then read as it is), and node i's
-        children sit at i*n .. i*n + n - 1 of the next level.  Past the kept
+        whole level is kept, which is then read as it is).  Past the kept
         levels it expands its own frontier, whose products it first
         re-expands from the root along the frontier's ancestors.
         """
@@ -541,7 +570,7 @@ class GenericEngine:
         idx = Q = None
         parent_la = np.zeros(1)
         depth = nodes = 0
-        while parent_la.size > 0 and depth < max_depth:
+        while parent_la.size > 0:
             depth += 1
             n = self.spec.branch_count(depth)
             if nodes + parent_la.size * n > node_budget:
@@ -558,119 +587,44 @@ class GenericEngine:
                 logs = self._log_svs(Q, log_scale, log_det)
             nodes += logs.shape[0]
             la = logs[:, m - 1]
-            visit(depth, logs, la, parent_la)
-            if log_stop > -math.inf:
-                keep = la > log_stop + _STOP_SNAP
-                if not keep.all():
-                    la = la[keep]
-                    if Q is not None:
-                        Q, log_scale, log_det = Q[keep], log_scale[keep], log_det[keep]
-                    else:
-                        idx = np.nonzero(keep)[0] if idx is None else idx[keep]
+            visit(depth, logs, la, parent_la, None)
+            keep = la > log_stop + _STOP_SNAP
+            if not keep.all():
+                la = la[keep]
+                if Q is not None:
+                    Q, log_scale, log_det = Q[keep], log_scale[keep], log_det[keep]
+                else:
+                    idx = np.nonzero(keep)[0] if idx is None else idx[keep]
             parent_la = la
         return False, -math.inf, nodes
 
-    def schedule_log_sums(self, s: float, log_eps_list, node_budget: int):
-        m = branch_index(s, self.d)
-        le = np.asarray(log_eps_list)
-        neg_le = -(le + _STOP_SNAP)  # increasing, for searchsorted
-        buckets = [[] for _ in le]
+    def _widths(self):
+        width, t = 1, 0
+        while True:
+            t += 1
+            width *= self.spec.branch_count(t)
+            yield width
 
-        def visit(depth, logs, la, parent_la):
-            # bucket i can hold a node only if la.min() <= le[i] + snap < parent_la.max()
-            lo = np.searchsorted(neg_le, -parent_la.max(), side="right")
-            hi = np.searchsorted(neg_le, -la.min(), side="right")
-            if lo >= hi:
-                return
-            pa = np.repeat(parent_la, self.spec.branch_count(depth))
-            lph = log_phi_from_logs(logs, s)
-            for i in range(lo, hi):
-                eps_i = le[i]
-                mask = (la <= eps_i + _STOP_SNAP) & (pa > eps_i + _STOP_SNAP)
-                if np.any(mask):
-                    buckets[i].append(logsumexp(lph[mask]))
+    def _levels(self, depth: int) -> list:
+        """Per-depth (N_t, d) log singular values of the unpruned tree, depths 1..depth.
 
-        _, frontier_la, nodes = self._walk(visit, m, float(le[-1]), node_budget)
-        return [logsumexp(b) for b in buckets], [frontier_la <= float(l) for l in le], nodes
-
-    def cutset_groups(self, s: float, log_eps: float, node_budget: int):
-        m = branch_index(s, self.d)
-        groups = []
-
-        def visit(depth, logs, la, parent_la):
-            pa = np.repeat(parent_la, self.spec.branch_count(depth))
-            lph = log_phi_from_logs(logs, s)
-            for i in np.nonzero(la <= log_eps + _STOP_SNAP)[0]:
-                groups.append(CutGroup(depth=depth, count=1, log_count=0.0,
-                                       log_phi=float(lph[i]), log_alpha_m=float(la[i]),
-                                       log_alpha_m_parent=float(pa[i])))
-
-        truncated, _, nodes = self._walk(visit, m, log_eps, node_budget)
-        return groups, truncated, nodes
-
-    def _horizon(self, node_budget: float, max_depth: int) -> int:
-        """Depth an unpruned ``_walk`` reaches within ``node_budget`` and
-        ``max_depth``; it follows from the branch counts alone."""
-        depth = nodes = 0
-        width = 1
-        while depth < max_depth:
-            width *= self.spec.branch_count(depth + 1)
-            if nodes + width > node_budget:
-                break
-            nodes += width
-            depth += 1
-        return depth
-
-    def max_depth_within(self, node_budget: int, K_cap: int = 64) -> int:
-        # the root counts as one node of the budget
-        return max(self._horizon(node_budget - 1, K_cap), 1)
-
-    def _tree(self, max_depth: int, node_budget: float = math.inf):
-        """Per-depth (N_t, d) log singular values of the unpruned tree.
-
-        Returns the levels 1..H, H the horizon ``_walk`` would reach, and
-        whether the budget cut them short of ``max_depth``.  The levels do
-        not depend on s: they are expanded once per engine and sliced by
-        later requests; a deeper horizon reads them and expands past them.
+        The levels do not depend on s: they are expanded once per engine and
+        sliced by later requests; a deeper request expands from the root again.
         """
-        depth = self._horizon(node_budget, max_depth)
         if depth > len(self._tree_logs):
+            Q, log_scale, log_det = np.eye(self.d)[None], np.zeros(1), np.zeros(1)
             levels = []
-            self._walk(lambda t, logs, la, pa: levels.append(logs), max_depth=depth)
+            for t in range(1, depth + 1):
+                Q, log_scale, log_det = self._expand(Q, log_scale, log_det, t)
+                levels.append(self._log_svs(Q, log_scale, log_det))
             self._tree_logs = levels
-        return self._tree_logs[:depth], depth < max_depth
+        return self._tree_logs[:depth]
 
-    def net_measure_series(self, s: float, windows, node_budget: int):
-        """Net-measure values for (k, K) windows off the cached tree.
+    def _log_mults(self, t: int):
+        return None
 
-        The min-recursion runs from the window's horizon up to its min depth
-        k, folding each node's children with ``_log_row_sums``; above k the
-        DP would only sum children, so the value is the logsumexp of the
-        depth-k vector.  The tree reaches the deepest horizon that fits the
-        budget; a window whose min depth lies beyond it is None, and a window
-        cut short or sharing a truncated tree is flagged truncated.
-        """
-        # the root counts as one node of the budget
-        levels, truncated = self._tree(max(K for _, K in windows), node_budget - 1)
-        logphi = [np.asarray(log_phi_from_logs(logs, s), dtype=float).reshape(-1)
-                  for logs in levels]  # logphi[t - 1]: per-node log phi^s at depth t
-        out = []
-        for k, K in windows:
-            Kw = min(K, len(logphi))
-            if Kw < k:
-                out.append(None)
-                continue
-            v = logphi[Kw - 1]
-            for t in range(Kw - 1, k - 1, -1):
-                v = _log_row_sums(v.reshape(-1, self.spec.branch_count(t + 1)))
-                np.minimum(logphi[t - 1], v, out=v)
-            out.append((logsumexp(v), truncated or Kw < K))
-        return out
-
-    def level_log_sums(self, s: float, depths):
-        levels, _ = self._tree(max(depths))
-        return [logsumexp(np.asarray(log_phi_from_logs(levels[t - 1], s)).reshape(-1))
-                for t in depths]
+    def _child_values(self, t: int, v: np.ndarray) -> np.ndarray:
+        return v.reshape(-1, self.spec.branch_count(t + 1))
 
 
 def make_engine(spec: SystemSpec):
@@ -697,18 +651,6 @@ class CutGroup:
     log_phi: float
     log_alpha_m: float
     log_alpha_m_parent: float
-
-
-def _merge_groups(groups):
-    merged = {}
-    for g in groups:
-        key = (g.depth, round(g.log_phi, 12), round(g.log_alpha_m, 12),
-               round(g.log_alpha_m_parent, 12))
-        if key in merged:
-            cnt = merged[key].count + g.count
-            g = replace(g, count=cnt, log_count=math.log(cnt))
-        merged[key] = g
-    return list(merged.values())
 
 
 @dataclass

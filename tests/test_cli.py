@@ -559,3 +559,44 @@ def test_dims_on_a_singular_system_is_inapplicable(capsys, which):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "inapplicable"
+
+
+def _config(tmp_path, fixture_name, levels):
+    """A fixture's document with a constant schedule over ``levels``, written to tmp_path."""
+    doc = fixture_document(fixture_name)
+    doc["schedule"] = {"kind": "constant", "levels": levels}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_falconer_honours_the_node_budget(tmp_path, capsys):
+    # example_5_3's shear level: 2 maps, so 2 + 4 + ... + 32 = 62 nodes through depth 5
+    shear = _config(tmp_path, "example_5_3", [fixture_document("example_5_3")["schedule"]
+                                              ["levels"][1]])
+    code, out, err, seconds = _main(capsys, "dims", shear, "--which", "falconer",
+                                    "--node-budget", "100")
+    assert code == 0 and err == ""
+    assert json.loads(out)["schedule"]["depths"] == [2, 5]
+    assert seconds < 1.0
+    code, out, err, _ = _main(capsys, "dims", shear, "--which", "falconer", "--node-budget", "2")
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "budget"
+
+
+def test_lattice_net_measure_builds_only_the_levels_that_fit(tmp_path, capsys):
+    # four distinct diagonal maps: C(t + 3, 3) classes at depth t, so a budget
+    # of 10^5 reaches depth 36, short of every default window's horizon
+    maps = [[[a, 0.0], [0.0, b]] for a, b in ((0.3, 0.2), (0.25, 0.3), (0.2, 0.25), (0.3, 0.3))]
+    digits = [[0.0, 0.0], [0.7, 0.0], [0.0, 0.7], [0.7, 0.7]]
+    config = _config(tmp_path, "random_diag_pair",
+                     [{"branch_count": 4, "maps": maps, "digits": digits}])
+    code, out, err, seconds = _main(capsys, "dims", config, "--which", "sa",
+                                    "--node-budget", "100000")
+    assert code == 3 and err == ""
+    rep = json.loads(out)
+    assert rep["schedule"]["engine"] == "diagonal"
+    assert rep["estimate"] is None and "budget_truncated" in rep["flags"]
+    assert seconds < 10.0

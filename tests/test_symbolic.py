@@ -188,8 +188,8 @@ def test_tie_case_stops():
 # ---------------------------------------------------------------------------
 
 TREE_BUDGET = 3000  # example_5_3 reaches depth 9 within it
-# windows within the horizon, one cut short of it and one past it (None);
-# a request cut short by the budget flags every window truncated
+# windows within the horizon, one whose min depth is within it and one past
+# it: both of the last two are None, and no window carries a flag
 TREE_WINDOWS = [(2, 4), (4, 6), (6, 9), (8, 12), (10, 12)]
 
 
@@ -204,11 +204,11 @@ def test_cached_tree_probes_match_fresh_engines():
     for s in (0.6, 1.2, 1.37, 2.5):
         got = shared.net_measure_series(s, TREE_WINDOWS, TREE_BUDGET)
         assert got == _generic_engine().net_measure_series(s, TREE_WINDOWS, TREE_BUDGET)
-        assert got[-1] is None
-        assert all(item[1] is True for item in got[:-1])
+        assert got[3:] == [None, None]
+        assert all(isinstance(v, float) for v in got[:3])
         within = shared.net_measure_series(s, TREE_WINDOWS[:3], TREE_BUDGET)
         assert within == _generic_engine().net_measure_series(s, TREE_WINDOWS[:3], TREE_BUDGET)
-        assert all(item[1] is False for item in within)
+        assert within == got[:3]
 
 
 def test_cached_tree_serves_shallower_and_deeper_requests():
@@ -328,9 +328,9 @@ def _check_net_measure_series(spec, budget, windows):
         levels = _word_levels(spec, horizon, s)
         got = engine.net_measure_series(s, windows, budget)
         for (k, K), item in zip(windows, got):
-            assert item is not None and item[1] is False
+            assert item is not None
             want = _reference_net_measure(spec, levels, k, K)
-            assert abs(item[0] - want) <= 1e-12 * max(1.0, abs(want)), (s, k, K)
+            assert abs(item - want) <= 1e-12 * max(1.0, abs(want)), (s, k, K)
 
 
 def test_generic_net_measure_series_matches_full_depth_dp():
@@ -457,63 +457,109 @@ def test_engine_sums_match_independent_walker_on_generated_systems():
 
 
 def _all_bucket_schedule_sums(engine, s, log_eps_list, node_budget):
-    """DiagonalEngine.schedule_log_sums with its bucket loop over every bucket
-    at every depth, kept as the reference for the live-bucket loop."""
+    """``schedule_log_sums`` with its bucket loop over every bucket at every
+    depth, on the same walk: the reference for the live-bucket range."""
     m = branch_index(s, engine.d)
     le = np.asarray(log_eps_list)
-    neg_le = -(le + _STOP_SNAP)
-    J = len(le)
-    buckets = np.full(J, -math.inf)
-    nodes = 0
-    frontier_alpha_max = -math.inf
-    t = 0
-    alive = np.array([True])
-    log_counts = np.zeros(1)
-    parent_la = engine._log_svs_of(engine.comps_at(0))[:, m - 1]
-    while alive.any():
-        child_rows = engine.child_rows(t)
-        child_comps = engine.comps_at(t + 1)
-        child_logs = engine._log_svs_of(child_comps)
-        child_la = child_logs[:, m - 1]
-        child_lph = np.asarray(log_phi_from_logs(child_logs, s))
-        src = np.nonzero(alive)[0]
-        e_parent_la = np.repeat(parent_la[src], engine.n_maps)
-        e_child = child_rows[src].reshape(-1)
-        e_terms = np.repeat(log_counts[src], engine.n_maps) + child_lph[e_child]
-        e_child_la = child_la[e_child]
-        i_lo = np.searchsorted(neg_le, -e_parent_la, side="right")
-        i_hi = np.searchsorted(neg_le, -e_child_la, side="right")
-        for b in range(J):
-            mask = (i_lo <= b) & (b < i_hi)
-            if mask.any():
-                buckets[b] = np.logaddexp(buckets[b], logsumexp(e_terms[mask]))
-        cont = e_child_la > float(le[-1]) + _STOP_SNAP
-        child_counts = np.full(child_comps.shape[0], -math.inf)
-        np.logaddexp.at(child_counts, e_child[cont], e_terms[cont] - child_lph[e_child[cont]])
-        alive = child_counts > -math.inf
-        nodes += int(alive.sum())
-        if nodes > node_budget and alive.any():
-            frontier_alpha_max = float(child_la[alive].max())
-            break
-        log_counts = child_counts
-        parent_la = child_la
-        t += 1
-    complete = [frontier_alpha_max <= float(v) for v in le]
-    return [float(v) for v in buckets], complete, nodes
+    buckets = [[] for _ in le]
+
+    def visit(depth, logs, la, parent_la, count):
+        n = engine.spec.branch_count(depth)
+        pa = np.repeat(parent_la, n)
+        terms = log_phi_from_logs(logs, s)
+        if count is not None:
+            terms += np.repeat([math.log(c) for c in count], n)
+        for i, eps_i in enumerate(le):
+            mask = (la <= eps_i + _STOP_SNAP) & (pa > eps_i + _STOP_SNAP)
+            if np.any(mask):
+                buckets[i].append(logsumexp(terms[mask]))
+
+    _, frontier_la, nodes = engine._walk(visit, m, float(le[-1]), node_budget)
+    return [logsumexp(b) for b in buckets], [frontier_la <= float(v) for v in le], nodes
 
 
-def test_diagonal_live_buckets_match_all_bucket_reference():
+def test_live_buckets_match_all_bucket_reference():
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
     @settings(max_examples=60)
-    @given(_generated_systems(st, diagonal=True), st.sampled_from(GEN_S),
-           st.sampled_from([3, 30, 20_000]))
+    @given(st.one_of(_generated_systems(st), _generated_systems(st, diagonal=True)),
+           st.sampled_from(GEN_S), st.sampled_from([3, 30, 20_000]))
     def check(spec, s, budget):
-        engine = DiagonalEngine(spec)
+        engine = make_engine(spec)
         for log_eps in ([math.log(e) for e in GEN_EPS],
-                        default_eps_log_schedule(spec, "diagonal")[:24]):
+                        default_eps_log_schedule(spec, engine.kind)[:24]):
             assert (engine.schedule_log_sums(s, log_eps, budget)
                     == _all_bucket_schedule_sums(engine, s, log_eps, budget))
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the composition lattice against the word walk on the same systems
+# ---------------------------------------------------------------------------
+
+def _prefix_counts(spec, s, epsilon):
+    """(distinct nonempty prefixes, distinct choice-count vectors of them) of
+    the cut-set words, from the independent word walker: the nodes a pruned
+    walk expands over words and over the lattice."""
+    words = [w.digits for w, _ in iter_cutset_words(spec, s, epsilon)]
+    prefixes = {w[:j] for w in words for j in range(1, len(w) + 1)}
+    n = spec.branch_count(1)
+    return len(prefixes), len({tuple(p.count(i) for i in range(1, n + 1)) for p in prefixes})
+
+
+def test_lattice_matches_the_word_walk_on_generated_diagonal_systems():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    windows = [(1, 6), (1, 1), (2, 5), (3, 6), (6, 6)]
+    depths = [1, 2, 4, 6]
+    budget = 20_000  # the word tree through depth 6 holds at most 1,093 nodes
+
+    def close(a, b):
+        return all(abs(x - y) <= 1e-10 for x, y in zip(a, b)) and len(a) == len(b)
+
+    @settings(max_examples=60)
+    @given(_generated_systems(st, diagonal=True), st.sampled_from(GEN_S))
+    def check(spec, s):
+        lattice, words = DiagonalEngine(spec), GenericEngine(spec)
+        assert close(lattice.level_log_sums(s, depths), words.level_log_sums(s, depths))
+        nets = [lattice.net_measure_series(s, windows, budget),
+                words.net_measure_series(s, windows, budget)]
+        assert None not in nets[0] + nets[1]
+        assert close(*nets)
+        log_eps = [math.log(e) for e in GEN_EPS]
+        (sums_l, done_l, _), (sums_w, done_w, _) = (
+            engine.schedule_log_sums(s, log_eps, budget) for engine in (lattice, words))
+        assert done_l == done_w == [True] * len(GEN_EPS)
+        assert close(sums_l, sums_w)
+        for eps, le in zip(GEN_EPS, log_eps):
+            (groups_l, cut_l, nodes_l), (groups_w, cut_w, nodes_w) = (
+                engine.cutset_groups(s, le, budget) for engine in (lattice, words))
+            assert not cut_l and not cut_w
+            assert sum(g.count for g in groups_l) == len(groups_w)
+            assert (nodes_w, nodes_l) == _prefix_counts(spec, s, eps)
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["random_diag_pair", "example_5_3"])
+def test_net_measure_horizon_is_the_deepest_window_that_fits(name):
+    """A window is evaluated exactly when the classes through its K, root
+    included, fit the budget, and the tree is built only that deep."""
+    spec = fixture(name)
+    for K in range(2, 7):
+        if name == "random_diag_pair":  # t + 1 choice-count vectors at depth t
+            budget = sum(t + 1 for t in range(K + 1))
+        else:
+            budget = sum(math.prod(spec.branch_count(j) for j in range(1, t + 1))
+                         for t in range(K + 1))
+        engine = make_engine(spec)
+        assert engine.max_depth_within(budget) == K
+        assert engine.max_depth_within(budget - 1) == K - 1
+        got = engine.net_measure_series(1.1, [(1, K), (K, K), (1, K + 1), (K + 1, K + 1)],
+                                        budget)
+        assert None not in got[:2] and got[2:] == [None, None]
+        built = engine._tree_logs if name == "example_5_3" else engine._logs[1:]
+        assert len(built) == K
