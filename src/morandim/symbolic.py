@@ -13,18 +13,22 @@ for a list of (k, K) depth windows, evaluated off one pass) and
   two level stores.  ``DiagonalEngine`` is the composition lattice of a
   stationary diagonal family: diagonal maps commute, so a class is a
   per-map choice count with a multinomial word count.  ``GenericEngine``
-  has one class per word; it is the only store that pays the exponential
-  price.  Its unpruned levels do not depend on s, so they are expanded
-  once per engine and reused by every probe; the pruned walks read them
-  through the indices of their surviving nodes and expand only past them.
+  has one class per word over each level's distinct maps, whose word count
+  is the product of its maps' multiplicities; it is the only store that
+  pays the exponential price.  Its unpruned levels do not depend on s, so
+  they are expanded once per engine and reused by every probe; the pruned
+  walks read them through the indices of their surviving nodes and expand
+  only past them.
 
 The two kinds of traversal keep two budget rules.  A net-measure window is
-evaluated exactly when the classes through its horizon K, root included,
-fit the node budget, and is None otherwise; the tree is built only that
-deep.  A pruned walk (the cut-set quantities) pays, per level, the distinct
-classes it expands, and stops before the level that would exceed the
-budget.  The cut-set sums over an epsilon schedule visit, at each depth,
-only the buckets that depth can reach.
+evaluated exactly when the budget covers the tree through its horizon K,
+root included, and is None otherwise; the tree is built only that deep.  A
+pruned walk (the cut-set quantities) pays, per level, what it expands, and
+stops before the level that would exceed the budget.  The lattice counts
+its classes; the generic walker counts the words its classes stand for, so
+its horizons and truncation do not depend on how often a level repeats a
+map.  The cut-set sums over an epsilon schedule visit, at each depth, only
+the buckets that depth can reach.
 
 The net-measure DP reduces each class's children with ``_log_row_sums``, a
 fold of ``np.logaddexp`` over the children's columns, and stops at the
@@ -32,11 +36,12 @@ window's min depth, where it sums that level weighted by the word counts.
 
 Equal-product aggregation is the central performance decision: the shipped
 block fixtures have 9^k-size levels that reduce to O(1) work per depth.
-All multiplicities are exact Python integers; all magnitudes live in the
-log domain so depth-hundreds products stay finite.
+All multiplicities are exact integers; all magnitudes live in the log
+domain so depth-hundreds products stay finite.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -53,6 +58,7 @@ DEFAULT_NODE_BUDGET = 10_000_000
 # Exact per-depth word counts make chain memory quadratic: 10^4 levels of 9 maps ~ 20 MB.
 _MAX_CHAIN_DEPTH = 10_000
 _WORD_ENUM_CAP = 200_000
+_INT64_MAX = int(np.iinfo(np.int64).max)
 # Stopping comparisons happen in the log domain with a relative snap so the
 # tie case alpha_m == epsilon stops even when the two floats were produced
 # by different arithmetic paths.
@@ -151,6 +157,14 @@ def logsumexp(values) -> float:
     if m == -math.inf:
         return -math.inf
     return m + math.log(float(np.sum(np.exp(arr - m))))
+
+
+def _log_counts(count: np.ndarray) -> np.ndarray:
+    """Logs of exact word counts: vectorized on int64, ``math.log`` on
+    Python integers, which takes them at any size."""
+    if count.dtype == object:
+        return np.array([math.log(c) for c in count], dtype=float)
+    return np.log(count)
 
 
 def _log_row_sums(grouped: np.ndarray) -> np.ndarray:
@@ -284,27 +298,29 @@ class _ClassTree:
 
     A class is a set of same-depth words whose products share their
     singular values, and whose extensions by any one suffix again fall in
-    one class: a single word on the generic walker, a choice-count vector on
-    the composition lattice.  A subclass gives the class counts per depth
-    (``_widths``), the per-depth (C_t, d) log singular values (``_levels``),
-    the log word count of each class (``_log_mults``, None when every class
-    is one word), the children of each class (``_child_values``), and a
-    pruned walk.
+    one class: a word over the level's distinct maps on the generic walker,
+    a choice-count vector on the composition lattice.  A subclass gives the
+    budgeted nodes per depth (``_widths``), the per-depth (C_t, d) log
+    singular values (``_levels``), the log word count of each class
+    (``_log_mults``), the children per class at a depth (``_arity``) and
+    their values (``_child_values``), and a pruned walk.
 
     ``_walk(visit, m, log_stop, node_budget)`` walks the tree from the root,
     one level at a time, and keeps the children whose alpha_m lies above
     ``log_stop``.  Each level goes to ``visit(depth, logs, la, parent_la,
     count)``: the (E, d) log singular values of every child of every kept
-    class, one row per edge, parent-major; their log alpha_m; the kept
-    parents' log alpha_m; and the parents' exact live word counts (None when
-    every class is one word).  A level costs the distinct classes it
-    expands, and one that would take the count past ``node_budget`` is not
-    expanded.  Returns (truncated, max log alpha_m of the unexpanded
-    frontier, classes expanded).
+    class, one row per edge, parent-major, ``_arity(depth)`` edges per
+    parent; their log alpha_m; the kept parents' log alpha_m; and the exact
+    live word count of each edge, as int64 or as Python integers (the walker
+    switches once a count could leave int64; the lattice always carries
+    them).  A level costs what the subclass budgets for it, and
+    one that would take the count past ``node_budget`` is not expanded.
+    Returns (truncated, max log alpha_m of the unexpanded frontier, nodes
+    expanded).
     """
 
     def max_depth_within(self, node_budget: int, K_cap: int = 64) -> int:
-        """Deepest depth <= K_cap whose class tree, root included, fits the budget."""
+        """Deepest depth <= K_cap whose tree, root included, fits the budget."""
         depth, nodes = 0, 1
         for width in itertools.islice(self._widths(), K_cap):
             nodes += width
@@ -325,11 +341,8 @@ class _ClassTree:
             hi = np.searchsorted(neg_le, -la.min(), side="right")
             if lo >= hi:
                 return
-            n = self.spec.branch_count(depth)
-            pa = np.repeat(parent_la, n)
-            terms = log_phi_from_logs(logs, s)
-            if count is not None:  # math.log takes exact counts of any size
-                terms += np.repeat([math.log(c) for c in count], n)
+            pa = np.repeat(parent_la, self._arity(depth))
+            terms = log_phi_from_logs(logs, s) + _log_counts(count)
             for i in range(lo, hi):
                 eps_i = le[i]
                 mask = (la <= eps_i + _STOP_SNAP) & (pa > eps_i + _STOP_SNAP)
@@ -340,17 +353,16 @@ class _ClassTree:
         return [logsumexp(b) for b in buckets], [frontier_la <= float(l) for l in le], nodes
 
     def cutset_groups(self, s: float, log_eps: float, node_budget: int):
-        """One group per stopping edge: a word, or a lattice class reached
-        from one parent class, with that parent's live word count."""
+        """One group per stopping edge: a class reached from one kept parent
+        class, with the edge's live word count."""
         m = branch_index(s, self.d)
         groups = []
 
         def visit(depth, logs, la, parent_la, count):
-            n = self.spec.branch_count(depth)
-            pa = np.repeat(parent_la, n)
+            pa = np.repeat(parent_la, self._arity(depth))
             lph = log_phi_from_logs(logs, s)
             for i in np.nonzero(la <= log_eps + _STOP_SNAP)[0]:
-                c = 1 if count is None else count[i // n]
+                c = int(count[i])
                 groups.append(CutGroup(depth=depth, count=c, log_count=math.log(c),
                                        log_phi=float(lph[i]), log_alpha_m=float(la[i]),
                                        log_alpha_m_parent=float(pa[i])))
@@ -360,7 +372,7 @@ class _ClassTree:
 
     def net_measure_series(self, s: float, windows, node_budget: int):
         """Net-measure log values for (k, K) windows, None for a window whose
-        class tree through K, root included, does not fit the budget.
+        tree through K, root included, does not fit the budget.
 
         The tree is built to the deepest K that fits.  The min-recursion runs
         from K up to the min depth k, folding each class's children with
@@ -380,8 +392,7 @@ class _ClassTree:
             for t in range(K - 1, k - 1, -1):
                 v = _log_row_sums(self._child_values(t, v))
                 np.minimum(logphi[t - 1], v, out=v)
-            mults = self._log_mults(k)
-            out.append(logsumexp(v if mults is None else v + mults))
+            out.append(logsumexp(v + self._log_mults(k)))
         return out
 
     def level_log_sums(self, s: float, depths):
@@ -389,9 +400,29 @@ class _ClassTree:
         out = []
         for t in depths:
             terms = np.asarray(log_phi_from_logs(levels[t - 1], s)).reshape(-1)
-            mults = self._log_mults(t)
-            out.append(logsumexp(terms if mults is None else terms + mults))
+            out.append(logsumexp(terms + self._log_mults(t)))
         return out
+
+
+def _composition_ranks(comps: np.ndarray):
+    """Lexicographic ranks of (R, M) compositions of one total t, and how
+    many compositions of t there are.
+
+    Those before c agree with it up to some part i and are smaller there;
+    with r_i of the total left for the p_i = M - i parts from i on, they
+    number C(r_i + p_i - 1, p_i - 1) - C(r_i - c_i + p_i - 1, p_i - 1).
+    """
+    M = comps.shape[1]
+    total = int(comps[0].sum())
+    k = M - 1 - np.arange(M)                       # p_i - 1
+    rem = total - np.cumsum(comps, axis=1) + comps  # r_i
+    # binom[n, j] = C(n, j), column by column: C(n, j) sums C(m, j - 1) over m < n
+    binom = np.ones((total + M, M), dtype=np.int64)
+    for j in range(1, M):
+        binom[0, j] = 0
+        np.cumsum(binom[:-1, j - 1], out=binom[1:, j])
+    rank = (binom[rem + k, k] - binom[rem - comps + k, k]).sum(axis=1)
+    return rank, int(binom[total + M - 1, M - 1])
 
 
 class DiagonalEngine(_ClassTree):
@@ -427,9 +458,11 @@ class DiagonalEngine(_ClassTree):
             cur, M = self._comps, self.n_maps
             children = np.repeat(cur, M, axis=0) + np.tile(np.eye(M, dtype=np.int64),
                                                            (cur.shape[0], 1))
-            nxt, inverse = np.unique(children, axis=0, return_inverse=True)
+            rank, width = _composition_ranks(children)
+            nxt = np.empty((width, M), dtype=np.int64)
+            nxt[rank] = children  # every class of the next level is some class's child
             self._comps = nxt
-            self._child_idx.append(inverse.reshape(cur.shape[0], M))
+            self._child_idx.append(rank.reshape(cur.shape[0], M))
             self._logs.append(-np.sort(-(nxt.astype(float) @ self.log_c), axis=1))
             self._log_mult.append(self._log_multinomials(nxt))
 
@@ -449,6 +482,9 @@ class DiagonalEngine(_ClassTree):
         while True:
             t += 1
             yield math.comb(t + self.n_maps - 1, self.n_maps - 1)
+
+    def _arity(self, depth: int) -> int:
+        return self.n_maps
 
     def _levels(self, depth: int) -> list:
         self._extend(depth)
@@ -477,10 +513,11 @@ class DiagonalEngine(_ClassTree):
             nodes += classes.size
             logs = self._logs[depth][child]
             la = logs[:, m - 1]
+            count = np.repeat(count, self.n_maps)  # per edge
             visit(depth, logs, la, parent_la, count)
             keep = la > log_stop + _STOP_SNAP
             merged = np.zeros(classes.size, dtype=object)
-            np.add.at(merged, inverse[keep], np.repeat(count, self.n_maps)[keep])
+            np.add.at(merged, inverse[keep], count[keep])
             live = np.flatnonzero(merged)
             idx, count = classes[live], merged[live]
             parent_la = self._logs[depth][idx, m - 1]
@@ -490,9 +527,18 @@ class DiagonalEngine(_ClassTree):
 class GenericEngine(_ClassTree):
     """Budgeted vectorized level-by-level expansion for heterogeneous systems.
 
-    Every class is one word, and node i's children sit at i*n .. i*n + n - 1
-    of the next level.  The unpruned tree is expanded once per engine and
-    its levels are kept (``_levels``); the pruned ``_walk`` reads them.
+    A class is a word over each level's distinct maps (``_level_maps``):
+    words that differ only in which copy of a repeated map they chose have
+    equal products, and so do all their extensions.  A class stands for the
+    product of its maps' multiplicities in words.  Node i's children sit at
+    i*a .. i*a + a - 1 of the next level, for a level of a distinct maps.
+    The unpruned tree is expanded once per engine and its levels are kept
+    (``_levels``); the pruned ``_walk`` reads them.
+
+    The budget counts words, not classes: ``_widths`` gives the words per
+    depth, and a pruned walk pays the words its expanded classes stand for.
+    So horizons, depth windows and truncation are those of the word tree,
+    whatever a level repeats.
     """
 
     kind = "generic"
@@ -504,16 +550,21 @@ class GenericEngine(_ClassTree):
         self._tree_logs = []  # unpruned levels kept across probes, see _levels
 
     def _level_maps(self, k: int):
+        """Level k's distinct maps in first-occurrence order: their (a, d, d)
+        matrices, log |det|s and int64 multiplicities."""
         if k not in self._level_cache:
-            lvl = self.spec.level(k)
-            mats = np.stack([m.entries for m in lvl.maps])
-            logdets = np.array([math.log(abs(m.det())) for m in lvl.maps])
-            self._level_cache[k] = (mats, logdets)
+            mults = collections.Counter(self.spec.level(k).maps)
+            mats = np.stack([m.entries for m in mults])
+            logdets = np.array([math.log(abs(m.det())) for m in mults])
+            self._level_cache[k] = (mats, logdets, np.array(list(mults.values()), dtype=np.int64))
         return self._level_cache[k]
 
+    def _arity(self, depth: int) -> int:
+        return self._level_maps(depth)[2].size
+
     def _expand(self, Q, log_scale, log_det, k: int):
-        """Children of every node through level k's maps, rescaled to unit norm."""
-        mats, logdets = self._level_maps(k)
+        """Children of every node through level k's distinct maps, rescaled to unit norm."""
+        mats, logdets, _ = self._level_maps(k)
         n, d, N = mats.shape[0], self.d, Q.shape[0]
         # one (N*d, d) @ (d, n*d) product: every row of every Q times the maps side by side
         side = mats.transpose(1, 0, 2).reshape(d, n * d)
@@ -545,57 +596,69 @@ class GenericEngine(_ClassTree):
         for t in range(depth, 0, -1):
             wants.append(idx)
             if idx is not None:
-                idx = np.unique(idx // self.spec.branch_count(t))
+                idx = np.unique(idx // self._arity(t))
         Q, log_scale, log_det = np.eye(self.d)[None], np.zeros(1), np.zeros(1)
         parents = np.zeros(1, dtype=np.intp)
         for t, want in enumerate(reversed(wants), start=1):
             Q, log_scale, log_det = self._expand(Q, log_scale, log_det, t)
             if want is not None:
-                n = self.spec.branch_count(t)
-                rows = np.searchsorted((parents[:, None] * n + np.arange(n)).reshape(-1), want)
+                a = self._arity(t)
+                rows = np.searchsorted((parents[:, None] * a + np.arange(a)).reshape(-1), want)
                 Q, log_scale, log_det = Q[rows], log_scale[rows], log_det[rows]
                 parents = want
         return Q, log_scale, log_det
 
     def _walk(self, visit, m: int, log_stop: float, node_budget: float):
-        """The pruned walk (see ``_ClassTree``) over words.
+        """The pruned walk (see ``_ClassTree``) over classes, paying words.
 
         Levels the engine keeps (``_levels``) are read, not expanded: the walk
         carries the indices of its kept nodes into the level (None while the
         whole level is kept, which is then read as it is).  Past the kept
         levels it expands its own frontier, whose products it first
-        re-expands from the root along the frontier's ancestors.
+        re-expands from the root along the frontier's ancestors.  A level
+        costs its parents' live words times its branch count.
         """
         kept = self._tree_logs
         idx = Q = None
         parent_la = np.zeros(1)
+        count = np.ones(1, dtype=np.int64)  # live words in each kept class
+        live = words = 1                    # live words, and all words, at this depth
         depth = nodes = 0
         while parent_la.size > 0:
             depth += 1
             n = self.spec.branch_count(depth)
-            if nodes + parent_la.size * n > node_budget:
+            if nodes + live * n > node_budget:
                 return True, float(np.max(parent_la)), nodes
+            nodes += live * n
+            words *= n
+            mults = self._level_maps(depth)[2]
+            a = mults.size
+            # a count never exceeds the words at its depth; past int64, exact Python integers
+            count = np.repeat(count, a).astype(np.int64 if words <= _INT64_MAX else object,
+                                               copy=False)
+            if a < n:  # the level repeats a map
+                count *= np.tile(mults.astype(count.dtype), parent_la.size)
             if depth <= len(kept):
                 logs = kept[depth - 1]
                 if idx is not None:
-                    idx = (idx[:, None] * n + np.arange(n)).reshape(-1)
+                    idx = (idx[:, None] * a + np.arange(a)).reshape(-1)
                     logs = np.take(logs, idx, axis=0)
             else:
                 if Q is None:
                     Q, log_scale, log_det = self._products(idx, depth - 1)
                 Q, log_scale, log_det = self._expand(Q, log_scale, log_det, depth)
                 logs = self._log_svs(Q, log_scale, log_det)
-            nodes += logs.shape[0]
             la = logs[:, m - 1]
-            visit(depth, logs, la, parent_la, None)
+            visit(depth, logs, la, parent_la, count)
             keep = la > log_stop + _STOP_SNAP
             if not keep.all():
-                la = la[keep]
+                la, count = la[keep], count[keep]
                 if Q is not None:
                     Q, log_scale, log_det = Q[keep], log_scale[keep], log_det[keep]
                 else:
                     idx = np.nonzero(keep)[0] if idx is None else idx[keep]
             parent_la = la
+            live = int(count.sum())
         return False, -math.inf, nodes
 
     def _widths(self):
@@ -606,7 +669,7 @@ class GenericEngine(_ClassTree):
             yield width
 
     def _levels(self, depth: int) -> list:
-        """Per-depth (N_t, d) log singular values of the unpruned tree, depths 1..depth.
+        """Per-depth (N_t, d) log singular values of the unpruned class tree, depths 1..depth.
 
         The levels do not depend on s: they are expanded once per engine and
         sliced by later requests; a deeper request expands from the root again.
@@ -620,11 +683,16 @@ class GenericEngine(_ClassTree):
             self._tree_logs = levels
         return self._tree_logs[:depth]
 
-    def _log_mults(self, t: int):
-        return None
+    def _log_mults(self, t: int) -> np.ndarray:
+        out = np.zeros(1)
+        for j in range(1, t + 1):
+            out = (out[:, None] + np.log(self._level_maps(j)[2])).reshape(-1)
+        return out
 
     def _child_values(self, t: int, v: np.ndarray) -> np.ndarray:
-        return v.reshape(-1, self.spec.branch_count(t + 1))
+        mults = self._level_maps(t + 1)[2]
+        grouped = v.reshape(-1, mults.size)
+        return grouped + np.log(mults) if mults.max() > 1 else grouped
 
 
 def make_engine(spec: SystemSpec):

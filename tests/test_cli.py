@@ -1,5 +1,6 @@
 import itertools
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -549,6 +550,21 @@ def test_dims_prints_reports_in_which_order(capsys, fixture_name, names, extra):
     for order in itertools.permutations(names):
         got = _dims_lines(capsys, fixture_name, ",".join(order), *extra)
         assert got == [line for name in order for line in alone[name]]
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("budget", ["3000", "400000"])
+def test_generic_dims_reports_match_the_golden_bytes(capsys, budget):
+    # example_5_3 repeats I/3 three times on level 1; its walker merges the
+    # copies into one class but still budgets words, so windows, horizons
+    # and flags, and so these bytes, are those of the per-word tree
+    code, out, err, _ = _main(capsys, "dims", "--fixture", "example_5_3",
+                              "--which", "sstar,sa", "--node-budget", budget)
+    assert code == 0 and err == ""
+    want = (GOLDEN / f"dims_example_5_3_sstar_sa_budget_{budget}.txt").read_text()
+    assert out == want
 
 
 @pytest.mark.parametrize("which", ["sstar", "sa", "sstar,sa", "sa,sstar"])

@@ -10,6 +10,7 @@ from morandim.linalg import Matrix
 from morandim.svf import branch_index, log_phi_from_logs
 from morandim.symbolic import (
     _STOP_SNAP,
+    _log_counts,
     CutSet,
     DiagonalEngine,
     GenericEngine,
@@ -245,7 +246,7 @@ def test_estimate_sA_expands_each_depth_once(monkeypatch):
 
 def _einsum_expand(engine, Q, log_scale, log_det, k):
     """Reference expansion: einsum products, singular values from the SVD."""
-    mats, logdets = engine._level_maps(k)
+    mats, logdets, _ = engine._level_maps(k)
     n, d = mats.shape[0], mats.shape[1]
     raw = np.einsum("nij,mjk->nmik", Q, mats).reshape(-1, d, d)
     a1 = np.linalg.svd(raw, compute_uv=False)[:, 0]
@@ -299,9 +300,9 @@ def test_log_row_sums_matches_reference(n):
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
-def _word_levels(spec, depth, s):
-    """Per-depth log phi^s vectors from per-word products, lexicographic order."""
-    cache = {}
+def _word_levels(spec, depth, s, cache):
+    """Per-depth log phi^s vectors from per-word products, lexicographic order;
+    ``cache`` holds the products across calls."""
     levels = []
     for t in range(1, depth + 1):
         ranges = [range(1, spec.branch_count(j) + 1) for j in range(1, t + 1)]
@@ -320,17 +321,19 @@ def _reference_net_measure(spec, levels, k, K):
     return mx + math.log(np.exp(v - mx).sum())
 
 
-def _check_net_measure_series(spec, budget, windows):
-    engine = make_engine(spec)
-    assert isinstance(engine, GenericEngine)
+def _check_net_measure_series(spec, budget, windows, engine=None, tol=1e-12):
+    if engine is None:
+        engine = make_engine(spec)
+        assert isinstance(engine, GenericEngine)
     horizon = max(K for _, K in windows)
+    cache = {}
     for s in (0.0, 0.5, 1.37, 2.5, 3.5):
-        levels = _word_levels(spec, horizon, s)
+        levels = _word_levels(spec, horizon, s, cache)
         got = engine.net_measure_series(s, windows, budget)
         for (k, K), item in zip(windows, got):
             assert item is not None
             want = _reference_net_measure(spec, levels, k, K)
-            assert abs(item - want) <= 1e-12 * max(1.0, abs(want)), (s, k, K)
+            assert abs(item - want) <= tol * max(1.0, abs(want)), (s, k, K)
 
 
 def test_generic_net_measure_series_matches_full_depth_dp():
@@ -464,11 +467,8 @@ def _all_bucket_schedule_sums(engine, s, log_eps_list, node_budget):
     buckets = [[] for _ in le]
 
     def visit(depth, logs, la, parent_la, count):
-        n = engine.spec.branch_count(depth)
-        pa = np.repeat(parent_la, n)
-        terms = log_phi_from_logs(logs, s)
-        if count is not None:
-            terms += np.repeat([math.log(c) for c in count], n)
+        pa = np.repeat(parent_la, engine._arity(depth))
+        terms = log_phi_from_logs(logs, s) + _log_counts(count)
         for i, eps_i in enumerate(le):
             mask = (la <= eps_i + _STOP_SNAP) & (pa > eps_i + _STOP_SNAP)
             if np.any(mask):
@@ -498,6 +498,24 @@ def test_live_buckets_match_all_bucket_reference():
 # ---------------------------------------------------------------------------
 # the composition lattice against the word walk on the same systems
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("M", [2, 3, 4, 5])
+def test_lattice_levels_are_in_row_sort_order(M):
+    """The closed-form ranks put each level's classes, and each class's
+    children, where a lexicographic row sort of the children puts them."""
+    maps = tuple(Matrix(np.diag([0.1 + 0.05 * j, 0.4 - 0.05 * j])) for j in range(M))
+    spec = SystemSpec(2, Schedule("constant", (LevelSpec(M, maps),)),
+                      TranslationScheme("explicit", table={}),
+                      Box(np.zeros(2), np.ones(2)))
+    engine = DiagonalEngine(spec)
+    comps = np.zeros((1, M), dtype=np.int64)
+    for t in range(12):
+        children = np.repeat(comps, M, axis=0) + np.tile(np.eye(M, dtype=np.int64),
+                                                         (comps.shape[0], 1))
+        comps, inverse = np.unique(children, axis=0, return_inverse=True)
+        assert np.array_equal(engine.child_rows(t), inverse.reshape(-1, M))
+    assert np.array_equal(engine._comps, comps)
+
 
 def _prefix_counts(spec, s, epsilon):
     """(distinct nonempty prefixes, distinct choice-count vectors of them) of
@@ -563,3 +581,108 @@ def test_net_measure_horizon_is_the_deepest_window_that_fits(name):
         assert None not in got[:2] and got[2:] == [None, None]
         built = engine._tree_logs if name == "example_5_3" else engine._logs[1:]
         assert len(built) == K
+
+
+# ---------------------------------------------------------------------------
+# the generic walker's classes over each level's distinct maps
+# ---------------------------------------------------------------------------
+
+class _WordEngine(GenericEngine):
+    """The generic walker with every map its own class: one class per word,
+    the unmerged reference for levels that repeat a map."""
+
+    def _level_maps(self, k):
+        maps = self.spec.level(k).maps
+        return (np.stack([m.entries for m in maps]),
+                np.array([math.log(abs(m.det())) for m in maps]),
+                np.ones(len(maps), dtype=np.int64))
+
+
+# which of a level's distinct maps each branch takes: every pattern but the
+# last two repeats a map, fully or in part
+REPEAT_PATTERNS = ((0, 0), (0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 0), (0, 1), (0, 1, 2))
+
+
+def _repeating_system(d, patterns, seed):
+    """A periodic system with one level per pattern; level j's branch i takes
+    its distinct map patterns[j][i].  Every map has singular values in
+    [0.1, 0.5], so every word stops by depth 6 at epsilon 0.02."""
+    rng = np.random.default_rng(seed)
+    levels = []
+    for pattern in patterns:
+        maps = [_map_with_svs(rng, d, 0.1, 0.5) for _ in range(max(pattern) + 1)]
+        levels.append(LevelSpec(len(pattern), tuple(maps[i] for i in pattern)))
+    return SystemSpec(d, Schedule("periodic", tuple(levels)),
+                      TranslationScheme("explicit", table={}),
+                      Box(np.zeros(d), np.ones(d)))
+
+
+def test_merged_classes_match_the_word_tree_on_repeating_systems():
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+
+    windows = [(1, 6), (1, 1), (2, 5), (3, 6), (6, 6)]
+
+    @settings(max_examples=40)
+    @given(st.builds(_repeating_system, st.sampled_from([1, 2, 3]),
+                     st.lists(st.sampled_from(REPEAT_PATTERNS), min_size=2, max_size=3),
+                     st.integers(0, 2 ** 32 - 1)),
+           st.sampled_from(GEN_S), st.booleans())
+    def check(spec, s, keep_tree):
+        assume(any(len(set(lvl.maps)) < lvl.branch_count for lvl in spec.schedule.levels))
+        merged, words = GenericEngine(spec), _WordEngine(spec)
+        if keep_tree:
+            merged.level_log_sums(1.0, [KEPT_DEPTH])
+        # the windows against the per-word DP; the tree through depth 6 holds
+        # at most 1,093 words
+        _check_net_measure_series(spec, 20_000, windows, engine=merged, tol=1e-10)
+        log_eps = [math.log(e) for e in GEN_EPS]
+        walker = [list(iter_cutset_words(spec, s, e)) for e in GEN_EPS]
+        sums, complete, _ = merged.schedule_log_sums(s, log_eps, 20_000)
+        assert complete == [True] * len(GEN_EPS)
+        for got, cut in zip(sums, walker):
+            want = math.log(math.fsum(math.exp(lp) for _, lp in cut))
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+        for le, cut in zip(log_eps, walker):
+            groups, truncated, _ = merged.cutset_groups(s, le, 20_000)
+            assert not truncated and sum(g.count for g in groups) == len(cut)
+        # the walks pay the words of the unmerged walk, also when a budget cuts them short
+        for budget in _walk_budgets(spec):
+            got = merged.schedule_log_sums(s, log_eps, budget)
+            want = words.schedule_log_sums(s, log_eps, budget)
+            assert got[1:] == want[1:]
+            for le in log_eps[::2]:
+                (g_m, cut_m, nodes_m), (g_w, cut_w, nodes_w) = (
+                    engine.cutset_groups(s, le, budget) for engine in (merged, words))
+                assert (cut_m, nodes_m) == (cut_w, nodes_w)
+                assert sum(g.count for g in g_m) == len(g_w)
+
+    check()
+
+
+def test_merged_word_counts_stay_exact_past_int64():
+    # one level of 100 copies of a shear and one other shear: a class with
+    # j copies among its t maps stands for 100^j words, past 2^63 by depth 10
+    a = Matrix.from_rows([[0.5, 0.1], [0.0, 0.5]])
+    b = Matrix.from_rows([[0.5, 0.0], [0.1, 0.5]])
+    spec = SystemSpec(2, Schedule("constant", (LevelSpec(101, (a,) * 100 + (b,)),)),
+                      TranslationScheme("explicit", table={}),
+                      Box(np.zeros(2), np.ones(2)))
+    s, eps = 1.5, 8e-4
+    c = cutset(spec, s, eps, node_budget=2 ** 70)
+    assert isinstance(make_engine(spec), GenericEngine) and not c.truncated
+    # the reference: the class tree over {a, b}, from plain products, in exact integers
+    m, want, nodes = branch_index(s, 2), 0, 0
+    stack = [(np.eye(2), 1)]
+    while stack:
+        prod, count = stack.pop()
+        nodes += 101 * count
+        for mat, mult in ((a, 100), (b, 1)):
+            child = prod @ mat.entries
+            if np.linalg.svd(child, compute_uv=False)[m - 1] <= eps:
+                want += count * mult
+            else:
+                stack.append((child, count * mult))
+    assert want > 2 ** 63
+    assert c.word_count() == want
+    assert c.node_budget_used == nodes
