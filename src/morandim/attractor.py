@@ -66,7 +66,7 @@ class BoxCountCurve:
 
 def _sup_norm(spec: SystemSpec) -> float:
     """sup of op norms over the schedule; defined even for singular maps."""
-    return max(op_norm(m) for lvl in spec.schedule.distinct_levels() for m in lvl.maps)
+    return max(op_norm(m) for lvl in spec.schedule.levels for m in lvl.maps)
 
 
 def _translation_arrays(spec: SystemSpec, codes: np.ndarray, seed: int):
@@ -294,7 +294,7 @@ def default_scales(spec: SystemSpec, depth: int, max_scales: int = 8) -> list:
     """
     floor_eps = 2.0 * (_sup_norm(spec) ** depth) * spec.seed_region.diameter
     ternary = True
-    for lvl in spec.schedule.distinct_levels():
+    for lvl in spec.schedule.levels:
         for m in lvl.maps:
             try:
                 logs = log_singular_values(m)
@@ -305,20 +305,11 @@ def default_scales(spec: SystemSpec, depth: int, max_scales: int = 8) -> list:
                 ratio = lv / math.log(1.0 / 3.0)
                 if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
                     ternary = False
-    if ternary:
-        ts = []
-        t = 2
-        while 3.0 ** (-t) >= floor_eps:
-            ts.append(t)
-            t += 2
-        scales = [3.0 ** (-t) for t in ts]
-    else:
-        ts = []
-        t = 3
-        while 2.0 ** (-t) >= floor_eps:
-            ts.append(t)
-            t += 1
-        scales = [2.0 ** (-t) for t in ts]
+    base, t, step = (3.0, 2, 2) if ternary else (2.0, 3, 1)
+    scales = []
+    while base ** (-t) >= floor_eps:
+        scales.append(base ** (-t))
+        t += step
     if len(scales) < 2:
         raise ValueError("depth too shallow for a scale range above the resolution")
     return scales[:max_scales]

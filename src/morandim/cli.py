@@ -122,7 +122,7 @@ def cmd_dims(args) -> int:
     """Run the ``--which`` estimators one after another and print their
     reports in ``--which`` order.
 
-    s* and s_A share one engine, built once the system passes validation.
+    s* and s_A share one engine; building it validates the system, once.
     s_A runs first, so the pruned walks of s* read the level tree it keeps.
     Each estimator runs once, and errors are raised in ``--which`` order, as
     if each estimator had run alone.
@@ -135,9 +135,7 @@ def cmd_dims(args) -> int:
     def run(name):
         nonlocal engine
         if name in ("sstar", "sa") and engine is None:
-            for finding in validate(spec):  # no engine for a system that breaks an invariant
-                finding.raise_if_invariant()
-            engine = dims.make_engine(spec)
+            engine = dims.make_engine(spec)  # validates: no engine for a broken invariant
         if name == "sstar":
             return [estimate_sstar(spec, tol=tol, node_budget=budget, engine=engine)]
         if name == "sa":

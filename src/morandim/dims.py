@@ -1,14 +1,23 @@
 """Critical-value estimators over the level tree.
 
-The limit quantities are replaced by trend classification over explicit
-epsilon / depth schedules.  For a candidate exponent s the cut-set cost
-series is classified "above the critical value" when its global maximum
-sits in the first third of the schedule (the limsup evidence dies out) and
-"below" when it sits later (new records keep forming); net-measure series
-mirror this with running minima.  Bisection then pins the classification
-boundary.  Every report carries the schedule, thresholds, and per-probe
-trace that produced it, and a run that cannot classify consistently returns
-an IndeterminateTrend report with the widest bracket instead of an estimate.
+Every critical value here is where a quantity decreasing in s crosses a
+threshold, and one bisection, ``_bisect``, finds them all.  It asks a
+classifier whether a probe s lies above or below the critical value; each
+classifier records its own evidence in the report's trace.
+
+* s* and s_A replace their limits by trend classification over explicit
+  epsilon / depth schedules.  The cut-set cost series at s is "above" when
+  its global maximum sits in the first third of the schedule (the limsup
+  evidence dies out) and "below" when it sits later (new records keep
+  forming); net-measure series mirror this with running minima.  A run that
+  cannot classify consistently gets no estimate, flagged
+  ``indeterminate_trend``, with the widest bracket.
+* The stationary pressure root and the Moran product-equation roots classify
+  by the sign of their decreasing function: below while it is positive.
+
+The search doubles its upper end while the probe there is below, up to 64.
+A critical value above that gets no estimate, flagged
+``upper_endpoint_below``, whichever estimator asked.
 """
 from __future__ import annotations
 
@@ -26,7 +35,6 @@ from .system import (
     SystemSpec,
     TranslationScheme,
     alpha_bounds,
-    validate,
 )
 
 # Recorded in every report's schedule; no class depends on them.
@@ -104,23 +112,21 @@ def _check_soundness(probes) -> bool:
     return not belows or not aboves or max(belows) < min(aboves)
 
 
-def _check_tol(tol: float) -> None:
-    # Any such tol ends the bisections: they also stop once the midpoint leaves (lo, hi).
+def _bisect(classify, lo: float, hi: float, tol: float):
+    """Bisection with three-way probes; returns (estimate, bracket, flags).
+
+    ``classify(s)`` returns ABOVE, BELOW or INDETERMINATE.  The upper end
+    doubles while it classifies below; at 64 the search gives up with no
+    estimate, flagged ``upper_endpoint_below``.
+    """
+    # Any such tol ends the search: it also stops once the midpoint leaves (lo, hi).
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-
-
-def _bisect(classify, lo: float, hi: float, tol: float, trace: list):
-    """Bisection with three-way probes; returns (estimate, bracket, flags)."""
-    _check_tol(tol)
-    flags = []
     probes = []
 
     def probe(s):
         c = classify(s)
         probes.append((s, c))
-        trace.append({"s": s, "class": {ABOVE: "above", BELOW: "below",
-                                        INDETERMINATE: "indeterminate"}[c]})
         return c
 
     # Extend hi while everything up there still classifies below.
@@ -130,8 +136,7 @@ def _bisect(classify, lo: float, hi: float, tol: float, trace: list):
         hi = hi * 2.0
         top = probe(hi)
     if top == BELOW:
-        flags.append("upper_endpoint_below")
-        return None, (lo, hi), flags
+        return None, (lo, hi), ["upper_endpoint_below"]
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -151,22 +156,41 @@ def _bisect(classify, lo: float, hi: float, tol: float, trace: list):
         elif c == ABOVE:
             hi = mid
         else:
-            flags.append("indeterminate_trend")
-            return None, (lo, hi), flags
+            return None, (lo, hi), ["indeterminate_trend"]
 
     if not _check_soundness(probes):
-        flags.append("indeterminate_trend")
-        flags.append("classification_not_monotone")
-        return None, (lo, hi), flags
-    return 0.5 * (lo + hi), (lo, hi), flags
+        return None, (lo, hi), ["indeterminate_trend", "classification_not_monotone"]
+    return 0.5 * (lo + hi), (lo, hi), []
 
 
-def _finding_flags(spec: SystemSpec) -> list:
-    out = []
-    for f in validate(spec):
-        f.raise_if_invariant()
-        out.append(f"{f.severity}:{f.code}")
-    return out
+def _sign_class(value: float) -> int:
+    """Class of a probe from a function that decreases in s through zero at the root."""
+    return BELOW if value > 0.0 else ABOVE
+
+
+_CLASS_NAMES = {ABOVE: "above", BELOW: "below", INDETERMINATE: "indeterminate"}
+
+
+def _trend_estimate(quantity: str, rule, xs, series, schedule: dict, spec: SystemSpec,
+                    engine, tol: float, node_budget: int) -> DimensionReport:
+    """Bisect on the trend ``rule`` of ``series(s)``, one log value per point
+    of ``xs`` or None where the node budget cut it, and build the report."""
+    trace = []
+    truncated = False
+
+    def classify(s):
+        nonlocal truncated
+        kept = [(x, v) for x, v in zip(xs, series(s)) if v is not None]
+        truncated = truncated or len(kept) < len(xs)
+        c = rule([x for x, _ in kept], [v for _, v in kept])
+        trace.append({"s": s, "class": _CLASS_NAMES[c]})
+        return c
+
+    est, bracket, flags = _bisect(classify, 0.0, spec.dim + 1.0, tol)
+    flags = list(engine.flags) + flags + (["budget_truncated"] if truncated else [])
+    schedule = {**schedule, "theta_low": THETA_LOW, "theta_high": THETA_HIGH,
+                "node_budget": node_budget, "engine": engine.kind}
+    return DimensionReport(quantity, est, bracket, schedule, flags, trace)
 
 
 def default_eps_log_schedule(spec: SystemSpec, engine_kind: str) -> list:
@@ -187,7 +211,6 @@ def estimate_sstar(spec: SystemSpec, tol: float = 0.02, eps_schedule=None,
     trees than the generic walker).  ``engine`` is ``make_engine(spec)``,
     built here when not given.
     """
-    flags = _finding_flags(spec)
     if engine is None:
         engine = make_engine(spec)
     if eps_schedule is not None:
@@ -196,31 +219,14 @@ def estimate_sstar(spec: SystemSpec, tol: float = 0.02, eps_schedule=None,
             raise ValueError("eps_schedule must be strictly decreasing")
     else:
         log_eps = default_eps_log_schedule(spec, engine.kind)
-    xs_all = [-le for le in log_eps]
-    trace = []
-    saw_truncation = []
 
-    def classify(s):
+    def series(s):
         sums, complete, _ = engine.schedule_log_sums(s, log_eps, node_budget)
-        if not all(complete):
-            saw_truncation.append(True)
-        xs = [x for x, ok in zip(xs_all, complete) if ok]
-        vals = [v for v, ok in zip(sums, complete) if ok]
-        return _classify_limsup(xs, vals)
+        return [v if ok else None for v, ok in zip(sums, complete)]
 
-    est, bracket, bflags = _bisect(classify, 0.0, spec.dim + 1.0, tol, trace)
-    flags += bflags
-    if saw_truncation:
-        flags.append("budget_truncated")
-    schedule = {
-        "kind": "geometric_eps",
-        "log_eps": [float(v) for v in log_eps],
-        "theta_low": THETA_LOW,
-        "theta_high": THETA_HIGH,
-        "node_budget": node_budget,
-        "engine": engine.kind,
-    }
-    return DimensionReport("s_star", est, bracket, schedule, flags, trace)
+    schedule = {"kind": "geometric_eps", "log_eps": [float(v) for v in log_eps]}
+    return _trend_estimate("s_star", _classify_limsup, [-le for le in log_eps], series,
+                           schedule, spec, engine, tol, node_budget)
 
 
 def net_measure(spec: SystemSpec, s: float, k: int, K: int,
@@ -265,64 +271,20 @@ def estimate_sA(spec: SystemSpec, tol: float = 0.02, depth_schedule=None,
     generic engine.  ``engine`` is ``make_engine(spec)``, built here when
     not given.
     """
-    flags = _finding_flags(spec)
     if engine is None:
         engine = make_engine(spec)
     if depth_schedule is None:
         depth_schedule = default_depth_schedule(spec, engine, node_budget)
     if not depth_schedule:
         raise BudgetExceeded(f"no net-measure depth window fits the node budget {node_budget}")
-    trace = []
-    saw_truncation = []
 
-    def classify(s):
-        xs, vals = [], []
-        series = engine.net_measure_series(s, depth_schedule, node_budget)
-        for (k, _), log_v in zip(depth_schedule, series):
-            if log_v is None:
-                saw_truncation.append(True)
-                continue
-            xs.append(float(k))
-            vals.append(log_v)
-        return _classify_liminf(xs, vals)
+    def series(s):
+        return engine.net_measure_series(s, depth_schedule, node_budget)
 
-    est, bracket, bflags = _bisect(classify, 0.0, spec.dim + 1.0, tol, trace)
-    flags += bflags
-    if saw_truncation:
-        flags.append("budget_truncated")
-    schedule = {
-        "kind": "depth_windows",
-        "windows": [[int(k), int(K)] for k, K in depth_schedule],
-        "theta_low": THETA_LOW,
-        "theta_high": THETA_HIGH,
-        "node_budget": node_budget,
-        "engine": engine.kind,
-    }
-    return DimensionReport("s_A", est, bracket, schedule, flags, trace)
-
-
-def _decreasing_root(f, hi: float, tol: float, trace=None):
-    """Bracket (lo, hi) of width <= tol around the zero of a decreasing f.
-
-    The search starts on [0, hi] and doubles hi (up to 64) while f(hi) > 0.
-    Bisection probes go to ``trace`` as {"s", "log_p"} entries when given.
-    """
-    _check_tol(tol)
-    lo = 0.0
-    while f(hi) > 0.0 and hi < 64.0:
-        lo, hi = hi, hi * 2.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        v = f(mid)
-        if trace is not None:
-            trace.append({"s": mid, "log_p": v})
-        if v > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    schedule = {"kind": "depth_windows",
+                "windows": [[int(k), int(K)] for k, K in depth_schedule]}
+    return _trend_estimate("s_A", _classify_liminf, [float(k) for k, _ in depth_schedule],
+                           series, schedule, spec, engine, tol, node_budget)
 
 
 def _stationary_spec(level: LevelSpec) -> SystemSpec:
@@ -347,9 +309,7 @@ def pressure_root(level: LevelSpec, tol: float = 1e-7, max_depth: int | None = N
     """
     if level.branch_count < 2:
         raise InapplicableEstimator("pressure root needs at least 2 maps")
-    spec = _stationary_spec(level)
-    flags = _finding_flags(spec)
-    engine = make_engine(spec)
+    engine = make_engine(_stationary_spec(level))
     k2 = engine.max_depth_within(node_budget, 96) if max_depth is None else max_depth
     if k2 < 2:
         raise BudgetExceeded(f"pressure depths need k2 >= 2; the node budget {node_budget} "
@@ -357,13 +317,16 @@ def pressure_root(level: LevelSpec, tol: float = 1e-7, max_depth: int | None = N
     k1 = k2 // 2
     trace = []
 
-    def log_p(s):
+    def classify(s):
         s1, s2 = engine.level_log_sums(s, (k1, k2))
-        return (s2 - s1) / (k2 - k1)
+        log_p = (s2 - s1) / (k2 - k1)
+        trace.append({"s": s, "log_p": log_p})
+        return _sign_class(log_p)
 
-    lo, hi = _decreasing_root(log_p, level.dim + 1.0, tol, trace)
+    est, bracket, flags = _bisect(classify, 0.0, level.dim + 1.0, tol)
     schedule = {"kind": "pressure_ratio", "depths": [k1, k2], "engine": engine.kind}
-    return DimensionReport("falconer", 0.5 * (lo + hi), (lo, hi), schedule, flags, trace)
+    return DimensionReport("falconer", est, bracket, schedule, list(engine.flags) + flags,
+                           trace)
 
 
 def _scalar_ratios(spec: SystemSpec) -> dict:
@@ -373,7 +336,7 @@ def _scalar_ratios(spec: SystemSpec) -> dict:
     not scalar.
     """
     ratios = {}
-    for idx, lvl in enumerate(spec.schedule.distinct_levels()):
+    for idx, lvl in enumerate(spec.schedule.levels):
         for j, m in enumerate(lvl.maps):
             if not m.is_scalar():
                 raise InapplicableEstimator(
@@ -384,20 +347,20 @@ def _scalar_ratios(spec: SystemSpec) -> dict:
     return ratios
 
 
-def _moran_root(spec: SystemSpec, ratios: dict, occ: dict) -> float:
-    """Root d of prod_i sum_j c_ij^d = 1, level i taken occ[i] times."""
-    def f(dd):
-        return math.fsum(
+def _moran_root(spec: SystemSpec, ratios: dict, occ: dict) -> float | None:
+    """Root d of prod_i sum_j c_ij^d = 1, level i taken occ[i] times; None above 64."""
+    def classify(dd):
+        return _sign_class(math.fsum(
             cnt * math.log(math.fsum(c ** dd for c in ratios[idx]))
             for idx, cnt in occ.items()
-        )
+        ))
 
-    lo, hi = _decreasing_root(f, spec.dim + 1.0, 1e-12)
-    return 0.5 * (lo + hi)
+    return _bisect(classify, 0.0, spec.dim + 1.0, 1e-12)[0]
 
 
-def moran_dk(spec: SystemSpec, k: int) -> float:
-    """Unique root of prod_{i<=k} sum_j c_ij^d = 1 for scalar systems."""
+def moran_dk(spec: SystemSpec, k: int) -> float | None:
+    """Unique root of prod_{i<=k} sum_j c_ij^d = 1 for scalar systems, or
+    None when it lies above 64."""
     if k < 1:
         raise ValueError("k must be >= 1")
     ratios = _scalar_ratios(spec)
@@ -412,7 +375,9 @@ def moran_dims(spec: SystemSpec, k_max: int = 200):
     """Tail extrema of the per-depth roots d_k; returns (d_lower, d_upper) reports.
 
     d_lower takes the min over the tail window [k_max/2, k_max], d_upper the
-    max; the full d_k trace rides along in both reports.
+    max; the full d_k trace rides along in both reports.  A d_k above 64 is
+    None, and one in the window leaves both reports without an estimate or
+    bracket, flagged ``upper_endpoint_below``.
     """
     ratios = _scalar_ratios(spec)
     occ = {}
@@ -427,6 +392,10 @@ def moran_dims(spec: SystemSpec, k_max: int = 200):
     w0 = max(0, k_max // 2 - 1)
     window = d_ks[w0:]
     schedule = {"kind": "moran_trace", "k_max": k_max, "window_start": w0 + 1}
+    if None in window:
+        return tuple(DimensionReport(q, None, (None, None), schedule,
+                                     ["upper_endpoint_below"], trace)
+                     for q in ("moran_lower", "moran_upper"))
     lower = DimensionReport("moran_lower", min(window), (min(window), min(window)),
                             schedule, [], trace)
     upper = DimensionReport("moran_upper", max(window), (max(window), max(window)),

@@ -696,13 +696,26 @@ class GenericEngine(_ClassTree):
 
 
 def make_engine(spec: SystemSpec):
-    """Pick the cheapest sound engine for this system."""
-    levels = spec.schedule.distinct_levels()
+    """Validate the system and pick the cheapest sound engine for it.
+
+    Every engine the estimators and ``cutset`` use comes from here, so this
+    is where a system is validated: a contraction or nonsingularity finding
+    is raised, and ``engine.flags`` lists every finding as the
+    ``severity:code`` strings that reports carry.
+    """
+    flags = []
+    for finding in validate(spec):
+        finding.raise_if_invariant()
+        flags.append(f"{finding.severity}:{finding.code}")
+    levels = spec.schedule.levels
     if all(lvl.maps_all_identical() for lvl in levels):
-        return UniformEngine(spec)
-    if spec.schedule.kind == "constant" and levels[0].maps_all_diagonal():
-        return DiagonalEngine(spec)
-    return GenericEngine(spec)
+        engine = UniformEngine(spec)
+    elif spec.schedule.kind == "constant" and levels[0].maps_all_diagonal():
+        engine = DiagonalEngine(spec)
+    else:
+        engine = GenericEngine(spec)
+    engine.flags = flags
+    return engine
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +830,6 @@ def cutset(spec: SystemSpec, s: float, epsilon: float,
         raise ValueError("cut-sets need s > 0")
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
-    for finding in validate(spec):
-        finding.raise_if_invariant()
     engine = make_engine(spec)
     m = branch_index(s, spec.dim)
     groups, truncated, nodes = engine.cutset_groups(s, math.log(epsilon), node_budget)

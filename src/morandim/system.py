@@ -113,9 +113,6 @@ class Schedule:
     def level(self, k: int) -> LevelSpec:
         return self.levels[self.level_index(k)]
 
-    def distinct_levels(self) -> tuple:
-        return self.levels
-
 
 @dataclass(frozen=True)
 class Box:
@@ -205,7 +202,7 @@ def alpha_bounds(spec: SystemSpec) -> AlphaBounds:
     """sup alpha_1 and inf alpha_d over the finitely many distinct levels."""
     plus = 0.0
     minus = math.inf
-    for lvl in spec.schedule.distinct_levels():
+    for lvl in spec.schedule.levels:
         for m in lvl.maps:
             plus = max(plus, op_norm(m))
             sv = singular_values(m)
@@ -223,7 +220,7 @@ def validate(spec: SystemSpec) -> list:
     set diameters that is sharp for the axis-aligned systems shipped here.
     """
     findings = []
-    levels = spec.schedule.distinct_levels()
+    levels = spec.schedule.levels
     sup_norm = 0.0
     for idx, lvl in enumerate(levels):
         for j, m in enumerate(lvl.maps):

@@ -567,6 +567,47 @@ def test_generic_dims_reports_match_the_golden_bytes(capsys, budget):
     assert out == want
 
 
+@pytest.mark.parametrize("fixture,which", [("scalar_blocks", "moran"),
+                                           ("similarity_pair", "falconer")])
+def test_root_reports_match_the_golden_bytes(capsys, fixture, which):
+    # the falconer trace lists every probe, the first at s = d + 1
+    code, out, err, _ = _main(capsys, "dims", "--fixture", fixture, "--which", which)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / f"dims_{fixture}_{which}.txt").read_text()
+
+
+@pytest.mark.parametrize("which,quantities", [("falconer", ["falconer"]),
+                                              ("moran", ["moran_lower", "moran_upper"])])
+def test_a_root_above_64_exits_3_with_null_estimates(tmp_path, capsys, which, quantities):
+    # two copies of 0.99: every root is log 2 / -log 0.99 = 68.97
+    config = _config(tmp_path, "middle_thirds", [
+        {"branch_count": 2, "maps": [[[0.99]], [[0.99]]], "digits": [[0.0], [0.01]]}])
+    code, out, err, _ = _main(capsys, "dims", config, "--which", which)
+    assert code == 3 and err == ""
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [rep["quantity"] for rep in reports] == quantities
+    for rep in reports:
+        assert rep["estimate"] is None and "upper_endpoint_below" in rep["flags"]
+
+
+def test_a_dims_job_validates_once(monkeypatch, capsys):
+    import morandim.dims as dims
+    import morandim.symbolic as symbolic
+    from morandim.system import validate
+
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return validate(spec)
+
+    for module in (cli, dims, symbolic):
+        monkeypatch.setattr(module, "validate", counted, raising=False)
+    code, _, err, _ = _main(capsys, "dims", "--fixture", "example_5_4", "--which", "sstar,sa")
+    assert code == 0 and err == ""
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("which", ["sstar", "sa", "sstar,sa", "sa,sstar"])
 def test_dims_on_a_singular_system_is_inapplicable(capsys, which):
     code, out, err, _ = _main(capsys, "dims", "--fixture", "example_5_2", "--which", which)

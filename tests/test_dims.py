@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from morandim.dims import (
+    _bisect,
     _classify_liminf,
     _classify_limsup,
-    _decreasing_root,
+    _sign_class,
     ABOVE,
     BELOW,
     INDETERMINATE,
@@ -111,6 +112,11 @@ def test_net_measure_monotonicity():
 def test_net_measure_argument_check():
     with pytest.raises(ValueError):
         net_measure(fixture("middle_thirds"), 1.0, 3, 2)
+
+
+def test_net_measure_raises_on_singular_system():
+    with pytest.raises(NonsingularityViolated):
+        net_measure(fixture("example_5_2"), 1.0, 1, 3)
 
 
 @pytest.mark.parametrize("name,kind,budget", [
@@ -221,6 +227,27 @@ def test_moran_dims_kmax_one():
     assert lower.estimate == upper.estimate == pytest.approx(0.5, abs=1e-9)
 
 
+def test_moran_dims_null_when_a_root_in_the_window_is_above_64():
+    # d_1 = log 2 / -log 0.99 = 68.97; once the 0.1 level joins, d_k drops below 1
+    near_one = LevelSpec(2, (Matrix.diagonal([0.99]),) * 2)
+    small = LevelSpec(2, (Matrix.diagonal([0.1]),) * 2)
+    spec = SystemSpec(1, Schedule("periodic", (near_one, small)),
+                      TranslationScheme("explicit", table={}),
+                      Box(np.zeros(1), np.ones(1)))
+    assert moran_dk(spec, 1) is None
+    d_2 = 2 * math.log(2) / -(math.log(0.99) + math.log(0.1))
+    assert moran_dk(spec, 2) == pytest.approx(d_2, abs=1e-9)
+    for k_max in (1, 2):  # window starts at d_1
+        reports = moran_dims(spec, k_max=k_max)
+        assert [r.trace[0]["d_k"] for r in reports] == [None, None]
+        for rep in reports:
+            assert rep.estimate is None and rep.flags == ["upper_endpoint_below"]
+    lower, upper = moran_dims(spec, k_max=4)  # window d_2..d_4
+    assert lower.trace[0]["d_k"] is None
+    assert lower.estimate == pytest.approx(d_2, abs=1e-9) and upper.estimate < 1.0
+    assert lower.flags == upper.flags == []
+
+
 # ---------------------------------------------------------------------------
 # trend classification and the critical-value estimators
 # ---------------------------------------------------------------------------
@@ -298,6 +325,20 @@ def test_bisection_soundness_recorded_in_trace():
     assert max(belows) < min(aboves)
 
 
+def test_reports_of_one_engine_do_not_share_a_flags_list():
+    spec = fixture("example_5_1")  # a DiameterNotVanishing finding in both reports
+    engine = make_engine(spec)
+    finding_flags = list(engine.flags)
+    sa = estimate_sA(spec, engine=engine)
+    ss = estimate_sstar(spec, engine=engine)
+    assert "error:DiameterNotVanishing" in finding_flags
+    assert ss.flags[:len(finding_flags)] == sa.flags[:len(finding_flags)] == finding_flags
+    assert ss.flags is not sa.flags
+    assert engine.flags == finding_flags
+    ss.flags.append("x")
+    assert "x" not in sa.flags and "x" not in engine.flags
+
+
 def test_estimator_budget_truncation_flagged():
     rep = estimate_sstar(fixture("example_5_3"), node_budget=2_000)
     assert rep.estimate is None or "budget_truncated" in rep.flags or rep.estimate > 0
@@ -323,11 +364,76 @@ def test_estimators_reject_a_tol_that_is_not_finite_and_positive(tol):
 
 
 def test_tiny_tol_stops_when_the_bracket_cannot_split():
-    lo, hi = _decreasing_root(lambda s: 0.3 - s, 1.0, 1e-300)
+    est, (lo, hi), flags = _bisect(lambda s: _sign_class(0.3 - s), 0.0, 1.0, 1e-300)
     assert lo < 0.3 <= hi and 0.5 * (lo + hi) in (lo, hi)  # no float strictly inside
+    assert est == 0.5 * (lo + hi) and flags == []
     mt = fixture("middle_thirds")
     rep = estimate_sstar(mt, tol=1e-300)
     assert len(rep.trace) < 80
     assert rep.bracket[0] <= math.log(2) / math.log(3) <= rep.bracket[1]
     root = pressure_root(mt.schedule.levels[0], tol=1e-300)
     assert abs(root.estimate - math.log(2) / math.log(3)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# one bisection for every critical value
+# ---------------------------------------------------------------------------
+
+def _reference_decreasing_root(f, hi, tol):
+    """The pressure and Moran bisection this package used to run on its own.
+
+    Bracket (lo, hi) around the zero of a decreasing f on [0, hi], doubling
+    hi while f(hi) > 0 up to 64, and bisecting whatever bracket that leaves.
+    """
+    lo = 0.0
+    while f(hi) > 0.0 and hi < 64.0:
+        lo, hi = hi, hi * 2.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _linear(root, slope):
+    return lambda s: slope * (root - s)
+
+
+def _log_sum(ratios):
+    """log sum_j c_j^s, decreasing through zero at the similarity dimension."""
+    return lambda s: math.log(math.fsum(c ** s for c in ratios))
+
+
+def test_bisect_with_the_sign_class_matches_the_reference_root():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, strategies as st
+
+    decreasing = st.one_of(
+        st.builds(_linear, st.floats(1e-3, 200.0), st.floats(1e-3, 1e3)),
+        st.builds(_log_sum, st.lists(st.floats(0.01, 0.999), min_size=2, max_size=5)),
+    )
+
+    @given(decreasing, st.floats(0.5, 8.0), st.sampled_from([1e-2, 1e-7, 1e-12, 1e-300]))
+    def check(f, hi, tol):
+        lo_ref, hi_ref = _reference_decreasing_root(f, hi, tol)
+        est, bracket, flags = _bisect(lambda s: _sign_class(f(s)), 0.0, hi, tol)
+        if f(hi_ref) <= 0.0:  # the doubling reached the root
+            assert bracket == (lo_ref, hi_ref) and flags == []
+            assert est == 0.5 * (lo_ref + hi_ref)
+        else:  # the root lies above the last doubling, which reached 64
+            assert hi_ref >= 64.0
+            assert est is None and flags == ["upper_endpoint_below"]
+        if f(64.0) <= 0.0:  # a root at or below 64 is always found
+            assert est is not None
+
+    check()
+
+
+def test_pressure_root_above_64_is_flagged():
+    rep = pressure_root(LevelSpec(2, (Matrix.diagonal([0.99]),) * 2))  # root 68.97
+    assert rep.estimate is None and "upper_endpoint_below" in rep.flags
+    assert rep.trace[0]["s"] == 2.0 and rep.trace[0]["log_p"] > 0.0  # the first probe: d + 1
