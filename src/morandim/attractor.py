@@ -33,6 +33,9 @@ _GRID_SNAP = 1e-9
 _INT64_LIMIT = 2 ** 63
 # Share of the sample size above which a random-codes box count is saturated.
 SATURATION_FRACTION = 0.1
+# Most default scales offered, and fewest kept before saturation may stop them.
+_MAX_SCALES = 8
+_MIN_SCALES = 4
 
 
 @dataclass
@@ -259,11 +262,10 @@ def _counted(cloud: PointCloud, epsilon: float) -> int:
     return cloud.box_counts[epsilon]
 
 
-def saturated(cloud: PointCloud, count: int,
-              saturation_fraction: float = SATURATION_FRACTION) -> bool:
+def saturated(cloud: PointCloud, count: int) -> bool:
     """Whether ``count`` occupied cells of a randomly sampled cloud are too many
     for the sample size to resolve; full enumerations never saturate."""
-    return cloud.mode == "random_codes" and count > saturation_fraction * cloud.count
+    return cloud.mode == "random_codes" and count > SATURATION_FRACTION * cloud.count
 
 
 def boxdim_fit(cloud: PointCloud, scales) -> BoxCountCurve:
@@ -284,7 +286,7 @@ def boxdim_fit(cloud: PointCloud, scales) -> BoxCountCurve:
                          intercept=float(intercept), r2=r2)
 
 
-def default_scales(spec: SystemSpec, depth: int, max_scales: int = 8) -> list:
+def default_scales(spec: SystemSpec, depth: int) -> list:
     """Geometric scales above the generation resolution.
 
     Base-3 aligned (even powers, matching the 9x3 block fixtures and making
@@ -312,24 +314,22 @@ def default_scales(spec: SystemSpec, depth: int, max_scales: int = 8) -> list:
         t += step
     if len(scales) < 2:
         raise ValueError("depth too shallow for a scale range above the resolution")
-    return scales[:max_scales]
+    return scales[:_MAX_SCALES]
 
 
-def select_scales(cloud: PointCloud, candidates,
-                  saturation_fraction: float = SATURATION_FRACTION,
-                  min_scales: int = 4) -> list:
+def select_scales(cloud: PointCloud, candidates) -> list:
     """Drop scales whose occupied-cell count saturates the sample size.
 
     For randomly sampled clouds the count at fine scales is capped by the
     number of samples, which flattens the log-log curve; counting stops at
-    the first scale whose occupancy exceeds ``saturation_fraction`` of the
+    the first scale whose occupancy exceeds ``SATURATION_FRACTION`` of the
     cloud.  Full enumerations never saturate and pass through unchanged.
     """
     if cloud.mode != "random_codes":
         return list(candidates)
     kept = []
     for e in sorted(candidates, reverse=True):
-        if saturated(cloud, _counted(cloud, e), saturation_fraction) and len(kept) >= min_scales:
+        if saturated(cloud, _counted(cloud, e)) and len(kept) >= _MIN_SCALES:
             break
         kept.append(e)
     return kept

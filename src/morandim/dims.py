@@ -9,15 +9,16 @@ classifier records its own evidence in the report's trace.
   epsilon / depth schedules.  The cut-set cost series at s is "above" when
   its global maximum sits in the first third of the schedule (the limsup
   evidence dies out) and "below" when it sits later (new records keep
-  forming); net-measure series mirror this with running minima.  A run that
-  cannot classify consistently gets no estimate, flagged
-  ``indeterminate_trend``, with the widest bracket.
+  forming); net-measure series mirror this with running minima.  A probe
+  left indeterminate, with both its nearby alternatives, ends the search
+  with no estimate, flagged ``indeterminate_trend``.
 * The stationary pressure root and the Moran product-equation roots classify
   by the sign of their decreasing function: below while it is positive.
 
 The search doubles its upper end while the probe there is below, up to 64.
 A critical value above that gets no estimate, flagged
-``upper_endpoint_below``, whichever estimator asked.
+``upper_endpoint_below``, whichever estimator asked.  The Moran roots stop
+at depth 10^4: a deeper request raises ``BudgetExceeded``.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, InapplicableEstimator
-from .symbolic import DEFAULT_NODE_BUDGET, make_engine
+from .symbolic import _MAX_CHAIN_DEPTH, DEFAULT_NODE_BUDGET, make_engine
 from .system import (
     Box,
     LevelSpec,
@@ -105,36 +106,24 @@ def _classify_liminf(xs, vals) -> int:
     return -_classify_limsup(xs, -np.asarray(vals, dtype=float))
 
 
-def _check_soundness(probes) -> bool:
-    """Classified-above must be upward closed, classified-below downward."""
-    belows = [s for s, c in probes if c == BELOW]
-    aboves = [s for s, c in probes if c == ABOVE]
-    return not belows or not aboves or max(belows) < min(aboves)
-
-
 def _bisect(classify, lo: float, hi: float, tol: float):
     """Bisection with three-way probes; returns (estimate, bracket, flags).
 
-    ``classify(s)`` returns ABOVE, BELOW or INDETERMINATE.  The upper end
-    doubles while it classifies below; at 64 the search gives up with no
-    estimate, flagged ``upper_endpoint_below``.
+    ``classify(s)`` returns ABOVE, BELOW or INDETERMINATE.  A below probe
+    becomes the lower end and an above probe the upper end, and later probes
+    fall strictly inside, so every below probe ends at or under lo and every
+    above probe at or over hi (save the top probe of a search that gives up
+    at 64).
     """
     # Any such tol ends the search: it also stops once the midpoint leaves (lo, hi).
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    probes = []
-
-    def probe(s):
-        c = classify(s)
-        probes.append((s, c))
-        return c
-
     # Extend hi while everything up there still classifies below.
-    top = probe(hi)
+    top = classify(hi)
     while top == BELOW and hi < 64.0:
         lo = hi
         hi = hi * 2.0
-        top = probe(hi)
+        top = classify(hi)
     if top == BELOW:
         return None, (lo, hi), ["upper_endpoint_below"]
 
@@ -142,12 +131,12 @@ def _bisect(classify, lo: float, hi: float, tol: float):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        c = probe(mid)
+        c = classify(mid)
         if c == INDETERMINATE:
             width = hi - lo
             for alt in (mid - width / 8.0, mid + width / 8.0):
                 if lo < alt < hi:
-                    c = probe(alt)
+                    c = classify(alt)
                     if c != INDETERMINATE:
                         mid = alt
                         break
@@ -157,9 +146,6 @@ def _bisect(classify, lo: float, hi: float, tol: float):
             hi = mid
         else:
             return None, (lo, hi), ["indeterminate_trend"]
-
-    if not _check_soundness(probes):
-        return None, (lo, hi), ["indeterminate_trend", "classification_not_monotone"]
     return 0.5 * (lo + hi), (lo, hi), []
 
 
@@ -297,20 +283,20 @@ def _stationary_spec(level: LevelSpec) -> SystemSpec:
     )
 
 
-def pressure_root(level: LevelSpec, tol: float = 1e-7, max_depth: int | None = None,
+def pressure_root(level: LevelSpec, tol: float = 1e-7,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> DimensionReport:
     """Root of the per-level growth rate p(s) = 1 for one stationary family.
 
     p(s) is estimated by the ratio (S_{k2}/S_{k1})^(1/(k2-k1)) of depth
     sums, which cancels the bounded prefactor; p is strictly decreasing in
-    s, so plain bisection is sound.  By default k2 is 96, or the deepest
-    depth whose class tree, root included, fits ``node_budget``, and k1 is
-    k2 // 2; raises BudgetExceeded when that leaves k2 below 2.
+    s, so plain bisection is sound.  k2 is 96, or the deepest depth whose
+    class tree, root included, fits ``node_budget``, and k1 is k2 // 2;
+    raises BudgetExceeded when that leaves k2 below 2.
     """
     if level.branch_count < 2:
         raise InapplicableEstimator("pressure root needs at least 2 maps")
     engine = make_engine(_stationary_spec(level))
-    k2 = engine.max_depth_within(node_budget, 96) if max_depth is None else max_depth
+    k2 = engine.max_depth_within(node_budget, 96)
     if k2 < 2:
         raise BudgetExceeded(f"pressure depths need k2 >= 2; the node budget {node_budget} "
                              f"gives k2 = {k2}")
@@ -360,9 +346,11 @@ def _moran_root(spec: SystemSpec, ratios: dict, occ: dict) -> float | None:
 
 def moran_dk(spec: SystemSpec, k: int) -> float | None:
     """Unique root of prod_{i<=k} sum_j c_ij^d = 1 for scalar systems, or
-    None when it lies above 64."""
+    None when it lies above 64.  Raises BudgetExceeded for k above 10^4."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > _MAX_CHAIN_DEPTH:
+        raise BudgetExceeded(f"Moran depth {k} exceeds {_MAX_CHAIN_DEPTH}")
     ratios = _scalar_ratios(spec)
     occ = {}
     for i in range(1, k + 1):
@@ -377,8 +365,11 @@ def moran_dims(spec: SystemSpec, k_max: int = 200):
     d_lower takes the min over the tail window [k_max/2, k_max], d_upper the
     max; the full d_k trace rides along in both reports.  A d_k above 64 is
     None, and one in the window leaves both reports without an estimate or
-    bracket, flagged ``upper_endpoint_below``.
+    bracket, flagged ``upper_endpoint_below``.  Raises BudgetExceeded for
+    ``k_max`` above 10^4.
     """
+    if k_max > _MAX_CHAIN_DEPTH:
+        raise BudgetExceeded(f"Moran depth {k_max} exceeds {_MAX_CHAIN_DEPTH}")
     ratios = _scalar_ratios(spec)
     occ = {}
     trace = []

@@ -54,13 +54,12 @@ class Matrix:
     def det(self) -> float:
         return float(np.linalg.det(self.entries))
 
-    def is_diagonal(self, tol: float = 0.0) -> bool:
-        off = self.entries - np.diag(np.diag(self.entries))
-        return bool(np.all(np.abs(off) <= tol))
+    def is_diagonal(self) -> bool:
+        return np.array_equal(self.entries, np.diag(np.diag(self.entries)))
 
-    def is_scalar(self, tol: float = 0.0) -> bool:
+    def is_scalar(self) -> bool:
         diag = np.diag(self.entries)
-        return self.is_diagonal(tol) and bool(np.all(np.abs(diag - diag[0]) <= tol))
+        return self.is_diagonal() and bool(np.all(diag == diag[0]))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

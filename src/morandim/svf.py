@@ -36,10 +36,7 @@ def branch_index(s: float, d: int) -> int:
     """
     if s <= 0:
         return 1
-    m = math.ceil(s)
-    if m < 1:
-        m = 1
-    return min(m, d)
+    return min(math.ceil(s), d)
 
 
 def log_phi_from_logs(log_svs, s: float) -> np.ndarray:

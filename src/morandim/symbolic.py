@@ -8,7 +8,9 @@ for a list of (k, K) depth windows, evaluated off one pass) and
 
 * ``UniformEngine`` — every level's maps are identical, so all words at a
   depth share one product; the tree collapses to a chain with
-  multiplicities, and its four traversals are scalar loops over it.
+  multiplicities, and its four traversals are loops over its depths.  A
+  cover there sits at one depth, so a net-measure window [k, K] is the
+  least of the level sums at depths k..K.
 * ``_ClassTree`` — the four traversals over a level tree of classes, for
   two level stores.  ``DiagonalEngine`` is the composition lattice of a
   stationary diagonal family: diagonal maps commute, so a class is a
@@ -30,9 +32,10 @@ its horizons and truncation do not depend on how often a level repeats a
 map.  The cut-set sums over an epsilon schedule visit, at each depth, only
 the buckets that depth can reach.
 
-The net-measure DP reduces each class's children with ``_log_row_sums``, a
-fold of ``np.logaddexp`` over the children's columns, and stops at the
-window's min depth, where it sums that level weighted by the word counts.
+The class tree's net-measure DP reduces each class's children with
+``_log_row_sums``, a fold of ``np.logaddexp`` over the children's columns,
+and stops at the window's min depth, where it sums that level weighted by
+the word counts.
 
 Equal-product aggregation is the central performance decision: the shipped
 block fixtures have 9^k-size levels that reduce to O(1) work per depth.
@@ -55,7 +58,7 @@ from .svf import branch_index, log_phi_from_logs
 from .system import SystemSpec, validate
 
 DEFAULT_NODE_BUDGET = 10_000_000
-# Exact per-depth word counts make chain memory quadratic: 10^4 levels of 9 maps ~ 20 MB.
+# Deepest chain and Moran depth: 10^4 levels of 9 maps' exact word counts take ~20 MB.
 _MAX_CHAIN_DEPTH = 10_000
 _WORD_ENUM_CAP = 200_000
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -212,10 +215,8 @@ class UniformEngine:
             self._chain = raw / scale
             self._log_scale += math.log(scale)
             self._log_det += math.log(abs(lvl.maps[0].det()))
-            if self.d == 1:
-                logs = np.array([self._log_scale + math.log(abs(self._chain[0, 0]))])
-                self._chain = np.eye(1)
-                self._log_scale = logs[0]
+            if self.d == 1:  # the rescaled chain is +-1: no SVD, so no LAPACK workspace
+                logs = np.array([self._log_scale])
             elif self.d == 2:
                 s1, _ = sv2_batch(self._chain[None])
                 l1 = self._log_scale + math.log(float(s1[0]))
@@ -228,10 +229,6 @@ class UniformEngine:
             if k > _MAX_CHAIN_DEPTH:
                 raise BudgetExceeded(f"chain depth exceeds {_MAX_CHAIN_DEPTH}")
 
-    def count_at(self, t: int) -> int:
-        self._extend(t)
-        return self._counts[t]
-
     def log_svs_at(self, t: int) -> np.ndarray:
         self._extend(t)
         return self._log_svs[t]
@@ -240,17 +237,12 @@ class UniformEngine:
         """Deepest depth <= K_cap whose chain, root included, fits the budget."""
         return min(K_cap, node_budget - 1)
 
-    def stop_depth(self, m: int, log_eps: float) -> int:
-        t = 1
-        while True:
-            if self.log_svs_at(t)[m - 1] <= log_eps + _STOP_SNAP:
-                return t
-            t += 1
-
     def cutset_groups(self, s: float, log_eps: float, node_budget: int):
         m = branch_index(s, self.d)
-        t = self.stop_depth(m, log_eps)
-        count = self.count_at(t)
+        t = 1
+        while self.log_svs_at(t)[m - 1] > log_eps + _STOP_SNAP:
+            t += 1
+        count = self._counts[t]
         grp = CutGroup(
             depth=t,
             count=count,
@@ -272,25 +264,18 @@ class UniformEngine:
         return self.level_log_sums(s, depths), [True] * len(depths), t
 
     def net_measure_series(self, s: float, windows, node_budget: int):
-        """Net-measure log values for (k, K) windows; the chain is not budgeted."""
-        K_max = max(K for _, K in windows)
-        self._extend(K_max)
-        lph = log_phi_from_logs(np.stack(self._log_svs[: K_max + 1]), s).tolist()
-        log_n = [0.0] + [math.log(self.spec.branch_count(t)) for t in range(1, K_max + 1)]
-        out = []
-        for k, K in windows:
-            v = lph[K]
-            for t in range(K - 1, -1, -1):
-                child = log_n[t + 1] + v
-                v = min(lph[t], child) if t >= k else child
-            out.append(v)
-        return out
+        """Net-measure log values for (k, K) windows; the chain is not budgeted.
+
+        All words at a depth share one product, so the cheapest cover sits at
+        one depth: the value is the least level sum over [k, K].
+        """
+        sums = self.level_log_sums(s, range(1, max(K for _, K in windows) + 1))
+        return [min(sums[k - 1:K]) for k, K in windows]
 
     def level_log_sums(self, s: float, depths):
-        return [
-            math.log(self.count_at(t)) + float(log_phi_from_logs(self.log_svs_at(t), s))
-            for t in depths
-        ]
+        self._extend(max(depths))
+        lph = log_phi_from_logs(np.stack([self._log_svs[t] for t in depths]), s).tolist()
+        return [math.log(self._counts[t]) + v for t, v in zip(depths, lph)]
 
 
 class _ClassTree:
@@ -752,28 +737,27 @@ class CutSet:
     def log_sum(self) -> float:
         return logsumexp([g.log_count + g.log_phi for g in self.groups])
 
-    def entries(self, max_words: int = _WORD_ENUM_CAP) -> Iterator[tuple]:
+    def entries(self) -> Iterator[tuple]:
         """Enumerate (Word, log_phi) pairs via an independent recursive walk.
 
         Raises BudgetExceeded at once when the cut-set was truncated by its
-        node budget or holds more than ``max_words`` words.
+        node budget or holds more than ``_WORD_ENUM_CAP`` words.
         """
         if self.truncated:
             raise BudgetExceeded(
                 f"cut-set truncated at {self.node_budget_used} nodes; no words to enumerate"
             )
-        if self.word_count() > max_words:
-            raise BudgetExceeded(f"cut-set enumeration exceeds {max_words} words")
-        return iter_cutset_words(self.spec, self.s, self.epsilon, max_words)
+        if self.word_count() > _WORD_ENUM_CAP:
+            raise BudgetExceeded(f"cut-set enumeration exceeds {_WORD_ENUM_CAP} words")
+        return iter_cutset_words(self.spec, self.s, self.epsilon)
 
 
-def iter_cutset_words(spec: SystemSpec, s: float, epsilon: float,
-                      max_words: int = _WORD_ENUM_CAP) -> Iterator[tuple]:
+def iter_cutset_words(spec: SystemSpec, s: float, epsilon: float) -> Iterator[tuple]:
     """Depth-first enumeration of the cut-set words with their log costs.
 
     Independent of the engines: plain per-word products with rescaling.
     Intended for dumps and small-system tests; raises BudgetExceeded past
-    ``max_words`` emitted words.
+    ``_WORD_ENUM_CAP`` emitted words.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -810,10 +794,8 @@ def iter_cutset_words(spec: SystemSpec, s: float, epsilon: float,
             logs = log_svs_of(Q2, ls2, ld2)
             if logs[m - 1] <= log_eps + _STOP_SNAP:
                 emitted += 1
-                if emitted > max_words:
-                    raise BudgetExceeded(
-                        f"cut-set enumeration exceeds {max_words} words"
-                    )
+                if emitted > _WORD_ENUM_CAP:
+                    raise BudgetExceeded(f"cut-set enumeration exceeds {_WORD_ENUM_CAP} words")
                 yield Word(digits + (j,)), float(log_phi_from_logs(logs, s))
             else:
                 pending.append((digits + (j,), Q2, ls2, ld2))

@@ -305,8 +305,8 @@ def _vector(value, d: int, path: str) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         arr = None
-    if arr is None or arr.shape != (d,):
-        raise ConfigError(f"{path}: expected a length-{d} vector")
+    if arr is None or arr.shape != (d,) or not np.isfinite(arr).all():
+        raise ConfigError(f"{path}: expected a length-{d} vector of finite numbers")
     return arr
 
 

@@ -439,6 +439,16 @@ def test_unusable_out_path_is_a_config_error(tmp_path, capsys):
     assert json.loads(err.splitlines()[-1])["error"] == "config"
 
 
+def test_a_moran_depth_above_the_chain_cap_exits_3_at_once(capsys):
+    code, out, err, elapsed = _main(capsys, "dims", "--fixture", "scalar_blocks",
+                                    "--which", "moran", "--depth", "1000000000")
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "budget"
+    assert elapsed < 1.0
+
+
 def test_cutset_whose_diameters_never_vanish_stops_at_the_chain_cap(capsys):
     code, out, err, elapsed = _main(capsys, "cutset", "--fixture", "example_5_1",
                                     "--s", "0.7", "--epsilon", "0.05")
@@ -568,12 +578,17 @@ def test_generic_dims_reports_match_the_golden_bytes(capsys, budget):
 
 
 @pytest.mark.parametrize("fixture,which", [("scalar_blocks", "moran"),
-                                           ("similarity_pair", "falconer")])
+                                           ("similarity_pair", "falconer"),
+                                           ("example_5_4", "sstar,sa"),
+                                           ("middle_thirds", "sstar,sa"),
+                                           ("random_diag_pair", "sstar,sa")])
 def test_root_reports_match_the_golden_bytes(capsys, fixture, which):
-    # the falconer trace lists every probe, the first at s = d + 1
+    # the falconer trace lists every probe, the first at s = d + 1; the s* and
+    # s_A reports pin the chain (d = 2 and d = 1) and the composition lattice
     code, out, err, _ = _main(capsys, "dims", "--fixture", fixture, "--which", which)
     assert code == 0 and err == ""
-    assert out == (GOLDEN / f"dims_{fixture}_{which}.txt").read_text()
+    name = which.replace(",", "_")
+    assert out == (GOLDEN / f"dims_{fixture}_{name}.txt").read_text()
 
 
 @pytest.mark.parametrize("which,quantities", [("falconer", ["falconer"]),

@@ -137,10 +137,12 @@ def test_net_measure_series_matches_single_windows(name, kind, budget):
             assert item == table.log_value
 
 
-@pytest.mark.parametrize("name", ["middle_thirds", "example_5_4", "random_diag_pair"])
+@pytest.mark.parametrize("name", ["middle_thirds", "example_5_4", "sierpinski_carpet",
+                                  "similarity_pair", "diag_triple", "scalar_blocks",
+                                  "random_affine", "random_diag_pair"])
 def test_aggregated_net_measure_matches_generic_walk(name):
     spec = fixture(name)
-    windows = [(1, 4), (2, 6), (3, 6), (5, 6)]
+    windows = [(1, 4), (2, 6), (3, 6), (5, 6), (4, 4)]
     for s in (0.6, 1.1, 1.7):
         fast = make_engine(spec).net_measure_series(s, windows, DEFAULT_NODE_BUDGET)
         walk = GenericEngine(spec).net_measure_series(s, windows, DEFAULT_NODE_BUDGET)
@@ -201,6 +203,14 @@ def test_moran_dk_values():
 def test_moran_dk_rejects_non_scalar():
     with pytest.raises(InapplicableEstimator, match="levels"):
         moran_dk(fixture("example_5_4"), 3)
+
+
+def test_moran_depth_above_the_chain_cap_is_a_budget_error():
+    spec = fixture("scalar_blocks")
+    with pytest.raises(BudgetExceeded):
+        moran_dk(spec, 10_001)
+    with pytest.raises(BudgetExceeded):
+        moran_dims(spec, k_max=10_001)
 
 
 def test_moran_dims_constant_schedule():
@@ -429,6 +439,38 @@ def test_bisect_with_the_sign_class_matches_the_reference_root():
             assert est is None and flags == ["upper_endpoint_below"]
         if f(64.0) <= 0.0:  # a root at or below 64 is always found
             assert est is not None
+
+    check()
+
+
+def test_bisect_brackets_every_probe_whatever_the_classifier():
+    # each class is drawn per probe and kept for that s, so a classifier may
+    # contradict itself across probes; the bracket must still separate them
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, strategies as st
+
+    @given(st.data(), st.floats(0.0, 4.0), st.floats(1e-3, 8.0),
+           st.sampled_from([0.5, 1e-3, 1e-9]))
+    def check(data, lo, width, tol):
+        classes = {}
+
+        def classify(s):
+            if s not in classes:
+                classes[s] = data.draw(st.sampled_from([ABOVE, BELOW, INDETERMINATE]))
+            return classes[s]
+
+        est, (b_lo, b_hi), flags = _bisect(classify, lo, lo + width, tol)
+        belows = [s for s, c in classes.items() if c == BELOW]
+        aboves = [s for s, c in classes.items() if c == ABOVE]
+        if flags == ["upper_endpoint_below"]:  # every probe doubled hi, up to 64
+            assert est is None and not aboves and max(belows) == b_hi >= 64.0
+            return
+        assert b_lo < b_hi
+        assert all(s <= b_lo for s in belows) and all(b_hi <= s for s in aboves)
+        if flags:
+            assert est is None and flags == ["indeterminate_trend"]
+        else:
+            assert est == 0.5 * (b_lo + b_hi)
 
     check()
 

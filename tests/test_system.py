@@ -61,6 +61,15 @@ def test_nested_schema_error_path():
         parse_structure(doc)
 
 
+@pytest.mark.parametrize("bad", [None, math.nan, math.inf])
+def test_a_digit_that_is_not_a_finite_number_is_rejected_with_path(bad):
+    # json null reads as nan through np.asarray, and json allows NaN and Infinity
+    doc = fixture_document("middle_thirds")
+    doc["schedule"]["levels"][0]["digits"][0] = [bad]
+    with pytest.raises(ConfigError, match=r"digits\[0\]"):
+        parse_structure(doc)
+
+
 def test_example_5_4_level_schedule():
     spec = fixture("example_5_4")
     assert spec.branch_count(1) == 3
