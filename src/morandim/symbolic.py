@@ -215,9 +215,7 @@ class UniformEngine:
             self._chain = raw / scale
             self._log_scale += math.log(scale)
             self._log_det += math.log(abs(lvl.maps[0].det()))
-            if self.d == 1:  # the rescaled chain is +-1: no SVD, so no LAPACK workspace
-                logs = np.array([self._log_scale])
-            elif self.d == 2:
+            if self.d == 2:
                 s1, _ = sv2_batch(self._chain[None])
                 l1 = self._log_scale + math.log(float(s1[0]))
                 logs = np.array([l1, self._log_det - l1])
