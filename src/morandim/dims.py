@@ -197,13 +197,20 @@ def estimate_sstar(spec: SystemSpec, tol: float = 0.02, eps_schedule=None,
     trees than the generic walker).  ``engine`` is ``make_engine(spec)``,
     built here when not given.
     """
+    if eps_schedule is not None:
+        eps_schedule = list(eps_schedule)
+        if not eps_schedule:
+            raise ValueError("eps_schedule is empty")
+        for i, e in enumerate(eps_schedule):
+            if not 0.0 < e < 1.0:
+                raise ValueError(f"eps_schedule[{i}] = {e} lies outside (0, 1)")
+            if i and e >= eps_schedule[i - 1]:
+                raise ValueError(f"eps_schedule must be strictly decreasing; "
+                                 f"eps_schedule[{i}] = {e} is not")
+        log_eps = [math.log(e) for e in eps_schedule]
     if engine is None:
         engine = make_engine(spec)
-    if eps_schedule is not None:
-        log_eps = [math.log(e) for e in eps_schedule]
-        if any(b >= a for a, b in zip(log_eps, log_eps[1:])):
-            raise ValueError("eps_schedule must be strictly decreasing")
-    else:
+    if eps_schedule is None:
         log_eps = default_eps_log_schedule(spec, engine.kind)
 
     def series(s):
@@ -213,6 +220,11 @@ def estimate_sstar(spec: SystemSpec, tol: float = 0.02, eps_schedule=None,
     schedule = {"kind": "geometric_eps", "log_eps": [float(v) for v in log_eps]}
     return _trend_estimate("s_star", _classify_limsup, [-le for le in log_eps], series,
                            schedule, spec, engine, tol, node_budget)
+
+
+def _check_window(k: int, K: int) -> None:
+    if not 1 <= k <= K:
+        raise ValueError(f"need 1 <= k <= K, got the window ({k}, {K})")
 
 
 def net_measure(spec: SystemSpec, s: float, k: int, K: int,
@@ -225,8 +237,7 @@ def net_measure(spec: SystemSpec, s: float, k: int, K: int,
     BudgetExceeded when the tree through depth K, root included, holds more
     than ``node_budget`` classes (the chain engine is not budgeted).
     """
-    if not 1 <= k <= K:
-        raise ValueError("need 1 <= k <= K")
+    _check_window(k, K)
     (log_v,) = make_engine(spec).net_measure_series(s, [(k, K)], node_budget)
     if log_v is None:
         raise BudgetExceeded(f"net-measure window [{k}, {K}] does not fit the node budget")
@@ -257,6 +268,8 @@ def estimate_sA(spec: SystemSpec, tol: float = 0.02, depth_schedule=None,
     generic engine.  ``engine`` is ``make_engine(spec)``, built here when
     not given.
     """
+    for k, K in depth_schedule or ():
+        _check_window(k, K)
     if engine is None:
         engine = make_engine(spec)
     if depth_schedule is None:

@@ -30,7 +30,10 @@ stops before the level that would exceed the budget.  The lattice counts
 its classes; the generic walker counts the words its classes stand for, so
 its horizons and truncation do not depend on how often a level repeats a
 map.  The cut-set sums over an epsilon schedule visit, at each depth, only
-the buckets that depth can reach.
+the buckets that depth can reach.  Which edges stop in which bucket depends
+on s only through the branch index m, so the class tree walks once per
+(m, schedule, budget) and records the stopping edges; every probe replays
+that record, and the sums are the same bits a fresh walk would give.
 
 The class tree's net-measure DP reduces each class's children with
 ``_log_row_sums``, a fold of ``np.logaddexp`` over the children's columns,
@@ -156,10 +159,10 @@ def logsumexp(values) -> float:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return -math.inf
-    m = float(np.max(arr))
+    m = float(arr.max())
     if m == -math.inf:
         return -math.inf
-    return m + math.log(float(np.sum(np.exp(arr - m))))
+    return m + math.log(float(np.exp(arr - m).sum()))
 
 
 def _log_counts(count: np.ndarray) -> np.ndarray:
@@ -300,7 +303,19 @@ class _ClassTree:
     one that would take the count past ``node_budget`` is not expanded.
     Returns (truncated, max log alpha_m of the unexpanded frontier, nodes
     expanded).
+
+    ``schedule_log_sums`` walks once per (m, log-epsilon schedule, budget)
+    and keeps the record on the engine (``_record_stops``): per (depth,
+    bucket) group, in walk order, the stopping edges' log singular values
+    and log live-word counts.  A probe at any s of that branch index takes
+    log phi^s of the recorded rows in one call and reduces them group by
+    group, then bucket by bucket, as the walk would have.
     """
+
+    def __init__(self, spec: SystemSpec):
+        self.spec = spec
+        self.d = spec.dim
+        self._stop_records = {}  # (m, log eps schedule, node_budget) -> _record_stops
 
     def max_depth_within(self, node_budget: int, K_cap: int = 64) -> int:
         """Deepest depth <= K_cap whose tree, root included, fits the budget."""
@@ -314,9 +329,26 @@ class _ClassTree:
 
     def schedule_log_sums(self, s: float, log_eps_list, node_budget: int):
         m = branch_index(s, self.d)
-        le = np.asarray(log_eps_list)
+        key = (m, tuple(log_eps_list), node_budget)
+        if key not in self._stop_records:
+            self._stop_records[key] = self._record_stops(m, np.asarray(log_eps_list), node_budget)
+        bucket_of, bounds, logs, log_count, complete, nodes = self._stop_records[key]
+        terms = log_phi_from_logs(logs, s) + log_count
+        buckets = [[] for _ in complete]
+        for i, a, b in zip(bucket_of, bounds, bounds[1:]):
+            buckets[i].append(logsumexp(terms[a:b]))
+        return [logsumexp(b) for b in buckets], list(complete), nodes
+
+    def _record_stops(self, m: int, le: np.ndarray, node_budget: int):
+        """The one pruned walk behind ``schedule_log_sums`` at branch index m.
+
+        Returns (bucket of each group, group bounds, stacked log singular
+        values, log live-word counts, complete flags, nodes expanded).  A
+        group is the stopping edges of one epsilon bucket at one depth, in
+        walk order; its rows are ``bounds[g]:bounds[g + 1]``.
+        """
         neg_le = -(le + _STOP_SNAP)  # increasing, for searchsorted
-        buckets = [[] for _ in le]
+        bucket_of, rows, log_counts = [], [], []
 
         def visit(depth, logs, la, parent_la, count):
             # bucket i can hold a node only if la.min() <= le[i] + snap < parent_la.max()
@@ -325,15 +357,21 @@ class _ClassTree:
             if lo >= hi:
                 return
             pa = np.repeat(parent_la, self._arity(depth))
-            terms = log_phi_from_logs(logs, s) + _log_counts(count)
+            lc = _log_counts(count)
             for i in range(lo, hi):
                 eps_i = le[i]
-                mask = (la <= eps_i + _STOP_SNAP) & (pa > eps_i + _STOP_SNAP)
-                if np.any(mask):
-                    buckets[i].append(logsumexp(terms[mask]))
+                # row indices: gathering by them is much cheaper than a 2-D boolean mask
+                stop = np.flatnonzero((la <= eps_i + _STOP_SNAP) & (pa > eps_i + _STOP_SNAP))
+                if stop.size:
+                    bucket_of.append(i)
+                    rows.append(logs.take(stop, axis=0))
+                    log_counts.append(lc.take(stop))
 
         _, frontier_la, nodes = self._walk(visit, m, float(le[-1]), node_budget)
-        return [logsumexp(b) for b in buckets], [frontier_la <= float(l) for l in le], nodes
+        return (bucket_of, [0, *itertools.accumulate(len(c) for c in log_counts)],
+                np.concatenate(rows) if rows else np.empty((0, self.d)),
+                np.concatenate(log_counts) if rows else np.empty(0),
+                [frontier_la <= float(v) for v in le], nodes)
 
     def cutset_groups(self, s: float, log_eps: float, node_budget: int):
         """One group per stopping edge: a class reached from one kept parent
@@ -423,8 +461,7 @@ class DiagonalEngine(_ClassTree):
     kind = "diagonal"
 
     def __init__(self, spec: SystemSpec):
-        self.spec = spec
-        self.d = spec.dim
+        super().__init__(spec)
         lvl = spec.schedule.levels[0]
         self.n_maps = lvl.branch_count
         self.log_c = np.array(
@@ -489,9 +526,12 @@ class DiagonalEngine(_ClassTree):
         depth = nodes = 0
         while idx.size > 0:
             child = self.child_rows(depth)[idx].reshape(-1)
-            classes, inverse = np.unique(child, return_inverse=True)
+            mark = np.zeros(len(self._logs[depth + 1]), dtype=bool)
+            mark[child] = True  # child rows are ranks below the level width
+            classes = np.flatnonzero(mark)
             if nodes + classes.size > node_budget:
                 return True, float(np.max(parent_la)), nodes
+            inverse = np.cumsum(mark)[child] - 1
             depth += 1
             nodes += classes.size
             logs = self._logs[depth][child]
@@ -527,8 +567,7 @@ class GenericEngine(_ClassTree):
     kind = "generic"
 
     def __init__(self, spec: SystemSpec):
-        self.spec = spec
-        self.d = spec.dim
+        super().__init__(spec)
         self._level_cache = {}
         self._tree_logs = []  # unpruned levels kept across probes, see _levels
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -361,6 +362,49 @@ def test_estimate_sstar_user_schedule():
     assert rep.estimate == pytest.approx(S_SIM, abs=0.02)
     with pytest.raises(ValueError):
         estimate_sstar(mt, eps_schedule=[0.1, 0.2])
+
+
+def _no_engine_work(monkeypatch):
+    import morandim.dims as dims
+
+    def refuse(spec):
+        raise AssertionError("an engine was built before the arguments were checked")
+
+    monkeypatch.setattr(dims, "make_engine", refuse)
+
+
+# one fixture per engine: the chain, the lattice and the generic walker
+ENGINE_FIXTURES = ("middle_thirds", "random_diag_pair", "example_5_3")
+
+
+@pytest.mark.parametrize("name", ENGINE_FIXTURES)
+@pytest.mark.parametrize("eps, match", [
+    ([], "eps_schedule is empty"),
+    ([1.5, 0.5, 0.1, 0.01], r"eps_schedule\[0\] = 1.5 lies outside \(0, 1\)"),
+    ([0.5, 0.1, 0.0], r"eps_schedule\[2\] = 0.0 lies outside"),
+    ([0.5, math.nan], r"eps_schedule\[1\] = nan lies outside"),
+    ([0.5, 0.1, 0.1], r"strictly decreasing; eps_schedule\[2\] = 0.1 is not"),
+])
+def test_estimate_sstar_rejects_a_bad_eps_schedule_up_front(monkeypatch, name, eps, match):
+    spec = fixture(name)
+    _no_engine_work(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        estimate_sstar(spec, eps_schedule=eps)
+
+
+@pytest.mark.parametrize("name", ENGINE_FIXTURES)
+@pytest.mark.parametrize("windows, bad", [
+    ([(3, 2)], (3, 2)),
+    ([(0, 4)], (0, 4)),
+    ([(1, 3), (5, 4)], (5, 4)),
+])
+def test_estimate_sA_rejects_a_window_outside_1_to_K_up_front(monkeypatch, name, windows, bad):
+    spec = fixture(name)
+    _no_engine_work(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(f"need 1 <= k <= K, got the window {bad}")):
+        estimate_sA(spec, depth_schedule=windows)
+    with pytest.raises(ValueError, match=re.escape(f"need 1 <= k <= K, got the window {bad}")):
+        net_measure(spec, 1.0, *bad)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from morandim.dims import default_eps_log_schedule, estimate_sA
+from morandim.dims import default_eps_log_schedule, estimate_sA, estimate_sstar
 from morandim.linalg import Matrix
 from morandim.svf import branch_index, log_phi_from_logs
 from morandim.symbolic import (
@@ -395,6 +395,14 @@ def _generated_system(d, branches, seed, diagonal=False):
                       Box(np.zeros(d), np.ones(d)))
 
 
+def _examples(ci_count):
+    """A property's example count: ``ci_count`` under the ``ci`` profile of
+    ``conftest.py`` (400 examples), scaled with the loaded profile's own count,
+    so ``thorough`` (2000) runs five times as many."""
+    from hypothesis import settings
+    return ci_count * settings.default.max_examples // 400
+
+
 def _walk_budgets(spec):
     """Budgets that trip the pruned walk at depth 2, at depth 3 (inside the kept
     levels, with a pruned frontier) and never, past the kept levels."""
@@ -413,7 +421,7 @@ def test_pruned_walks_on_the_kept_tree_match_fresh_walks():
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
-    @settings(max_examples=60)
+    @settings(max_examples=_examples(60))
     @given(_generated_systems(st), st.sampled_from(GEN_S))
     def check(spec, s):
         log_eps = [math.log(e) for e in GEN_EPS]
@@ -436,7 +444,7 @@ def test_engine_sums_match_independent_walker_on_generated_systems():
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
-    @settings(max_examples=60)
+    @settings(max_examples=_examples(60))
     @given(st.one_of(_generated_systems(st), _generated_systems(st, diagonal=True)),
            st.sampled_from(GEN_S), st.booleans())
     def check(spec, s, keep_tree):
@@ -482,7 +490,7 @@ def test_live_buckets_match_all_bucket_reference():
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
-    @settings(max_examples=60)
+    @settings(max_examples=_examples(60))
     @given(st.one_of(_generated_systems(st), _generated_systems(st, diagonal=True)),
            st.sampled_from(GEN_S), st.sampled_from([3, 30, 20_000]))
     def check(spec, s, budget):
@@ -493,6 +501,51 @@ def test_live_buckets_match_all_bucket_reference():
                     == _all_bucket_schedule_sums(engine, s, log_eps, budget))
 
     check()
+
+
+def test_recorded_walks_replay_the_sums_of_fresh_engines():
+    """One engine serves every probe of a shuffled run over all branch
+    indices, two schedules and two budgets; each probe must equal the same
+    probe on a fresh engine, bit for bit."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    def calls(spec):
+        d = spec.dim
+        exponents = [m - 0.4 for m in range(1, d + 1)] + [float(d), d + 0.7]
+        # the second schedule shares the first's last scale, so only the buckets differ
+        schedules = ([math.log(e) for e in GEN_EPS], [math.log(e) for e in GEN_EPS[::2]])
+        budgets = _walk_budgets(spec)[1:]
+        return st.permutations(list(itertools.product(exponents, schedules, budgets)))
+
+    @settings(max_examples=_examples(60))
+    @given(st.one_of(_generated_systems(st), _generated_systems(st, diagonal=True))
+           .flatmap(lambda spec: st.tuples(st.just(spec), calls(spec))))
+    def check(case):
+        spec, probes = case
+        shared = make_engine(spec)
+        for s, log_eps, budget in probes:
+            assert (shared.schedule_log_sums(s, log_eps, budget)
+                    == type(shared)(spec).schedule_log_sums(s, log_eps, budget))
+
+    check()
+
+
+def test_estimate_sstar_walks_once_per_branch_index(monkeypatch):
+    walks = []
+    walk = DiagonalEngine._walk
+
+    def counted(self, visit, m, log_stop, node_budget):
+        walks.append(m)
+        return walk(self, visit, m, log_stop, node_budget)
+
+    monkeypatch.setattr(DiagonalEngine, "_walk", counted)
+    spec = fixture("random_diag_pair")
+    rep = estimate_sstar(spec)
+    assert rep.schedule["engine"] == "diagonal" and rep.estimate is not None
+    indices = {branch_index(p["s"], spec.dim) for p in rep.trace}
+    assert sorted(walks) == sorted(indices)
+    assert len(rep.trace) > len(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +591,7 @@ def test_lattice_matches_the_word_walk_on_generated_diagonal_systems():
     def close(a, b):
         return all(abs(x - y) <= 1e-10 for x, y in zip(a, b)) and len(a) == len(b)
 
-    @settings(max_examples=60)
+    @settings(max_examples=_examples(60))
     @given(_generated_systems(st, diagonal=True), st.sampled_from(GEN_S))
     def check(spec, s):
         lattice, words = DiagonalEngine(spec), GenericEngine(spec)
@@ -623,7 +676,7 @@ def test_merged_classes_match_the_word_tree_on_repeating_systems():
 
     windows = [(1, 6), (1, 1), (2, 5), (3, 6), (6, 6)]
 
-    @settings(max_examples=40)
+    @settings(max_examples=_examples(40))
     @given(st.builds(_repeating_system, st.sampled_from([1, 2, 3]),
                      st.lists(st.sampled_from(REPEAT_PATTERNS), min_size=2, max_size=3),
                      st.integers(0, 2 ** 32 - 1)),
