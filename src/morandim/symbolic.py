@@ -35,10 +35,15 @@ on s only through the branch index m, so the class tree walks once per
 (m, schedule, budget) and records the stopping edges; every probe replays
 that record, and the sums are the same bits a fresh walk would give.
 
-The class tree's net-measure DP reduces each class's children with
-``_log_row_sums``, a fold of ``np.logaddexp`` over the children's columns,
-and stops at the window's min depth, where it sums that level weighted by
-the word counts.
+The class tree's net-measure DP evaluates all the windows of a call in one
+sweep from the deepest horizon up, over a stack with one row per window.
+Each depth reduces every row's children with ``_log_row_sums``, a fold of
+``np.logaddexp`` over the children's columns; a window joins the stack at
+its horizon and leaves it at its min depth, where its row is summed
+weighted by the word counts.
+
+``iter_cutset_words`` lists the cut-set words themselves, independently of
+the engines, from plain products taken one depth at a time.
 
 Equal-product aggregation is the central performance decision: the shipped
 block fixtures have 9^k-size levels that reduce to O(1) work per depth.
@@ -174,17 +179,17 @@ def _log_counts(count: np.ndarray) -> np.ndarray:
 
 
 def _log_row_sums(grouped: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp of an (N, n) array, as a fresh (N,) array.
+    """Logsumexp over the last axis of an (..., n) array, as a fresh (...) array.
 
     Folds ``np.logaddexp`` over the n columns: the first pair allocates the
     result and every later column is added into it in place.
     """
-    n = grouped.shape[1]
+    n = grouped.shape[-1]
     if n == 1:
-        return grouped[:, 0].copy()
-    out = np.logaddexp(grouped[:, 0], grouped[:, 1])
+        return grouped[..., 0].copy()
+    out = np.logaddexp(grouped[..., 0], grouped[..., 1])
     for j in range(2, n):
-        np.logaddexp(out, grouped[:, j], out=out)
+        np.logaddexp(out, grouped[..., j], out=out)
     return out
 
 
@@ -289,7 +294,8 @@ class _ClassTree:
     budgeted nodes per depth (``_widths``), the per-depth (C_t, d) log
     singular values (``_levels``), the log word count of each class
     (``_log_mults``), the children per class at a depth (``_arity``) and
-    their values (``_child_values``), and a pruned walk.
+    their values (``_child_values``, over any leading axes), and a pruned
+    walk.
 
     ``_walk(visit, m, log_stop, node_budget)`` walks the tree from the root,
     one level at a time, and keeps the children whose alpha_m lies above
@@ -395,25 +401,38 @@ class _ClassTree:
         """Net-measure log values for (k, K) windows, None for a window whose
         tree through K, root included, does not fit the budget.
 
-        The tree is built to the deepest K that fits.  The min-recursion runs
-        from K up to the min depth k, folding each class's children with
-        ``_log_row_sums``; above k the DP would only add children together,
-        so the value is the logsumexp of the depth-k vector weighted by the
-        classes' word counts.
+        The tree is built to the deepest K that fits.  One sweep runs the
+        min-recursion from the deepest K up to the shallowest k over a stack
+        of one row per window: a window joins at its K, each depth folds
+        every row's children with ``_log_row_sums``, and a window leaves at
+        its k, where the DP would only add children together, so its value
+        is the logsumexp of its depth-k row weighted by the classes' word
+        counts.
         """
         horizon = self.max_depth_within(node_budget, max(K for _, K in windows))
         logphi = [np.asarray(log_phi_from_logs(logs, s), dtype=float).reshape(-1)
                   for logs in self._levels(horizon)]  # logphi[t - 1]: per-class log phi^s at depth t
-        out = []
-        for k, K in windows:
-            if K > horizon:
-                out.append(None)
-                continue
-            v = logphi[K - 1]
-            for t in range(K - 1, k - 1, -1):
+        out = [None] * len(windows)
+        fits = [(i, k, K) for i, (k, K) in enumerate(windows) if K <= horizon]
+        if not fits:
+            return out
+        rows, v = [], None  # the stacked windows' (index, k), and their (rows, C_t) values
+        for t in range(max(K for _, _, K in fits), min(k for _, k, _ in fits) - 1, -1):
+            if rows:
                 v = _log_row_sums(self._child_values(t, v))
                 np.minimum(logphi[t - 1], v, out=v)
-            out.append(logsumexp(v + self._log_mults(k)))
+            joining = [(i, k) for i, k, K in fits if K == t]
+            if joining:
+                new = np.broadcast_to(logphi[t - 1], (len(joining), logphi[t - 1].size))
+                v = np.concatenate([v, new]) if rows else new
+                rows += joining
+            if any(k == t for _, k in rows):
+                log_mults = self._log_mults(t)
+                for (i, k), row in zip(rows, v):
+                    if k == t:
+                        out[i] = logsumexp(row + log_mults)
+                left = [j for j, (_, k) in enumerate(rows) if k != t]
+                rows, v = [rows[j] for j in left], v[left]
         return out
 
     def level_log_sums(self, s: float, depths):
@@ -515,7 +534,7 @@ class DiagonalEngine(_ClassTree):
         return self._log_mult[t]
 
     def _child_values(self, t: int, v: np.ndarray) -> np.ndarray:
-        return v[self.child_rows(t)]
+        return v[..., self.child_rows(t)]
 
     def _walk(self, visit, m: int, log_stop: float, node_budget: float):
         """The pruned walk (see ``_ClassTree``): the kept children merge
@@ -713,7 +732,7 @@ class GenericEngine(_ClassTree):
 
     def _child_values(self, t: int, v: np.ndarray) -> np.ndarray:
         mults = self._level_maps(t + 1)[2]
-        grouped = v.reshape(-1, mults.size)
+        grouped = v.reshape(*v.shape[:-1], -1, mults.size)
         return grouped + np.log(mults) if mults.max() > 1 else grouped
 
 
@@ -790,11 +809,18 @@ class CutSet:
 
 
 def iter_cutset_words(spec: SystemSpec, s: float, epsilon: float) -> Iterator[tuple]:
-    """Depth-first enumeration of the cut-set words with their log costs.
+    """The cut-set words with their log costs, found one depth at a time.
 
     Independent of the engines: plain per-word products with rescaling.
-    Intended for dumps and small-system tests; raises BudgetExceeded past
-    ``_WORD_ENUM_CAP`` emitted words.
+    Each depth takes every live word's children in one batched product,
+    rescales them by their largest entries and reads their singular values
+    in one call; the words that stop are kept, the others carried on.  The
+    words come out in depth-first order: a live word's stopped children in
+    digit order, then the words below its live children, in digit order.
+    Every live word has a cut-set word below it, so the walk raises
+    BudgetExceeded as soon as its stopped and live words exceed
+    ``_WORD_ENUM_CAP``, before the first word is yielded.  Intended for
+    dumps and small-system tests.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -803,40 +829,49 @@ def iter_cutset_words(spec: SystemSpec, s: float, epsilon: float) -> Iterator[tu
     d = spec.dim
     m = branch_index(s, d)
     log_eps = math.log(epsilon)
-    emitted = 0
-
-    def log_svs_of(Q, log_scale, log_det):
-        if d == 1:
-            return np.array([log_scale + math.log(abs(Q[0, 0]))])
-        if d == 2:
-            s1, _ = sv2_batch(Q[None])
-            l1 = log_scale + math.log(float(s1[0]))
-            return np.array([l1, log_det - l1])
-        return log_scale + np.log(np.linalg.svd(Q, compute_uv=False))
-
-    stack = [((), np.eye(d), 0.0, 0.0)]
-    while stack:
-        digits, Q, log_scale, log_det = stack.pop()
-        depth = len(digits) + 1
+    digit_type = np.min_scalar_type(max(lvl.branch_count for lvl in spec.schedule.levels))
+    Q, log_scale, log_det = np.eye(d)[None], np.zeros(1), np.zeros(1)  # the live words' products
+    digits = np.zeros((1, 0), dtype=digit_type)                        # and their digits
+    stopped = []  # per depth: the stopped words' digits and log phi^s
+    emitted = depth = 0
+    while len(Q):
+        depth += 1
         lvl = spec.level(depth)
-        # push children in reverse so emission order is digit-ascending
-        pending = []
-        for j in range(1, lvl.branch_count + 1):
-            mat = lvl.maps[j - 1]
-            raw = Q @ mat.entries
-            scale = float(np.max(np.abs(raw)))
-            Q2 = raw / scale
-            ls2 = log_scale + math.log(scale)
-            ld2 = log_det + math.log(abs(mat.det()))
-            logs = log_svs_of(Q2, ls2, ld2)
-            if logs[m - 1] <= log_eps + _STOP_SNAP:
-                emitted += 1
-                if emitted > _WORD_ENUM_CAP:
-                    raise BudgetExceeded(f"cut-set enumeration exceeds {_WORD_ENUM_CAP} words")
-                yield Word(digits + (j,)), float(log_phi_from_logs(logs, s))
-            else:
-                pending.append((digits + (j,), Q2, ls2, ld2))
-        stack.extend(reversed(pending))
+        n = lvl.branch_count
+        raw = (Q[:, None] @ np.stack([mat.entries for mat in lvl.maps])).reshape(-1, d, d)
+        scale = np.abs(raw).max(axis=(1, 2))
+        raw /= scale[:, None, None]
+        # math.log element by element: np.log differs from it in the last bit on some inputs
+        log_scale = np.repeat(log_scale, n) + np.fromiter(map(math.log, scale), float, len(scale))
+        log_det = np.repeat(log_det, n) + np.tile([math.log(abs(mat.det())) for mat in lvl.maps],
+                                                  len(Q))
+        if d <= 2:
+            a1 = np.abs(raw[:, 0, 0]) if d == 1 else sv2_batch(raw)[0]
+            l1 = log_scale + np.fromiter(map(math.log, a1), float, len(a1))
+            logs = l1[:, None] if d == 1 else np.stack([l1, log_det - l1], axis=1)
+        else:
+            logs = log_scale[:, None] + np.log(np.linalg.svd(raw, compute_uv=False))
+        words = np.empty((len(raw), depth), dtype=digit_type)
+        words[:, :-1] = np.repeat(digits, n, axis=0)
+        words[:, -1] = np.tile(np.arange(1, n + 1, dtype=digit_type), len(Q))
+        stop = logs[:, m - 1] <= log_eps + _STOP_SNAP
+        idx, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
+        emitted += idx.size
+        if emitted + keep.size > _WORD_ENUM_CAP:
+            raise BudgetExceeded(f"cut-set enumeration exceeds {_WORD_ENUM_CAP} words")
+        if idx.size:
+            stopped.append((words[idx], log_phi_from_logs(logs[idx], s)))
+        Q, log_scale, log_det, digits = raw[keep], log_scale[keep], log_det[keep], words[keep]
+    # depth-first order: by the parent's digits, zero-padded (0 sorts before
+    # every digit, so a word's stopped children come before the words below
+    # its live ones), then by the last digit; the padding is dropped on the way out
+    key = np.concatenate([
+        np.column_stack([w[:, :-1], np.zeros((len(w), depth - w.shape[1]), w.dtype), w[:, -1]])
+        for w, _ in stopped])
+    lph = np.concatenate([v for _, v in stopped])
+    for i in np.lexsort(key.T[::-1]):
+        row = key[i].tolist()
+        yield Word((*filter(None, row[:-1]), row[-1])), float(lph[i])
 
 
 def cutset(spec: SystemSpec, s: float, epsilon: float,

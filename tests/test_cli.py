@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import pathlib
@@ -589,6 +590,22 @@ def test_root_reports_match_the_golden_bytes(capsys, fixture, which):
     assert code == 0 and err == ""
     name = which.replace(",", "_")
     assert out == (GOLDEN / f"dims_{fixture}_{name}.txt").read_text()
+
+
+# sha256 and row count of each CSV, written by the depth-first word walk
+# before the level-by-level one replaced it; example_5_3 at s = 0.4 pins
+# the order, which is depth-first, not lexicographic
+CUTSET_DIGESTS = json.loads((GOLDEN / "cutset_digests.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(CUTSET_DIGESTS))
+def test_cutset_dumps_match_the_golden_digests(tmp_path, capsys, case):
+    out = tmp_path / "cut.csv"
+    code, _, err, _ = _main(capsys, "cutset", *case.split(), "--out", str(out))
+    assert code == 0 and err == ""
+    data = out.read_bytes()
+    assert {"sha256": hashlib.sha256(data).hexdigest(),
+            "rows": data.count(b"\n") - 1} == CUTSET_DIGESTS[case]
 
 
 @pytest.mark.parametrize("which,quantities", [("falconer", ["falconer"]),

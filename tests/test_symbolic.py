@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from morandim import symbolic
 from morandim.dims import default_eps_log_schedule, estimate_sA, estimate_sstar
-from morandim.linalg import Matrix
+from morandim.errors import BudgetExceeded
+from morandim.linalg import Matrix, sv2_batch
 from morandim.svf import branch_index, log_phi_from_logs
 from morandim.symbolic import (
     _STOP_SNAP,
@@ -739,3 +741,120 @@ def test_merged_word_counts_stay_exact_past_int64():
     assert want > 2 ** 63
     assert c.word_count() == want
     assert c.node_budget_used == nodes
+
+
+# ---------------------------------------------------------------------------
+# the level-by-level cut-set word walk against the depth-first one
+# ---------------------------------------------------------------------------
+
+def _depth_first_cutset_words(spec, s, epsilon):
+    """The depth-first walk ``iter_cutset_words`` replaced, one product per
+    word: each word's stopped children in digit order, then its live ones,
+    depth first.  The reference for the words, their order and their bits."""
+    d = spec.dim
+    m = branch_index(s, d)
+    log_eps = math.log(epsilon)
+
+    def log_svs_of(Q, log_scale, log_det):
+        if d == 1:
+            return np.array([log_scale + math.log(abs(Q[0, 0]))])
+        if d == 2:
+            s1, _ = sv2_batch(Q[None])
+            l1 = log_scale + math.log(float(s1[0]))
+            return np.array([l1, log_det - l1])
+        return log_scale + np.log(np.linalg.svd(Q, compute_uv=False))
+
+    stack = [((), np.eye(d), 0.0, 0.0)]
+    while stack:
+        digits, Q, log_scale, log_det = stack.pop()
+        lvl = spec.level(len(digits) + 1)
+        pending = []
+        for j, mat in enumerate(lvl.maps, start=1):
+            raw = Q @ mat.entries
+            scale = float(np.max(np.abs(raw)))
+            Q2 = raw / scale
+            ls2 = log_scale + math.log(scale)
+            ld2 = log_det + math.log(abs(mat.det()))
+            logs = log_svs_of(Q2, ls2, ld2)
+            if logs[m - 1] <= log_eps + _STOP_SNAP:
+                yield Word(digits + (j,)), float(log_phi_from_logs(logs, s))
+            else:
+                pending.append((digits + (j,), Q2, ls2, ld2))
+        stack.extend(reversed(pending))
+
+
+def test_level_walk_matches_the_depth_first_walk_on_generated_systems():
+    """Same words, same order and the same log phi bits, for d = 1, 2 and 3,
+    mixed branch counts, periodic and constant schedules, every branch index
+    and s above d."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=_examples(60))
+    @given(st.one_of(_generated_systems(st), _generated_systems(st, diagonal=True)))
+    def check(spec):
+        for s, eps in itertools.product(GEN_S, GEN_EPS):
+            assert (list(iter_cutset_words(spec, s, eps))
+                    == list(_depth_first_cutset_words(spec, s, eps)))
+
+    check()
+
+
+@pytest.mark.parametrize("name,s,eps", [*FIXTURES_FOR_STRUCTURE, ("example_5_3", 0.4, 0.02)])
+def test_level_walk_matches_the_depth_first_walk_on_fixtures(name, s, eps):
+    spec = fixture(name)
+    got = list(iter_cutset_words(spec, s, eps))
+    assert got == list(_depth_first_cutset_words(spec, s, eps))
+    if name == "example_5_3" and s == 0.4:  # depth-first is not lexicographic here
+        assert [w.digits for w, _ in got] != sorted(w.digits for w, _ in got)
+
+
+@pytest.mark.parametrize("d,seed", [(3, 4), (4, 12)])
+def test_level_walk_keeps_the_bits_of_math_log(d, seed):
+    # with numpy 2.4 on an AVX-512 x86-64 CPU, np.log of some of these
+    # systems' rescale factors differs from math.log in the last bit, so a
+    # vectorised log of the scales shows here
+    spec = _generated_system(d, [3, 2, 3], seed)
+    for s, eps in itertools.product(GEN_S, GEN_EPS):
+        assert (list(iter_cutset_words(spec, s, eps))
+                == list(_depth_first_cutset_words(spec, s, eps)))
+
+
+@pytest.mark.parametrize("cap", [127, 128])
+def test_word_cap_raises_before_the_first_word(monkeypatch, cap):
+    # middle_thirds at epsilon 1e-3 stops every word at depth 7: 128 words
+    monkeypatch.setattr(symbolic, "_WORD_ENUM_CAP", cap)
+    words = iter_cutset_words(fixture("middle_thirds"), 0.6, 1e-3)
+    if cap < 128:
+        with pytest.raises(BudgetExceeded):
+            next(words)
+    else:
+        assert len(list(words)) == 128
+
+
+# ---------------------------------------------------------------------------
+# the net-measure window sweep against one window at a time
+# ---------------------------------------------------------------------------
+
+def test_window_sweep_matches_single_window_calls():
+    """Shuffled and repeated windows, k == K windows and windows past the
+    horizon, on the lattice and on the generic walker: each entry must equal
+    a one-window call on a fresh engine, bit for bit."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    windows = (st.lists(st.tuples(st.integers(1, 9), st.integers(0, 4)), min_size=1, max_size=6)
+               .map(lambda ws: [(k, k + n) for k, n in ws])
+               .flatmap(lambda ws: st.permutations(ws + ws[:2])))
+
+    @settings(max_examples=_examples(60))
+    @given(st.one_of(_generated_systems(st), _generated_systems(st, diagonal=True)),
+           st.sampled_from(GEN_S), st.sampled_from([40, 400, 4000]), windows)
+    def check(spec, s, budget, wins):
+        shared = make_engine(spec)
+        got = shared.net_measure_series(s, wins, budget)
+        assert len(got) == len(wins)
+        for w, item in zip(wins, got):
+            assert item == type(shared)(spec).net_measure_series(s, [w], budget)[0]
+
+    check()
