@@ -4,15 +4,16 @@ Every tree quantity has four entry points on each engine:
 ``schedule_log_sums`` (cut-set sums over an epsilon schedule),
 ``cutset_groups``, ``net_measure_series`` (the net-measure dynamic program
 for a list of (k, K) depth windows, evaluated off one pass) and
-``level_log_sums`` (per-depth sums).  They are written twice:
+``level_log_sums`` (per-depth sums).  ``_Engine`` replays the first two
+from one stop record, which each level store writes with the other two:
 
 * ``UniformEngine`` — every level's maps are identical, so all words at a
   depth share one product; the tree collapses to a chain with
-  multiplicities, and its four traversals are loops over its depths.  A
-  cover there sits at one depth, so a net-measure window [k, K] is the
-  least of the level sums at depths k..K.
-* ``_ClassTree`` — the four traversals over a level tree of classes, for
-  two level stores.  ``DiagonalEngine`` is the composition lattice of a
+  multiplicities, and its traversals are loops over its depths (its stop
+  record is one node per epsilon).  A cover there sits at one depth, so a
+  net-measure window [k, K] is the least of the level sums at depths k..K.
+* ``_ClassTree`` — the traversals over a level tree of classes, for two
+  level stores.  ``DiagonalEngine`` is the composition lattice of a
   stationary diagonal family: diagonal maps commute, so a class is a
   per-map choice count with a multinomial word count.  ``GenericEngine``
   has one class per word over each level's distinct maps, whose word count
@@ -29,11 +30,11 @@ pruned walk (the cut-set quantities) pays, per level, what it expands, and
 stops before the level that would exceed the budget.  The lattice counts
 its classes; the generic walker counts the words its classes stand for, so
 its horizons and truncation do not depend on how often a level repeats a
-map.  The cut-set sums over an epsilon schedule visit, at each depth, only
+map.  The stop record of an epsilon schedule visits, at each depth, only
 the buckets that depth can reach.  Which edges stop in which bucket depends
-on s only through the branch index m, so the class tree walks once per
-(m, schedule, budget) and records the stopping edges; every probe replays
-that record, and the sums are the same bits a fresh walk would give.
+on s only through the branch index m, so the s* sums record once per (m,
+schedule, budget) and every probe replays that record, with the same bits a
+fresh walk would give; ``cutset_groups`` replays an exact-count record.
 
 The class tree's net-measure DP evaluates all the windows of a call in one
 sweep from the deepest horizon up, over a stack with one row per window.
@@ -56,7 +57,7 @@ import collections
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -87,13 +88,13 @@ class Word:
     digits: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+        object.__setattr__(self, "digits", tuple(map(int, self.digits)))
 
     def __len__(self):
         return len(self.digits)
 
     def __str__(self):
-        return "-".join(str(d) for d in self.digits) if self.digits else "(empty)"
+        return "-".join(map(str, self.digits)) if self.digits else "(empty)"
 
 
 def validate_word(spec: SystemSpec, w: Word) -> None:
@@ -197,14 +198,81 @@ def _log_row_sums(grouped: np.ndarray) -> np.ndarray:
 # Engines
 # ---------------------------------------------------------------------------
 
-class UniformEngine:
+class _Stops(NamedTuple):
+    """A recorded stopping walk: the stopping edges in walk order, in groups
+    of one epsilon bucket at one depth; group g is rows bounds[g]:bounds[g + 1]."""
+
+    bucket: list        # each group's epsilon bucket
+    depth: list         # each group's depth
+    bounds: list
+    logs: np.ndarray    # (rows, d) log singular values of the stopping edges
+    counts: np.ndarray  # their live-word counts: exact integers in exact mode, else logs
+    complete: list      # per bucket: no word the walk left unexpanded could stop in it
+    nodes: int          # nodes expanded
+
+
+class _Engine:
+    """The cut-set quantities, as replays of one stop record per level store.
+
+    A level store gives the budgeted nodes per depth (``_widths``) and the
+    stopping walk ``_record_stops(m, le, node_budget, exact)`` at branch
+    index m over the descending log-epsilon schedule ``le``.  An edge stops
+    in bucket i when its alpha_m is at most epsilon_i and its parent's is
+    above; the empty word's alpha counts as +inf, so the root never stops.
+    The s* record, with log live-word counts, is kept per (m, schedule,
+    budget); ``cutset_groups`` replays a fresh one in exact mode, with the
+    exact counts.
+    """
+
+    def __init__(self, spec: SystemSpec):
+        self.spec = spec
+        self.d = spec.dim
+        self._stop_records = {}  # (m, log eps schedule, node_budget) -> the s* _Stops
+
+    def max_depth_within(self, node_budget: int, K_cap: int = 64) -> int:
+        """Deepest depth <= K_cap whose tree, root included, fits the budget."""
+        depth, nodes = 0, 1
+        for width in itertools.islice(self._widths(), K_cap):
+            nodes += width
+            if nodes > node_budget:
+                break
+            depth += 1
+        return depth
+
+    def _sstar_stops(self, s: float, log_eps_list, node_budget: int) -> _Stops:
+        key = (branch_index(s, self.d), tuple(log_eps_list), node_budget)
+        if key not in self._stop_records:
+            self._stop_records[key] = self._record_stops(key[0], np.asarray(log_eps_list),
+                                                         node_budget, False)
+        return self._stop_records[key]
+
+    def schedule_log_sums(self, s: float, log_eps_list, node_budget: int):
+        rec = self._sstar_stops(s, log_eps_list, node_budget)
+        terms = log_phi_from_logs(rec.logs, s) + rec.counts
+        buckets = [[] for _ in rec.complete]
+        for i, a, b in zip(rec.bucket, rec.bounds, rec.bounds[1:]):
+            buckets[i].append(logsumexp(terms[a:b]))
+        return [logsumexp(b) for b in buckets], list(rec.complete), rec.nodes
+
+    def cutset_groups(self, s: float, log_eps: float, node_budget: int):
+        """One group per stopping edge, with its exact live-word count."""
+        m = branch_index(s, self.d)
+        rec = self._record_stops(m, np.array([log_eps]), node_budget, True)
+        depths = np.repeat(rec.depth, np.diff(rec.bounds)).tolist()
+        groups = [CutGroup(depth=t, count=c, log_count=math.log(c), log_phi=lph, log_alpha_m=la)
+                  for t, c, lph, la in zip(depths, map(int, rec.counts),
+                                           log_phi_from_logs(rec.logs, s).tolist(),
+                                           rec.logs[:, m - 1].tolist())]
+        return groups, not rec.complete[0], rec.nodes
+
+
+class UniformEngine(_Engine):
     """Chain engine for schedules whose levels each hold one repeated map."""
 
     kind = "uniform"
 
     def __init__(self, spec: SystemSpec):
-        self.spec = spec
-        self.d = spec.dim
+        super().__init__(spec)
         self._counts = [1]            # exact word count per depth
         self._log_svs = [np.zeros(self.d)]
         self._chain = np.eye(self.d)  # normalized running product
@@ -239,35 +307,27 @@ class UniformEngine:
         self._extend(t)
         return self._log_svs[t]
 
-    def max_depth_within(self, node_budget: int, K_cap: int = 64) -> int:
-        """Deepest depth <= K_cap whose chain, root included, fits the budget."""
-        return min(K_cap, node_budget - 1)
+    def _widths(self):
+        return itertools.repeat(1)
 
-    def cutset_groups(self, s: float, log_eps: float, node_budget: int):
-        m = branch_index(s, self.d)
-        t = 1
-        while self.log_svs_at(t)[m - 1] > log_eps + _STOP_SNAP:
-            t += 1
-        count = self._counts[t]
-        grp = CutGroup(
-            depth=t,
-            count=count,
-            log_count=math.log(count),
-            log_phi=float(log_phi_from_logs(self.log_svs_at(t), s)),
-            log_alpha_m=float(self.log_svs_at(t)[m - 1]),
-            log_alpha_m_parent=float(self.log_svs_at(t - 1)[m - 1]),
-        )
-        return [grp], False, t
-
-    def schedule_log_sums(self, s: float, log_eps_list, node_budget: int):
-        m = branch_index(s, self.d)
-        depths = []
-        t = 1
-        for le in log_eps_list:
-            while self.log_svs_at(t)[m - 1] > le + _STOP_SNAP:
+    def _record_stops(self, m: int, le: np.ndarray, node_budget: int, exact: bool) -> _Stops:
+        """One group per epsilon: the chain's node at the first depth whose
+        alpha_m is at most it.  The chain is not budgeted."""
+        depths, t = [], 1
+        for v in le:
+            while self.log_svs_at(t)[m - 1] > v + _STOP_SNAP:
                 t += 1
             depths.append(t)
-        return self.level_log_sums(s, depths), [True] * len(depths), t
+        counts = [self._counts[t] for t in depths]
+        return _Stops(list(range(len(le))), depths, list(range(len(le) + 1)),
+                      np.stack([self._log_svs[t] for t in depths]),
+                      counts if exact else np.array([math.log(c) for c in counts]),
+                      [True] * len(le), t)
+
+    def schedule_log_sums(self, s: float, log_eps_list, node_budget: int):
+        """The s* replay as the level sums at the recorded depths."""
+        rec = self._sstar_stops(s, log_eps_list, node_budget)
+        return self.level_log_sums(s, rec.depth), list(rec.complete), rec.nodes
 
     def net_measure_series(self, s: float, windows, node_budget: int):
         """Net-measure log values for (k, K) windows; the chain is not budgeted.
@@ -284,8 +344,8 @@ class UniformEngine:
         return [math.log(self._counts[t]) + v for t, v in zip(depths, lph)]
 
 
-class _ClassTree:
-    """The four traversals over a level tree of classes.
+class _ClassTree(_Engine):
+    """The traversals over a level tree of classes.
 
     A class is a set of same-depth words whose products share their
     singular values, and whose extensions by any one suffix again fall in
@@ -302,59 +362,22 @@ class _ClassTree:
     ``log_stop``.  Each level goes to ``visit(depth, logs, la, parent_la,
     count)``: the (E, d) log singular values of every child of every kept
     class, one row per edge, parent-major, ``_arity(depth)`` edges per
-    parent; their log alpha_m; the kept parents' log alpha_m; and the exact
-    live word count of each edge, as int64 or as Python integers (the walker
-    switches once a count could leave int64; the lattice always carries
-    them).  A level costs what the subclass budgets for it, and
-    one that would take the count past ``node_budget`` is not expanded.
-    Returns (truncated, max log alpha_m of the unexpanded frontier, nodes
-    expanded).
+    parent; their log alpha_m; the kept parents' log alpha_m (+inf for the
+    root); and the exact live word count of each edge, as int64 or as Python
+    integers (the walker switches once a count could leave int64; the
+    lattice always carries them).  A level costs what the subclass budgets
+    for it, and one that would take the count past ``node_budget`` is not
+    expanded.  Returns (truncated, max log alpha_m of the unexpanded
+    frontier, nodes expanded).
 
-    ``schedule_log_sums`` walks once per (m, log-epsilon schedule, budget)
-    and keeps the record on the engine (``_record_stops``): per (depth,
-    bucket) group, in walk order, the stopping edges' log singular values
-    and log live-word counts.  A probe at any s of that branch index takes
-    log phi^s of the recorded rows in one call and reduces them group by
-    group, then bucket by bucket, as the walk would have.
+    ``_record_stops`` is the one pruned walk whose record both cut-set
+    quantities replay (see ``_Engine``).
     """
 
-    def __init__(self, spec: SystemSpec):
-        self.spec = spec
-        self.d = spec.dim
-        self._stop_records = {}  # (m, log eps schedule, node_budget) -> _record_stops
-
-    def max_depth_within(self, node_budget: int, K_cap: int = 64) -> int:
-        """Deepest depth <= K_cap whose tree, root included, fits the budget."""
-        depth, nodes = 0, 1
-        for width in itertools.islice(self._widths(), K_cap):
-            nodes += width
-            if nodes > node_budget:
-                break
-            depth += 1
-        return depth
-
-    def schedule_log_sums(self, s: float, log_eps_list, node_budget: int):
-        m = branch_index(s, self.d)
-        key = (m, tuple(log_eps_list), node_budget)
-        if key not in self._stop_records:
-            self._stop_records[key] = self._record_stops(m, np.asarray(log_eps_list), node_budget)
-        bucket_of, bounds, logs, log_count, complete, nodes = self._stop_records[key]
-        terms = log_phi_from_logs(logs, s) + log_count
-        buckets = [[] for _ in complete]
-        for i, a, b in zip(bucket_of, bounds, bounds[1:]):
-            buckets[i].append(logsumexp(terms[a:b]))
-        return [logsumexp(b) for b in buckets], list(complete), nodes
-
-    def _record_stops(self, m: int, le: np.ndarray, node_budget: int):
-        """The one pruned walk behind ``schedule_log_sums`` at branch index m.
-
-        Returns (bucket of each group, group bounds, stacked log singular
-        values, log live-word counts, complete flags, nodes expanded).  A
-        group is the stopping edges of one epsilon bucket at one depth, in
-        walk order; its rows are ``bounds[g]:bounds[g + 1]``.
-        """
+    def _record_stops(self, m: int, le: np.ndarray, node_budget: int, exact: bool) -> _Stops:
+        """The pruned walk at branch index m down to the last epsilon of ``le``."""
         neg_le = -(le + _STOP_SNAP)  # increasing, for searchsorted
-        bucket_of, rows, log_counts = [], [], []
+        bucket_of, depth_of, rows, counts = [], [], [], []
 
         def visit(depth, logs, la, parent_la, count):
             # bucket i can hold a node only if la.min() <= le[i] + snap < parent_la.max()
@@ -363,39 +386,22 @@ class _ClassTree:
             if lo >= hi:
                 return
             pa = np.repeat(parent_la, self._arity(depth))
-            lc = _log_counts(count)
+            weight = count if exact else _log_counts(count)
             for i in range(lo, hi):
                 eps_i = le[i]
                 # row indices: gathering by them is much cheaper than a 2-D boolean mask
                 stop = np.flatnonzero((la <= eps_i + _STOP_SNAP) & (pa > eps_i + _STOP_SNAP))
                 if stop.size:
                     bucket_of.append(i)
+                    depth_of.append(depth)
                     rows.append(logs.take(stop, axis=0))
-                    log_counts.append(lc.take(stop))
+                    counts.append(weight.take(stop))
 
         _, frontier_la, nodes = self._walk(visit, m, float(le[-1]), node_budget)
-        return (bucket_of, [0, *itertools.accumulate(len(c) for c in log_counts)],
-                np.concatenate(rows) if rows else np.empty((0, self.d)),
-                np.concatenate(log_counts) if rows else np.empty(0),
-                [frontier_la <= float(v) for v in le], nodes)
-
-    def cutset_groups(self, s: float, log_eps: float, node_budget: int):
-        """One group per stopping edge: a class reached from one kept parent
-        class, with the edge's live word count."""
-        m = branch_index(s, self.d)
-        groups = []
-
-        def visit(depth, logs, la, parent_la, count):
-            pa = np.repeat(parent_la, self._arity(depth))
-            lph = log_phi_from_logs(logs, s)
-            for i in np.nonzero(la <= log_eps + _STOP_SNAP)[0]:
-                c = int(count[i])
-                groups.append(CutGroup(depth=depth, count=c, log_count=math.log(c),
-                                       log_phi=float(lph[i]), log_alpha_m=float(la[i]),
-                                       log_alpha_m_parent=float(pa[i])))
-
-        truncated, _, nodes = self._walk(visit, m, log_eps, node_budget)
-        return groups, truncated, nodes
+        return _Stops(bucket_of, depth_of, [0, *itertools.accumulate(len(c) for c in counts)],
+                      np.concatenate(rows) if rows else np.empty((0, self.d)),
+                      np.concatenate(counts) if rows else np.empty(0),
+                      [frontier_la <= float(v) for v in le], nodes)
 
     def net_measure_series(self, s: float, windows, node_budget: int):
         """Net-measure log values for (k, K) windows, None for a window whose
@@ -541,7 +547,7 @@ class DiagonalEngine(_ClassTree):
         into their classes, adding up their parents' live word counts."""
         idx = np.zeros(1, dtype=np.intp)     # kept classes of the current depth
         count = np.ones(1, dtype=object)     # live words in each kept class
-        parent_la = np.zeros(1)
+        parent_la = np.full(1, math.inf)     # the root never stops
         depth = nodes = 0
         while idx.size > 0:
             child = self.child_rows(depth)[idx].reshape(-1)
@@ -661,7 +667,7 @@ class GenericEngine(_ClassTree):
         """
         kept = self._tree_logs
         idx = Q = None
-        parent_la = np.zeros(1)
+        parent_la = np.full(1, math.inf)    # the root never stops
         count = np.ones(1, dtype=np.int64)  # live words in each kept class
         live = words = 1                    # live words, and all words, at this depth
         depth = nodes = 0
@@ -772,7 +778,6 @@ class CutGroup:
     log_count: float
     log_phi: float
     log_alpha_m: float
-    log_alpha_m_parent: float
 
 
 @dataclass

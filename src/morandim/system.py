@@ -474,14 +474,6 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def word_hash(seed: int, digits) -> int:
-    """Rolling splitmix64 hash of a word prefix; pure in (seed, digits)."""
-    h = _mix64(seed & _MASK)
-    for dgt in digits:
-        h = _mix64(h ^ _mix64(int(dgt)))
-    return h
-
-
 def mix64_batch(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array."""
     x = (x + np.uint64(_GOLDEN)).astype(np.uint64)

@@ -16,6 +16,7 @@ from morandim.symbolic import (
     CutSet,
     DiagonalEngine,
     GenericEngine,
+    UniformEngine,
     Word,
     common_prefix,
     cutset,
@@ -469,6 +470,43 @@ def test_engine_sums_match_independent_walker_on_generated_systems():
     check()
 
 
+def _check_stops_against_oracle(spec, s):
+    """Each bucket of the s* sums, and the cut-set's word count at each depth,
+    against the word walker, at every epsilon of GEN_EPS and at one within
+    the stop snap of 1, where every depth-1 word stops."""
+    eps_list = (1 - 1e-13, *GEN_EPS)
+    sums, complete, _ = make_engine(spec).schedule_log_sums(
+        s, [math.log(e) for e in eps_list], symbolic.DEFAULT_NODE_BUDGET)
+    assert all(complete)
+    for eps, got in zip(eps_list, sums):
+        words = list(iter_cutset_words(spec, s, eps))
+        assert got == pytest.approx(math.log(math.fsum(math.exp(lp) for _, lp in words)),
+                                    rel=1e-10, abs=1e-10)
+        per_depth = collections.Counter()
+        for g in cutset(spec, s, eps).groups:
+            per_depth[g.depth] += g.count
+        assert per_depth == collections.Counter(len(w) for w, _ in words)
+
+
+@pytest.mark.parametrize("s", [0.7, 1.3])
+@pytest.mark.parametrize("name", ["middle_thirds", "random_diag_pair", "example_5_3"])
+def test_stops_near_epsilon_one_match_the_word_walker(name, s):
+    _check_stops_against_oracle(fixture(name), s)
+
+
+def test_stops_near_epsilon_one_match_the_word_walker_on_generated_systems():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=_examples(40))
+    @given(st.one_of(_generated_systems(st), _generated_systems(st, diagonal=True)),
+           st.sampled_from(GEN_S))
+    def check(spec, s):
+        _check_stops_against_oracle(spec, s)
+
+    check()
+
+
 def _all_bucket_schedule_sums(engine, s, log_eps_list, node_budget):
     """``schedule_log_sums`` with its bucket loop over every bucket at every
     depth, on the same walk: the reference for the live-bucket range."""
@@ -547,6 +585,23 @@ def test_estimate_sstar_walks_once_per_branch_index(monkeypatch):
     assert rep.schedule["engine"] == "diagonal" and rep.estimate is not None
     indices = {branch_index(p["s"], spec.dim) for p in rep.trace}
     assert sorted(walks) == sorted(indices)
+    assert len(rep.trace) > len(indices)
+
+
+def test_estimate_sstar_records_the_chain_once_per_branch_index(monkeypatch):
+    records = []
+    record = UniformEngine._record_stops
+
+    def counted(self, m, le, node_budget, exact):
+        records.append(m)
+        return record(self, m, le, node_budget, exact)
+
+    monkeypatch.setattr(UniformEngine, "_record_stops", counted)
+    spec = fixture("middle_thirds")
+    rep = estimate_sstar(spec)
+    assert rep.schedule["engine"] == "uniform" and rep.estimate is not None
+    indices = {branch_index(p["s"], spec.dim) for p in rep.trace}
+    assert sorted(records) == sorted(indices)
     assert len(rep.trace) > len(indices)
 
 

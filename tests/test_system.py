@@ -13,7 +13,6 @@ from morandim.system import (
     parse_spec,
     parse_structure,
     validate,
-    word_hash,
 )
 
 REQUIRED_FIXTURES = {
@@ -151,14 +150,6 @@ def test_alpha_bounds_match_bruteforce_over_levels(name):
     ab = alpha_bounds(spec)
     assert ab.alpha_plus == pytest.approx(plus)
     assert ab.alpha_minus == pytest.approx(minus)
-
-
-def test_word_hash_is_pure():
-    a = word_hash(42, (1, 2, 3))
-    b = word_hash(42, (1, 2, 3))
-    assert a == b
-    assert word_hash(42, (1, 2)) != a
-    assert word_hash(43, (1, 2, 3)) != a
 
 
 def test_fixture_json_round_trip():
