@@ -72,12 +72,20 @@ def _sup_norm(spec: SystemSpec) -> float:
     return max(op_norm(m) for lvl in spec.schedule.levels for m in lvl.maps)
 
 
+def _gather(table: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """Rows of an (n, d) table picked by digit, gathered one axis at a time:
+    the (N, d) transpose of an axis-major (d, N) array."""
+    return np.take(np.ascontiguousarray(table.T), digits, axis=1).T
+
+
 def _translation_arrays(spec: SystemSpec, codes: np.ndarray, seed: int):
     """Per-level translation vectors for each sampled word prefix.
 
     Returns a list W with W[k-1] of shape (N, d): the translation applied
     at step k for word prefix codes[:, :k].  Prefix-keyed hashing makes
-    shared prefixes share translations without any cache.
+    shared prefixes share translations without any cache.  Except for
+    ``explicit`` tables, W[k-1] is the transpose of an axis-major array, so
+    each of its columns is contiguous.
     """
     scheme = spec.translations
     N, K = codes.shape
@@ -88,8 +96,7 @@ def _translation_arrays(spec: SystemSpec, codes: np.ndarray, seed: int):
             lvl = spec.level(k)
             if lvl.digits is None:
                 raise UnresolvedTranslation(f"level {k} has no digits")
-            digit_arr = np.asarray(lvl.digits, dtype=float)
-            out.append(digit_arr[codes[:, k - 1]])
+            out.append(_gather(np.asarray(lvl.digits, dtype=float), codes[:, k - 1]))
         return out
     if scheme.kind == "explicit":
         table = scheme.table or {}
@@ -112,29 +119,55 @@ def _translation_arrays(spec: SystemSpec, codes: np.ndarray, seed: int):
     if scheme.kind == "finite_alphabet":
         alphabet = np.asarray(scheme.alphabet, dtype=float)
     for k in range(1, K + 1):
-        digit_mix = mix64_batch(codes[:, k - 1].astype(np.uint64) + np.uint64(1))
-        h = mix64_batch(h ^ digit_mix)
+        # the mix of digit j + 1 is looked up, not recomputed for every point
+        digit_mix = mix64_batch(np.arange(1, spec.branch_count(k) + 1, dtype=np.uint64))
+        h = mix64_batch(h ^ np.take(digit_mix, codes[:, k - 1]))
         if scheme.kind == "finite_alphabet":
             idx = (h % np.uint64(len(alphabet))).astype(np.int64)
-            out.append(alphabet[idx])
+            out.append(_gather(alphabet, idx))
         else:  # random_iid, uniform over the region box
             lo, hi = scheme.region.lo, scheme.region.hi
-            unit = np.stack([hash_to_unit(h, axis) for axis in range(d)], axis=1)
-            out.append(lo + unit * (hi - lo))
+            out.append(np.stack([lo[axis] + hash_to_unit(h, axis) * (hi[axis] - lo[axis])
+                                 for axis in range(d)]).T)
     return out
 
 
 def _project_codes(spec: SystemSpec, codes: np.ndarray, seed: int) -> np.ndarray:
-    """Finite-depth projection of 0-based digit codes, anchored at center(J)."""
+    """Finite-depth projection of 0-based digit codes, anchored at center(J).
+
+    The point is kept as d coordinate columns, and level k maps them by
+    x_i <- sum_j T_ij x_j + w_i in elementwise multiply-adds.  T's entries
+    are scalars when every map of the level is the same, else columns
+    gathered by digit.  The sum runs in j order from the first product;
+    ``einsum("nij,nj->ni")`` starts its sum from +0.0 and so never returns
+    -0.0, and the final ``+ 0.0`` does the same here, so for d <= 2 the
+    bytes are einsum's.  For d >= 3 einsum adds in interleaved lanes, and
+    the last bit may differ.  Returns an (N, d) view of a (d, N) array.
+    """
     N, K = codes.shape
     d = spec.dim
     translations = _translation_arrays(spec, codes, seed)
-    x = np.tile(spec.seed_region.center, (N, 1))
+    x = [np.full(N, c) for c in spec.seed_region.center]
     for k in range(K, 0, -1):
-        maps = np.stack([m.entries for m in spec.level(k).maps])
-        T = maps[codes[:, k - 1]]
-        x = np.einsum("nij,nj->ni", T, x) + translations[k - 1]
-    return x
+        lvl = spec.level(k)
+        if lvl.maps_all_identical():
+            T = lvl.maps[0].entries
+        else:
+            T = _gather(np.stack([m.entries.ravel() for m in lvl.maps]),
+                        codes[:, k - 1]).T.reshape(d, d, N)
+        w = translations[k - 1].T
+        nxt = []
+        for i in range(d):
+            acc = T[i, 0] * x[0]
+            for j in range(1, d):
+                acc += T[i, j] * x[j]
+            acc += w[i]
+            nxt.append(acc)
+        x = nxt
+    points = np.empty((d, N))
+    for i in range(d):
+        np.add(x[i], 0.0, out=points[i])
+    return points.T
 
 
 def project(spec: SystemSpec, w: Word, seed: int = 0) -> np.ndarray:
@@ -149,25 +182,26 @@ def project(spec: SystemSpec, w: Word, seed: int = 0) -> np.ndarray:
 
 
 def _enumerate_codes(spec: SystemSpec, depth: int) -> np.ndarray:
+    """Every depth-K word in lexicographic order, as an (N, K) view of a
+    level-major (K, N) array; level k's digits are the smallest unsigned
+    type that holds n_k - 1."""
+    counts = []
     total = 1
     for k in range(1, depth + 1):
-        n = spec.branch_count(k)
-        if n >= np.iinfo(np.uint16).max:
-            raise BudgetExceeded(f"level {k} branch count {n} too large to enumerate")
-        total *= n
+        counts.append(spec.branch_count(k))
+        total *= counts[-1]
         if total > FULL_ENUM_BUDGET:
             raise BudgetExceeded(
                 f"full enumeration to depth {depth} needs {total} > "
                 f"{FULL_ENUM_BUDGET} words"
             )
-    codes = np.zeros((1, 0), dtype=np.uint16)
-    for k in range(1, depth + 1):
-        n = spec.branch_count(k)
-        N = codes.shape[0]
-        rep = np.repeat(codes, n, axis=0)
-        new = np.tile(np.arange(n, dtype=np.uint16), N)[:, None]
-        codes = np.hstack([rep, new])
-    return codes
+    cols = []
+    inner = total
+    for n in counts:
+        inner //= n
+        digits = np.arange(n, dtype=np.min_scalar_type(n - 1))
+        cols.append(np.tile(np.repeat(digits, inner), total // (n * inner)))
+    return np.stack(cols).T
 
 
 def sample_cloud(spec: SystemSpec, depth: int, mode: str = "auto",
@@ -176,8 +210,9 @@ def sample_cloud(spec: SystemSpec, depth: int, mode: str = "auto",
 
     ``full_enumeration`` visits every depth-K word (guarded by the word
     budget); ``random_codes`` draws ``count`` words uniformly digit by
-    digit from a seeded generator.  ``auto`` enumerates when that fits the
-    budget and the requested count, else falls back to random codes.
+    digit from a seeded generator.  ``auto`` enumerates whenever the depth-K
+    words fit the budget, however few points ``count`` asks for, and draws
+    ``count`` random codes otherwise.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -194,9 +229,8 @@ def sample_cloud(spec: SystemSpec, depth: int, mode: str = "auto",
         if count is None:
             count = 100_000
         rng = np.random.Generator(np.random.PCG64(seed))
-        cols = [rng.integers(0, spec.branch_count(k), size=count, dtype=np.int64)
-                for k in range(1, depth + 1)]
-        codes = np.stack(cols, axis=1)
+        codes = np.stack([rng.integers(0, spec.branch_count(k), size=count, dtype=np.int64)
+                          for k in range(1, depth + 1)]).T
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     points = _project_codes(spec, codes, seed)
@@ -224,21 +258,22 @@ def _grid_keys(points: np.ndarray, epsilon: float) -> np.ndarray:
     grid for the points' extent; the check runs on the float indices before
     any cast, so nothing wraps.
     """
-    cells = np.floor(points / epsilon + _GRID_SNAP)
-    lo, hi = cells.min(axis=0), cells.max(axis=0)
-    if not (lo.min() >= -_INT64_LIMIT and hi.max() < _INT64_LIMIT):  # also rejects nan
+    cells = np.floor(points / epsilon + _GRID_SNAP).T
+    lo, hi = [col.min() for col in cells], [col.max() for col in cells]
+    # the comparisons also reject nan
+    if not all(l >= -_INT64_LIMIT and h < _INT64_LIMIT for l, h in zip(lo, hi)):
         raise ValueError(f"scale {epsilon!r} puts grid indices outside int64")
     # exact integers: a float inside the int64 range converts without loss
     spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
     if math.prod(spans) >= _INT64_LIMIT:
         raise ValueError(f"scale {epsilon!r} is too fine for an int64 grid key over "
                          f"this cloud's extent")
-    idx = cells.astype(np.int64)
-    idx -= lo.astype(np.int64)  # fits: each span is below 2**63
-    key = idx[:, 0].copy()
-    for axis in range(1, idx.shape[1]):
-        key *= spans[axis]
-        key += idx[:, axis]
+    # fits: each span is below 2**63
+    offsets = [col.astype(np.int64) - int(l) for col, l in zip(cells, lo)]
+    key = offsets[0]
+    for off, span in zip(offsets[1:], spans[1:]):
+        key *= span
+        key += off
     return key
 
 

@@ -1,11 +1,18 @@
+import hashlib
+import itertools
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from morandim import cli
 from morandim.attractor import (
     PointCloud,
+    _enumerate_codes,
     _grid_keys,
+    _project_codes,
     box_count,
     boxdim_fit,
     default_scales,
@@ -19,7 +26,10 @@ from morandim.attractor import (
 )
 from morandim.errors import BudgetExceeded, DimensionMismatch, UnresolvedTranslation
 from morandim.symbolic import Word
-from morandim.system import fixture, parse_structure
+from morandim.linalg import Matrix
+from morandim.system import (TRANSLATION_KINDS, Box, LevelSpec, Schedule, SystemSpec,
+                             TranslationScheme, _mix64, fixture, hash_to_unit, mix64_batch,
+                             parse_structure)
 
 S_SIM = math.log(2) / math.log(3)
 
@@ -354,3 +364,178 @@ def test_saturated_only_for_random_codes():
     assert not saturated(cl, cl.count)
     rnd = sample_cloud(fixture("middle_thirds"), 6, mode="random_codes", count=100, seed=1)
     assert saturated(rnd, 11) and not saturated(rnd, 10)
+
+
+# ---------------------------------------------------------------------------
+# the column kernel: level-major codes, golden bytes, the einsum reference
+# ---------------------------------------------------------------------------
+
+def test_enumerated_codes_are_level_major_and_lexicographic():
+    spec = fixture("scalar_blocks")
+    depth = 4
+    codes = _enumerate_codes(spec, depth)
+    words = itertools.product(*(range(spec.branch_count(k)) for k in range(1, depth + 1)))
+    assert codes.tolist() == [list(w) for w in words]
+    assert codes.dtype == np.uint8
+    assert all(codes[:, k].flags.c_contiguous for k in range(depth))
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+# sha256 of the points and the benchmark jobs' (epsilon, count) rows and PGM
+# bytes, written by the per-point einsum kernel before the column kernel
+# replaced it; report.json is left out, as its polyfit floats may differ
+# across BLAS builds
+ATTRACTOR_DIGESTS = json.loads((GOLDEN / "attractor_digests.json").read_text())
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ATTRACTOR_DIGESTS["sample_cloud"]))
+def test_sampled_points_match_the_golden_digests(name):
+    spec = fixture(name)
+    full = sample_cloud(spec, 5, mode="full_enumeration")
+    rnd = sample_cloud(spec, 9, mode="random_codes", count=20_000, seed=11)
+    assert {"full_enumeration depth 5": _sha256(full.points.tobytes()),
+            "random_codes depth 9 count 20000 seed 11": _sha256(rnd.points.tobytes())
+            } == ATTRACTOR_DIGESTS["sample_cloud"][name]
+
+
+@pytest.mark.parametrize("job", sorted(ATTRACTOR_DIGESTS["benchmark_jobs"]))
+def test_benchmark_sampling_jobs_match_the_golden_digests(tmp_path, capsys, job):
+    argv = job.split()
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    if argv[0] == "render":
+        got = {"sha256": _sha256(out.read_bytes())}
+    else:
+        rows = [line.split(",")[:2] for line in (out / "curve.csv").read_text().splitlines()[1:]]
+        got = {"rows": [[float(e), int(c)] for e, c in rows]}
+    assert got == ATTRACTOR_DIGESTS["benchmark_jobs"][job]
+
+
+def _einsum_reference(spec, codes, seed):
+    """The per-point projection the column kernel replaced, kept as the
+    reference: row-major translation gathers and hashes, then per level an
+    (N, d, d) gather of the maps and ``einsum("nij,nj->ni")``."""
+    scheme, (N, K) = spec.translations, codes.shape
+    if scheme.kind == "digit_grid":
+        W = [np.asarray(spec.level(k).digits, dtype=float)[codes[:, k - 1]]
+             for k in range(1, K + 1)]
+    elif scheme.kind == "explicit":
+        W = [np.array([scheme.table["-".join(str(int(c) + 1) for c in row[:k])]
+                       for row in codes]) for k in range(1, K + 1)]
+    else:
+        if scheme.kind == "finite_alphabet":
+            base_seed = scheme.seed if scheme.seed is not None else 0
+        else:
+            base_seed = _mix64((seed & ((1 << 64) - 1)) ^ _mix64(scheme.seed or 0))
+        h = np.full(N, _mix64(base_seed), dtype=np.uint64)
+        W = []
+        for k in range(1, K + 1):
+            h = mix64_batch(h ^ mix64_batch(codes[:, k - 1].astype(np.uint64) + np.uint64(1)))
+            if scheme.kind == "finite_alphabet":
+                alphabet = np.asarray(scheme.alphabet, dtype=float)
+                W.append(alphabet[(h % np.uint64(len(alphabet))).astype(np.int64)])
+            else:
+                lo, hi = scheme.region.lo, scheme.region.hi
+                unit = np.stack([hash_to_unit(h, axis) for axis in range(spec.dim)], axis=1)
+                W.append(lo + unit * (hi - lo))
+    x = np.tile(spec.seed_region.center, (N, 1))
+    for k in range(K, 0, -1):
+        T = np.stack([m.entries for m in spec.level(k).maps])[codes[:, k - 1]]
+        x = np.einsum("nij,nj->ni", T, x) + W[k - 1]
+    return x
+
+
+def _kernel_cases(st):
+    """(spec, codes, seed): d = 1..4, one to three levels of 2..4 maps, each
+    level's maps all one matrix or drawn apart, any translation kind, and
+    either every word of depth 1..4 or up to 30 random ones.  Entries lie in
+    [-1/(2d), 1/(2d)], so every map contracts, and vectors in [-1, 1]; both
+    ranges hold the signed zeros."""
+
+    @st.composite
+    def build(draw):
+        d = draw(st.integers(1, 4))
+        unit = st.floats(-1.0, 1.0)
+        vec = st.lists(unit, min_size=d, max_size=d)
+        matrix = st.lists(st.lists(st.floats(-0.5 / d, 0.5 / d), min_size=d, max_size=d),
+                          min_size=d, max_size=d)
+
+        def box():
+            return Box(np.array(draw(st.lists(st.floats(-1.0, 0.0), min_size=d, max_size=d))),
+                       np.array(draw(st.lists(st.floats(1 / 64, 1.0), min_size=d, max_size=d))))
+
+        levels = []
+        for _ in range(draw(st.integers(1, 3))):
+            n = draw(st.integers(2, 4))
+            if draw(st.booleans()):
+                maps = [draw(matrix)] * n
+            else:
+                maps = draw(st.lists(matrix, min_size=n, max_size=n))
+            levels.append(LevelSpec(n, tuple(Matrix(np.array(m)) for m in maps),
+                                    tuple(np.array(v) for v in draw(st.lists(
+                                        vec, min_size=n, max_size=n)))))
+        depth = draw(st.integers(1, 4))
+        kind = draw(st.sampled_from(TRANSLATION_KINDS))
+        scheme_seed = draw(st.integers(0, 2 ** 32))
+        schedule = Schedule("constant" if len(levels) == 1 else "periodic", tuple(levels))
+        if kind == "digit_grid":
+            scheme = TranslationScheme(kind)
+        elif kind == "finite_alphabet":
+            scheme = TranslationScheme(kind, alphabet=tuple(np.array(v) for v in draw(
+                st.lists(vec, min_size=1, max_size=4))), seed=scheme_seed)
+        elif kind == "random_iid":
+            scheme = TranslationScheme(kind, region=box(), seed=scheme_seed)
+        elif kind == "explicit":
+            pool = draw(st.lists(vec, min_size=1, max_size=5))
+            words = itertools.chain.from_iterable(
+                itertools.product(*(range(1, schedule.level(k).branch_count + 1)
+                                    for k in range(1, t + 1))) for t in range(1, depth + 1))
+            scheme = TranslationScheme(kind, table={
+                "-".join(map(str, w)): np.array(pool[i % len(pool)])
+                for i, w in enumerate(words)})
+        spec = SystemSpec(d, schedule, scheme, box())
+        if draw(st.booleans()):
+            codes = _enumerate_codes(spec, depth)
+        else:
+            rng, count = np.random.default_rng(draw(st.integers(0, 2 ** 32))), draw(
+                st.integers(1, 30))
+            codes = np.stack([rng.integers(0, spec.branch_count(k), count)
+                              for k in range(1, depth + 1)]).T
+        return spec, codes, draw(st.integers(0, 2 ** 64 - 1))
+
+    return build()
+
+
+def test_column_kernel_matches_the_einsum_reference():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, strategies as st
+
+    @given(_kernel_cases(st))
+    def check(case):
+        spec, codes, seed = case
+        got, want = _project_codes(spec, codes, seed), _einsum_reference(spec, codes, seed)
+        assert got.shape == want.shape == (codes.shape[0], spec.dim)
+        if spec.dim <= 2:  # einsum's two-term sum is p0 + p1: the same bits
+            assert got.tobytes() == want.tobytes()
+        else:  # einsum adds d >= 3 terms in interleaved lanes
+            assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+
+    check()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_column_kernel_turns_negative_zero_sums_positive_as_einsum_does(d):
+    # -1/2 times the center 0.0 is -0.0, and -0.0 + -0.0 stays -0.0; einsum
+    # sums from +0.0, so its point is +0.0
+    maps = (Matrix(-0.5 * np.eye(d)), Matrix(0.25 * np.eye(d)))
+    digits = (np.full(d, -0.0), np.full(d, 0.5))
+    spec = SystemSpec(d, Schedule("constant", (LevelSpec(2, maps, digits),)),
+                      TranslationScheme("digit_grid"), Box(-np.ones(d), np.ones(d)))
+    codes = np.zeros((1, 1), dtype=np.int64)
+    got = _project_codes(spec, codes, 0)
+    assert got.tobytes() == _einsum_reference(spec, codes, 0).tobytes() == np.zeros((1, d)).tobytes()

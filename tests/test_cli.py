@@ -481,6 +481,18 @@ def test_full_enumeration_boxdim_is_never_flagged(capsys):
     assert rep["flags"] == []
 
 
+def test_boxdim_enumerates_a_level_wider_than_uint16(tmp_path, capsys):
+    # 70,000 depth-1 words fit the enumeration budget; their digits do not fit uint16
+    n = 70_000
+    config = _config(tmp_path, "middle_thirds", [
+        {"branch_count": n, "maps": [[[1e-5]]] * n, "digits": [[j / n] for j in range(n)]}])
+    code, out, err, _ = _main(capsys, "boxdim", config, "--depth", "1", "--count", "5000")
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["schedule"]["mode"] == "full_enumeration"
+    assert rep["schedule"]["count"] == n
+
+
 @pytest.mark.parametrize("argv, blocked", [
     (("boxdim", "--fixture", "middle_thirds", "--depth", "8"), "report.json"),
     (("boxdim", "--fixture", "middle_thirds", "--depth", "8"), "manifest.json"),
