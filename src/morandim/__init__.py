@@ -24,7 +24,7 @@ from .dims import (
 )
 from .linalg import Matrix, SingularValues, mat_mul, op_norm, singular_values
 from .svf import LogPhi, log_phi, phi
-from .symbolic import CutSet, Word, common_prefix, cutset, cutset_sum, product
+from .symbolic import CutSet, Word, cutset, cutset_sum, product
 from .system import (
     AlphaBounds,
     LevelSpec,
@@ -43,7 +43,7 @@ __all__ = [
     "AlphaBounds", "BoxCountCurve", "CutSet", "DimensionReport", "LevelSpec",
     "LogPhi", "Matrix", "NetMeasureTable", "PointCloud", "Schedule",
     "SingularValues", "SystemSpec", "TranslationScheme", "Word",
-    "alpha_bounds", "box_count", "boxdim_fit", "common_prefix", "cutset",
+    "alpha_bounds", "box_count", "boxdim_fit", "cutset",
     "cutset_sum", "estimate_sA", "estimate_sstar", "fixture", "fixture_names",
     "log_phi", "mat_mul", "moran_dims", "moran_dk", "net_measure", "op_norm",
     "parse_spec", "parse_structure", "phi", "pressure_root", "product",

@@ -100,14 +100,14 @@ def _translation_arrays(spec: SystemSpec, codes: np.ndarray, seed: int):
         return out
     if scheme.kind == "explicit":
         table = scheme.table or {}
+        keys = [""] * N  # each point's prefix word, extended by one digit per level
         for k in range(1, K + 1):
-            vecs = np.empty((N, d))
-            for i in range(N):
-                key = "-".join(str(int(c) + 1) for c in codes[i, : k])
-                if key not in table:
-                    raise UnresolvedTranslation(f"no table entry for word {key}")
-                vecs[i] = table[key]
-            out.append(vecs)
+            sep = "-" if k > 1 else ""
+            keys = [f"{key}{sep}{c + 1}" for key, c in zip(keys, codes[:, k - 1].tolist())]
+            missing = next((key for key in keys if key not in table), None)
+            if missing is not None:
+                raise UnresolvedTranslation(f"no table entry for word {missing}")
+            out.append(np.array([table[key] for key in keys], dtype=float).reshape(N, d))
         return out
     # Hash-assigned schemes: rolling splitmix64 over 1-based digits.
     if scheme.kind == "finite_alphabet":

@@ -6,8 +6,10 @@ argument, 2 inapplicable estimator or invariant error, 3 budget exhaustion
 or an indeterminate trend, 4 internal error (a defect).  Errors are one
 JSON line on stderr.  Seeded commands are byte-reproducible; every file
 output gets a manifest written beside it, and every file is written whole
-before anything is printed.  Everything runs in one thread: ``--threads``
-is accepted and ignored.
+before anything is printed.  ``dims --threads N`` splits the generic and
+lattice class trees' level-wide array work over min(N, usable CPUs)
+threads; every output is byte-identical at any N, and the other commands
+accept the flag and run in one thread.
 """
 from __future__ import annotations
 
@@ -118,11 +120,20 @@ def cmd_validate(args) -> int:
     return EXIT_INAPPLICABLE if errors else EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_dims(args) -> int:
     """Run the ``--which`` estimators one after another and print their
     reports in ``--which`` order.
 
     s* and s_A share one engine; building it validates the system, once.
+    It gets min(--threads, usable CPUs) workers, whose threads, if a level
+    was wide enough to start them, stop when the estimators end.
     s_A runs first, so the pruned walks of s* read the level tree it keeps.
     Each estimator runs once, and errors are raised in ``--which`` order, as
     if each estimator had run alone.
@@ -136,6 +147,7 @@ def cmd_dims(args) -> int:
         nonlocal engine
         if name in ("sstar", "sa") and engine is None:
             engine = dims.make_engine(spec)  # validates: no engine for a broken invariant
+            engine.workers = min(args.threads or 1, _usable_cpus())
         if name == "sstar":
             return [estimate_sstar(spec, tol=tol, node_budget=budget, engine=engine)]
         if name == "sa":
@@ -151,11 +163,15 @@ def cmd_dims(args) -> int:
         raise AssertionError(name)
 
     results = {}
-    for name in sorted(dict.fromkeys(which), key=lambda name: name == "sstar"):
-        try:
-            results[name] = run(name)
-        except MoranDimError as exc:
-            results[name] = exc
+    try:
+        for name in sorted(dict.fromkeys(which), key=lambda name: name == "sstar"):
+            try:
+                results[name] = run(name)
+            except MoranDimError as exc:
+                results[name] = exc
+    finally:
+        if engine is not None:
+            engine.close()
     reports = []
     for name in which:
         if isinstance(results[name], MoranDimError):
@@ -291,7 +307,9 @@ _FLAGS = {
         0.0 < e < math.inf for e in v), "two or more distinct positive finite numbers", True),
         "box-count scales instead of the automatic ones"),
     "resolution": ("--resolution", _COUNT, "raster side in pixels"),
-    "threads": ("--threads", int, "accepted and ignored"),
+    "threads": ("--threads", int, "dims: threads for the class tree's level-wide array work, "
+                "at most the usable CPUs; outputs are byte-identical at any value, and 1 or "
+                "less is serial (boxdim, render: accepted and ignored)"),
     "node_budget": ("--node-budget", _COUNT, "tree nodes a walk may expand"),
     "out": ("--out", None, "output directory (dims, boxdim) or file (render, cutset)"),
     "s": ("--s", _POSITIVE, "exponent of the cut-set"),

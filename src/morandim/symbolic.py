@@ -43,6 +43,17 @@ Each depth reduces every row's children with ``_log_row_sums``, a fold of
 its horizon and leaves it at its min depth, where its row is summed
 weighted by the word counts.
 
+The generic walker keeps each level's products as d^2 contiguous entry
+columns, (d, d, N), and expands them by elementwise multiply-adds.  The
+class tree's level-wide array work (the generic expansion, each level's
+log phi^s, and each depth of the net-measure fold) runs through
+``_Engine._blocks`` in chunks of ``_CHUNK`` columns, and a level of more
+than one chunk is split over ``workers`` threads, one contiguous block per
+worker.  Every chunk does the same elementwise arithmetic on its own
+columns, so the bits are the same at any worker count.  ``workers`` is 1
+unless the caller sets it (``dims --threads``), and then every call runs in
+the calling thread.
+
 ``iter_cutset_words`` lists the cut-set words themselves, independently of
 the engines, from plain products taken one depth at a time.
 
@@ -75,6 +86,11 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # tie case alpha_m == epsilon stops even when the two floats were produced
 # by different arithmetic paths.
 _STOP_SNAP = 1e-12
+# Columns per chunk of a level's array work (``_Engine._blocks``): it bounds
+# the temporaries of a wide level, and a level of one chunk is not worth a
+# thread hand-off.  On example_5_3's s* and s_A job, 2^11 to 2^17 gave the
+# same time within noise, and the peak RSS was 145 MB with chunks, 170 without.
+_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +118,6 @@ def validate_word(spec: SystemSpec, w: Word) -> None:
         n = spec.branch_count(j)
         if not 1 <= d <= n:
             raise MoranDimError(f"digit {d} at position {j} outside 1..{n}")
-
-
-def common_prefix(u: Word, v: Word) -> Word:
-    """Longest shared initial word of u and v."""
-    out = []
-    for a, b in zip(u.digits, v.digits):
-        if a != b:
-            break
-        out.append(a)
-    return Word(tuple(out))
 
 
 @dataclass
@@ -179,19 +185,31 @@ def _log_counts(count: np.ndarray) -> np.ndarray:
     return np.log(count)
 
 
-def _log_row_sums(grouped: np.ndarray) -> np.ndarray:
-    """Logsumexp over the last axis of an (..., n) array, as a fresh (...) array.
+def _log_row_sums(grouped: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Logsumexp over the last axis of an (..., n) array, into ``out`` or a
+    fresh (...) array.
 
-    Folds ``np.logaddexp`` over the n columns: the first pair allocates the
-    result and every later column is added into it in place.
+    Folds ``np.logaddexp`` over the n columns: the first pair is written to
+    the result and every later column is added into it in place.
     """
     n = grouped.shape[-1]
+    if out is None:
+        out = np.empty(grouped.shape[:-1])
     if n == 1:
-        return grouped[..., 0].copy()
-    out = np.logaddexp(grouped[..., 0], grouped[..., 1])
+        out[...] = grouped[..., 0]
+        return out
+    np.logaddexp(grouped[..., 0], grouped[..., 1], out=out)
     for j in range(2, n):
         np.logaddexp(out, grouped[..., j], out=out)
     return out
+
+
+def _take_rows(logs: np.ndarray, idx) -> np.ndarray:
+    """Rows ``idx`` of an (N, d) array.  The (N, d) view of a (d, N) array is
+    gathered one column at a time: ``take`` would first copy it whole."""
+    if logs.flags.c_contiguous:
+        return logs.take(idx, axis=0)
+    return logs.T.take(idx, axis=1).T
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +242,47 @@ class _Engine:
     exact counts.
     """
 
+    workers = 1  # threads for the class tree's level-wide array work (``_blocks``)
+
     def __init__(self, spec: SystemSpec):
         self.spec = spec
         self.d = spec.dim
         self._stop_records = {}  # (m, log eps schedule, node_budget) -> the s* _Stops
+        self._pool = None
+
+    def _blocks(self, n: int, fn) -> None:
+        """Run ``fn(lo, hi)`` over the chunks of at most ``_CHUNK`` columns
+        that cover range(n).
+
+        With more than one worker, a level of more than one chunk is split
+        into one contiguous block per worker, run on a thread pool created
+        when a level first gets that wide; each worker runs its block's
+        chunks in order.  A chunk writes only its own slices of preallocated
+        arrays, by the same elementwise arithmetic, so the bits depend on
+        neither the chunks nor the workers.
+        """
+        def run(lo, hi):
+            for c in range(lo, hi, _CHUNK):
+                fn(c, min(c + _CHUNK, hi))
+
+        if self.workers <= 1 or n <= _CHUNK:
+            run(0, n)
+            return
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(max_workers=self.workers)
+        bounds = [n * i // self.workers for i in range(self.workers + 1)]
+        futures = [self._pool.submit(run, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        for f in futures:  # every block ends before an error is raised
+            f.exception()
+        for f in futures:
+            f.result()
+
+    def close(self) -> None:
+        """Stop the worker threads, if a level was wide enough to start them."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     def max_depth_within(self, node_budget: int, K_cap: int = 64) -> int:
         """Deepest depth <= K_cap whose tree, root included, fits the budget."""
@@ -353,9 +408,10 @@ class _ClassTree(_Engine):
     a choice-count vector on the composition lattice.  A subclass gives the
     budgeted nodes per depth (``_widths``), the per-depth (C_t, d) log
     singular values (``_levels``), the log word count of each class
-    (``_log_mults``), the children per class at a depth (``_arity``) and
-    their values (``_child_values``, over any leading axes), and a pruned
-    walk.
+    (``_log_mults``), the children per class at a depth (``_arity``), a
+    reader of their values (``_child_values(t, v)``: (lo, hi) to the
+    (..., hi - lo, arity) values of the children of classes lo..hi - 1, over
+    any leading axes), and a pruned walk.
 
     ``_walk(visit, m, log_stop, node_budget)`` walks the tree from the root,
     one level at a time, and keeps the children whose alpha_m lies above
@@ -394,7 +450,7 @@ class _ClassTree(_Engine):
                 if stop.size:
                     bucket_of.append(i)
                     depth_of.append(depth)
-                    rows.append(logs.take(stop, axis=0))
+                    rows.append(_take_rows(logs, stop))
                     counts.append(weight.take(stop))
 
         _, frontier_la, nodes = self._walk(visit, m, float(le[-1]), node_budget)
@@ -416,8 +472,8 @@ class _ClassTree(_Engine):
         counts.
         """
         horizon = self.max_depth_within(node_budget, max(K for _, K in windows))
-        logphi = [np.asarray(log_phi_from_logs(logs, s), dtype=float).reshape(-1)
-                  for logs in self._levels(horizon)]  # logphi[t - 1]: per-class log phi^s at depth t
+        # logphi[t - 1]: per-class log phi^s at depth t
+        logphi = [self._log_phi(logs, s) for logs in self._levels(horizon)]
         out = [None] * len(windows)
         fits = [(i, k, K) for i, (k, K) in enumerate(windows) if K <= horizon]
         if not fits:
@@ -425,8 +481,14 @@ class _ClassTree(_Engine):
         rows, v = [], None  # the stacked windows' (index, k), and their (rows, C_t) values
         for t in range(max(K for _, _, K in fits), min(k for _, k, _ in fits) - 1, -1):
             if rows:
-                v = _log_row_sums(self._child_values(t, v))
-                np.minimum(logphi[t - 1], v, out=v)
+                children, lph = self._child_values(t, v), logphi[t - 1]
+                v = np.empty((len(rows), lph.size))
+
+                def fold(lo, hi):
+                    _log_row_sums(children(lo, hi), out=v[:, lo:hi])
+                    np.minimum(lph[lo:hi], v[:, lo:hi], out=v[:, lo:hi])
+
+                self._blocks(lph.size, fold)
             joining = [(i, k) for i, k, K in fits if K == t]
             if joining:
                 new = np.broadcast_to(logphi[t - 1], (len(joining), logphi[t - 1].size))
@@ -443,10 +505,16 @@ class _ClassTree(_Engine):
 
     def level_log_sums(self, s: float, depths):
         levels = self._levels(max(depths))
-        out = []
-        for t in depths:
-            terms = np.asarray(log_phi_from_logs(levels[t - 1], s)).reshape(-1)
-            out.append(logsumexp(terms + self._log_mults(t)))
+        return [logsumexp(self._log_phi(levels[t - 1], s) + self._log_mults(t)) for t in depths]
+
+    def _log_phi(self, logs: np.ndarray, s: float) -> np.ndarray:
+        """Per-class log phi^s of one level's (C, d) log singular values."""
+        out = np.empty(len(logs))
+
+        def chunk(lo, hi):
+            out[lo:hi] = log_phi_from_logs(logs[lo:hi], s)
+
+        self._blocks(len(logs), chunk)
         return out
 
 
@@ -539,8 +607,9 @@ class DiagonalEngine(_ClassTree):
         self._extend(t)
         return self._log_mult[t]
 
-    def _child_values(self, t: int, v: np.ndarray) -> np.ndarray:
-        return v[..., self.child_rows(t)]
+    def _child_values(self, t: int, v: np.ndarray):
+        rows = self.child_rows(t)
+        return lambda lo, hi: v[..., rows[lo:hi]]
 
     def _walk(self, visit, m: int, log_stop: float, node_budget: float):
         """The pruned walk (see ``_ClassTree``): the kept children merge
@@ -580,8 +649,10 @@ class GenericEngine(_ClassTree):
     equal products, and so do all their extensions.  A class stands for the
     product of its maps' multiplicities in words.  Node i's children sit at
     i*a .. i*a + a - 1 of the next level, for a level of a distinct maps.
-    The unpruned tree is expanded once per engine and its levels are kept
-    (``_levels``); the pruned ``_walk`` reads them.
+    A level's unit-norm products are d^2 entry columns, (d, d, N), and its
+    log singular values the (N, d) view of a (d, N) array.  The unpruned
+    tree is expanded once per engine and its levels are kept (``_levels``);
+    the pruned ``_walk`` reads them.
 
     The budget counts words, not classes: ``_widths`` gives the words per
     depth, and a pruned walk pays the words its expanded classes stand for.
@@ -610,48 +681,76 @@ class GenericEngine(_ClassTree):
         return self._level_maps(depth)[2].size
 
     def _expand(self, Q, log_scale, log_det, k: int):
-        """Children of every node through level k's distinct maps, rescaled to unit norm."""
-        mats, logdets, _ = self._level_maps(k)
-        n, d, N = mats.shape[0], self.d, Q.shape[0]
-        # one (N*d, d) @ (d, n*d) product: every row of every Q times the maps side by side
-        side = mats.transpose(1, 0, 2).reshape(d, n * d)
-        raw = (Q.reshape(-1, d) @ side).reshape(N, d, n, d).transpose(0, 2, 1, 3).reshape(-1, d, d)
-        log_det = np.repeat(log_det, n) + np.tile(logdets, N)
-        if d == 1:
-            a1 = np.abs(raw[:, 0, 0])
-        elif d == 2:
-            a1, _ = sv2_batch(raw)
-        else:
-            a1 = np.linalg.svd(raw, compute_uv=False)[:, 0]
-        log_scale = np.repeat(log_scale, n) + np.log(a1)
-        raw /= a1[:, None, None]
-        return raw, log_scale, log_det
+        """Children of every node through level k's distinct maps, rescaled to
+        unit norm, with their (N, d) descending log singular values.
 
-    def _log_svs(self, Q, log_scale, log_det) -> np.ndarray:
-        """(N, d) descending log singular values of a level."""
-        if self.d == 1:
-            return log_scale[:, None]
-        if self.d == 2:
-            return np.stack([log_scale, log_det - log_scale], axis=1)
-        return log_scale[:, None] + np.log(np.linalg.svd(Q, compute_uv=False))
+        Q holds the N parents as (d, d, N) entry columns, and so do the
+        children: entry (r, c) of child i*a + j is the multiply-add
+        sum_k Q[r, k] * M_j[k, c], in k order.  The log singular values are
+        the (N, d) view of a (d, N) array.  Parents [lo, hi) make children
+        [lo*a, hi*a), chunk by chunk (``_blocks``).
+        """
+        mats, logdets, _ = self._level_maps(k)
+        a, d, N = mats.shape[0], self.d, Q.shape[-1]
+        raw = np.empty((d, d, N * a))
+        logs = np.empty((d, N * a))
+        # for d <= 2 the log scale is the largest log singular value itself
+        scale = logs[0] if d <= 2 else np.empty(N * a)
+        det = np.empty(N * a)
+
+        def chunk(lo, hi):
+            kids = slice(lo * a, hi * a)
+            cols = raw[..., kids]
+            # one map at a time: a scalar times a parent column, written to
+            # every a-th child column (a broadcast over the short map axis is
+            # ten times slower)
+            out = cols.reshape(d, d, hi - lo, a)
+            term = np.empty(hi - lo)
+            for j, M in enumerate(mats):
+                for r in range(d):
+                    for c in range(d):
+                        np.multiply(Q[r, 0, lo:hi], M[0, c], out=out[r, c, :, j])
+                        for k in range(1, d):
+                            np.multiply(Q[r, k, lo:hi], M[k, c], out=term)
+                            out[r, c, :, j] += term
+            stack = np.moveaxis(cols, -1, 0)  # (B, d, d) view for the per-matrix kernels
+            if d == 1:
+                a1 = np.abs(cols[0, 0])
+            elif d == 2:
+                a1, _ = sv2_batch(stack)
+            else:
+                a1 = np.linalg.svd(stack, compute_uv=False)[:, 0]
+            log_a1 = np.log(a1).reshape(-1, a)
+            for j in range(a):
+                np.add(log_scale[lo:hi], log_a1[:, j], out=scale[kids][j::a])
+                np.add(log_det[lo:hi], logdets[j], out=det[kids][j::a])
+            cols /= a1
+            if d == 2:  # the smaller value from the log |det|, as in UniformEngine
+                np.subtract(det[kids], scale[kids], out=logs[1, kids])
+            elif d > 2:
+                np.add(scale[kids, None], np.log(np.linalg.svd(stack, compute_uv=False)),
+                       out=logs[:, kids].T)
+
+        self._blocks(N, chunk)
+        return raw, scale, det, logs.T
 
     def _products(self, idx, depth: int):
-        """Unit-norm products, log scales and log dets of the depth-``depth``
-        nodes ``idx`` (all of them when None), expanded from the root along
-        their ancestors only."""
+        """Unit-norm (d, d, N) product columns, log scales and log dets of the
+        depth-``depth`` nodes ``idx`` (all of them when None), expanded from
+        the root along their ancestors only."""
         wants = []  # the nodes wanted at depths depth, depth - 1, ..., 1
         for t in range(depth, 0, -1):
             wants.append(idx)
             if idx is not None:
                 idx = np.unique(idx // self._arity(t))
-        Q, log_scale, log_det = np.eye(self.d)[None], np.zeros(1), np.zeros(1)
+        Q, log_scale, log_det = np.eye(self.d)[..., None], np.zeros(1), np.zeros(1)
         parents = np.zeros(1, dtype=np.intp)
         for t, want in enumerate(reversed(wants), start=1):
-            Q, log_scale, log_det = self._expand(Q, log_scale, log_det, t)
+            Q, log_scale, log_det, _ = self._expand(Q, log_scale, log_det, t)
             if want is not None:
                 a = self._arity(t)
                 rows = np.searchsorted((parents[:, None] * a + np.arange(a)).reshape(-1), want)
-                Q, log_scale, log_det = Q[rows], log_scale[rows], log_det[rows]
+                Q, log_scale, log_det = Q[..., rows], log_scale[rows], log_det[rows]
                 parents = want
         return Q, log_scale, log_det
 
@@ -689,19 +788,18 @@ class GenericEngine(_ClassTree):
                 logs = kept[depth - 1]
                 if idx is not None:
                     idx = (idx[:, None] * a + np.arange(a)).reshape(-1)
-                    logs = np.take(logs, idx, axis=0)
+                    logs = _take_rows(logs, idx)
             else:
                 if Q is None:
                     Q, log_scale, log_det = self._products(idx, depth - 1)
-                Q, log_scale, log_det = self._expand(Q, log_scale, log_det, depth)
-                logs = self._log_svs(Q, log_scale, log_det)
+                Q, log_scale, log_det, logs = self._expand(Q, log_scale, log_det, depth)
             la = logs[:, m - 1]
             visit(depth, logs, la, parent_la, count)
             keep = la > log_stop + _STOP_SNAP
             if not keep.all():
                 la, count = la[keep], count[keep]
                 if Q is not None:
-                    Q, log_scale, log_det = Q[keep], log_scale[keep], log_det[keep]
+                    Q, log_scale, log_det = Q[..., keep], log_scale[keep], log_det[keep]
                 else:
                     idx = np.nonzero(keep)[0] if idx is None else idx[keep]
             parent_la = la
@@ -722,11 +820,11 @@ class GenericEngine(_ClassTree):
         sliced by later requests; a deeper request expands from the root again.
         """
         if depth > len(self._tree_logs):
-            Q, log_scale, log_det = np.eye(self.d)[None], np.zeros(1), np.zeros(1)
+            Q, log_scale, log_det = np.eye(self.d)[..., None], np.zeros(1), np.zeros(1)
             levels = []
             for t in range(1, depth + 1):
-                Q, log_scale, log_det = self._expand(Q, log_scale, log_det, t)
-                levels.append(self._log_svs(Q, log_scale, log_det))
+                Q, log_scale, log_det, logs = self._expand(Q, log_scale, log_det, t)
+                levels.append(logs)
             self._tree_logs = levels
         return self._tree_logs[:depth]
 
@@ -736,10 +834,13 @@ class GenericEngine(_ClassTree):
             out = (out[:, None] + np.log(self._level_maps(j)[2])).reshape(-1)
         return out
 
-    def _child_values(self, t: int, v: np.ndarray) -> np.ndarray:
+    def _child_values(self, t: int, v: np.ndarray):
         mults = self._level_maps(t + 1)[2]
         grouped = v.reshape(*v.shape[:-1], -1, mults.size)
-        return grouped + np.log(mults) if mults.max() > 1 else grouped
+        if mults.max() == 1:
+            return lambda lo, hi: grouped[..., lo:hi, :]
+        log_mults = np.log(mults)
+        return lambda lo, hi: grouped[..., lo:hi, :] + log_mults
 
 
 def make_engine(spec: SystemSpec):

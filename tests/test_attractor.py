@@ -131,6 +131,50 @@ def test_unresolved_translation():
         sample_cloud(spec, 2, mode="full_enumeration")
 
 
+def _brute_force_explicit(table, codes):
+    """Per level, then per point: the vector of each prefix word's key, built
+    from scratch, or the message of the first key missing from the table."""
+    out = []
+    for k in range(1, codes.shape[1] + 1):
+        keys = ["-".join(str(int(c) + 1) for c in row[:k]) for row in codes]
+        for key in keys:
+            if key not in table:
+                return f"no table entry for word {key}"
+        out.append(np.array([table[key] for key in keys]))
+    return out
+
+
+def test_explicit_translations_match_the_brute_force_keys():
+    from morandim.attractor import _translation_arrays
+    rng = np.random.default_rng(17)
+    maps = (Matrix(np.diag([0.3, 0.2])),) * 3
+    levels = (LevelSpec(2, maps[:2]), LevelSpec(3, maps))
+    words = [*map(str, range(1, 3)),
+             *(f"{a}-{b}" for a in range(1, 3) for b in range(1, 4)),
+             *(f"{a}-{b}-{c}" for a in range(1, 3) for b in range(1, 4) for c in range(1, 3))]
+    full = {w: rng.normal(size=2) for w in words}
+    # every word of depth 3, shuffled so points are not in prefix order, and repeated
+    codes = np.array([[int(c) - 1 for c in w.split("-")] for w in words if w.count("-") == 2])
+    codes = codes[rng.permutation(np.tile(np.arange(len(codes)), 2))]
+    # the full table, each word dropped, and each pair of words dropped: a pair
+    # across levels must name the shallower word, whichever point comes first
+    for dropped in [(), *((w,) for w in words), *itertools.combinations(words, 2)]:
+        table = {w: v for w, v in full.items() if w not in dropped}
+        spec = SystemSpec(2, Schedule("periodic", levels),
+                          TranslationScheme("explicit", table=table),
+                          Box(np.zeros(2), np.ones(2)))
+        want = _brute_force_explicit(table, codes)
+        if isinstance(want, str):
+            with pytest.raises(UnresolvedTranslation) as err:
+                _translation_arrays(spec, codes, seed=0)
+            assert str(err.value) == want
+        else:
+            got = _translation_arrays(spec, codes, seed=0)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # box counting
 # ---------------------------------------------------------------------------

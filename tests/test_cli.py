@@ -1,6 +1,8 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import time
 
 import pytest
 
-from morandim import cli
+from morandim import cli, symbolic
 from morandim.system import fixture_document
 
 CLI = [sys.executable, "-m", "morandim.cli"]
@@ -578,16 +580,49 @@ def test_dims_prints_reports_in_which_order(capsys, fixture_name, names, extra):
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("budget", ["3000", "400000"])
-def test_generic_dims_reports_match_the_golden_bytes(capsys, budget):
+def test_generic_dims_reports_match_the_golden_bytes(capsys, budget, threads):
     # example_5_3 repeats I/3 three times on level 1; its walker merges the
     # copies into one class but still budgets words, so windows, horizons
-    # and flags, and so these bytes, are those of the per-word tree
+    # and flags, and so these bytes, are those of the per-word tree.  The
+    # larger budget's deepest levels hold 2^16 classes, so two threads split them
     code, out, err, _ = _main(capsys, "dims", "--fixture", "example_5_3",
-                              "--which", "sstar,sa", "--node-budget", budget)
+                              "--which", "sstar,sa", "--node-budget", budget,
+                              "--threads", threads)
     assert code == 0 and err == ""
     want = (GOLDEN / f"dims_example_5_3_sstar_sa_budget_{budget}.txt").read_text()
     assert out == want
+
+
+class _RecordingPool:
+    """Stands in for the thread pool: records ``max_workers`` and runs every
+    submitted call at once, in the calling thread."""
+
+    def __init__(self, created, max_workers):
+        created.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self):
+        pass
+
+
+@pytest.mark.parametrize("threads", ["64", "2", "1", "0", "-3"])
+def test_threads_are_capped_at_the_usable_cpus(capsys, monkeypatch, threads):
+    created = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda max_workers: _RecordingPool(created, max_workers))
+    monkeypatch.setattr(symbolic, "_CHUNK", 8)  # the tree's levels past depth 4 split
+    argv = ("dims", "--fixture", "example_5_3", "--which", "sstar,sa", "--node-budget", "3000")
+    code, out, err, _ = _main(capsys, *argv, "--threads", threads)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "dims_example_5_3_sstar_sa_budget_3000.txt").read_text()
+    workers = min(int(threads), len(os.sched_getaffinity(0)))
+    assert created == ([workers] if workers > 1 else [])
 
 
 @pytest.mark.parametrize("fixture,which", [("scalar_blocks", "moran"),

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from morandim.symbolic import (
     GenericEngine,
     UniformEngine,
     Word,
-    common_prefix,
     cutset,
     cutset_sum,
     iter_cutset_words,
@@ -38,13 +38,6 @@ from morandim.system import (
 )
 
 S_SIM = math.log(2) / math.log(3)
-
-
-def test_common_prefix():
-    assert common_prefix(Word((1, 2, 3)), Word((1, 2, 1))) == Word((1, 2))
-    assert common_prefix(Word((1,)), Word((2,))) == Word(())
-    w = Word((2, 1, 2))
-    assert common_prefix(w, w) == w
 
 
 def test_product_empty_word_is_identity():
@@ -248,13 +241,18 @@ def test_estimate_sA_expands_each_depth_once(monkeypatch):
 
 
 def _einsum_expand(engine, Q, log_scale, log_det, k):
-    """Reference expansion: einsum products, singular values from the SVD."""
+    """Reference expansion of (N, d, d) products: einsum products, singular
+    values from the SVD, log singular values beside the log scales."""
     mats, logdets, _ = engine._level_maps(k)
     n, d = mats.shape[0], mats.shape[1]
     raw = np.einsum("nij,mjk->nmik", Q, mats).reshape(-1, d, d)
-    a1 = np.linalg.svd(raw, compute_uv=False)[:, 0]
-    return (raw / a1[:, None, None], np.repeat(log_scale, n) + np.log(a1),
-            np.repeat(log_det, n) + np.tile(logdets, Q.shape[0]))
+    svs = np.linalg.svd(raw, compute_uv=False)
+    log_scale = np.repeat(log_scale, n) + np.log(svs[:, 0])
+    log_det = np.repeat(log_det, n) + np.tile(logdets, Q.shape[0])
+    logs = log_scale[:, None] + np.log(svs / svs[:, :1])
+    if d == 2:  # the smaller value comes from the carried log |det|
+        logs[:, 1] = log_det - log_scale
+    return raw / svs[:, :1, None], log_scale, log_det, logs
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -269,8 +267,10 @@ def test_matmul_expansion_matches_einsum(d):
         Q = rng.normal(size=(rows, d, d))
         log_scale, log_det = rng.normal(size=rows), rng.normal(size=rows)
         want = _einsum_expand(engine, Q, log_scale, log_det, 1)
-        got = engine._expand(Q, log_scale, log_det, 1)
-        for a, b in zip(got, want):
+        # the engine keeps the products as (d, d, N) entry columns
+        got = engine._expand(np.ascontiguousarray(Q.transpose(1, 2, 0)), log_scale, log_det, 1)
+        got = (np.moveaxis(got[0], -1, 0), *got[1:])
+        for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
@@ -569,6 +569,56 @@ def test_recorded_walks_replay_the_sums_of_fresh_engines():
                     == type(shared)(spec).schedule_log_sums(s, log_eps, budget))
 
     check()
+
+
+def test_worker_counts_give_the_same_bits(monkeypatch):
+    """Chunks of 4 columns split every level past the first few over the
+    workers, and a short switch interval interleaves them.  ``workers`` is set
+    on the engine, under the CPU cap that ``dims --threads`` applies, so three
+    workers run on any machine.  Every quantity must equal the serial
+    engine's, bit for bit: the pruned walks of a fresh engine (which expand
+    their own frontiers), then the kept levels and the net-measure windows."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    monkeypatch.setattr(symbolic, "_CHUNK", 4)
+    windows = [(1, 6), (2, 5), (3, 6), (6, 6), (4, 9)]
+    log_eps = [math.log(e) for e in GEN_EPS]
+
+    def run(spec, s, workers):
+        # the generated diagonal systems are the constant ones
+        engine = (DiagonalEngine if spec.schedule.kind == "constant" else GenericEngine)(spec)
+        engine.workers = workers
+        try:
+            walks = [(engine.schedule_log_sums(s, log_eps, budget),
+                      [engine.cutset_groups(s, le, budget) for le in log_eps[::2]])
+                     for budget in _walk_budgets(spec)]
+            levels = engine._levels(6)
+            nets = [engine.net_measure_series(s, windows, budget) for budget in (40, 20_000)]
+            # a level wider than one chunk starts the pool
+            assert (engine._pool is not None) == (workers > 1 and max(map(len, levels)) > 4)
+        finally:
+            engine.close()
+        return walks, [logs.tobytes() for logs in levels], nets
+
+    @settings(max_examples=_examples(40))
+    @given(st.one_of(_generated_systems(st), _generated_systems(st, diagonal=True),
+                     st.builds(_repeating_system, st.sampled_from([1, 2, 3]),
+                               st.lists(st.sampled_from(REPEAT_PATTERNS), min_size=2,
+                                        max_size=3),
+                               st.integers(0, 2 ** 32 - 1))),
+           st.sampled_from(GEN_S))
+    def check(spec, s):
+        serial = run(spec, s, 1)
+        assert run(spec, s, 2) == serial
+        assert run(spec, s, 3) == serial
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        check()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_estimate_sstar_walks_once_per_branch_index(monkeypatch):
