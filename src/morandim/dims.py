@@ -38,10 +38,6 @@ from .system import (
     alpha_bounds,
 )
 
-# Recorded in every report's schedule; no class depends on them.
-THETA_LOW = 1e-3
-THETA_HIGH = 1e3
-
 # Trend split: a series whose global extremum sits in the late region keeps
 # setting records, i.e. the limit evidence is still growing.
 _TREND_SPLIT = 1.0 / 3.0
@@ -174,8 +170,7 @@ def _trend_estimate(quantity: str, rule, xs, series, schedule: dict, spec: Syste
 
     est, bracket, flags = _bisect(classify, 0.0, spec.dim + 1.0, tol)
     flags = list(engine.flags) + flags + (["budget_truncated"] if truncated else [])
-    schedule = {**schedule, "theta_low": THETA_LOW, "theta_high": THETA_HIGH,
-                "node_budget": node_budget, "engine": engine.kind}
+    schedule = {**schedule, "node_budget": node_budget, "engine": engine.kind}
     return DimensionReport(quantity, est, bracket, schedule, flags, trace)
 
 

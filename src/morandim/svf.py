@@ -40,19 +40,20 @@ def branch_index(s: float, d: int) -> int:
 
 
 def log_phi_from_logs(log_svs, s: float) -> np.ndarray:
-    """Vectorized log phi^s from an (..., d) array of descending log singular values."""
+    """Vectorized log phi^s from a (d, ...) array of descending log singular
+    values, axis 0 the singular-value index; a (d,) vector gives a scalar."""
     logs = np.asarray(log_svs, dtype=float)
-    d = logs.shape[-1]
+    d = logs.shape[0]
     if s < 0:
         raise ValueError("exponent s must be >= 0")
     if s == 0:
-        return np.zeros(logs.shape[:-1])
+        return np.zeros(logs.shape[1:])
     if s > d:
-        return (s / d) * logs.sum(axis=-1)
+        return (s / d) * logs.sum(axis=0)
     m = branch_index(s, d)
-    out = (s - m + 1) * logs[..., m - 1]
-    # the head log a_1 + ... + log a_{m-1}; one column is read as it is, not summed
-    out += logs[..., 0] if m == 2 else logs[..., : m - 1].sum(axis=-1)
+    out = (s - m + 1) * logs[m - 1]
+    # the head log a_1 + ... + log a_{m-1}; one row is read as it is, not summed
+    out += logs[0] if m == 2 else logs[:m - 1].sum(axis=0)
     return out
 
 

@@ -43,13 +43,17 @@ Each depth reduces every row's children with ``_log_row_sums``, a fold of
 its horizon and leaves it at its min depth, where its row is summed
 weighted by the word counts.
 
-The generic walker keeps each level's products as d^2 contiguous entry
-columns, (d, d, N), and expands them by elementwise multiply-adds.  The
-class tree's level-wide array work (the generic expansion, each level's
-log phi^s, and each depth of the net-measure fold) runs through
-``_Engine._blocks`` in chunks of ``_CHUNK`` columns, and a level of more
-than one chunk is split over ``workers`` threads, one contiguous block per
-worker.  Every chunk does the same elementwise arithmetic on its own
+Every per-node array of log singular values, from the level stores
+through the pruned walks and the stop record to ``log_phi_from_logs``, is a
+C-contiguous (d, N) array, axis 0 the singular-value index: each index is
+one contiguous row, so gathers, the alpha_m row and phi^s read contiguous
+memory.  The generic walker keeps each level's products the same way, as
+d^2 contiguous entry columns, (d, d, N), and expands them by elementwise
+multiply-adds.  The class tree's level-wide array work (the generic
+expansion, each level's log phi^s, and each depth of the net-measure
+fold) runs through ``_Engine._blocks`` in chunks of ``_CHUNK`` columns, and
+a level of more than one chunk is split over ``workers`` threads, one
+contiguous block per worker.  Every chunk does the same elementwise arithmetic on its own
 columns, so the bits are the same at any worker count.  ``workers`` is 1
 unless the caller sets it (``dims --threads``), and then every call runs in
 the calling thread.
@@ -204,14 +208,6 @@ def _log_row_sums(grouped: np.ndarray, out: Optional[np.ndarray] = None) -> np.n
     return out
 
 
-def _take_rows(logs: np.ndarray, idx) -> np.ndarray:
-    """Rows ``idx`` of an (N, d) array.  The (N, d) view of a (d, N) array is
-    gathered one column at a time: ``take`` would first copy it whole."""
-    if logs.flags.c_contiguous:
-        return logs.take(idx, axis=0)
-    return logs.T.take(idx, axis=1).T
-
-
 # ---------------------------------------------------------------------------
 # Engines
 # ---------------------------------------------------------------------------
@@ -223,7 +219,7 @@ class _Stops(NamedTuple):
     bucket: list        # each group's epsilon bucket
     depth: list         # each group's depth
     bounds: list
-    logs: np.ndarray    # (rows, d) log singular values of the stopping edges
+    logs: np.ndarray    # (d, rows) log singular values of the stopping edges
     counts: np.ndarray  # their live-word counts: exact integers in exact mode, else logs
     complete: list      # per bucket: no word the walk left unexpanded could stop in it
     nodes: int          # nodes expanded
@@ -317,7 +313,7 @@ class _Engine:
         groups = [CutGroup(depth=t, count=c, log_count=math.log(c), log_phi=lph, log_alpha_m=la)
                   for t, c, lph, la in zip(depths, map(int, rec.counts),
                                            log_phi_from_logs(rec.logs, s).tolist(),
-                                           rec.logs[:, m - 1].tolist())]
+                                           rec.logs[m - 1].tolist())]
         return groups, not rec.complete[0], rec.nodes
 
 
@@ -375,7 +371,7 @@ class UniformEngine(_Engine):
             depths.append(t)
         counts = [self._counts[t] for t in depths]
         return _Stops(list(range(len(le))), depths, list(range(len(le) + 1)),
-                      np.stack([self._log_svs[t] for t in depths]),
+                      np.stack([self._log_svs[t] for t in depths], axis=1),
                       counts if exact else np.array([math.log(c) for c in counts]),
                       [True] * len(le), t)
 
@@ -395,7 +391,7 @@ class UniformEngine(_Engine):
 
     def level_log_sums(self, s: float, depths):
         self._extend(max(depths))
-        lph = log_phi_from_logs(np.stack([self._log_svs[t] for t in depths]), s).tolist()
+        lph = log_phi_from_logs(np.stack([self._log_svs[t] for t in depths], axis=1), s).tolist()
         return [math.log(self._counts[t]) + v for t, v in zip(depths, lph)]
 
 
@@ -406,7 +402,7 @@ class _ClassTree(_Engine):
     singular values, and whose extensions by any one suffix again fall in
     one class: a word over the level's distinct maps on the generic walker,
     a choice-count vector on the composition lattice.  A subclass gives the
-    budgeted nodes per depth (``_widths``), the per-depth (C_t, d) log
+    budgeted nodes per depth (``_widths``), the per-depth (d, C_t) log
     singular values (``_levels``), the log word count of each class
     (``_log_mults``), the children per class at a depth (``_arity``), a
     reader of their values (``_child_values(t, v)``: (lo, hi) to the
@@ -416,15 +412,15 @@ class _ClassTree(_Engine):
     ``_walk(visit, m, log_stop, node_budget)`` walks the tree from the root,
     one level at a time, and keeps the children whose alpha_m lies above
     ``log_stop``.  Each level goes to ``visit(depth, logs, la, parent_la,
-    count)``: the (E, d) log singular values of every child of every kept
-    class, one row per edge, parent-major, ``_arity(depth)`` edges per
+    count)``: the (d, E) log singular values of every child of every kept
+    class, one column per edge, parent-major, ``_arity(depth)`` edges per
     parent; their log alpha_m; the kept parents' log alpha_m (+inf for the
     root); and the exact live word count of each edge, as int64 or as Python
     integers (the walker switches once a count could leave int64; the
     lattice always carries them).  A level costs what the subclass budgets
     for it, and one that would take the count past ``node_budget`` is not
-    expanded.  Returns (truncated, max log alpha_m of the unexpanded
-    frontier, nodes expanded).
+    expanded.  Returns (max log alpha_m of the unexpanded frontier, nodes
+    expanded); the walk was truncated exactly when that max is above -inf.
 
     ``_record_stops`` is the one pruned walk whose record both cut-set
     quantities replay (see ``_Engine``).
@@ -450,12 +446,12 @@ class _ClassTree(_Engine):
                 if stop.size:
                     bucket_of.append(i)
                     depth_of.append(depth)
-                    rows.append(_take_rows(logs, stop))
+                    rows.append(logs.take(stop, axis=1))
                     counts.append(weight.take(stop))
 
-        _, frontier_la, nodes = self._walk(visit, m, float(le[-1]), node_budget)
+        frontier_la, nodes = self._walk(visit, m, float(le[-1]), node_budget)
         return _Stops(bucket_of, depth_of, [0, *itertools.accumulate(len(c) for c in counts)],
-                      np.concatenate(rows) if rows else np.empty((0, self.d)),
+                      np.concatenate(rows, axis=1) if rows else np.empty((self.d, 0)),
                       np.concatenate(counts) if rows else np.empty(0),
                       [frontier_la <= float(v) for v in le], nodes)
 
@@ -508,13 +504,13 @@ class _ClassTree(_Engine):
         return [logsumexp(self._log_phi(levels[t - 1], s) + self._log_mults(t)) for t in depths]
 
     def _log_phi(self, logs: np.ndarray, s: float) -> np.ndarray:
-        """Per-class log phi^s of one level's (C, d) log singular values."""
-        out = np.empty(len(logs))
+        """Per-class log phi^s of one level's (d, C) log singular values."""
+        out = np.empty(logs.shape[1])
 
         def chunk(lo, hi):
-            out[lo:hi] = log_phi_from_logs(logs[lo:hi], s)
+            out[lo:hi] = log_phi_from_logs(logs[:, lo:hi], s)
 
-        self._blocks(len(logs), chunk)
+        self._blocks(logs.shape[1], chunk)
         return out
 
 
@@ -545,8 +541,8 @@ class DiagonalEngine(_ClassTree):
     Diagonal maps commute per axis, so a word's product depends only on how
     many times each map was chosen: the classes are the count vectors, and
     class c's children are c + e_j.  The lattice is extended level by level
-    on demand and cached independently of the exponent: per depth the (C_t,
-    d) log singular values, the log multinomial word counts, and the
+    on demand and cached independently of the exponent: per depth the (d,
+    C_t) log singular values, the log multinomial word counts, and the
     (C_t, M) map from each class to its children's rows.  Pruned walks carry
     exact integer live-word counts per class.
     """
@@ -561,7 +557,7 @@ class DiagonalEngine(_ClassTree):
             [[math.log(abs(m.entries[i, i])) for i in range(self.d)] for m in lvl.maps]
         )  # (M, d)
         self._comps = np.zeros((1, self.n_maps), dtype=np.int64)  # the deepest level's classes
-        self._logs = [np.zeros((1, self.d))]
+        self._logs = [np.zeros((self.d, 1))]
         self._log_mult = [np.zeros(1)]
         self._child_idx = []  # child_idx[t][i, j] = row of class i + e_j at depth t + 1
         self._log_fact = np.zeros(1)
@@ -576,7 +572,8 @@ class DiagonalEngine(_ClassTree):
             nxt[rank] = children  # every class of the next level is some class's child
             self._comps = nxt
             self._child_idx.append(rank.reshape(cur.shape[0], M))
-            self._logs.append(-np.sort(-(nxt.astype(float) @ self.log_c), axis=1))
+            self._logs.append(np.ascontiguousarray(
+                -np.sort(-(nxt.astype(float) @ self.log_c), axis=1).T))
             self._log_mult.append(self._log_multinomials(nxt))
 
     def child_rows(self, t: int) -> np.ndarray:
@@ -620,16 +617,16 @@ class DiagonalEngine(_ClassTree):
         depth = nodes = 0
         while idx.size > 0:
             child = self.child_rows(depth)[idx].reshape(-1)
-            mark = np.zeros(len(self._logs[depth + 1]), dtype=bool)
+            mark = np.zeros(self._logs[depth + 1].shape[1], dtype=bool)
             mark[child] = True  # child rows are ranks below the level width
             classes = np.flatnonzero(mark)
             if nodes + classes.size > node_budget:
-                return True, float(np.max(parent_la)), nodes
+                return float(np.max(parent_la)), nodes
             inverse = np.cumsum(mark)[child] - 1
             depth += 1
             nodes += classes.size
-            logs = self._logs[depth][child]
-            la = logs[:, m - 1]
+            logs = self._logs[depth].take(child, axis=1)
+            la = logs[m - 1]
             count = np.repeat(count, self.n_maps)  # per edge
             visit(depth, logs, la, parent_la, count)
             keep = la > log_stop + _STOP_SNAP
@@ -637,8 +634,8 @@ class DiagonalEngine(_ClassTree):
             np.add.at(merged, inverse[keep], count[keep])
             live = np.flatnonzero(merged)
             idx, count = classes[live], merged[live]
-            parent_la = self._logs[depth][idx, m - 1]
-        return False, -math.inf, nodes
+            parent_la = self._logs[depth][m - 1, idx]
+        return -math.inf, nodes
 
 
 class GenericEngine(_ClassTree):
@@ -650,9 +647,9 @@ class GenericEngine(_ClassTree):
     product of its maps' multiplicities in words.  Node i's children sit at
     i*a .. i*a + a - 1 of the next level, for a level of a distinct maps.
     A level's unit-norm products are d^2 entry columns, (d, d, N), and its
-    log singular values the (N, d) view of a (d, N) array.  The unpruned
-    tree is expanded once per engine and its levels are kept (``_levels``);
-    the pruned ``_walk`` reads them.
+    log singular values a (d, N) array.  The unpruned tree is expanded once
+    per engine and its levels are kept (``_levels``); the pruned ``_walk``
+    reads them.
 
     The budget counts words, not classes: ``_widths`` gives the words per
     depth, and a pruned walk pays the words its expanded classes stand for.
@@ -682,12 +679,11 @@ class GenericEngine(_ClassTree):
 
     def _expand(self, Q, log_scale, log_det, k: int):
         """Children of every node through level k's distinct maps, rescaled to
-        unit norm, with their (N, d) descending log singular values.
+        unit norm, with their (d, N) descending log singular values.
 
         Q holds the N parents as (d, d, N) entry columns, and so do the
         children: entry (r, c) of child i*a + j is the multiply-add
-        sum_k Q[r, k] * M_j[k, c], in k order.  The log singular values are
-        the (N, d) view of a (d, N) array.  Parents [lo, hi) make children
+        sum_k Q[r, k] * M_j[k, c], in k order.  Parents [lo, hi) make children
         [lo*a, hi*a), chunk by chunk (``_blocks``).
         """
         mats, logdets, _ = self._level_maps(k)
@@ -728,11 +724,11 @@ class GenericEngine(_ClassTree):
             if d == 2:  # the smaller value from the log |det|, as in UniformEngine
                 np.subtract(det[kids], scale[kids], out=logs[1, kids])
             elif d > 2:
-                np.add(scale[kids, None], np.log(np.linalg.svd(stack, compute_uv=False)),
-                       out=logs[:, kids].T)
+                np.add(scale[kids], np.log(np.linalg.svd(stack, compute_uv=False)).T,
+                       out=logs[:, kids])
 
         self._blocks(N, chunk)
-        return raw, scale, det, logs.T
+        return raw, scale, det, logs
 
     def _products(self, idx, depth: int):
         """Unit-norm (d, d, N) product columns, log scales and log dets of the
@@ -774,7 +770,7 @@ class GenericEngine(_ClassTree):
             depth += 1
             n = self.spec.branch_count(depth)
             if nodes + live * n > node_budget:
-                return True, float(np.max(parent_la)), nodes
+                return float(np.max(parent_la)), nodes
             nodes += live * n
             words *= n
             mults = self._level_maps(depth)[2]
@@ -788,12 +784,12 @@ class GenericEngine(_ClassTree):
                 logs = kept[depth - 1]
                 if idx is not None:
                     idx = (idx[:, None] * a + np.arange(a)).reshape(-1)
-                    logs = _take_rows(logs, idx)
+                    logs = logs.take(idx, axis=1)
             else:
                 if Q is None:
                     Q, log_scale, log_det = self._products(idx, depth - 1)
                 Q, log_scale, log_det, logs = self._expand(Q, log_scale, log_det, depth)
-            la = logs[:, m - 1]
+            la = logs[m - 1]
             visit(depth, logs, la, parent_la, count)
             keep = la > log_stop + _STOP_SNAP
             if not keep.all():
@@ -804,7 +800,7 @@ class GenericEngine(_ClassTree):
                     idx = np.nonzero(keep)[0] if idx is None else idx[keep]
             parent_la = la
             live = int(count.sum())
-        return False, -math.inf, nodes
+        return -math.inf, nodes
 
     def _widths(self):
         width, t = 1, 0
@@ -814,7 +810,7 @@ class GenericEngine(_ClassTree):
             yield width
 
     def _levels(self, depth: int) -> list:
-        """Per-depth (N_t, d) log singular values of the unpruned class tree, depths 1..depth.
+        """Per-depth (d, N_t) log singular values of the unpruned class tree, depths 1..depth.
 
         The levels do not depend on s: they are expanded once per engine and
         sliced by later requests; a deeper request expands from the root again.
@@ -966,7 +962,7 @@ def iter_cutset_words(spec: SystemSpec, s: float, epsilon: float) -> Iterator[tu
         if emitted + keep.size > _WORD_ENUM_CAP:
             raise BudgetExceeded(f"cut-set enumeration exceeds {_WORD_ENUM_CAP} words")
         if idx.size:
-            stopped.append((words[idx], log_phi_from_logs(logs[idx], s)))
+            stopped.append((words[idx], log_phi_from_logs(logs[idx].T, s)))
         Q, log_scale, log_det, digits = raw[keep], log_scale[keep], log_det[keep], words[keep]
     # depth-first order: by the parent's digits, zero-padded (0 sorts before
     # every digit, so a word's stopped children come before the words below

@@ -221,12 +221,13 @@ def validate(spec: SystemSpec) -> list:
     """
     findings = []
     levels = spec.schedule.levels
-    sup_norm = 0.0
+    level_norm = []  # each level's max op-norm
     for idx, lvl in enumerate(levels):
+        level_norm.append(0.0)
         for j, m in enumerate(lvl.maps):
             where = f"levels[{idx}].maps[{j}]"
             nrm = op_norm(m)
-            sup_norm = max(sup_norm, nrm)
+            level_norm[-1] = max(level_norm[-1], nrm)
             if nrm >= 1.0:
                 findings.append(
                     Finding("ContractionViolated", ERROR, f"op_norm {nrm:.6g} >= 1", where)
@@ -236,9 +237,7 @@ def validate(spec: SystemSpec) -> list:
                     Finding("NonsingularityViolated", ERROR, "matrix is singular", where)
                 )
     if not any(f.code == "ContractionViolated" for f in findings):
-        level_log_norm = [
-            math.log(max(op_norm(m) for m in lvl.maps)) for lvl in levels
-        ]
+        level_log_norm = [math.log(nrm) for nrm in level_norm]
         log_prod = 0.0
         vanished = False
         for k in range(1, DIAMETER_MAX_LEVELS + 1):
@@ -256,6 +255,7 @@ def validate(spec: SystemSpec) -> list:
                     "schedule",
                 )
             )
+    sup_norm = max(level_norm, default=0.0)
     if sup_norm >= 0.5:
         findings.append(
             Finding(

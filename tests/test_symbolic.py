@@ -267,12 +267,55 @@ def test_matmul_expansion_matches_einsum(d):
         Q = rng.normal(size=(rows, d, d))
         log_scale, log_det = rng.normal(size=rows), rng.normal(size=rows)
         want = _einsum_expand(engine, Q, log_scale, log_det, 1)
-        # the engine keeps the products as (d, d, N) entry columns
+        # the engine keeps the products as (d, d, N) entry columns and the
+        # log singular values as (d, N) rows
         got = engine._expand(np.ascontiguousarray(Q.transpose(1, 2, 0)), log_scale, log_det, 1)
-        got = (np.moveaxis(got[0], -1, 0), *got[1:])
+        got = (np.moveaxis(got[0], -1, 0), got[1], got[2], got[3].T)
         for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("name, kind", [("example_5_3", "generic"),
+                                        ("random_diag_pair", "diagonal"),
+                                        ("example_5_4", "uniform")])
+def test_log_singular_values_are_contiguous_d_by_n(name, kind):
+    """The level stores, the pruned walks and the stop records hand out log
+    singular values as C-contiguous (d, N) arrays, axis 0 the singular-value
+    index, never as a transposed view."""
+    spec = fixture(name)
+    engine = make_engine(spec)
+    assert engine.kind == kind
+    d, seen = spec.dim, collections.Counter()
+
+    def check(logs, where):
+        assert logs.ndim == 2 and logs.shape[0] == d and logs.flags.c_contiguous, where
+        seen[where] += 1
+
+    if kind != "uniform":
+        walk = engine._walk
+
+        def checked_walk(visit, m, log_stop, node_budget):
+            def checked_visit(depth, logs, la, *rest):
+                check(logs, "visit")
+                assert np.array_equal(la, logs[m - 1])
+                return visit(depth, logs, la, *rest)
+            return walk(checked_visit, m, log_stop, node_budget)
+
+        engine._walk = checked_walk
+        for logs in engine._levels(4):  # the generic walk reads these, then expands its own
+            check(logs, "level")
+    log_eps = default_eps_log_schedule(spec, kind)[:6]
+    for s in (0.5, 1.5):
+        m = branch_index(s, d)
+        check(engine._sstar_stops(s, log_eps, 3000).logs, "stops")
+        check(engine._record_stops(m, np.array(log_eps[-1:]), 3000, True).logs, "stops")
+        if kind != "uniform":  # a budget of one node: nothing stops
+            rec = engine._record_stops(m, np.array(log_eps[-1:]), 1, False)
+            check(rec.logs, "stops")
+            assert rec.logs.shape == (d, 0)
+    assert seen["stops"] == (4 if kind == "uniform" else 6)
+    assert (kind == "uniform") == (seen["visit"] == 0)
 
 
 def _shifted_log_row_sums(x):
@@ -522,7 +565,7 @@ def _all_bucket_schedule_sums(engine, s, log_eps_list, node_budget):
             if np.any(mask):
                 buckets[i].append(logsumexp(terms[mask]))
 
-    _, frontier_la, nodes = engine._walk(visit, m, float(le[-1]), node_budget)
+    frontier_la, nodes = engine._walk(visit, m, float(le[-1]), node_budget)
     return [logsumexp(b) for b in buckets], [frontier_la <= float(v) for v in le], nodes
 
 
@@ -596,7 +639,8 @@ def test_worker_counts_give_the_same_bits(monkeypatch):
             levels = engine._levels(6)
             nets = [engine.net_measure_series(s, windows, budget) for budget in (40, 20_000)]
             # a level wider than one chunk starts the pool
-            assert (engine._pool is not None) == (workers > 1 and max(map(len, levels)) > 4)
+            assert (engine._pool is not None) == (workers > 1
+                                                  and max(logs.shape[1] for logs in levels) > 4)
         finally:
             engine.close()
         return walks, [logs.tobytes() for logs in levels], nets

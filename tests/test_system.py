@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from morandim import system
 from morandim.errors import ConfigError, ContractionViolated
+from morandim.linalg import op_norm
 from morandim.system import (
     alpha_bounds,
     fixture,
@@ -105,6 +107,16 @@ def test_validate_example_5_2_nonsingular():
 
 def test_validate_middle_thirds_clean():
     assert validate(fixture("middle_thirds")) == []
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_validate_takes_each_map_norm_once(monkeypatch, name):
+    # the diameter check reuses the per-level max norms of the findings loop
+    spec, calls = fixture(name), []
+    monkeypatch.setattr(system, "op_norm", lambda m: calls.append(m) or op_norm(m))
+    codes = [f.code for f in validate(spec)]
+    assert "ContractionViolated" not in codes
+    assert len(calls) == sum(lvl.branch_count for lvl in spec.schedule.levels)
 
 
 def test_validate_halfnorm_warning_severity():
