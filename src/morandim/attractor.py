@@ -321,6 +321,22 @@ def boxdim_fit(cloud: PointCloud, scales) -> BoxCountCurve:
                          intercept=float(intercept), r2=r2)
 
 
+def _all_ternary(spec: SystemSpec) -> bool:
+    """Whether every singular value in the schedule is a power of 1/3; stops
+    at the first map whose values are not."""
+    for lvl in spec.schedule.levels:
+        for m in lvl.maps:
+            try:
+                logs = log_singular_values(m)
+            except MoranDimError:
+                return False
+            for lv in logs:
+                ratio = lv / math.log(1.0 / 3.0)
+                if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+                    return False
+    return True
+
+
 def default_scales(spec: SystemSpec, depth: int) -> list:
     """Geometric scales above the generation resolution.
 
@@ -330,19 +346,7 @@ def default_scales(spec: SystemSpec, depth: int) -> list:
     >= twice the depth-K piece diameter.
     """
     floor_eps = 2.0 * (_sup_norm(spec) ** depth) * spec.seed_region.diameter
-    ternary = True
-    for lvl in spec.schedule.levels:
-        for m in lvl.maps:
-            try:
-                logs = log_singular_values(m)
-            except MoranDimError:
-                ternary = False
-                continue
-            for lv in logs:
-                ratio = lv / math.log(1.0 / 3.0)
-                if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-                    ternary = False
-    base, t, step = (3.0, 2, 2) if ternary else (2.0, 3, 1)
+    base, t, step = (3.0, 2, 2) if _all_ternary(spec) else (2.0, 3, 1)
     scales = []
     while base ** (-t) >= floor_eps:
         scales.append(base ** (-t))

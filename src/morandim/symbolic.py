@@ -38,10 +38,15 @@ fresh walk would give; ``cutset_groups`` replays an exact-count record.
 
 The class tree's net-measure DP evaluates all the windows of a call in one
 sweep from the deepest horizon up, over a stack with one row per window.
-Each depth reduces every row's children with ``_log_row_sums``, a fold of
-``np.logaddexp`` over the children's columns; a window joins the stack at
-its horizon and leaves it at its min depth, where its row is summed
-weighted by the word counts.
+Each depth reduces every row's children with ``_log_row_sums``, a pairwise
+fold over the children's columns in whole-array ufuncs (max + log1p(exp(min
+- max)), numpy's ``logaddexp`` formula); a window joins the stack at its
+horizon and leaves it at its min depth, where its row is summed weighted by
+the word counts.  The fold's ``np.exp`` is numpy's SIMD kernel, so a net
+measure's last bit can differ by an ulp from one CPU's SIMD extensions to
+another's.  The reports carry only each probe's trend class and the
+bisection bracket, which an ulp does not move unless a probe sits on a
+classifier's threshold.
 
 Every per-node array of log singular values, from the level stores
 through the pruned walks and the stop record to ``log_phi_from_logs``, is a
@@ -193,8 +198,15 @@ def _log_row_sums(grouped: np.ndarray, out: Optional[np.ndarray] = None) -> np.n
     """Logsumexp over the last axis of an (..., n) array, into ``out`` or a
     fresh (...) array.
 
-    Folds ``np.logaddexp`` over the n columns: the first pair is written to
-    the result and every later column is added into it in place.
+    Folds the columns pairwise, left to right: the first pair is written to
+    the result and every later column is added into it in place.  A pair
+    (x, y) adds as max + log1p(exp(min - max)), numpy's ``logaddexp``
+    formula, by whole-array ufuncs with one scratch array the size of the
+    result.  ``np.exp`` runs numpy's SIMD kernel, which can differ from the
+    scalar libm ``exp`` of the ``logaddexp`` ufunc in the last bit, so a sum
+    can differ by an ulp from that ufunc's and from one CPU's SIMD
+    extensions to another's.  A pair of -inf adds to -inf and a finite x to
+    -inf gives x, without a floating-point warning.
     """
     n = grouped.shape[-1]
     if out is None:
@@ -202,9 +214,21 @@ def _log_row_sums(grouped: np.ndarray, out: Optional[np.ndarray] = None) -> np.n
     if n == 1:
         out[...] = grouped[..., 0]
         return out
-    np.logaddexp(grouped[..., 0], grouped[..., 1], out=out)
-    for j in range(2, n):
-        np.logaddexp(out, grouped[..., j], out=out)
+    hi = np.empty(out.shape)
+    acc = grouped[..., 0]
+    for j in range(1, n):
+        col = grouped[..., j]
+        np.maximum(acc, col, out=hi)
+        np.minimum(acc, col, out=out)
+        acc = out
+        with np.errstate(invalid="raise"):
+            try:
+                np.subtract(out, hi, out=out)
+            except FloatingPointError:  # equal infinities: their gap is 0, as for any equal pair
+                out[np.isnan(out)] = 0.0
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
+        out += hi
     return out
 
 
@@ -662,6 +686,7 @@ class GenericEngine(_ClassTree):
     def __init__(self, spec: SystemSpec):
         super().__init__(spec)
         self._level_cache = {}
+        self._log_mult_cache = {}
         self._tree_logs = []  # unpruned levels kept across probes, see _levels
 
     def _level_maps(self, k: int):
@@ -825,10 +850,14 @@ class GenericEngine(_ClassTree):
         return self._tree_logs[:depth]
 
     def _log_mults(self, t: int) -> np.ndarray:
-        out = np.zeros(1)
-        for j in range(1, t + 1):
-            out = (out[:, None] + np.log(self._level_maps(j)[2])).reshape(-1)
-        return out
+        """Log word counts of the depth-t classes, kept per depth: they do
+        not depend on s, and every probe asks for the same depths."""
+        if t not in self._log_mult_cache:
+            out = np.zeros(1)
+            for j in range(1, t + 1):
+                out = (out[:, None] + np.log(self._level_maps(j)[2])).reshape(-1)
+            self._log_mult_cache[t] = out
+        return self._log_mult_cache[t]
 
     def _child_values(self, t: int, v: np.ndarray):
         mults = self._level_maps(t + 1)[2]

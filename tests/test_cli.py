@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from morandim import cli, symbolic
+from morandim import attractor, cli, symbolic
+from morandim.linalg import log_singular_values
 from morandim.system import fixture_document
 
 CLI = [sys.executable, "-m", "morandim.cli"]
@@ -483,16 +484,35 @@ def test_full_enumeration_boxdim_is_never_flagged(capsys):
     assert rep["flags"] == []
 
 
+WIDE_LEVEL = 70_000
+
+
+def _wide_level_config(tmp_path):
+    """middle_thirds with one constant level of WIDE_LEVEL equal maps x -> 1e-5 x."""
+    n = WIDE_LEVEL
+    return _config(tmp_path, "middle_thirds", [
+        {"branch_count": n, "maps": [[[1e-5]]] * n, "digits": [[j / n] for j in range(n)]}])
+
+
 def test_boxdim_enumerates_a_level_wider_than_uint16(tmp_path, capsys):
     # 70,000 depth-1 words fit the enumeration budget; their digits do not fit uint16
-    n = 70_000
-    config = _config(tmp_path, "middle_thirds", [
-        {"branch_count": n, "maps": [[[1e-5]]] * n, "digits": [[j / n] for j in range(n)]}])
-    code, out, err, _ = _main(capsys, "boxdim", config, "--depth", "1", "--count", "5000")
+    code, out, err, _ = _main(capsys, "boxdim", _wide_level_config(tmp_path), "--depth", "1",
+                              "--count", "5000")
     assert code == 0 and err == ""
     rep = json.loads(out)
     assert rep["schedule"]["mode"] == "full_enumeration"
-    assert rep["schedule"]["count"] == n
+    assert rep["schedule"]["count"] == WIDE_LEVEL
+
+
+def test_default_scales_stops_at_the_first_non_ternary_map(tmp_path, capsys, monkeypatch):
+    # 1e-5 is no power of 1/3, so the first map already makes the scales dyadic
+    calls = []
+    monkeypatch.setattr(attractor, "log_singular_values",
+                        lambda m: calls.append(m) or log_singular_values(m))
+    code, out, err, _ = _main(capsys, "boxdim", _wide_level_config(tmp_path), "--depth", "1",
+                              "--count", "5000")
+    assert code == 0 and err == ""
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv, blocked", [

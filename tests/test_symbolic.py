@@ -2,13 +2,15 @@ import collections
 import itertools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from morandim import symbolic
-from morandim.dims import default_eps_log_schedule, estimate_sA, estimate_sstar
-from morandim.errors import BudgetExceeded
+from morandim.dims import (default_depth_schedule, default_eps_log_schedule, estimate_sA,
+                           estimate_sstar)
+from morandim.errors import BudgetExceeded, MoranDimError
 from morandim.linalg import Matrix, sv2_batch
 from morandim.svf import branch_index, log_phi_from_logs
 from morandim.symbolic import (
@@ -35,6 +37,7 @@ from morandim.system import (
     TranslationScheme,
     alpha_bounds,
     fixture,
+    fixture_names,
 )
 
 S_SIM = math.log(2) / math.log(3)
@@ -344,6 +347,68 @@ def test_log_row_sums_matches_reference(n):
         assert not np.all(np.isfinite(np.log(np.exp(wide).sum(axis=1))))
     got = _log_row_sums(wide)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def _logaddexp_fold(grouped, out=None):
+    """Reference: the ``np.logaddexp`` fold that ``_log_row_sums`` was
+    before it took whole-array ufuncs."""
+    n = grouped.shape[-1]
+    if out is None:
+        out = np.empty(grouped.shape[:-1])
+    if n == 1:
+        out[...] = grouped[..., 0]
+        return out
+    np.logaddexp(grouped[..., 0], grouped[..., 1], out=out)
+    for j in range(2, n):
+        np.logaddexp(out, grouped[..., j], out=out)
+    return out
+
+
+# |_log_row_sums - _logaddexp_fold| <= FOLD_REL * max(1, |reference|): each pairwise
+# step differs by about an ulp (numpy's SIMD exp against libm's), so three steps
+# stay far below this (2.7e-16 was the largest seen), and a wrong step far above it
+FOLD_REL = 1e-14
+
+
+def test_log_row_sums_matches_the_logaddexp_fold():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # spreads beyond 800 (exp underflows there), exact ties, and -inf entries
+    values = st.one_of(st.floats(-1200.0, 1200.0), st.floats(-3.0, 3.0),
+                       st.sampled_from([-850.0, -1.0, 0.0, 2.5, 900.0]), st.just(-math.inf))
+
+    @settings(max_examples=_examples(400))
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(values, min_size=n, max_size=n),
+                                                        min_size=1, max_size=12)),
+           st.sampled_from([0.0, -1000.0, 1000.0]))
+    def check(rows, offset):
+        x = np.array(rows) + offset
+        want = _logaddexp_fold(x)
+        got = _log_row_sums(x)
+        out = np.full(len(rows), np.nan)
+        assert _log_row_sums(x, out=out) is out
+        assert out.tobytes() == got.tobytes()
+        assert np.array_equal(got == -math.inf, want == -math.inf)
+        got, want = got[want > -math.inf], want[want > -math.inf]
+        assert np.all(np.abs(got - want) <= FOLD_REL * np.maximum(1.0, np.abs(want)))
+
+    check()
+
+
+def test_log_row_sums_adds_minus_infinity_without_warnings():
+    x = np.array([[-math.inf, -math.inf, -math.inf, -math.inf],
+                  [-math.inf, -math.inf, 5.0, -math.inf],
+                  [2.0, -math.inf, -math.inf, -math.inf],
+                  [-math.inf, 3.0, -math.inf, 3.0]])
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        for n in (2, 3, 4):
+            got = _log_row_sums(x[:, :n])
+            assert got[0] == -math.inf
+            assert got[1] == (5.0 if n > 2 else -math.inf)
+            assert got[2] == 2.0
+            assert got[3] == (3.0 + math.log(2.0) if n == 4 else 3.0)
 
 
 def _word_levels(spec, depth, s, cache):
@@ -663,6 +728,61 @@ def test_worker_counts_give_the_same_bits(monkeypatch):
         check()
     finally:
         sys.setswitchinterval(interval)
+
+
+# |net_measure_series - the same DP on _logaddexp_fold| <= NET_ULPS ulps of max(1,
+# |reference|): a window's DP takes at most a few dozen fold steps of about an ulp
+# each (2 ulps was the largest seen, on example_5_3)
+NET_ULPS = 32
+
+
+def _check_net_series_against_the_logaddexp_fold(engine, s, windows, budget):
+    got = engine.net_measure_series(s, windows, budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbolic, "_log_row_sums", _logaddexp_fold)
+        want = engine.net_measure_series(s, windows, budget)
+    assert [g is None for g in got] == [w is None for w in want]
+    for g, w in zip(got, want):
+        if w is not None:
+            assert abs(g - w) <= NET_ULPS * np.spacing(max(1.0, abs(w))), (s, g, w)
+
+
+def test_net_measure_series_of_class_tree_fixtures_match_the_logaddexp_fold():
+    checked = []
+    for name in fixture_names():
+        try:
+            engine = make_engine(fixture(name))
+        except MoranDimError:  # a fixture that fails validation
+            continue
+        if isinstance(engine, symbolic._ClassTree):
+            windows = default_depth_schedule(engine.spec, engine, symbolic.DEFAULT_NODE_BUDGET)
+            for s in (0.5, 1.0, 1.25, 1.5, 2.0):
+                _check_net_series_against_the_logaddexp_fold(
+                    engine, s, windows, symbolic.DEFAULT_NODE_BUDGET)
+            checked.append(name)
+    assert checked == ["example_5_3", "random_diag_pair"]
+
+
+def test_net_measure_series_of_generated_systems_match_the_logaddexp_fold():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    windows = [(1, 6), (2, 5), (3, 6), (6, 6), (4, 9)]
+
+    @settings(max_examples=_examples(40))
+    @given(st.one_of(_generated_systems(st), _generated_systems(st, diagonal=True),
+                     st.builds(_repeating_system, st.sampled_from([1, 2, 3]),
+                               st.lists(st.sampled_from(REPEAT_PATTERNS), min_size=2,
+                                        max_size=3),
+                               st.integers(0, 2 ** 32 - 1))),
+           st.sampled_from(GEN_S))
+    def check(spec, s):
+        # the generated diagonal systems are the constant ones
+        engine = (DiagonalEngine if spec.schedule.kind == "constant" else GenericEngine)(spec)
+        for budget in (40, 20_000):
+            _check_net_series_against_the_logaddexp_fold(engine, s, windows, budget)
+
+    check()
 
 
 def test_estimate_sstar_walks_once_per_branch_index(monkeypatch):
