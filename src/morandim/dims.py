@@ -230,7 +230,8 @@ def net_measure(spec: SystemSpec, s: float, k: int, K: int,
     phi, inner nodes at depth >= k take the cheaper of covering themselves
     or their children, shallower nodes must pass to children.  Raises
     BudgetExceeded when the tree through depth K, root included, holds more
-    than ``node_budget`` classes (the chain engine is not budgeted).
+    than ``node_budget`` nodes: classes on the lattice, words on the generic
+    walker (the chain engine is not budgeted).
     """
     _check_window(k, K)
     (log_v,) = make_engine(spec).net_measure_series(s, [(k, K)], node_budget)

@@ -33,8 +33,9 @@ its horizons and truncation do not depend on how often a level repeats a
 map.  The stop record of an epsilon schedule visits, at each depth, only
 the buckets that depth can reach.  Which edges stop in which bucket depends
 on s only through the branch index m, so the s* sums record once per (m,
-schedule, budget) and every probe replays that record, with the same bits a
-fresh walk would give; ``cutset_groups`` replays an exact-count record.
+schedule, budget), and every probe replays it by one array reduction on
+every store: a chain sum is its level sum, and a class-tree sum may differ
+by an ulp from a group-by-group logsumexp, which the reports do not show.
 
 The class tree's net-measure DP evaluates all the windows of a call in one
 sweep from the deepest horizon up, over a stack with one row per window.
@@ -57,11 +58,10 @@ d^2 contiguous entry columns, (d, d, N), and expands them by elementwise
 multiply-adds.  The class tree's level-wide array work (the generic
 expansion, each level's log phi^s, and each depth of the net-measure
 fold) runs through ``_Engine._blocks`` in chunks of ``_CHUNK`` columns, and
-a level of more than one chunk is split over ``workers`` threads, one
-contiguous block per worker.  Every chunk does the same elementwise arithmetic on its own
-columns, so the bits are the same at any worker count.  ``workers`` is 1
-unless the caller sets it (``dims --threads``), and then every call runs in
-the calling thread.
+a level of more than one chunk is split over ``workers`` threads (1 unless
+the caller sets it, as ``dims --threads`` does), one contiguous block per
+worker.  Every chunk does the same elementwise arithmetic on its own
+columns, so the bits are the same at any worker count.
 
 ``iter_cutset_words`` lists the cut-set words themselves, independently of
 the engines, from plain products taken one depth at a time.
@@ -194,6 +194,19 @@ def _log_counts(count: np.ndarray) -> np.ndarray:
     return np.log(count)
 
 
+def _bucket_log_sums(terms: np.ndarray, bucket, bounds, n: int) -> list:
+    """Logsumexp of ``terms`` per bucket in one array reduction: the rows
+    bounds[g]:bounds[g + 1] of group g add into bucket[g], shifted by its
+    max; a bucket that no group reaches is -inf, with no warning."""
+    top, total = np.full(n, -math.inf), np.zeros(n)
+    np.maximum.at(top, bucket, np.maximum.reduceat(terms, bounds[:-1]))
+    shifted = np.repeat(top[bucket], np.diff(bounds))
+    np.exp(np.subtract(terms, shifted, out=shifted), out=shifted)
+    np.add.at(total, bucket, np.add.reduceat(shifted, bounds[:-1]))
+    with np.errstate(divide="ignore"):
+        return (np.log(total) + top).tolist()
+
+
 def _log_row_sums(grouped: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Logsumexp over the last axis of an (..., n) array, into ``out`` or a
     fresh (...) array.
@@ -258,8 +271,8 @@ class _Engine:
     in bucket i when its alpha_m is at most epsilon_i and its parent's is
     above; the empty word's alpha counts as +inf, so the root never stops.
     The s* record, with log live-word counts, is kept per (m, schedule,
-    budget); ``cutset_groups`` replays a fresh one in exact mode, with the
-    exact counts.
+    budget) and reduced by ``_bucket_log_sums``; ``cutset_groups`` replays
+    a fresh one in exact mode, with the exact counts.
     """
 
     workers = 1  # threads for the class tree's level-wide array work (``_blocks``)
@@ -272,15 +285,11 @@ class _Engine:
 
     def _blocks(self, n: int, fn) -> None:
         """Run ``fn(lo, hi)`` over the chunks of at most ``_CHUNK`` columns
-        that cover range(n).
-
-        With more than one worker, a level of more than one chunk is split
-        into one contiguous block per worker, run on a thread pool created
-        when a level first gets that wide; each worker runs its block's
-        chunks in order.  A chunk writes only its own slices of preallocated
-        arrays, by the same elementwise arithmetic, so the bits depend on
-        neither the chunks nor the workers.
-        """
+        that cover range(n); with more than one worker, a level of more than
+        one chunk is split into one contiguous block of chunks per worker, on
+        a thread pool started when a level first gets that wide.  A chunk
+        writes only its own slices of preallocated arrays, so the bits depend
+        on neither the chunks nor the workers."""
         def run(lo, hi):
             for c in range(lo, hi, _CHUNK):
                 fn(c, min(c + _CHUNK, hi))
@@ -323,11 +332,9 @@ class _Engine:
 
     def schedule_log_sums(self, s: float, log_eps_list, node_budget: int):
         rec = self._sstar_stops(s, log_eps_list, node_budget)
-        terms = log_phi_from_logs(rec.logs, s) + rec.counts
-        buckets = [[] for _ in rec.complete]
-        for i, a, b in zip(rec.bucket, rec.bounds, rec.bounds[1:]):
-            buckets[i].append(logsumexp(terms[a:b]))
-        return [logsumexp(b) for b in buckets], list(rec.complete), rec.nodes
+        sums = _bucket_log_sums(log_phi_from_logs(rec.logs, s) + rec.counts, rec.bucket,
+                                rec.bounds, len(rec.complete))
+        return sums, list(rec.complete), rec.nodes
 
     def cutset_groups(self, s: float, log_eps: float, node_budget: int):
         """One group per stopping edge, with its exact live-word count."""
@@ -399,11 +406,6 @@ class UniformEngine(_Engine):
                       counts if exact else np.array([math.log(c) for c in counts]),
                       [True] * len(le), t)
 
-    def schedule_log_sums(self, s: float, log_eps_list, node_budget: int):
-        """The s* replay as the level sums at the recorded depths."""
-        rec = self._sstar_stops(s, log_eps_list, node_budget)
-        return self.level_log_sums(s, rec.depth), list(rec.complete), rec.nodes
-
     def net_measure_series(self, s: float, windows, node_budget: int):
         """Net-measure log values for (k, K) windows; the chain is not budgeted.
 
@@ -445,9 +447,7 @@ class _ClassTree(_Engine):
     for it, and one that would take the count past ``node_budget`` is not
     expanded.  Returns (max log alpha_m of the unexpanded frontier, nodes
     expanded); the walk was truncated exactly when that max is above -inf.
-
-    ``_record_stops`` is the one pruned walk whose record both cut-set
-    quantities replay (see ``_Engine``).
+    ``_record_stops`` is the one pruned walk whose record ``_Engine`` replays.
     """
 
     def _record_stops(self, m: int, le: np.ndarray, node_budget: int, exact: bool) -> _Stops:
@@ -462,7 +462,6 @@ class _ClassTree(_Engine):
             if lo >= hi:
                 return
             pa = np.repeat(parent_la, self._arity(depth))
-            weight = count if exact else _log_counts(count)
             for i in range(lo, hi):
                 eps_i = le[i]
                 # row indices: gathering by them is much cheaper than a 2-D boolean mask
@@ -471,7 +470,7 @@ class _ClassTree(_Engine):
                     bucket_of.append(i)
                     depth_of.append(depth)
                     rows.append(logs.take(stop, axis=1))
-                    counts.append(weight.take(stop))
+                    counts.append(count.take(stop) if exact else _log_counts(count.take(stop)))
 
         frontier_la, nodes = self._walk(visit, m, float(le[-1]), node_budget)
         return _Stops(bucket_of, depth_of, [0, *itertools.accumulate(len(c) for c in counts)],

@@ -15,6 +15,7 @@ from morandim.linalg import Matrix, sv2_batch
 from morandim.svf import branch_index, log_phi_from_logs
 from morandim.symbolic import (
     _STOP_SNAP,
+    _bucket_log_sums,
     _log_counts,
     CutSet,
     DiagonalEngine,
@@ -617,10 +618,12 @@ def test_stops_near_epsilon_one_match_the_word_walker_on_generated_systems():
 
 def _all_bucket_schedule_sums(engine, s, log_eps_list, node_budget):
     """``schedule_log_sums`` with its bucket loop over every bucket at every
-    depth, on the same walk: the reference for the live-bucket range."""
+    depth, on the same walk: the reference for the live-bucket range.  Its
+    (depth, bucket) groups go through the same ``_bucket_log_sums``, so the
+    sums are equal exactly when the same edges land in the same buckets."""
     m = branch_index(s, engine.d)
     le = np.asarray(log_eps_list)
-    buckets = [[] for _ in le]
+    groups, bucket = [], []
 
     def visit(depth, logs, la, parent_la, count):
         pa = np.repeat(parent_la, engine._arity(depth))
@@ -628,10 +631,13 @@ def _all_bucket_schedule_sums(engine, s, log_eps_list, node_budget):
         for i, eps_i in enumerate(le):
             mask = (la <= eps_i + _STOP_SNAP) & (pa > eps_i + _STOP_SNAP)
             if np.any(mask):
-                buckets[i].append(logsumexp(terms[mask]))
+                groups.append(terms[mask])
+                bucket.append(i)
 
     frontier_la, nodes = engine._walk(visit, m, float(le[-1]), node_budget)
-    return [logsumexp(b) for b in buckets], [frontier_la <= float(v) for v in le], nodes
+    terms = np.concatenate(groups) if groups else np.empty(0)
+    sums = _bucket_log_sums(terms, bucket, [0, *itertools.accumulate(map(len, groups))], le.size)
+    return sums, [frontier_la <= float(v) for v in le], nodes
 
 
 def test_live_buckets_match_all_bucket_reference():
@@ -649,6 +655,110 @@ def test_live_buckets_match_all_bucket_reference():
                     == _all_bucket_schedule_sums(engine, s, log_eps, budget))
 
     check()
+
+
+def test_bucket_log_sums_match_two_level_logsumexp():
+    """The one-reduction bucket sums against a logsumexp of each group, then
+    of each bucket's group sums, on generated groups with empty buckets,
+    one-row groups and spreads past 800.
+
+    The bound comes from the error of the fold, not from a measurement (u is
+    the unit roundoff, n a bucket's rows, L its exact logsumexp).  Each term
+    is shifted by the bucket max M to x <= 0, rounded by at most u|x|, and
+    exponentiated within 4 ulps; as |x| e^x <= 1/e and the largest term is
+    exp(0) = 1, the terms' errors stay below 5nu of their sum S >= 1, and
+    adding n positive terms costs (n - 1)u more.  log S then errs by at most
+    6nu plus 4 ulps of log S <= log n, and M + log S rounds by u|L|: at most
+    u(10n + |L|) all told.  The reference makes such errors at each of its
+    two levels, and logsumexp passes an input's error on with a weight of at
+    most 1, so the two sides differ by at most 3u(10n + |L| + 1), which is
+    below u(30n + 6) max(1, |L|).  Under the ``ci`` profile the largest
+    measured difference is 2.0 u max(1, |L|), at up to 32 rows a bucket;
+    the test reports it to Hypothesis as its target."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st, target
+
+    u = np.finfo(float).eps / 2
+    groups = st.lists(st.tuples(st.integers(0, 4), st.lists(
+        st.floats(-900.0, 0.0), min_size=1, max_size=4)), max_size=8)
+
+    @settings(max_examples=_examples(400))
+    @given(groups, st.integers(0, 2), st.floats(-1000.0, 1000.0))
+    def check(groups, spare, offset):
+        n = max((i for i, _ in groups), default=-1) + 1 + spare
+        bucket = [i for i, _ in groups]
+        terms = np.array([offset + v for _, rows in groups for v in rows])
+        bounds = [0, *itertools.accumulate(len(rows) for _, rows in groups)]
+        got = _bucket_log_sums(terms, bucket, bounds, n)
+        per_bucket = [[] for _ in range(n)]
+        for i, a, b in zip(bucket, bounds, bounds[1:]):
+            per_bucket[i].append(logsumexp(terms[a:b]))
+        worst = 0.0
+        for i, (g, want) in enumerate(zip(got, map(logsumexp, per_bucket))):
+            if not per_bucket[i]:
+                assert g == want == -math.inf
+                continue
+            rows = sum(b - a for j, a, b in zip(bucket, bounds, bounds[1:]) if j == i)
+            scale = u * max(1.0, abs(want))
+            assert abs(g - want) <= (30 * rows + 6) * scale
+            worst = max(worst, abs(g - want) / scale)
+        target(worst, label="difference in units of u max(1, |L|)")
+
+    check()
+
+
+@pytest.mark.parametrize("name, budget", [("random_diag_pair", symbolic.DEFAULT_NODE_BUDGET),
+                                          ("example_5_3", 3000)])
+def test_stop_records_take_logs_of_stopping_counts_only(monkeypatch, name, budget):
+    """The s* record takes the logs of its stopping edges' counts, not of
+    every edge the walk visits."""
+    taken = []
+    log_counts = symbolic._log_counts
+
+    def counted(count):
+        taken.append(count.size)
+        return log_counts(count)
+
+    monkeypatch.setattr(symbolic, "_log_counts", counted)
+    spec = fixture(name)
+    engine = make_engine(spec)
+    log_eps = default_eps_log_schedule(spec, engine.kind)
+    for s in (0.7, 1.5):
+        taken.clear()
+        rows = engine._sstar_stops(s, log_eps, budget).logs.shape[1]
+        assert rows > 0 and sum(taken) == rows
+
+
+CHAIN_FIXTURES = ["diag_triple", "example_5_1", "example_5_4", "middle_thirds",
+                  "random_affine", "scalar_blocks", "sierpinski_carpet", "similarity_pair"]
+
+
+@pytest.mark.parametrize("name", CHAIN_FIXTURES)
+def test_chain_replay_gives_its_level_sums(name):
+    """On the chain every bucket is one row, so the replay's sums are the
+    level sums at the recorded depths, bit for bit."""
+    spec = fixture(name)
+    engine = make_engine(spec)
+    assert isinstance(engine, UniformEngine)
+    log_eps = default_eps_log_schedule(spec, engine.kind)
+    budget = symbolic.DEFAULT_NODE_BUDGET
+    for s in [j + side for j in range(1, spec.dim + 1) for side in (-0.25, 0.25)]:
+        depths = engine._sstar_stops(s, log_eps, budget).depth
+        assert engine.schedule_log_sums(s, log_eps, budget)[0] == engine.level_log_sums(s, depths)
+
+
+@pytest.mark.parametrize("name", ["random_diag_pair", "example_5_3"])
+def test_class_tree_replay_of_an_empty_record(name):
+    """At a budget of one node nothing is expanded: every bucket is -inf and
+    incomplete, and the replay raises no floating-point warning."""
+    spec = fixture(name)
+    engine = make_engine(spec)
+    log_eps = default_eps_log_schedule(spec, engine.kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums, complete, nodes = engine.schedule_log_sums(1.5, log_eps, 1)
+    assert sums == [-math.inf] * len(log_eps)
+    assert not any(complete) and nodes == 0
 
 
 def test_recorded_walks_replay_the_sums_of_fresh_engines():
