@@ -181,23 +181,27 @@ def project(spec: SystemSpec, w: Word, seed: int = 0) -> np.ndarray:
     return _project_codes(spec, codes, seed)[0]
 
 
+def _word_count(spec: SystemSpec, depth: int) -> int:
+    """Number of depth-K words, or the first partial product past FULL_ENUM_BUDGET."""
+    total = 1
+    for k in range(1, depth + 1):
+        total *= spec.branch_count(k)
+        if total > FULL_ENUM_BUDGET:
+            break
+    return total
+
+
 def _enumerate_codes(spec: SystemSpec, depth: int) -> np.ndarray:
     """Every depth-K word in lexicographic order, as an (N, K) view of a
     level-major (K, N) array; level k's digits are the smallest unsigned
     type that holds n_k - 1."""
-    counts = []
-    total = 1
-    for k in range(1, depth + 1):
-        counts.append(spec.branch_count(k))
-        total *= counts[-1]
-        if total > FULL_ENUM_BUDGET:
-            raise BudgetExceeded(
-                f"full enumeration to depth {depth} needs {total} > "
-                f"{FULL_ENUM_BUDGET} words"
-            )
+    total = _word_count(spec, depth)
+    if total > FULL_ENUM_BUDGET:
+        raise BudgetExceeded(f"full enumeration to depth {depth} needs {total} > "
+                             f"{FULL_ENUM_BUDGET} words")
     cols = []
     inner = total
-    for n in counts:
+    for n in map(spec.branch_count, range(1, depth + 1)):
         inner //= n
         digits = np.arange(n, dtype=np.min_scalar_type(n - 1))
         cols.append(np.tile(np.repeat(digits, inner), total // (n * inner)))
@@ -217,12 +221,7 @@ def sample_cloud(spec: SystemSpec, depth: int, mode: str = "auto",
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if mode == "auto":
-        total = 1
-        for k in range(1, depth + 1):
-            total *= spec.branch_count(k)
-            if total > FULL_ENUM_BUDGET:
-                break
-        mode = "full_enumeration" if total <= FULL_ENUM_BUDGET else "random_codes"
+        mode = "full_enumeration" if _word_count(spec, depth) <= FULL_ENUM_BUDGET else "random_codes"
     if mode == "full_enumeration":
         codes = _enumerate_codes(spec, depth)
     elif mode == "random_codes":

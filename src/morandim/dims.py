@@ -17,8 +17,9 @@ classifier records its own evidence in the report's trace.
 
 The search doubles its upper end while the probe there is below, up to 64.
 A critical value above that gets no estimate, flagged
-``upper_endpoint_below``, whichever estimator asked.  The Moran roots stop
-at depth 10^4: a deeper request raises ``BudgetExceeded``.
+``upper_endpoint_below``, whichever estimator asked.  The Moran roots d_k
+come from one pass over levels 1..k_max, which checks k_max once: below 1
+raises ``ValueError`` and above 10^4 ``BudgetExceeded``.
 """
 from __future__ import annotations
 
@@ -259,11 +260,13 @@ def estimate_sA(spec: SystemSpec, tol: float = 0.02, depth_schedule=None,
 
     A window whose tree through its horizon does not fit ``node_budget`` is
     left out of every probe and the report is flagged ``budget_truncated``.
-    Raises BudgetExceeded when the schedule holds no window, as the default
-    one does when ``node_budget`` is too small for any window on the
+    An empty ``depth_schedule`` raises ValueError; the default one raises
+    BudgetExceeded when ``node_budget`` is too small for any window on the
     generic engine.  ``engine`` is ``make_engine(spec)``, built here when
     not given.
     """
+    if depth_schedule is not None and not depth_schedule:
+        raise ValueError("depth_schedule is empty")
     for k, K in depth_schedule or ():
         _check_window(k, K)
     if engine is None:
@@ -342,62 +345,55 @@ def _scalar_ratios(spec: SystemSpec) -> dict:
     return ratios
 
 
-def _moran_root(spec: SystemSpec, ratios: dict, occ: dict) -> float | None:
-    """Root d of prod_i sum_j c_ij^d = 1, level i taken occ[i] times; None above 64."""
+def _moran_roots(spec: SystemSpec, k_max: int, depths) -> list:
+    """Roots d_k of prod_{i<=k} sum_j c_ij^d = 1, None above 64, for the k of
+    ``depths`` that lie in 1..k_max, in increasing k; one pass over the levels."""
+    if k_max < 1:
+        raise ValueError("k must be >= 1")
+    if k_max > _MAX_CHAIN_DEPTH:
+        raise BudgetExceeded(f"Moran depth {k_max} exceeds {_MAX_CHAIN_DEPTH}")
+    ratios = _scalar_ratios(spec)
+    occ = {}  # distinct level -> its occurrences among levels 1..k
+
     def classify(dd):
         return _sign_class(math.fsum(
             cnt * math.log(math.fsum(c ** dd for c in ratios[idx]))
             for idx, cnt in occ.items()
         ))
 
-    return _bisect(classify, 0.0, spec.dim + 1.0, 1e-12)[0]
+    roots = []
+    for k in range(1, k_max + 1):
+        level = spec.schedule.level_index(k)
+        occ[level] = occ.get(level, 0) + 1
+        if k in depths:
+            roots.append(_bisect(classify, 0.0, spec.dim + 1.0, 1e-12)[0])
+    return roots
 
 
 def moran_dk(spec: SystemSpec, k: int) -> float | None:
     """Unique root of prod_{i<=k} sum_j c_ij^d = 1 for scalar systems, or
-    None when it lies above 64.  Raises BudgetExceeded for k above 10^4."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > _MAX_CHAIN_DEPTH:
-        raise BudgetExceeded(f"Moran depth {k} exceeds {_MAX_CHAIN_DEPTH}")
-    ratios = _scalar_ratios(spec)
-    occ = {}
-    for i in range(1, k + 1):
-        idx = spec.schedule.level_index(i)
-        occ[idx] = occ.get(idx, 0) + 1
-    return _moran_root(spec, ratios, occ)
+    None when it lies above 64.  Raises ValueError for k below 1 and
+    BudgetExceeded for k above 10^4."""
+    return _moran_roots(spec, k, (k,))[0]
 
 
 def moran_dims(spec: SystemSpec, k_max: int = 200):
-    """Tail extrema of the per-depth roots d_k; returns (d_lower, d_upper) reports.
+    """Tail extrema of the per-depth roots d_k, each ``moran_dk(spec, k)`` bit
+    for bit; returns (d_lower, d_upper) reports.
 
     d_lower takes the min over the tail window [k_max/2, k_max], d_upper the
     max; the full d_k trace rides along in both reports.  A d_k above 64 is
     None, and one in the window leaves both reports without an estimate or
-    bracket, flagged ``upper_endpoint_below``.  Raises BudgetExceeded for
-    ``k_max`` above 10^4.
+    bracket, flagged ``upper_endpoint_below``.  Raises ValueError for
+    ``k_max`` below 1 and BudgetExceeded above 10^4.
     """
-    if k_max > _MAX_CHAIN_DEPTH:
-        raise BudgetExceeded(f"Moran depth {k_max} exceeds {_MAX_CHAIN_DEPTH}")
-    ratios = _scalar_ratios(spec)
-    occ = {}
-    trace = []
-    d_ks = []
-    for k in range(1, k_max + 1):
-        idx = spec.schedule.level_index(k)
-        occ[idx] = occ.get(idx, 0) + 1
-        d_ks.append(_moran_root(spec, ratios, occ))
-        trace.append({"k": k, "d_k": d_ks[-1]})
+    d_ks = _moran_roots(spec, k_max, range(1, k_max + 1))
+    trace = [{"k": k, "d_k": d} for k, d in enumerate(d_ks, start=1)]
 
     w0 = max(0, k_max // 2 - 1)
     window = d_ks[w0:]
     schedule = {"kind": "moran_trace", "k_max": k_max, "window_start": w0 + 1}
-    if None in window:
-        return tuple(DimensionReport(q, None, (None, None), schedule,
-                                     ["upper_endpoint_below"], trace)
-                     for q in ("moran_lower", "moran_upper"))
-    lower = DimensionReport("moran_lower", min(window), (min(window), min(window)),
-                            schedule, [], trace)
-    upper = DimensionReport("moran_upper", max(window), (max(window), max(window)),
-                            schedule, [], trace)
-    return lower, upper
+    flags = ["upper_endpoint_below"] if None in window else []
+    ends = (None, None) if flags else (min(window), max(window))
+    return tuple(DimensionReport(q, e, (e, e), schedule, list(flags), trace)
+                 for q, e in zip(("moran_lower", "moran_upper"), ends))

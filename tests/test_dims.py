@@ -206,12 +206,17 @@ def test_moran_dk_rejects_non_scalar():
         moran_dk(fixture("example_5_4"), 3)
 
 
-def test_moran_depth_above_the_chain_cap_is_a_budget_error():
+@pytest.mark.parametrize("k, error, match", [
+    (10_001, BudgetExceeded, "Moran depth 10001 exceeds 10000"),
+    (0, ValueError, "k must be >= 1"),
+    (-2, ValueError, "k must be >= 1"),
+])
+def test_moran_depth_outside_1_to_the_chain_cap_is_rejected(k, error, match):
     spec = fixture("scalar_blocks")
-    with pytest.raises(BudgetExceeded):
-        moran_dk(spec, 10_001)
-    with pytest.raises(BudgetExceeded):
-        moran_dims(spec, k_max=10_001)
+    with pytest.raises(error, match=match):
+        moran_dk(spec, k)
+    with pytest.raises(error, match=match):
+        moran_dims(spec, k_max=k)
 
 
 def test_moran_dims_constant_schedule():
@@ -238,13 +243,17 @@ def test_moran_dims_kmax_one():
     assert lower.estimate == upper.estimate == pytest.approx(0.5, abs=1e-9)
 
 
-def test_moran_dims_null_when_a_root_in_the_window_is_above_64():
+def _near_one_then_small():
     # d_1 = log 2 / -log 0.99 = 68.97; once the 0.1 level joins, d_k drops below 1
     near_one = LevelSpec(2, (Matrix.diagonal([0.99]),) * 2)
     small = LevelSpec(2, (Matrix.diagonal([0.1]),) * 2)
-    spec = SystemSpec(1, Schedule("periodic", (near_one, small)),
+    return SystemSpec(1, Schedule("periodic", (near_one, small)),
                       TranslationScheme("explicit", table={}),
                       Box(np.zeros(1), np.ones(1)))
+
+
+def test_moran_dims_null_when_a_root_in_the_window_is_above_64():
+    spec = _near_one_then_small()
     assert moran_dk(spec, 1) is None
     d_2 = 2 * math.log(2) / -(math.log(0.99) + math.log(0.1))
     assert moran_dk(spec, 2) == pytest.approx(d_2, abs=1e-9)
@@ -257,6 +266,19 @@ def test_moran_dims_null_when_a_root_in_the_window_is_above_64():
     assert lower.trace[0]["d_k"] is None
     assert lower.estimate == pytest.approx(d_2, abs=1e-9) and upper.estimate < 1.0
     assert lower.flags == upper.flags == []
+
+
+@pytest.mark.parametrize("make_spec, K", [
+    (lambda: fixture("scalar_blocks"), 200),
+    (_scalar_two_phase, 12),
+    (_near_one_then_small, 12),
+])
+def test_moran_dk_is_the_one_pass_trace_bit_for_bit(make_spec, K):
+    spec = make_spec()
+    trace = moran_dims(spec, k_max=K)[0].trace
+    assert [row["k"] for row in trace] == list(range(1, K + 1))
+    # list equality holds a None only against a None
+    assert [moran_dk(spec, k) for k in range(1, K + 1)] == [row["d_k"] for row in trace]
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +416,7 @@ def test_estimate_sstar_rejects_a_bad_eps_schedule_up_front(monkeypatch, name, e
 
 @pytest.mark.parametrize("name", ENGINE_FIXTURES)
 @pytest.mark.parametrize("windows, bad", [
+    ([], None),
     ([(3, 2)], (3, 2)),
     ([(0, 4)], (0, 4)),
     ([(1, 3), (5, 4)], (5, 4)),
@@ -401,10 +424,13 @@ def test_estimate_sstar_rejects_a_bad_eps_schedule_up_front(monkeypatch, name, e
 def test_estimate_sA_rejects_a_window_outside_1_to_K_up_front(monkeypatch, name, windows, bad):
     spec = fixture(name)
     _no_engine_work(monkeypatch)
-    with pytest.raises(ValueError, match=re.escape(f"need 1 <= k <= K, got the window {bad}")):
+    match = ("depth_schedule is empty" if bad is None
+             else re.escape(f"need 1 <= k <= K, got the window {bad}"))
+    with pytest.raises(ValueError, match=match):
         estimate_sA(spec, depth_schedule=windows)
-    with pytest.raises(ValueError, match=re.escape(f"need 1 <= k <= K, got the window {bad}")):
-        net_measure(spec, 1.0, *bad)
+    if bad is not None:
+        with pytest.raises(ValueError, match=match):
+            net_measure(spec, 1.0, *bad)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
