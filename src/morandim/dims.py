@@ -265,10 +265,12 @@ def estimate_sA(spec: SystemSpec, tol: float = 0.02, depth_schedule=None,
     generic engine.  ``engine`` is ``make_engine(spec)``, built here when
     not given.
     """
-    if depth_schedule is not None and not depth_schedule:
-        raise ValueError("depth_schedule is empty")
-    for k, K in depth_schedule or ():
-        _check_window(k, K)
+    if depth_schedule is not None:
+        depth_schedule = list(depth_schedule)
+        if not depth_schedule:
+            raise ValueError("depth_schedule is empty")
+        for k, K in depth_schedule:
+            _check_window(k, K)
     if engine is None:
         engine = make_engine(spec)
     if depth_schedule is None:

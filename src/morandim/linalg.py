@@ -67,7 +67,8 @@ class Matrix:
         return self.dim == other.dim and np.array_equal(self.entries, other.entries)
 
     def __hash__(self):
-        return hash((self.dim, self.entries.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ already counts as equal
+        return hash((self.dim, (self.entries + 0.0).tobytes()))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,11 @@ from one stop record, which each level store writes with the other two:
   pays the exponential price.  Its unpruned levels do not depend on s, so
   they are expanded once per engine and reused by every probe; the pruned
   walks read them through the indices of their surviving nodes and expand
-  only past them.
+  only past them.  When a signed permutation P maps every level's multiset
+  of maps onto itself by conjugation, one depth keeps one map per orbit of
+  P: the subtrees under the maps of an orbit are mirror images, with the
+  same singular values (see ``GenericEngine``).  That leaves every count
+  and budget as it was, and sums over a merged row can move by an ulp.
 
 The two kinds of traversal keep two budget rules.  A net-measure window is
 evaluated exactly when the budget covers the tree through its horizon K,
@@ -661,6 +665,64 @@ class DiagonalEngine(_ClassTree):
         return -math.inf, nodes
 
 
+def _merge_orbits(mults: collections.Counter, P: np.ndarray) -> collections.Counter:
+    """``mults`` with each orbit of conjugation by P merged into its first
+    map, which takes the orbit's summed multiplicity; ``mults`` must be
+    closed under the conjugation."""
+    out = collections.Counter(mults)
+    for m in mults:
+        if m in out:  # not merged into an earlier map's orbit
+            image = Matrix(P @ m.entries @ P.T)
+            while image != m:
+                out[m] += out.pop(image)
+                image = Matrix(P @ image.entries @ P.T)
+    return out
+
+
+def _find_quotient(spec: SystemSpec):
+    """The symmetry ``GenericEngine`` quotients its tree by: (k, P) for a
+    signed permutation matrix P whose conjugation M -> P M P^T maps every
+    level's multiset of maps onto itself and moves some map, with k the
+    first depth holding a map it moves; None when there is none, or when k
+    would lie past ``_MAX_CHAIN_DEPTH``.  Only d = 2 and d = 3 are searched
+    (4 and 24 candidates, as P and -P conjugate alike).
+
+    Conjugation by P only moves and negates entries, so the tests are exact
+    float comparisons, which count -0.0 equal to 0.0, on (n, d, d) arrays.
+    Of several such P, the one leaving the fewest classes per distinct map
+    at its depth k is taken, the first found on a tie.
+    """
+    d = spec.dim
+    if not 2 <= d <= 3:
+        return None
+    mats = [np.stack([m.entries for m in lvl.maps]) for lvl in spec.schedule.levels]
+
+    def sorted_rows(x):  # equal multisets of maps give equal arrays
+        flat = x.reshape(len(x), -1)
+        return flat[np.lexsort(flat.T[::-1])]
+
+    canon = [sorted_rows(x) for x in mats]
+    best, best_ratio = None, 1.0
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1.0, -1.0), repeat=d - 1):
+            P = np.array((1.0, *signs))[:, None] * np.eye(d)[list(perm)]
+            images = [P @ x @ P.T for x in mats]
+            moved = {i for i, (x, y) in enumerate(zip(mats, images)) if not np.array_equal(x, y)}
+            if not moved or not all(np.array_equal(sorted_rows(y), c)
+                                    for y, c in zip(images, canon)):
+                continue
+            # past the chain's depth cap k is left unquotiented: no walk reaches it
+            k = next((t for t in range(1, _MAX_CHAIN_DEPTH + 1)
+                      if spec.schedule.level_index(t) in moved), None)
+            if k is None:
+                continue
+            mults = collections.Counter(spec.level(k).maps)
+            ratio = len(_merge_orbits(mults, P)) / len(mults)
+            if ratio < best_ratio:
+                best, best_ratio = (k, P), ratio
+    return best
+
+
 class GenericEngine(_ClassTree):
     """Budgeted vectorized level-by-level expansion for heterogeneous systems.
 
@@ -674,10 +736,21 @@ class GenericEngine(_ClassTree):
     per engine and its levels are kept (``_levels``); the pruned ``_walk``
     reads them.
 
+    A symmetry of the maps merges classes further (``_find_quotient``, at
+    construction).  Let P be a signed permutation matrix whose conjugation
+    maps every level's multiset of maps onto itself, and k the first depth
+    with a map B = P A P^T != A.  Every map above depth k commutes with P,
+    and conjugation by P permutes each deeper level's multiset, so for every
+    prefix u and suffix v, T_{uBv} = P T_{uAv'} P^T for the suffix v' of the
+    conjugated maps.  P is orthogonal, so the subtree under uB has the
+    singular values, word for word, of the subtree under uA, and depth k
+    keeps one map per orbit with the orbit's summed multiplicity; phi^s
+    depends only on singular values (Falconer 1988, Lemma 2.1).
+
     The budget counts words, not classes: ``_widths`` gives the words per
     depth, and a pruned walk pays the words its expanded classes stand for.
     So horizons, depth windows and truncation are those of the word tree,
-    whatever a level repeats.
+    whatever a level repeats and whatever the quotient merges.
     """
 
     kind = "generic"
@@ -687,12 +760,29 @@ class GenericEngine(_ClassTree):
         self._level_cache = {}
         self._log_mult_cache = {}
         self._tree_logs = []  # unpruned levels kept across probes, see _levels
+        self._quotient = _find_quotient(spec)
 
     def _level_maps(self, k: int):
         """Level k's distinct maps in first-occurrence order: their (a, d, d)
-        matrices, log |det|s and int64 multiplicities."""
+        matrices, log |det|s and int64 multiplicities.
+
+        At the quotient depth (see the class docstring), the maps are one per
+        orbit of the symmetry.  For d = 2 a mirrored subtree's level logs are
+        bit for bit those of the subtree it mirrors when its maps' float
+        determinants are their images' (as for example_5_3's shears): each
+        product entry is a two-term sum taken in the other order, and
+        ``sv2_batch`` is symmetric under the swap and the sign flips.  A
+        fold of two equal columns gave x + log1p(1) = x + log 2, which the
+        merged class now adds through its multiplicity, so only a sum over
+        a row that holds other classes too can move, by an ulp: the
+        stop-record replay, ``CutSet.log_sum`` and a net-measure window's
+        last logsumexp.  For d = 3 the three-term sums change order, so
+        values move by ulps.
+        """
         if k not in self._level_cache:
             mults = collections.Counter(self.spec.level(k).maps)
+            if self._quotient is not None and k == self._quotient[0]:
+                mults = _merge_orbits(mults, self._quotient[1])
             mats = np.stack([m.entries for m in mults])
             logdets = np.array([math.log(abs(m.det())) for m in mults])
             self._level_cache[k] = (mats, logdets, np.array(list(mults.values()), dtype=np.int64))

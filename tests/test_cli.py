@@ -675,6 +675,37 @@ def test_cutset_dumps_match_the_golden_digests(tmp_path, capsys, case):
             "rows": data.count(b"\n") - 1} == CUTSET_DIGESTS[case]
 
 
+# example_5_3's cut-sets, with the summaries its unmerged word-class tree
+# printed: (s, epsilon) -> (word_count, node_budget_used, log_sum)
+EXAMPLE_5_3_CUTSETS = {
+    ("1.1", "0.01"): (42, 81, 1.104561269439379),
+    ("0.4", "0.02"): (6510, 13017, 7.14857372180052),
+    ("1.37", "1e-4"): (768, 1533, -0.344725973262602),
+}
+
+
+@pytest.mark.parametrize("s, eps", sorted(EXAMPLE_5_3_CUTSETS))
+def test_cutset_on_the_quotiented_tree_keeps_its_counts(tmp_path, capsys, s, eps):
+    """The generic walker merges example_5_3's mirror-image subtrees, so a
+    cut-set's groups stand for the words of both.  Its counts and its dump
+    keep their values; ``log_sum`` adds a merged group once with log 2 in
+    its count instead of two equal groups, so it may move by rounding only,
+    within 4 u * max(1, |log_sum|), u = 2^-53."""
+    out = tmp_path / "cut.csv"
+    code, stdout, err, _ = _main(capsys, "cutset", "--fixture", "example_5_3", "--s", s,
+                                 "--epsilon", eps, "--out", str(out))
+    assert code == 0 and err == ""
+    rep = json.loads(stdout)
+    words, nodes, log_sum = EXAMPLE_5_3_CUTSETS[s, eps]
+    assert (rep["word_count"], rep["node_budget_used"], rep["truncated"]) == (words, nodes, False)
+    assert abs(rep["log_sum"] - log_sum) <= 4 * 2.0 ** -53 * max(1.0, abs(log_sum))
+    data = out.read_bytes()
+    assert data.count(b"\n") - 1 == words
+    case = f"--fixture example_5_3 --s {s} --epsilon {eps}"
+    if case in CUTSET_DIGESTS:
+        assert hashlib.sha256(data).hexdigest() == CUTSET_DIGESTS[case]["sha256"]
+
+
 @pytest.mark.parametrize("which,quantities", [("falconer", ["falconer"]),
                                               ("moran", ["moran_lower", "moran_upper"])])
 def test_a_root_above_64_exits_3_with_null_estimates(tmp_path, capsys, which, quantities):

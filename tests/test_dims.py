@@ -426,11 +426,19 @@ def test_estimate_sA_rejects_a_window_outside_1_to_K_up_front(monkeypatch, name,
     _no_engine_work(monkeypatch)
     match = ("depth_schedule is empty" if bad is None
              else re.escape(f"need 1 <= k <= K, got the window {bad}"))
-    with pytest.raises(ValueError, match=match):
-        estimate_sA(spec, depth_schedule=windows)
+    for schedule in (windows, (w for w in windows)):  # a generator is read once, like a list
+        with pytest.raises(ValueError, match=match):
+            estimate_sA(spec, depth_schedule=schedule)
     if bad is not None:
         with pytest.raises(ValueError, match=match):
             net_measure(spec, 1.0, *bad)
+
+
+def test_estimate_sA_reads_a_generator_schedule_as_its_list():
+    spec = fixture("middle_thirds")
+    windows = [(2 * j, 2 * j + 20) for j in range(1, 9)]
+    assert (estimate_sA(spec, depth_schedule=(w for w in windows))
+            == estimate_sA(spec, depth_schedule=windows))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])

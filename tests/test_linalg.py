@@ -110,3 +110,12 @@ def test_higher_dimension_svd_path():
     sv = singular_values(m)
     ref = np.linalg.svd(m.entries, compute_uv=False)
     assert np.allclose(sv.values, ref, rtol=1e-10)
+
+
+def test_equal_matrices_hash_equal():
+    # -0.0 == 0.0, so a map and its image under a sign flip that negates a
+    # zero entry are one key in a dict or Counter
+    a = Matrix.from_rows([[0.5, -0.0], [0.0, 0.5]])
+    b = Matrix.from_rows([[0.5, 0.0], [-0.0, 0.5]])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Matrix.from_rows([[0.5, 0.0], [0.0, 0.5]])}) == 1

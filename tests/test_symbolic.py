@@ -1122,6 +1122,163 @@ def test_merged_word_counts_stay_exact_past_int64():
     assert c.node_budget_used == nodes
 
 
+def test_a_level_with_minus_zero_and_zero_forms_of_a_map_builds_one_class():
+    a = Matrix.from_rows([[0.5, -0.0], [0.1, 0.5]])
+    b = Matrix.from_rows([[0.5, 0.0], [0.1, 0.5]])
+    c = Matrix.from_rows([[0.3, 0.1], [0.0, 0.4]])
+    spec = SystemSpec(2, Schedule("constant", (LevelSpec(3, (a, c, b)),)),
+                      TranslationScheme("explicit", table={}),
+                      Box(np.zeros(2), np.ones(2)))
+    mats, _, mults = GenericEngine(spec)._level_maps(1)
+    assert mats.shape == (2, 2, 2) and mults.tolist() == [2, 1]
+
+
+# ---------------------------------------------------------------------------
+# the generic walker's quotient by a signed-permutation symmetry of its maps
+# ---------------------------------------------------------------------------
+
+# signed permutation matrices whose conjugations have order 2, 2, 2 (d = 2)
+# and 2, 4, 3 (d = 3): the orbit of a generic map holds that many maps
+SYMMETRIES = (
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, -1.0]]),
+    np.array([[0.0, -1.0], [1.0, 0.0]]),
+    np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+)
+
+
+def _commuting_map(rng, P):
+    """a*I + b*P, which conjugation by P maps to itself exactly: it only
+    relabels and negates entries.  Its singular values, |a + b*lambda| over
+    the eigenvalues lambda of P, lie in [0.25, 0.5]."""
+    return Matrix(rng.uniform(0.35, 0.4) * np.eye(len(P)) + rng.uniform(-0.1, 0.1) * P)
+
+
+def _symmetric_system(P, prefix, shapes, seed):
+    """An explicit-prefix system symmetric under conjugation by P.
+
+    Level 1 lists ``prefix`` maps that commute with P, the first twice.
+    Each later level, one per (fixed, copies) entry of ``shapes``, holds the
+    orbit of one generic map under the conjugation, listed ``copies`` times
+    while the level stays within 5 maps, and ``fixed`` maps that commute
+    with P, in shuffled order.  Every map has singular values in [0.25, 0.5],
+    so every word stops by depth 6 at epsilon 0.02, and the tree through
+    depth 6 holds at most 11,718 words."""
+    rng = np.random.default_rng(seed)
+    pre = [_commuting_map(rng, P) for _ in range(prefix)]
+    levels = [LevelSpec(prefix + 1, (*pre, pre[0]))]
+    for fixed, copies in shapes:
+        orbit = [_map_with_svs(rng, len(P), 0.25, 0.5)]
+        while (image := Matrix(P @ orbit[-1].entries @ P.T)) != orbit[0]:
+            orbit.append(image)
+        if len(orbit) * copies + fixed > 5:
+            copies = 1
+        maps = orbit * copies + [_commuting_map(rng, P) for _ in range(fixed)]
+        levels.append(LevelSpec(len(maps), tuple(maps[i] for i in rng.permutation(len(maps)))))
+    return SystemSpec(len(P), Schedule("explicit_prefix_then_periodic", tuple(levels),
+                                       period=len(shapes)),
+                      TranslationScheme("explicit", table={}),
+                      Box(np.zeros(len(P)), np.ones(len(P))))
+
+
+def test_quotient_matches_the_word_tree_on_symmetric_systems():
+    """The tree quotiented by a symmetry of the maps against the word tree.
+
+    Word counts, nodes, completeness, truncation and which windows fit are
+    exact.  The sums may move by rounding only, within a bound fixed before
+    this test first ran: 64 u * max(1, |want|) for d = 2 and 4096 u *
+    max(1, |want|) for d = 3, u = 2^-53.  For d = 2 a mirrored node's log
+    sigma_1 is bit for bit its image's, and its log sigma_2 adds the log
+    |det|s of its maps, each within an ulp of its mirror image's: at most
+    12 u through depth 6, and the sums over merged rows change order.  For
+    d = 3 the mirrored products come from reordered three-term sums and
+    LAPACK's SVD, which move log sigma_i by about u * t * sigma_1 / sigma_i,
+    and sigma_1 / sigma_3 is at most 2^6 through depth 6 for these maps.
+    """
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    windows = [(1, 6), (1, 1), (2, 5), (3, 6), (6, 6)]
+
+    def close(got, want, d):
+        if math.isinf(want):
+            return got == want
+        return abs(got - want) <= (64 if d == 2 else 4096) * 2.0 ** -53 * max(1.0, abs(want))
+
+    @settings(max_examples=_examples(40))
+    @given(st.builds(_symmetric_system, st.sampled_from(SYMMETRIES), st.sampled_from([1, 2]),
+                     st.lists(st.tuples(st.sampled_from([0, 1]), st.sampled_from([1, 2])),
+                              min_size=1, max_size=2),
+                     st.integers(0, 2 ** 32 - 1)),
+           st.sampled_from(GEN_S), st.booleans())
+    def check(spec, s, keep_tree):
+        d = spec.dim
+        merged, words = GenericEngine(spec), _WordEngine(spec)
+        k, P = merged._quotient
+        # depth 2 keeps the generic map's orbit as one class, and each fixed map
+        assert k == 2 and merged._arity(2) == 1 + sum(
+            Matrix(P @ m.entries @ P.T) == m for m in set(spec.level(2).maps))
+        if keep_tree:
+            merged.level_log_sums(1.0, [KEPT_DEPTH])
+        for got, want in zip(merged.level_log_sums(s, range(1, 7)),
+                             words.level_log_sums(s, range(1, 7))):
+            assert close(got, want, d)
+        for budget in (20_000, 200):
+            got = merged.net_measure_series(s, windows, budget)
+            want = words.net_measure_series(s, windows, budget)
+            assert [g is None for g in got] == [w is None for w in want]
+            assert all(close(g, w, d) for g, w in zip(got, want) if w is not None)
+        log_eps = [math.log(e) for e in GEN_EPS]
+        for budget in _walk_budgets(spec):
+            (got, complete, nodes), (want, *rest) = (
+                engine.schedule_log_sums(s, log_eps, budget) for engine in (merged, words))
+            assert [complete, nodes] == rest
+            assert all(close(g, w, d) for g, w in zip(got, want))
+            for le in log_eps[::2]:
+                (g_m, cut_m, nodes_m), (g_w, cut_w, nodes_w) = (
+                    engine.cutset_groups(s, le, budget) for engine in (merged, words))
+                assert (cut_m, nodes_m) == (cut_w, nodes_w)
+                per_depth = [collections.Counter(), collections.Counter()]
+                for tally, groups in zip(per_depth, (g_m, g_w)):
+                    for g in groups:
+                        tally[g.depth] += g.count
+                assert per_depth[0] == per_depth[1]
+
+    check()
+
+
+def test_asymmetric_systems_keep_one_class_per_distinct_map():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=_examples(40))
+    @given(st.one_of(_generated_systems(st),
+                     st.builds(_repeating_system, st.sampled_from([1, 2, 3]),
+                               st.lists(st.sampled_from(REPEAT_PATTERNS), min_size=2, max_size=3),
+                               st.integers(0, 2 ** 32 - 1))))
+    def check(spec):
+        engine = GenericEngine(spec)
+        assert symbolic._find_quotient(spec) is None
+        for t in range(1, 7):
+            mats, _, mults = engine._level_maps(t)
+            want = collections.Counter(spec.level(t).maps)
+            assert [Matrix(m) for m in mats] == list(want)
+            assert mults.tolist() == list(want.values())
+
+    check()
+
+
+def test_example_5_3_is_quotiented_by_the_coordinate_swap_at_depth_2():
+    engine = make_engine(fixture("example_5_3"))
+    k, P = engine._quotient
+    assert k == 2 and np.array_equal(P, [[0.0, 1.0], [1.0, 0.0]])
+    # level 1 is three copies of I/3, then the two shears, mirror images, at every level
+    assert [engine._level_maps(t)[2].tolist() for t in (1, 2, 3, 4)] == [[3], [2], [1, 1],
+                                                                          [1, 1]]
+
+
 # ---------------------------------------------------------------------------
 # the level-by-level cut-set word walk against the depth-first one
 # ---------------------------------------------------------------------------
