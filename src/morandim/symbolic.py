@@ -9,9 +9,11 @@ from one stop record, which each level store writes with the other two:
 
 * ``UniformEngine`` — every level's maps are identical, so all words at a
   depth share one product; the tree collapses to a chain with
-  multiplicities, and its traversals are loops over its depths (its stop
-  record is one node per epsilon).  A cover there sits at one depth, so a
-  net-measure window [k, K] is the least of the level sums at depths k..K.
+  multiplicities, kept as one (d, T + 1) array of log singular values that
+  grows in blocks of depths.  Its traversals read that array: a level sum
+  gathers its columns, and the stop record (one node per epsilon) searches
+  its alpha_m row.  A cover there sits at one depth, so a net-measure
+  window [k, K] is the least of the level sums at depths k..K.
 * ``_ClassTree`` — the traversals over a level tree of classes, for two
   level stores.  ``DiagonalEngine`` is the composition lattice of a
   stationary diagonal family: diagonal maps commute, so a class is a
@@ -55,17 +57,18 @@ classifier's threshold.
 
 Every per-node array of log singular values, from the level stores
 through the pruned walks and the stop record to ``log_phi_from_logs``, is a
-C-contiguous (d, N) array, axis 0 the singular-value index: each index is
-one contiguous row, so gathers, the alpha_m row and phi^s read contiguous
-memory.  The generic walker keeps each level's products the same way, as
-d^2 contiguous entry columns, (d, d, N), and expands them by elementwise
-multiply-adds.  The class tree's level-wide array work (the generic
-expansion, each level's log phi^s, and each depth of the net-measure
-fold) runs through ``_Engine._blocks`` in chunks of ``_CHUNK`` columns, and
-a level of more than one chunk is split over ``workers`` threads (1 unless
-the caller sets it, as ``dims --threads`` does), one contiguous block per
-worker.  Every chunk does the same elementwise arithmetic on its own
-columns, so the bits are the same at any worker count.
+C-contiguous (d, N) array, axis 0 the singular-value index, or a column
+block of one (the lattice's levels): each index is one contiguous row, so
+gathers, the alpha_m row and phi^s read contiguous memory.  The generic
+walker keeps each level's products the same way, as d^2 contiguous entry
+columns, (d, d, N), and expands them by elementwise multiply-adds.  The
+class tree's level-wide array work (the generic expansion, each level's
+log phi^s, and each depth of the net-measure fold) runs through
+``_Engine._blocks`` in chunks of ``_CHUNK`` columns, and a level of more
+than one chunk is split over ``workers`` threads (1 unless the caller
+sets it, as ``dims --threads`` does), one contiguous block per worker.
+Every chunk does the same elementwise arithmetic on its own columns, so
+the bits are the same at any worker count.
 
 ``iter_cutset_words`` lists the cut-set words themselves, independently of
 the engines, from plain products taken one depth at a time.
@@ -340,6 +343,16 @@ class _Engine:
                                 rec.bounds, len(rec.complete))
         return sums, list(rec.complete), rec.nodes
 
+    def level_log_sums(self, s: float, depths) -> list:
+        """Log of the phi^s sum over all words at each depth of ``depths``;
+        ValueError for a depth below 1, before anything is built."""
+        depths = list(depths)
+        if not depths:
+            return []
+        if min(depths) < 1:
+            raise ValueError(f"depths must be >= 1, got {min(depths)}")
+        return self._level_log_sums(s, depths)
+
     def cutset_groups(self, s: float, log_eps: float, node_budget: int):
         """One group per stopping edge, with its exact live-word count."""
         m = branch_index(s, self.d)
@@ -353,62 +366,89 @@ class _Engine:
 
 
 class UniformEngine(_Engine):
-    """Chain engine for schedules whose levels each hold one repeated map."""
+    """Chain engine for schedules whose levels each hold one repeated map.
+
+    The chain keeps one C-contiguous (d, T + 1) array of log singular
+    values, column t for depth t (column 0 the root), and the exact word
+    count and its log per depth.  ``_extend`` adds depths in blocks: the
+    running product takes one matmul per depth, rescaled by its largest
+    entry, and a block's singular values come from one ``sv2_batch`` call
+    (d = 2, the smaller value from the log |det|) or one stacked SVD.
+    """
 
     kind = "uniform"
 
     def __init__(self, spec: SystemSpec):
         super().__init__(spec)
-        self._counts = [1]            # exact word count per depth
-        self._log_svs = [np.zeros(self.d)]
-        self._chain = np.eye(self.d)  # normalized running product
+        self._counts = [1]                 # exact word count per depth
+        self._log_counts = np.zeros(1)     # and its log
+        self._logs = np.zeros((self.d, 1))
+        self._chain = np.eye(self.d)       # normalized running product
         self._log_scale = 0.0
         self._log_det = 0.0
+        self._level_log_dets = {}          # level index -> log |det| of its map
 
     def _extend(self, t: int) -> None:
-        while len(self._counts) <= t:
-            k = len(self._counts)
-            lvl = self.spec.level(k)
-            mat = lvl.maps[0].entries
-            raw = self._chain @ mat
-            scale = float(np.max(np.abs(raw)))
+        """Compute depths T + 1..t in one block, or raise BudgetExceeded
+        before computing any when t is past ``_MAX_CHAIN_DEPTH``."""
+        T = len(self._counts) - 1
+        if t <= T:
+            return
+        if t > _MAX_CHAIN_DEPTH:
+            raise BudgetExceeded(f"chain depth exceeds {_MAX_CHAIN_DEPTH}")
+        d, n, schedule = self.d, t - T, self.spec.schedule
+        chains, log_scale, log_det = np.empty((n, d, d)), np.empty(n), np.empty(n)
+        chain, ls, ld, count, counts = (self._chain, self._log_scale, self._log_det,
+                                        self._counts[-1], [])
+        for i, k in enumerate(range(T + 1, t + 1)):
+            j = schedule.level_index(k)
+            lvl = schedule.levels[j]
+            raw = chain @ lvl.maps[0].entries
+            scale = max(map(abs, raw.ravel().tolist()))
             if scale <= 0.0:
                 raise MoranDimError(f"level {k} map drives the chain product to zero")
-            self._chain = raw / scale
-            self._log_scale += math.log(scale)
-            self._log_det += math.log(abs(lvl.maps[0].det()))
-            if self.d == 2:
-                s1, _ = sv2_batch(self._chain[None])
-                l1 = self._log_scale + math.log(float(s1[0]))
-                logs = np.array([l1, self._log_det - l1])
-            else:
-                vals = np.linalg.svd(self._chain, compute_uv=False)
-                logs = self._log_scale + np.log(vals)
-            self._counts.append(self._counts[-1] * lvl.branch_count)
-            self._log_svs.append(logs)
-            if k > _MAX_CHAIN_DEPTH:
-                raise BudgetExceeded(f"chain depth exceeds {_MAX_CHAIN_DEPTH}")
-
-    def log_svs_at(self, t: int) -> np.ndarray:
-        self._extend(t)
-        return self._log_svs[t]
+            raw /= scale
+            chains[i] = chain = raw
+            ls += math.log(scale)
+            if j not in self._level_log_dets:
+                self._level_log_dets[j] = math.log(abs(lvl.maps[0].det()))
+            ld += self._level_log_dets[j]
+            log_scale[i], log_det[i] = ls, ld
+            count *= lvl.branch_count
+            counts.append(count)
+        if d == 2:
+            # math.log element by element: np.log differs from it in the last bit on some inputs
+            l1 = log_scale + np.fromiter(map(math.log, sv2_batch(chains)[0]), float, n)
+            block = np.stack([l1, log_det - l1])
+        else:
+            block = np.ascontiguousarray(
+                (log_scale[:, None] + np.log(np.linalg.svd(chains, compute_uv=False))).T)
+        self._chain, self._log_scale, self._log_det = chain, ls, ld
+        self._counts += counts
+        self._log_counts = np.concatenate([self._log_counts, [math.log(c) for c in counts]])
+        self._logs = np.concatenate([self._logs, block], axis=1)
 
     def _widths(self):
         return itertools.repeat(1)
 
     def _record_stops(self, m: int, le: np.ndarray, node_budget: int, exact: bool) -> _Stops:
         """One group per epsilon: the chain's node at the first depth whose
-        alpha_m is at most it.  The chain is not budgeted."""
-        depths, t = [], 1
-        for v in le:
-            while self.log_svs_at(t)[m - 1] > v + _STOP_SNAP:
-                t += 1
-            depths.append(t)
+        alpha_m is at most it.  The chain is not budgeted.
+
+        The descending schedule's first depths are those of the running
+        minimum of the stored alpha_m row; past the stored depths the row
+        grows by blocks of its own size, from 8 up to 64 depths."""
+        thr = le + _STOP_SNAP
+        while thr.size and self._logs[m - 1, 1:].min(initial=math.inf) > thr[-1]:
+            T = len(self._counts) - 1  # past the cap, _extend(T + 1) raises
+            self._extend(max(T + 1, min(T + min(max(T, 8), 64), _MAX_CHAIN_DEPTH)))
+        low = np.minimum.accumulate(self._logs[m - 1, 1:])
+        depths = (np.searchsorted(-low, -thr) + 1).tolist()
         counts = [self._counts[t] for t in depths]
         return _Stops(list(range(len(le))), depths, list(range(len(le) + 1)),
-                      np.stack([self._log_svs[t] for t in depths], axis=1),
-                      counts if exact else np.array([math.log(c) for c in counts]),
-                      [True] * len(le), t)
+                      self._logs.take(depths, axis=1),
+                      counts if exact else self._log_counts.take(depths),
+                      [True] * len(le), depths[-1] if depths else 1)
 
     def net_measure_series(self, s: float, windows, node_budget: int):
         """Net-measure log values for (k, K) windows; the chain is not budgeted.
@@ -419,10 +459,10 @@ class UniformEngine(_Engine):
         sums = self.level_log_sums(s, range(1, max(K for _, K in windows) + 1))
         return [min(sums[k - 1:K]) for k, K in windows]
 
-    def level_log_sums(self, s: float, depths):
+    def _level_log_sums(self, s: float, depths: list) -> list:
         self._extend(max(depths))
-        lph = log_phi_from_logs(np.stack([self._log_svs[t] for t in depths], axis=1), s).tolist()
-        return [math.log(self._counts[t]) + v for t, v in zip(depths, lph)]
+        return (log_phi_from_logs(self._logs.take(depths, axis=1), s)
+                + self._log_counts.take(depths)).tolist()
 
 
 class _ClassTree(_Engine):
@@ -433,11 +473,12 @@ class _ClassTree(_Engine):
     one class: a word over the level's distinct maps on the generic walker,
     a choice-count vector on the composition lattice.  A subclass gives the
     budgeted nodes per depth (``_widths``), the per-depth (d, C_t) log
-    singular values (``_levels``), the log word count of each class
-    (``_log_mults``), the children per class at a depth (``_arity``), a
-    reader of their values (``_child_values(t, v)``: (lo, hi) to the
-    (..., hi - lo, arity) values of the children of classes lo..hi - 1, over
-    any leading axes), and a pruned walk.
+    singular values (``_levels``) and their log phi^s (``_log_phis``, one
+    call per level unless the store overrides it), the log word count of
+    each class (``_log_mults``), the children per class at a depth
+    (``_arity``), a reader of their values (``_child_values(t, v)``: (lo,
+    hi) to the (..., hi - lo, arity) values of the children of classes
+    lo..hi - 1, over any leading axes), and a pruned walk.
 
     ``_walk(visit, m, log_stop, node_budget)`` walks the tree from the root,
     one level at a time, and keeps the children whose alpha_m lies above
@@ -492,19 +533,24 @@ class _ClassTree(_Engine):
         every row's children with ``_log_row_sums``, and a window leaves at
         its k, where the DP would only add children together, so its value
         is the logsumexp of its depth-k row weighted by the classes' word
-        counts.
+        counts.  Leaving rows are sliced off when they head the stack, as on
+        the default schedules, whose deeper windows join and leave first.
         """
         horizon = self.max_depth_within(node_budget, max(K for _, K in windows))
-        # logphi[t - 1]: per-class log phi^s at depth t
-        logphi = [self._log_phi(logs, s) for logs in self._levels(horizon)]
+        logphi = self._log_phis(horizon, s)  # logphi[t - 1]: per-class log phi^s at depth t
         out = [None] * len(windows)
-        fits = [(i, k, K) for i, (k, K) in enumerate(windows) if K <= horizon]
-        if not fits:
+        joins, leaves = {}, collections.Counter()
+        for i, (k, K) in enumerate(windows):
+            if K <= horizon:
+                joins.setdefault(K, []).append((i, k))
+                leaves[k] += 1
+        if not joins:
             return out
         rows, v = [], None  # the stacked windows' (index, k), and their (rows, C_t) values
-        for t in range(max(K for _, _, K in fits), min(k for _, k, _ in fits) - 1, -1):
+        for t in range(max(joins), min(leaves) - 1, -1):
+            lph = logphi[t - 1]
             if rows:
-                children, lph = self._child_values(t, v), logphi[t - 1]
+                children = self._child_values(t, v)
                 v = np.empty((len(rows), lph.size))
 
                 def fold(lo, hi):
@@ -512,26 +558,33 @@ class _ClassTree(_Engine):
                     np.minimum(lph[lo:hi], v[:, lo:hi], out=v[:, lo:hi])
 
                 self._blocks(lph.size, fold)
-            joining = [(i, k) for i, k, K in fits if K == t]
-            if joining:
-                new = np.broadcast_to(logphi[t - 1], (len(joining), logphi[t - 1].size))
+            if t in joins:
+                new = np.broadcast_to(lph, (len(joins[t]), lph.size))
                 v = np.concatenate([v, new]) if rows else new
-                rows += joining
-            if any(k == t for _, k in rows):
-                log_mults = self._log_mults(t)
-                for (i, k), row in zip(rows, v):
-                    if k == t:
-                        out[i] = logsumexp(row + log_mults)
-                left = [j for j, (_, k) in enumerate(rows) if k != t]
-                rows, v = [rows[j] for j in left], v[left]
+                rows += joins[t]
+            if t in leaves:
+                log_mults, n = self._log_mults(t), leaves[t]
+                prefix = all(k == t for _, k in rows[:n])
+                gone = range(n) if prefix else [j for j, (_, k) in enumerate(rows) if k == t]
+                for j in gone:
+                    out[rows[j][0]] = logsumexp(v[j] + log_mults)
+                if prefix:
+                    rows, v = rows[n:], v[n:]
+                else:
+                    left = [j for j, (_, k) in enumerate(rows) if k != t]
+                    rows, v = [rows[j] for j in left], v[left]
         return out
 
-    def level_log_sums(self, s: float, depths):
+    def _level_log_sums(self, s: float, depths: list) -> list:
         levels = self._levels(max(depths))
         return [logsumexp(self._log_phi(levels[t - 1], s) + self._log_mults(t)) for t in depths]
 
+    def _log_phis(self, depth: int, s: float) -> list:
+        """Per-class log phi^s at depths 1..depth, one array per depth."""
+        return [self._log_phi(logs, s) for logs in self._levels(depth)]
+
     def _log_phi(self, logs: np.ndarray, s: float) -> np.ndarray:
-        """Per-class log phi^s of one level's (d, C) log singular values."""
+        """Per-class log phi^s of (d, C) log singular values."""
         out = np.empty(logs.shape[1])
 
         def chunk(lo, hi):
@@ -570,7 +623,10 @@ class DiagonalEngine(_ClassTree):
     class c's children are c + e_j.  The lattice is extended level by level
     on demand and cached independently of the exponent: per depth the (d,
     C_t) log singular values, the log multinomial word counts, and the
-    (C_t, M) map from each class to its children's rows.  Pruned walks carry
+    (C_t, M) map from each class to its children's rows.  The levels' log
+    singular values are column blocks of one C-contiguous array, and
+    ``_levels`` hands out views of them, so a net-measure probe takes log
+    phi^s of every level in one call (``_log_phis``).  Pruned walks carry
     exact integer live-word counts per class.
     """
 
@@ -584,7 +640,11 @@ class DiagonalEngine(_ClassTree):
             [[math.log(abs(m.entries[i, i])) for i in range(self.d)] for m in lvl.maps]
         )  # (M, d)
         self._comps = np.zeros((1, self.n_maps), dtype=np.int64)  # the deepest level's classes
-        self._logs = [np.zeros((self.d, 1))]
+        # every level's (d, C_t) log singular values side by side in one array
+        # with spare columns: level t is columns bounds[t]:bounds[t + 1], and
+        # _logs[t] a view of them
+        self._flat, self._bounds = np.zeros((self.d, 1)), [0, 1]
+        self._logs = [self._flat]
         self._log_mult = [np.zeros(1)]
         self._child_idx = []  # child_idx[t][i, j] = row of class i + e_j at depth t + 1
         self._log_fact = np.zeros(1)
@@ -597,10 +657,17 @@ class DiagonalEngine(_ClassTree):
             rank, width = _composition_ranks(children)
             nxt = np.empty((width, M), dtype=np.int64)
             nxt[rank] = children  # every class of the next level is some class's child
+            a, b = self._bounds[-1], self._bounds[-1] + width
+            if b > self._flat.shape[1]:  # double the columns: appends copy O(1) per column
+                flat = np.empty((self.d, 2 * b))
+                flat[:, :a] = self._flat[:, :a]
+                self._flat = flat
+                self._logs = [flat[:, lo:hi] for lo, hi in zip(self._bounds, self._bounds[1:])]
+            self._flat[:, a:b] = -np.sort(-(nxt.astype(float) @ self.log_c), axis=1).T
             self._comps = nxt
             self._child_idx.append(rank.reshape(cur.shape[0], M))
-            self._logs.append(np.ascontiguousarray(
-                -np.sort(-(nxt.astype(float) @ self.log_c), axis=1).T))
+            self._bounds.append(b)
+            self._logs.append(self._flat[:, a:b])
             self._log_mult.append(self._log_multinomials(nxt))
 
     def child_rows(self, t: int) -> np.ndarray:
@@ -627,13 +694,20 @@ class DiagonalEngine(_ClassTree):
         self._extend(depth)
         return self._logs[1:depth + 1]
 
+    def _log_phis(self, depth: int, s: float) -> list:
+        """Per-class log phi^s at depths 1..depth, from one pass over the store."""
+        self._extend(depth)
+        b = self._bounds
+        flat = self._log_phi(self._flat[:, 1:b[depth + 1]], s)
+        return [flat[lo - 1:hi - 1] for lo, hi in zip(b[1:depth + 1], b[2:depth + 2])]
+
     def _log_mults(self, t: int) -> np.ndarray:
         self._extend(t)
         return self._log_mult[t]
 
     def _child_values(self, t: int, v: np.ndarray):
         rows = self.child_rows(t)
-        return lambda lo, hi: v[..., rows[lo:hi]]
+        return lambda lo, hi: v.take(rows[lo:hi], axis=-1)
 
     def _walk(self, visit, m: int, log_stop: float, node_budget: float):
         """The pruned walk (see ``_ClassTree``): the kept children merge

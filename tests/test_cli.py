@@ -645,14 +645,18 @@ def test_threads_are_capped_at_the_usable_cpus(capsys, monkeypatch, threads):
     assert created == ([workers] if workers > 1 else [])
 
 
-@pytest.mark.parametrize("fixture,which", [("scalar_blocks", "moran"),
-                                           ("similarity_pair", "falconer"),
-                                           ("example_5_4", "sstar,sa"),
-                                           ("middle_thirds", "sstar,sa"),
-                                           ("random_diag_pair", "sstar,sa")])
+@pytest.mark.parametrize("fixture,which", [
+    ("scalar_blocks", "moran"),
+    *((f, "falconer") for f in ("similarity_pair", "diag_triple", "middle_thirds",
+                                "random_affine", "random_diag_pair", "sierpinski_carpet")),
+    *((f, "sstar,sa") for f in ("example_5_4", "middle_thirds", "random_diag_pair",
+                                "sierpinski_carpet", "similarity_pair", "diag_triple",
+                                "scalar_blocks", "random_affine")),
+])
 def test_root_reports_match_the_golden_bytes(capsys, fixture, which):
     # the falconer trace lists every probe, the first at s = d + 1; the s* and
-    # s_A reports pin the chain (d = 2 and d = 1) and the composition lattice
+    # s_A reports pin the chain (d = 1 and 2, constant and block schedules)
+    # and the composition lattice
     code, out, err, _ = _main(capsys, "dims", "--fixture", fixture, "--which", which)
     assert code == 0 and err == ""
     name = which.replace(",", "_")
@@ -661,18 +665,21 @@ def test_root_reports_match_the_golden_bytes(capsys, fixture, which):
 
 # sha256 and row count of each CSV, written by the depth-first word walk
 # before the level-by-level one replaced it; example_5_3 at s = 0.4 pins
-# the order, which is depth-first, not lexicographic
+# the order, which is depth-first, not lexicographic.  The chain and lattice
+# cases pin their stdout summary too (example_5_3's log_sum is pinned below)
 CUTSET_DIGESTS = json.loads((GOLDEN / "cutset_digests.json").read_text())
 
 
 @pytest.mark.parametrize("case", sorted(CUTSET_DIGESTS))
 def test_cutset_dumps_match_the_golden_digests(tmp_path, capsys, case):
     out = tmp_path / "cut.csv"
-    code, _, err, _ = _main(capsys, "cutset", *case.split(), "--out", str(out))
+    code, stdout, err, _ = _main(capsys, "cutset", *case.split(), "--out", str(out))
     assert code == 0 and err == ""
     data = out.read_bytes()
-    assert {"sha256": hashlib.sha256(data).hexdigest(),
-            "rows": data.count(b"\n") - 1} == CUTSET_DIGESTS[case]
+    got = {"sha256": hashlib.sha256(data).hexdigest(), "rows": data.count(b"\n") - 1}
+    if "stdout" in CUTSET_DIGESTS[case]:
+        got["stdout"] = stdout
+    assert got == CUTSET_DIGESTS[case]
 
 
 # example_5_3's cut-sets, with the summaries its unmerged word-class tree

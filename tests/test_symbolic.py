@@ -308,6 +308,9 @@ def test_log_singular_values_are_contiguous_d_by_n(name, kind):
 
         engine._walk = checked_walk
         for logs in engine._levels(4):  # the generic walk reads these, then expands its own
+            if kind == "diagonal":  # column views of one (d, sum C_t) store, each row contiguous
+                assert logs.base is engine._flat and logs.strides[1] == logs.itemsize
+                logs = engine._flat
             check(logs, "level")
     log_eps = default_eps_log_schedule(spec, kind)[:6]
     for s in (0.5, 1.5):
@@ -929,6 +932,155 @@ def test_estimate_sstar_records_the_chain_once_per_branch_index(monkeypatch):
     assert len(rep.trace) > len(indices)
 
 
+class _PerDepthChain:
+    """Reference: the chain engine's loop before it extended in blocks, one
+    depth at a time with one ``sv2_batch`` call or SVD per depth, and its
+    stop scan one depth at a time."""
+
+    def __init__(self, spec):
+        self.spec, self.d = spec, spec.dim
+        self.counts, self.log_svs = [1], [np.zeros(spec.dim)]
+        self.chain, self.log_scale, self.log_det = np.eye(spec.dim), 0.0, 0.0
+
+    def extend(self, t):
+        while len(self.counts) <= t:
+            lvl = self.spec.level(len(self.counts))
+            raw = self.chain @ lvl.maps[0].entries
+            scale = float(np.max(np.abs(raw)))
+            self.chain = raw / scale
+            self.log_scale += math.log(scale)
+            self.log_det += math.log(abs(lvl.maps[0].det()))
+            if self.d == 2:
+                s1, _ = sv2_batch(self.chain[None])
+                l1 = self.log_scale + math.log(float(s1[0]))
+                logs = np.array([l1, self.log_det - l1])
+            else:
+                logs = self.log_scale + np.log(np.linalg.svd(self.chain, compute_uv=False))
+            self.counts.append(self.counts[-1] * lvl.branch_count)
+            self.log_svs.append(logs)
+
+    def level_log_sums(self, s, depths):
+        self.extend(max(depths))
+        lph = log_phi_from_logs(np.stack([self.log_svs[t] for t in depths], axis=1), s).tolist()
+        return [math.log(self.counts[t]) + v for t, v in zip(depths, lph)]
+
+    def log_svs_at(self, t):
+        self.extend(t)
+        return self.log_svs[t]
+
+    def stop_depths(self, m, le):
+        depths, t = [], 1
+        for v in le:
+            while self.log_svs_at(t)[m - 1] > v + _STOP_SNAP:
+                t += 1
+            depths.append(t)
+        return depths
+
+
+def _chain_system(d, kind, branches, seed):
+    """A chain system (one repeated map per level) on a ``kind`` schedule, one
+    level per entry of ``branches``, with singular values in [0.2, 0.9]."""
+    rng = np.random.default_rng(seed)
+    levels = tuple(LevelSpec(n, (_map_with_svs(rng, d, 0.2, 0.9),) * n) for n in branches)
+    if kind == "constant":
+        levels = levels[:1]
+    extra = {"periodic": {},
+             "explicit_prefix_then_periodic": {"period": len(levels) - 1},
+             "geometric_blocks": {"block_base": 3, "block_ratio": 2}}.get(kind, {})
+    return SystemSpec(d, Schedule(kind, levels, **extra), TranslationScheme("explicit", table={}),
+                      Box(np.zeros(d), np.ones(d)))
+
+
+def test_block_extension_matches_the_per_depth_chain():
+    """Depths asked for in any order, through level sums and stop records,
+    give the per-depth loop's logs, word counts, sums and stops bit for bit."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    kinds = ["constant", "periodic", "explicit_prefix_then_periodic", "geometric_blocks"]
+    # a request: a list of depths for level_log_sums, or a descending schedule for the stops
+    requests = st.lists(st.one_of(
+        st.lists(st.integers(1, 320), min_size=1, max_size=4),
+        st.lists(st.floats(-60.0, -0.05), min_size=1, max_size=5, unique=True)
+        .map(lambda v: np.array(sorted(v, reverse=True)))), min_size=1, max_size=4)
+
+    # the normalized running product soon repeats its values, so few generated
+    # systems reach a value whose np.log differs from math.log in the last
+    # bit; at these two, depths 13 and 5 do
+    @settings(max_examples=_examples(60))
+    @given(st.sampled_from([1, 2, 3]), st.sampled_from(kinds),
+           st.lists(st.sampled_from([2, 3]), min_size=2, max_size=3),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from(GEN_S), requests)
+    @example(2, "periodic", [2, 3], 108, 1.0, [[20]])
+    @example(2, "geometric_blocks", [3, 2], 48, 1.0, [np.array([-3.0])])
+    def check(d, kind, branches, seed, s, reqs):
+        spec = _chain_system(d, kind, branches, seed)
+        engine, ref = make_engine(spec), _PerDepthChain(spec)
+        assert isinstance(engine, UniformEngine)
+        for req in [[5], [300], [70], *reqs]:
+            if isinstance(req, list):
+                got = engine.level_log_sums(s, req)
+                assert np.array(got).tobytes() == np.array(ref.level_log_sums(s, req)).tobytes()
+                continue
+            for m in range(1, d + 1):
+                want = ref.stop_depths(m, req)
+                for exact in (False, True):
+                    rec = engine._record_stops(m, req, 1, exact)
+                    assert rec.depth == want and rec.nodes == want[-1]
+                    assert rec.logs.tobytes() == np.stack([ref.log_svs[t] for t in want],
+                                                          axis=1).tobytes()
+                    counts = [ref.counts[t] for t in want]
+                    if exact:
+                        assert rec.counts == counts
+                    else:
+                        assert rec.counts.tobytes() == np.array(
+                            [math.log(c) for c in counts]).tobytes()
+        T = len(engine._counts) - 1
+        ref.extend(T)
+        assert engine._logs.flags.c_contiguous and engine._logs.shape == (d, T + 1)
+        assert engine._logs.tobytes() == np.stack(ref.log_svs[:T + 1], axis=1).tobytes()
+        assert engine._counts == ref.counts[:T + 1]
+
+    check()
+
+
+def test_the_chain_depth_cap_holds_on_every_call(monkeypatch):
+    """A depth past the cap raises before any depth is computed, so a second
+    call on the same engine raises too, through the level sums and through
+    the stop scan."""
+    engine = make_engine(fixture("middle_thirds"))
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            engine.level_log_sums(0.5, [symbolic._MAX_CHAIN_DEPTH + 1])
+        assert len(engine._counts) == 1 and engine._logs.shape == (1, 1)
+    monkeypatch.setattr(symbolic, "_MAX_CHAIN_DEPTH", 20)
+    engine = make_engine(fixture("middle_thirds"))  # alpha_1 = 3^-t
+    assert engine.level_log_sums(S_SIM, [20]) == pytest.approx([0.0], abs=1e-9)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            engine._record_stops(1, np.array([-21 * math.log(3)]), 1, False)
+        assert len(engine._counts) == 21
+
+
+@pytest.mark.parametrize("name, kind", [("middle_thirds", "uniform"),
+                                        ("random_diag_pair", "diagonal"),
+                                        ("example_5_3", "generic")])
+def test_level_log_sums_take_any_iterable_and_reject_depths_below_1(name, kind):
+    spec = fixture(name)
+    engine = make_engine(spec)
+    assert engine.kind == kind
+    built = {"uniform": lambda: len(engine._counts) - 1,
+             "diagonal": lambda: len(engine._logs) - 1,
+             "generic": lambda: len(engine._tree_logs)}[kind]
+    for bad in ([0], [3, 0, 2], (t for t in (2, -1))):
+        with pytest.raises(ValueError, match="depths must be >= 1"):
+            engine.level_log_sums(1.1, bad)
+        assert built() == 0
+    assert engine.level_log_sums(1.1, iter([])) == engine.level_log_sums(1.1, []) == []
+    want = make_engine(spec).level_log_sums(1.1, [3, 1, 4])
+    assert engine.level_log_sums(1.1, (t for t in (3, 1, 4))) == want
+
+
 # ---------------------------------------------------------------------------
 # the composition lattice against the word walk on the same systems
 # ---------------------------------------------------------------------------
@@ -949,6 +1101,30 @@ def test_lattice_levels_are_in_row_sort_order(M):
         comps, inverse = np.unique(children, axis=0, return_inverse=True)
         assert np.array_equal(engine.child_rows(t), inverse.reshape(-1, M))
     assert np.array_equal(engine._comps, comps)
+
+
+def test_lattice_flat_log_phi_matches_the_per_level_one():
+    """The lattice's levels are column views of one store, and log phi^s
+    taken over the store in one call is, level by level, the per-level one
+    bit for bit, also after the store has grown in steps."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=_examples(60))
+    @given(_generated_systems(st, diagonal=True), st.sampled_from(GEN_S),
+           st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    def check(spec, s, depths):
+        engine = DiagonalEngine(spec)
+        for depth in depths:
+            got = engine._log_phis(depth, s)
+            levels = engine._levels(depth)
+            assert len(got) == len(levels) == depth
+            for lph, logs in zip(got, levels):
+                assert logs.base is engine._flat
+                want = log_phi_from_logs(np.ascontiguousarray(logs), s)
+                assert lph.tobytes() == want.tobytes()
+
+    check()
 
 
 def _prefix_counts(spec, s, epsilon):
