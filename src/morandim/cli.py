@@ -10,11 +10,17 @@ before anything is printed.  ``dims --threads N`` splits the generic and
 lattice class trees' level-wide array work over min(N, usable CPUs)
 threads; every output is byte-identical at any N, and the other commands
 accept the flag and run in one thread.
+
+``main`` builds its parser on its first call and reuses it for every later
+call in the process.  ``cutset --out`` formats its rows straight from the
+digit lists and log phi^s of ``CutSet.rows``, one ``%`` format per row, in
+the depth-first order and with the bytes of ``iter_cutset_words``.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -263,11 +269,12 @@ def cmd_cutset(args) -> int:
     started = time.monotonic()
     c = cutset(spec, args.s, args.epsilon, node_budget=args.node_budget)
     if args.out:  # checks truncation and the word cap, then writes every file before printing
-        rows = c.entries()
+        rows, log_phi = c.rows()
+        fmt = {n: "-".join(["%d"] * n) + f",{n},%r\n" for n in set(map(len, rows))}
         out_dir = os.path.dirname(args.out) or "."
         os.makedirs(out_dir, exist_ok=True)
         _write_text(args.out, "word,depth,log_phi\n" + "".join(
-            f"{word},{len(word)},{lph!r}\n" for word, lph in rows))
+            fmt[len(row)] % (*row, lph) for row, lph in zip(rows, log_phi)))
         _write_manifest(out_dir, "cutset", label,
                         {"s": c.s, "epsilon": c.epsilon, "node_budget": args.node_budget},
                         args.seed, [args.out], started)
@@ -338,7 +345,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     p = _Parser(prog="morandim", description="Dimension estimators and attractor tools "
                 "for level-dependent affine contraction systems")
     sub = p.add_subparsers(dest="command", required=True)

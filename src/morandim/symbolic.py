@@ -70,8 +70,9 @@ sets it, as ``dims --threads`` does), one contiguous block per worker.
 Every chunk does the same elementwise arithmetic on its own columns, so
 the bits are the same at any worker count.
 
-``iter_cutset_words`` lists the cut-set words themselves, independently of
-the engines, from plain products taken one depth at a time.
+``cutset_rows`` lists the cut-set words themselves, independently of the
+engines, from plain products taken one depth at a time, as digit lists;
+``iter_cutset_words`` yields them as ``Word`` objects.
 
 Equal-product aggregation is the central performance decision: the shipped
 block fixtures have 9^k-size levels that reduce to O(1) work per depth.
@@ -1087,8 +1088,9 @@ class CutSet:
     def log_sum(self) -> float:
         return logsumexp([g.log_count + g.log_phi for g in self.groups])
 
-    def entries(self) -> Iterator[tuple]:
-        """Enumerate (Word, log_phi) pairs via an independent recursive walk.
+    def rows(self) -> tuple:
+        """``cutset_rows`` of this cut-set: its words' digit lists in
+        depth-first order, and their log phi^s.
 
         Raises BudgetExceeded at once when the cut-set was truncated by its
         node budget or holds more than ``_WORD_ENUM_CAP`` words.
@@ -1099,11 +1101,17 @@ class CutSet:
             )
         if self.word_count() > _WORD_ENUM_CAP:
             raise BudgetExceeded(f"cut-set enumeration exceeds {_WORD_ENUM_CAP} words")
-        return iter_cutset_words(self.spec, self.s, self.epsilon)
+        return cutset_rows(self.spec, self.s, self.epsilon)
+
+    def entries(self) -> Iterator[tuple]:
+        """``rows`` as the (Word, log_phi) pairs of ``iter_cutset_words``."""
+        rows, log_phi = self.rows()
+        return zip(map(Word, rows), log_phi)
 
 
-def iter_cutset_words(spec: SystemSpec, s: float, epsilon: float) -> Iterator[tuple]:
-    """The cut-set words with their log costs, found one depth at a time.
+def cutset_rows(spec: SystemSpec, s: float, epsilon: float) -> tuple:
+    """The cut-set words and their log phi^s, found one depth at a time:
+    ``(rows, log_phi)``, the words' digit lists and a list of floats.
 
     Independent of the engines: plain per-word products with rescaling.
     Each depth takes every live word's children in one batched product,
@@ -1113,13 +1121,16 @@ def iter_cutset_words(spec: SystemSpec, s: float, epsilon: float) -> Iterator[tu
     digit order, then the words below its live children, in digit order.
     Every live word has a cut-set word below it, so the walk raises
     BudgetExceeded as soon as its stopped and live words exceed
-    ``_WORD_ENUM_CAP``, before the first word is yielded.  Intended for
-    dumps and small-system tests.
+    ``_WORD_ENUM_CAP``, and NonsingularityViolated for a singular map
+    before it takes any product.  Intended for dumps and small-system tests.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if s <= 0:
         raise ValueError("cut-sets need s > 0")
+    for finding in validate(spec):
+        if finding.code == "NonsingularityViolated":
+            finding.raise_if_invariant()
     d = spec.dim
     m = branch_index(s, d)
     log_eps = math.log(epsilon)
@@ -1158,14 +1169,23 @@ def iter_cutset_words(spec: SystemSpec, s: float, epsilon: float) -> Iterator[tu
         Q, log_scale, log_det, digits = raw[keep], log_scale[keep], log_det[keep], words[keep]
     # depth-first order: by the parent's digits, zero-padded (0 sorts before
     # every digit, so a word's stopped children come before the words below
-    # its live ones), then by the last digit; the padding is dropped on the way out
+    # its live ones), then by the last digit; the padding is only in the sort key
     key = np.concatenate([
         np.column_stack([w[:, :-1], np.zeros((len(w), depth - w.shape[1]), w.dtype), w[:, -1]])
         for w, _ in stopped])
-    lph = np.concatenate([v for _, v in stopped])
-    for i in np.lexsort(key.T[::-1]):
-        row = key[i].tolist()
-        yield Word((*filter(None, row[:-1]), row[-1])), float(lph[i])
+    order = np.lexsort(key.T[::-1])
+    rows = [row for w, _ in stopped for row in w.tolist()]
+    log_phi = np.concatenate([v for _, v in stopped])
+    return [rows[i] for i in order.tolist()], log_phi[order].tolist()
+
+
+def iter_cutset_words(spec: SystemSpec, s: float, epsilon: float) -> Iterator[tuple]:
+    """The cut-set words with their log costs: ``cutset_rows`` as (Word,
+    log_phi) pairs, in the same depth-first order.  It raises what
+    ``cutset_rows`` raises before the first pair.  ``cutset --out`` formats
+    its dump rows from ``cutset_rows`` itself, in this order."""
+    rows, log_phi = cutset_rows(spec, s, epsilon)
+    yield from zip(map(Word, rows), log_phi)
 
 
 def cutset(spec: SystemSpec, s: float, epsilon: float,

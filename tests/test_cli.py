@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import hashlib
 import itertools
@@ -8,11 +9,13 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from morandim import attractor, cli, symbolic
+from morandim.errors import ConfigError
 from morandim.linalg import log_singular_values
-from morandim.system import fixture_document
+from morandim.system import fixture_document, parse_structure
 
 CLI = [sys.executable, "-m", "morandim.cli"]
 
@@ -794,3 +797,116 @@ def test_lattice_net_measure_builds_only_the_levels_that_fit(tmp_path, capsys):
     assert rep["schedule"]["engine"] == "diagonal"
     assert rep["estimate"] is None and "budget_truncated" in rep["flags"]
     assert seconds < 10.0
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process
+# ---------------------------------------------------------------------------
+
+# a valid value of every flag, none of them the default
+FLAG_VALUES = {"which": "sa,moran", "tol": "0.5", "depth": "3", "count": "7", "seed": "4",
+               "scales": "0.5,0.25", "resolution": "9", "threads": "-2", "node_budget": "11",
+               "out": "somewhere", "s": "1.5", "epsilon": "0.25"}
+PARSER_ARGVS = [
+    *([name] for name in cli._COMMANDS),
+    *([name, "c.json", "--fixture", "middle_thirds", "--pretty",
+       *itertools.chain.from_iterable((cli._FLAGS[dest][0], FLAG_VALUES[dest])
+                                      for dest in defaults)]
+      for name, (_, defaults) in cli._COMMANDS.items()),
+    ["cutset", "--s", "1", "--eps", "0.1"],  # an abbreviation of --epsilon
+    ["dims", "--fixture", "middle_thirds", "--nope"],
+    ["boxdim", "--count", "0"],
+    ["cutset", "--epsilon", "0.1"],
+    [],
+]
+
+
+def _parse(parser, argv):
+    """The Namespace ``parser`` gives ``argv``, or its ConfigError text."""
+    try:
+        return parser.parse_args(argv)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+def test_the_reused_parser_parses_as_a_fresh_one():
+    assert cli.build_parser() is cli.build_parser()
+    reused = [_parse(cli.build_parser(), argv) for argv in PARSER_ARGVS]
+    fresh = [_parse(cli.build_parser.__wrapped__(), argv) for argv in PARSER_ARGVS]
+    assert reused == fresh
+    # bare cutset lacks --s; each full argv parses; the last five are errors
+    assert [i for i, got in enumerate(reused) if isinstance(got, str)] == [4, 10, 11, 12, 13, 14]
+
+
+def test_two_main_calls_build_the_parser_once(monkeypatch, capsys):
+    added = []
+    real = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert _main(capsys, "validate", "--fixture", "middle_thirds")[0] == 0
+        once = len(added)
+        cli.build_parser.__wrapped__()
+    finally:
+        cli.build_parser.cache_clear()
+    assert once == len(added) - once == 45  # 39 flags and 6 --help
+
+
+# ---------------------------------------------------------------------------
+# cut-set dumps are formatted from the word walk's arrays
+# ---------------------------------------------------------------------------
+
+def _generated_document(d, seed):
+    """A periodic config whose first level has 12 maps: the first three with
+    singular values in [0.02, 0.05], which stop at depth 1 at epsilon 0.1,
+    the others in [0.3, 0.5], as are the second level's three."""
+    rng = np.random.default_rng(seed)
+
+    def make(lo, hi):
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        v, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        return (u @ np.diag(rng.uniform(lo, hi, d)) @ v.T).tolist()
+
+    levels = [[make(0.02, 0.05) for _ in range(3)] + [make(0.3, 0.5) for _ in range(9)],
+              [make(0.3, 0.5) for _ in range(3)]]
+    return {"dim": d, "seed_region": {"lo": [0.0] * d, "hi": [1.0] * d},
+            "schedule": {"kind": "periodic",
+                         "levels": [{"branch_count": len(maps), "maps": maps}
+                                    for maps in levels]},
+            "translations": {"kind": "explicit", "table": {}}}
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cutset_dump_is_the_word_walk_formatted_row_by_row(tmp_path, capsys, d, s):
+    doc = _generated_document(d, seed=d)
+    config, out = tmp_path / "config.json", tmp_path / "cut.csv"
+    config.write_text(json.dumps(doc))
+    code, _, err, _ = _main(capsys, "cutset", str(config), "--s", repr(s), "--epsilon", "0.1",
+                            "--out", str(out))
+    assert code == 0 and err == ""
+    words = list(symbolic.iter_cutset_words(parse_structure(doc), s, 0.1))
+    assert out.read_text() == "word,depth,log_phi\n" + "".join(
+        f"{w},{len(w)},{lph!r}\n" for w, lph in words)
+    assert min(len(w) for w, _ in words) == 1 < max(len(w) for w, _ in words)
+    assert max(max(w.digits) for w, _ in words) >= 10
+
+
+def test_cutset_dump_over_a_lowered_word_cap_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # middle_thirds at s = 0.7, epsilon 0.01 stops all 32 words at depth 5
+    monkeypatch.setattr(symbolic, "_WORD_ENUM_CAP", 20)
+    out = tmp_path / "dump" / "cut.csv"
+    code, stdout, err, _ = _main(capsys, "cutset", "--fixture", "middle_thirds", "--s", "0.7",
+                                 "--epsilon", "0.01", "--out", str(out))
+    assert code == 3 and stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "budget",
+                                    "message": "cut-set enumeration exceeds 20 words"}
+    assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import re
 import sys
 import warnings
 
@@ -10,7 +11,7 @@ import pytest
 from morandim import symbolic
 from morandim.dims import (default_depth_schedule, default_eps_log_schedule, estimate_sA,
                            estimate_sstar)
-from morandim.errors import BudgetExceeded, MoranDimError
+from morandim.errors import BudgetExceeded, MoranDimError, NonsingularityViolated
 from morandim.linalg import Matrix, sv2_batch
 from morandim.svf import branch_index, log_phi_from_logs
 from morandim.symbolic import (
@@ -1542,6 +1543,20 @@ def test_word_cap_raises_before_the_first_word(monkeypatch, cap):
             next(words)
     else:
         assert len(list(words)) == 128
+
+
+def test_word_walk_on_a_singular_map_raises_before_any_product(monkeypatch):
+    singular = LevelSpec(2, (Matrix(np.diag([0.5, 0.5])), Matrix(np.diag([0.0, 0.5]))))
+    third = Matrix(np.eye(2) / 3)
+    later = SystemSpec(2, Schedule("periodic", (LevelSpec(2, (third, third)), singular)),
+                       TranslationScheme("explicit", table={}), Box(np.zeros(2), np.ones(2)))
+    products = []
+    monkeypatch.setattr(symbolic, "sv2_batch", lambda raw: products.append(raw))
+    for spec, where in ((fixture("example_5_2"), "levels[0]"), (later, "levels[1]")):
+        words = iter_cutset_words(spec, 1.0, 0.1)
+        with pytest.raises(NonsingularityViolated, match=rf"^{re.escape(where)}\.maps\[1\]: "):
+            next(words)
+    assert products == []
 
 
 # ---------------------------------------------------------------------------
