@@ -4,7 +4,10 @@ Points come from finite-depth evaluation of the coding-space projection,
 anchored at the seed region's center; the truncation error alpha_plus^K
 times the seed diameter rides along on every cloud so box-count scales can
 be chosen above it.  All sampling is a pure function of
-(spec, depth, mode, count, seed).
+(spec, depth, mode, count, seed).  A sample holds its digit codes
+level-major in the smallest unsigned type that fits every level (one byte
+per point and level up to 256 maps), and the projection builds one level's
+translations at a time.
 
 Box counting folds a point's d grid indices, offset by their per-axis
 minimum, into one int64 key and counts the distinct keys of the sorted key
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, MoranDimError, UnresolvedTranslation
-from .linalg import log_singular_values, op_norm
+from .linalg import log_singular_values
 from .symbolic import Word
 from .system import SystemSpec, hash_to_unit, mix64_batch, _mix64
 
@@ -69,7 +72,7 @@ class BoxCountCurve:
 
 def _sup_norm(spec: SystemSpec) -> float:
     """sup of op norms over the schedule; defined even for singular maps."""
-    return max(op_norm(m) for lvl in spec.schedule.levels for m in lvl.maps)
+    return max(nrm for lvl in spec.schedule.levels for nrm in lvl.op_norms)
 
 
 def _gather(table: np.ndarray, digits: np.ndarray) -> np.ndarray:
@@ -78,29 +81,31 @@ def _gather(table: np.ndarray, digits: np.ndarray) -> np.ndarray:
     return np.take(np.ascontiguousarray(table.T), digits, axis=1).T
 
 
-def _translation_arrays(spec: SystemSpec, codes: np.ndarray, seed: int):
+def _translations(spec: SystemSpec, codes: np.ndarray, seed: int):
     """Per-level translation vectors for each sampled word prefix.
 
-    Returns a list W with W[k-1] of shape (N, d): the translation applied
-    at step k for word prefix codes[:, :k].  Prefix-keyed hashing makes
-    shared prefixes share translations without any cache.  Except for
-    ``explicit`` tables, W[k-1] is the transpose of an axis-major array, so
-    each of its columns is contiguous.
+    Returns a function of k that builds the (N, d) translation applied at
+    step k for word prefix codes[:, :k], so a caller can hold one level's
+    translations at a time; missing digits or table entries raise here,
+    before any is built.  Prefix-keyed hashing makes shared prefixes share
+    translations without any cache; the hash schemes keep each level's
+    uint64 hash row, ``explicit`` tables each level's array.  Except for
+    ``explicit`` tables, a translation is the transpose of an axis-major
+    array, so each of its columns is contiguous.
     """
     scheme = spec.translations
     N, K = codes.shape
     d = spec.dim
-    out = []
     if scheme.kind == "digit_grid":
         for k in range(1, K + 1):
-            lvl = spec.level(k)
-            if lvl.digits is None:
+            if spec.level(k).digits is None:
                 raise UnresolvedTranslation(f"level {k} has no digits")
-            out.append(_gather(np.asarray(lvl.digits, dtype=float), codes[:, k - 1]))
-        return out
+        return lambda k: _gather(np.asarray(spec.level(k).digits, dtype=float),
+                                 codes[:, k - 1])
     if scheme.kind == "explicit":
         table = scheme.table or {}
         keys = [""] * N  # each point's prefix word, extended by one digit per level
+        out = []
         for k in range(1, K + 1):
             sep = "-" if k > 1 else ""
             keys = [f"{key}{sep}{c + 1}" for key, c in zip(keys, codes[:, k - 1].tolist())]
@@ -108,35 +113,36 @@ def _translation_arrays(spec: SystemSpec, codes: np.ndarray, seed: int):
             if missing is not None:
                 raise UnresolvedTranslation(f"no table entry for word {missing}")
             out.append(np.array([table[key] for key in keys], dtype=float).reshape(N, d))
-        return out
+        return lambda k: out[k - 1]
     # Hash-assigned schemes: rolling splitmix64 over 1-based digits.
     if scheme.kind == "finite_alphabet":
         base_seed = scheme.seed if scheme.seed is not None else 0
     else:
         base_seed = _mix64((seed & ((1 << 64) - 1)) ^ _mix64(scheme.seed or 0))
     h = np.full(N, _mix64(base_seed), dtype=np.uint64)
-    alphabet = None
-    if scheme.kind == "finite_alphabet":
-        alphabet = np.asarray(scheme.alphabet, dtype=float)
+    hashes = []
     for k in range(1, K + 1):
         # the mix of digit j + 1 is looked up, not recomputed for every point
         digit_mix = mix64_batch(np.arange(1, spec.branch_count(k) + 1, dtype=np.uint64))
         h = mix64_batch(h ^ np.take(digit_mix, codes[:, k - 1]))
-        if scheme.kind == "finite_alphabet":
-            idx = (h % np.uint64(len(alphabet))).astype(np.int64)
-            out.append(_gather(alphabet, idx))
-        else:  # random_iid, uniform over the region box
-            lo, hi = scheme.region.lo, scheme.region.hi
-            out.append(np.stack([lo[axis] + hash_to_unit(h, axis) * (hi[axis] - lo[axis])
-                                 for axis in range(d)]).T)
-    return out
+        hashes.append(h)
+    if scheme.kind == "finite_alphabet":
+        alphabet = np.asarray(scheme.alphabet, dtype=float)
+        n = np.uint64(len(alphabet))
+        return lambda k: _gather(alphabet, (hashes[k - 1] % n).astype(np.int64))
+    lo, hi = scheme.region.lo, scheme.region.hi  # random_iid, uniform over the region box
+    return lambda k: np.stack([lo[axis] + hash_to_unit(hashes[k - 1], axis) * (hi[axis] - lo[axis])
+                               for axis in range(d)]).T
 
 
 def _project_codes(spec: SystemSpec, codes: np.ndarray, seed: int) -> np.ndarray:
     """Finite-depth projection of 0-based digit codes, anchored at center(J).
 
-    The point is kept as d coordinate columns, and level k maps them by
-    x_i <- sum_j T_ij x_j + w_i in elementwise multiply-adds.  T's entries
+    ``codes`` is (N, K), any unsigned or signed integer type; the samplers
+    pass an (N, K) view of a level-major (K, N) array.  The point is kept as
+    d coordinate columns, and level k = K, ..., 1 maps them by
+    x_i <- sum_j T_ij x_j + w_i in elementwise multiply-adds, with w the
+    level's translations, built as the loop reaches them.  T's entries
     are scalars when every map of the level is the same, else columns
     gathered by digit.  The sum runs in j order from the first product;
     ``einsum("nij,nj->ni")`` starts its sum from +0.0 and so never returns
@@ -146,7 +152,7 @@ def _project_codes(spec: SystemSpec, codes: np.ndarray, seed: int) -> np.ndarray
     """
     N, K = codes.shape
     d = spec.dim
-    translations = _translation_arrays(spec, codes, seed)
+    translation = _translations(spec, codes, seed)
     x = [np.full(N, c) for c in spec.seed_region.center]
     for k in range(K, 0, -1):
         lvl = spec.level(k)
@@ -155,7 +161,7 @@ def _project_codes(spec: SystemSpec, codes: np.ndarray, seed: int) -> np.ndarray
         else:
             T = _gather(np.stack([m.entries.ravel() for m in lvl.maps]),
                         codes[:, k - 1]).T.reshape(d, d, N)
-        w = translations[k - 1].T
+        w = translation(k).T
         nxt = []
         for i in range(d):
             acc = T[i, 0] * x[0]
@@ -214,9 +220,11 @@ def sample_cloud(spec: SystemSpec, depth: int, mode: str = "auto",
 
     ``full_enumeration`` visits every depth-K word (guarded by the word
     budget); ``random_codes`` draws ``count`` words uniformly digit by
-    digit from a seeded generator.  ``auto`` enumerates whenever the depth-K
-    words fit the budget, however few points ``count`` asks for, and draws
-    ``count`` random codes otherwise.
+    digit from a seeded generator, one int64 row per level, each written
+    into a level-major (K, count) array of the smallest unsigned type that
+    holds the widest level's digits.  ``auto`` enumerates whenever the
+    depth-K words fit the budget, however few points ``count`` asks for,
+    and draws ``count`` random codes otherwise.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -228,8 +236,11 @@ def sample_cloud(spec: SystemSpec, depth: int, mode: str = "auto",
         if count is None:
             count = 100_000
         rng = np.random.Generator(np.random.PCG64(seed))
-        codes = np.stack([rng.integers(0, spec.branch_count(k), size=count, dtype=np.int64)
-                          for k in range(1, depth + 1)]).T
+        widest = max(map(spec.branch_count, range(1, depth + 1)))
+        codes = np.empty((depth, count), dtype=np.min_scalar_type(widest - 1))
+        for k in range(1, depth + 1):
+            codes[k - 1] = rng.integers(0, spec.branch_count(k), size=count, dtype=np.int64)
+        codes = codes.T
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     points = _project_codes(spec, codes, seed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import Optional
 
@@ -52,6 +53,12 @@ class LevelSpec:
     @property
     def dim(self) -> int:
         return self.maps[0].dim
+
+    @cached_property
+    def op_norms(self) -> tuple:
+        """Each map's op norm, taken once per parsed level and read by
+        ``validate``, ``alpha_bounds`` and the attractor sampler."""
+        return tuple(op_norm(m) for m in self.maps)
 
     def maps_all_identical(self) -> bool:
         return all(m == self.maps[0] for m in self.maps[1:])
@@ -203,8 +210,8 @@ def alpha_bounds(spec: SystemSpec) -> AlphaBounds:
     plus = 0.0
     minus = math.inf
     for lvl in spec.schedule.levels:
-        for m in lvl.maps:
-            plus = max(plus, op_norm(m))
+        for m, nrm in zip(lvl.maps, lvl.op_norms):
+            plus = max(plus, nrm)
             sv = singular_values(m)
             minus = min(minus, sv.values[-1])
     return AlphaBounds(alpha_plus=plus, alpha_minus=minus)
@@ -224,9 +231,8 @@ def validate(spec: SystemSpec) -> list:
     level_norm = []  # each level's max op-norm
     for idx, lvl in enumerate(levels):
         level_norm.append(0.0)
-        for j, m in enumerate(lvl.maps):
+        for j, (m, nrm) in enumerate(zip(lvl.maps, lvl.op_norms)):
             where = f"levels[{idx}].maps[{j}]"
-            nrm = op_norm(m)
             level_norm[-1] = max(level_norm[-1], nrm)
             if nrm >= 1.0:
                 findings.append(

@@ -3,11 +3,13 @@ import itertools
 import json
 import math
 import pathlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from morandim import cli
+from morandim import attractor, cli
 from morandim.attractor import (
     PointCloud,
     _enumerate_codes,
@@ -145,7 +147,7 @@ def _brute_force_explicit(table, codes):
 
 
 def test_explicit_translations_match_the_brute_force_keys():
-    from morandim.attractor import _translation_arrays
+    from morandim.attractor import _translations
     rng = np.random.default_rng(17)
     maps = (Matrix(np.diag([0.3, 0.2])),) * 3
     levels = (LevelSpec(2, maps[:2]), LevelSpec(3, maps))
@@ -166,10 +168,10 @@ def test_explicit_translations_match_the_brute_force_keys():
         want = _brute_force_explicit(table, codes)
         if isinstance(want, str):
             with pytest.raises(UnresolvedTranslation) as err:
-                _translation_arrays(spec, codes, seed=0)
+                _translations(spec, codes, seed=0)
             assert str(err.value) == want
         else:
-            got = _translation_arrays(spec, codes, seed=0)
+            got = list(map(_translations(spec, codes, seed=0), range(1, codes.shape[1] + 1)))
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.shape == b.shape and np.array_equal(a, b)
@@ -311,12 +313,12 @@ def test_finite_alphabet_assignment_pure():
 
 
 def test_random_iid_translations_lie_in_region():
-    from morandim.attractor import _translation_arrays
+    from morandim.attractor import _translations
     spec = fixture("random_affine")
     rng = np.random.default_rng(4)
     codes = rng.integers(0, 3, size=(500, 6))
     region = spec.translations.region
-    for W in _translation_arrays(spec, codes, seed=21):
+    for W in map(_translations(spec, codes, seed=21), range(1, 7)):
         assert (W >= region.lo).all() and (W <= region.hi).all()
 
 
@@ -497,7 +499,8 @@ def _einsum_reference(spec, codes, seed):
 def _kernel_cases(st):
     """(spec, codes, seed): d = 1..4, one to three levels of 2..4 maps, each
     level's maps all one matrix or drawn apart, any translation kind, and
-    either every word of depth 1..4 or up to 30 random ones.  Entries lie in
+    either every word of depth 1..4 or up to 30 random ones, in int64 or an
+    unsigned type.  Entries lie in
     [-1/(2d), 1/(2d)], so every map contracts, and vectors in [-1, 1]; both
     ranges hold the signed zeros."""
 
@@ -548,8 +551,10 @@ def _kernel_cases(st):
         else:
             rng, count = np.random.default_rng(draw(st.integers(0, 2 ** 32))), draw(
                 st.integers(1, 30))
+            # int64 rows, or the samplers' level-major layout in a compact type
+            dtype = draw(st.sampled_from([np.int64, np.uint8, np.uint16, np.uint32]))
             codes = np.stack([rng.integers(0, spec.branch_count(k), count)
-                              for k in range(1, depth + 1)]).T
+                              for k in range(1, depth + 1)]).astype(dtype).T
         return spec, codes, draw(st.integers(0, 2 ** 64 - 1))
 
     return build()
@@ -583,3 +588,84 @@ def test_column_kernel_turns_negative_zero_sums_positive_as_einsum_does(d):
     codes = np.zeros((1, 1), dtype=np.int64)
     got = _project_codes(spec, codes, 0)
     assert got.tobytes() == _einsum_reference(spec, codes, 0).tobytes() == np.zeros((1, d)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# compact random codes: the int64 codes' values and points, in less memory
+# ---------------------------------------------------------------------------
+
+def _int64_random_codes(spec, depth, count, seed):
+    """The random codes as the sampler drew them before they were compacted:
+    one int64 row per level from the seeded generator, stacked and transposed."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return np.stack([rng.integers(0, spec.branch_count(k), size=count, dtype=np.int64)
+                     for k in range(1, depth + 1)]).T
+
+
+def _check_compact_random_codes(spec, depth, count, seed):
+    """sample_cloud's random codes carry the widest level's smallest unsigned
+    type, hold the int64 codes' values and give their points' bytes."""
+    with mock.patch.object(attractor, "_project_codes", wraps=_project_codes) as kernel:
+        got = sample_cloud(spec, depth, mode="random_codes", count=count, seed=seed)
+    codes = kernel.call_args.args[1]
+    widest = max(spec.branch_count(k) for k in range(1, depth + 1))
+    assert codes.dtype == np.min_scalar_type(widest - 1)
+    ref = _int64_random_codes(spec, depth, count, seed)
+    assert np.array_equal(codes, ref)
+    assert got.points.tobytes() == _project_codes(spec, ref, seed).tobytes()
+
+
+def _wide_level(n, d, rng, identical):
+    maps = [Matrix(np.diag(rng.uniform(0.05, 0.45, d))) for _ in range(1 if identical else n)]
+    return LevelSpec(n, tuple(maps * n if identical else maps),
+                     tuple(rng.uniform(0.0, 1.0, (n, d))))
+
+
+def test_random_codes_are_compact_and_bit_for_bit_the_int64_codes():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, strategies as st
+
+    @given(st.integers(1, 2), st.lists(st.sampled_from([2, 256, 257]), min_size=1, max_size=3),
+           st.sampled_from(["digit_grid", "finite_alphabet", "random_iid"]),
+           st.integers(1, 4), st.integers(1, 300),
+           st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 32), st.booleans())
+    def check(d, widths, kind, depth, count, seed, build_seed, identical):
+        rng = np.random.default_rng(build_seed)
+        levels = tuple(_wide_level(n, d, rng, identical) for n in widths)
+        box = Box(np.zeros(d), np.ones(d))
+        if kind == "digit_grid":
+            scheme = TranslationScheme(kind)
+        elif kind == "finite_alphabet":
+            scheme = TranslationScheme(kind, alphabet=tuple(rng.uniform(0.0, 1.0, (3, d))),
+                                       seed=build_seed)
+        else:
+            scheme = TranslationScheme(kind, region=box, seed=build_seed)
+        schedule = Schedule("constant" if len(levels) == 1 else "periodic", levels)
+        _check_compact_random_codes(SystemSpec(d, schedule, scheme, box), depth, count, seed)
+
+    check()
+
+
+def test_random_codes_on_a_level_wider_than_uint16_are_uint32():
+    rng = np.random.default_rng(70)
+    levels = (_wide_level(70_000, 1, rng, identical=False), _wide_level(2, 1, rng, False))
+    spec = SystemSpec(1, Schedule("periodic", levels), TranslationScheme("digit_grid"),
+                      Box(np.zeros(1), np.ones(1)))
+    _check_compact_random_codes(spec, 3, 50, 13)
+
+
+# sampler memory: tracemalloc peak of one default-size random-codes sample
+# (200,000 codes, depth 10); int64 codes with every level's translations
+# built before the projection peak at 54 MiB
+SAMPLE_PEAK_BOUND = 20 * 2 ** 20
+
+
+def test_random_codes_sample_stays_under_its_memory_bound():
+    spec = fixture("example_5_4")
+    tracemalloc.start()
+    try:
+        sample_cloud(spec, 10, mode="random_codes", count=200_000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SAMPLE_PEAK_BOUND, f"peak {peak / 2 ** 20:.1f} MiB"

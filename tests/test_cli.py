@@ -12,10 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from morandim import attractor, cli, symbolic
+from morandim import attractor, cli, linalg, symbolic
 from morandim.errors import ConfigError
-from morandim.linalg import log_singular_values
-from morandim.system import fixture_document, parse_structure
+from morandim.linalg import log_singular_values, op_norm
+from morandim.system import fixture, fixture_document, fixture_names, parse_structure
 
 CLI = [sys.executable, "-m", "morandim.cli"]
 
@@ -516,6 +516,26 @@ def test_default_scales_stops_at_the_first_non_ternary_map(tmp_path, capsys, mon
                               "--count", "5000")
     assert code == 0 and err == ""
     assert len(calls) == 1
+
+
+TWO_D_FIXTURES = [name for name in fixture_names() if fixture_document(name)["dim"] == 2]
+
+
+@pytest.mark.parametrize("name", TWO_D_FIXTURES)
+def test_boxdim_takes_each_map_norm_once(monkeypatch, capsys, name):
+    # validate, the truncation error and the default scales all read the
+    # parsed levels' norms; every name the package binds op_norm to is counted
+    calls = []
+    bound = [(module, attr) for module_name, module in list(sys.modules.items())
+             if module_name.split(".")[0] == "morandim"
+             for attr, value in vars(module).items() if value is linalg.op_norm]
+    assert (linalg, "op_norm") in bound
+    for module, attr in bound:
+        monkeypatch.setattr(module, attr, lambda m: calls.append(m) or op_norm(m))
+    code, _, _, _ = _main(capsys, "boxdim", "--fixture", name)
+    assert code in (0, 1)  # example_5_1 and example_5_3 refuse depth 10 as too shallow
+    levels = fixture(name).schedule.levels
+    assert len(calls) == sum(lvl.branch_count for lvl in levels)
 
 
 @pytest.mark.parametrize("argv, blocked", [
