@@ -353,17 +353,18 @@ def default_scales(spec: SystemSpec, depth: int) -> list:
     Base-3 aligned (even powers, matching the 9x3 block fixtures and making
     the ternary small-case oracles exact) when every singular value in the
     schedule is a power of 1/3; dyadic otherwise.  The smallest scale stays
-    >= twice the depth-K piece diameter.
+    >= twice the depth-K piece diameter, and at most ``_MAX_SCALES``, the
+    coarsest, are kept.
     """
     floor_eps = 2.0 * (_sup_norm(spec) ** depth) * spec.seed_region.diameter
     base, t, step = (3.0, 2, 2) if _all_ternary(spec) else (2.0, 3, 1)
     scales = []
-    while base ** (-t) >= floor_eps:
+    while len(scales) < _MAX_SCALES and base ** (-t) >= floor_eps:
         scales.append(base ** (-t))
         t += step
     if len(scales) < 2:
         raise ValueError("depth too shallow for a scale range above the resolution")
-    return scales[:_MAX_SCALES]
+    return scales
 
 
 def select_scales(cloud: PointCloud, candidates) -> list:

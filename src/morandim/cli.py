@@ -4,17 +4,21 @@ One JSON object per line on stdout (``--pretty`` indents them).  Exit
 codes are a stable contract: 0 success, 1 unreadable/invalid config or
 argument, 2 inapplicable estimator or invariant error, 3 budget exhaustion
 or an indeterminate trend, 4 internal error (a defect).  Errors are one
-JSON line on stderr.  Seeded commands are byte-reproducible; every file
-output gets a manifest written beside it, and every file is written whole
-before anything is printed.  ``dims --threads N`` splits the generic and
-lattice class trees' level-wide array work over min(N, usable CPUs)
-threads; every output is byte-identical at any N, and the other commands
-accept the flag and run in one thread.
+JSON line on stderr.  Seeded commands are byte-reproducible.
 
 ``main`` builds its parser on its first call and reuses it for every later
-call in the process.  ``cutset --out`` formats its rows straight from the
-digit lists and log phi^s of ``CutSet.rows``, one ``%`` format per row, in
-the depth-first order and with the bytes of ``iter_cutset_words``.
+call in the process.  It loads the spec and starts the manifest clock once,
+then calls the command's ``handler(spec, label, args, started)``.  A command
+that writes files does so in one step, ``_save``, which writes each file
+whole and then the manifest beside them, before anything is printed.
+Reports and findings are serialized with ``dataclasses.asdict``.
+
+``dims --threads N`` splits the generic and lattice class trees' level-wide
+array work over min(N, usable CPUs) threads; every output is byte-identical
+at any N, and the other commands accept the flag and run in one thread.
+``cutset --out`` formats its rows straight from the digit lists and log
+phi^s of ``CutSet.rows``, one ``%`` format per row, in the depth-first order
+and with the bytes of ``iter_cutset_words``.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__, dims
 from .attractor import (boxdim_fit, default_scales, occupied_pixels, render, sample_cloud,
@@ -57,12 +62,17 @@ def _emit(obj, pretty: bool) -> None:
     print(json.dumps(obj, indent=2) if pretty else json.dumps(obj, separators=(",", ":")))
 
 
-def _write_file(path, write) -> None:
-    """Write ``path`` whole or not at all: ``write(tmp)`` writes a temp file in
-    the same directory, which is renamed over ``path`` once complete."""
+def _write_file(path, data) -> None:
+    """Write ``path`` whole or not at all: ``data``, a string or a function that
+    writes a named file, goes to a temp file in the same directory, which is
+    renamed over ``path`` once complete."""
     tmp = f"{path}.{os.getpid()}.tmp"  # a stale temp file left by a killed run is overwritten
     try:
-        write(tmp)
+        if callable(data):
+            data(tmp)
+        else:
+            with open(tmp, "w") as f:
+                f.write(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -70,15 +80,8 @@ def _write_file(path, write) -> None:
         raise
 
 
-def _write_text(path, text: str) -> None:
-    def write(tmp):
-        with open(tmp, "w") as f:
-            f.write(text)
-    _write_file(path, write)
-
-
-def _write_json(path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _load_spec(args):
@@ -104,24 +107,27 @@ def _cloud(spec, args):
     return sample_cloud(spec, depth=args.depth, mode="auto", count=args.count, seed=args.seed)
 
 
-def _write_manifest(out_dir, command, label, overrides, seed, outputs, started):
-    manifest = {
-        "command": command,
+def _save(out_dir, files, args, label, started, overrides) -> None:
+    """Make ``out_dir``, write each (path, data) of ``files`` whole in order, then
+    the ``manifest.json`` beside them that records the run."""
+    os.makedirs(out_dir, exist_ok=True)
+    for path, data in files:
+        _write_file(path, data)
+    _write_file(os.path.join(out_dir, "manifest.json"), _json_text({
+        "command": args.command,
         "config": label,
         "overrides": overrides,
-        "seed": seed,
-        "outputs": sorted(outputs),
+        "seed": args.seed,
+        "outputs": sorted(path for path, _ in files),
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - started, 6),
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    }))
 
 
-def cmd_validate(args) -> int:
-    spec, label = _load_spec(args)
+def cmd_validate(spec, label, args, started) -> int:
     findings = validate(spec)
     errors = sum(1 for f in findings if f.severity == "error")
-    _emit({"config": label, "findings": [f.to_dict() for f in findings], "errors": errors,
+    _emit({"config": label, "findings": [asdict(f) for f in findings], "errors": errors,
            "warnings": sum(1 for f in findings if f.severity == "warning")}, args.pretty)
     return EXIT_INAPPLICABLE if errors else EXIT_OK
 
@@ -133,7 +139,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def cmd_dims(args) -> int:
+def cmd_dims(spec, label, args, started) -> int:
     """Run the ``--which`` estimators one after another and print their
     reports in ``--which`` order.
 
@@ -144,8 +150,6 @@ def cmd_dims(args) -> int:
     Each estimator runs once, and errors are raised in ``--which`` order, as
     if each estimator had run alone.
     """
-    spec, label = _load_spec(args)
-    started = time.monotonic()
     which, tol, budget = _names(args.which), args.tol, args.node_budget
     engine = None
 
@@ -184,24 +188,18 @@ def cmd_dims(args) -> int:
             raise results[name]
         reports.extend(results[name])
 
-    objs = [rep.to_json_dict() for rep in reports]
+    objs = [asdict(rep) for rep in reports]
     if args.out:  # every file is written before anything is printed
-        os.makedirs(args.out, exist_ok=True)
-        outputs = [os.path.join(args.out, f"{rep.quantity}.json") for rep in reports]
-        for path, obj in zip(outputs, objs):
-            _write_json(path, obj)
-        _write_manifest(args.out, "dims", label,
-                        {"which": args.which, "tol": tol, "node_budget": budget},
-                        args.seed, outputs, started)
+        _save(args.out, [(os.path.join(args.out, f"{obj['quantity']}.json"), _json_text(obj))
+                         for obj in objs], args, label, started,
+              {"which": args.which, "tol": tol, "node_budget": budget})
     for obj in objs:
         _emit(obj, args.pretty)
     return EXIT_BUDGET if any(rep.estimate is None for rep in reports) else EXIT_OK
 
 
-def cmd_boxdim(args) -> int:
-    spec, label = _load_spec(args)
-    started = time.monotonic()
-    depth, count, seed = args.depth, args.count, args.seed
+def cmd_boxdim(spec, label, args, started) -> int:
+    depth = args.depth
     cloud = _cloud(spec, args)
     if args.scales:
         scales, source = _floats(args.scales), f"--scales {args.scales}"
@@ -222,7 +220,7 @@ def cmd_boxdim(args) -> int:
         "estimate": curve.slope,
         "bracket": [curve.slope, curve.slope],
         "schedule": {"scales": curve.scales, "depth": depth, "count": cloud.count,
-                     "seed": seed, "mode": cloud.mode,
+                     "seed": args.seed, "mode": cloud.mode,
                      "trunc_error": cloud.trunc_error},
         "flags": ["sample_saturated"] if any(saturated(cloud, c) for c in curve.counts) else [],
         "trace": [{"epsilon": e, "count": c} for e, c in zip(curve.scales, curve.counts)],
@@ -230,54 +228,40 @@ def cmd_boxdim(args) -> int:
         "intercept": curve.intercept,
     }
     if args.out:  # every file is written before anything is printed
-        os.makedirs(args.out, exist_ok=True)
-        csv_path = os.path.join(args.out, "curve.csv")
-        _write_text(csv_path, "epsilon,count,log_inv_eps,log_count\n" + "".join(
+        csv = "epsilon,count,log_inv_eps,log_count\n" + "".join(
             f"{e!r},{c},{math.log(1.0 / e)!r},{math.log(c)!r}\n"
-            for e, c in zip(curve.scales, curve.counts)))
-        json_path = os.path.join(args.out, "report.json")
-        _write_json(json_path, report)
-        _write_manifest(args.out, "boxdim", label,
-                        {"depth": depth, "count": count, "scales": args.scales},
-                        seed, [csv_path, json_path], started)
+            for e, c in zip(curve.scales, curve.counts))
+        _save(args.out, [(os.path.join(args.out, "curve.csv"), csv),
+                         (os.path.join(args.out, "report.json"), _json_text(report))],
+              args, label, started, {"depth": depth, "count": args.count, "scales": args.scales})
     _emit(report, args.pretty)
     return EXIT_OK
 
 
-def cmd_render(args) -> int:
-    spec, label = _load_spec(args)
-    started = time.monotonic()
+def cmd_render(spec, label, args, started) -> int:
     if spec.dim != 2:
         raise DimensionMismatch(f"render needs a 2-dimensional system, got d={spec.dim}")
-    depth, count, seed, resolution = args.depth, args.count, args.seed, args.resolution
     cloud = _cloud(spec, args)
-    raster = render(cloud, resolution)
-    out_path, out_dir = args.out, os.path.dirname(args.out) or "."
-    os.makedirs(out_dir, exist_ok=True)  # every file is written before anything is printed
-    _write_file(out_path, lambda tmp: write_pgm(raster, tmp))
-    _write_manifest(out_dir, "render", label,
-                    {"depth": depth, "resolution": resolution, "count": count},
-                    seed, [out_path], started)
-    _emit({"command": "render", "out": out_path, "resolution": resolution,
-           "occupied_pixels": occupied_pixels(raster), "depth": depth, "count": cloud.count,
-           "seed": seed}, args.pretty)
+    raster = render(cloud, args.resolution)
+    # every file is written before anything is printed
+    _save(os.path.dirname(args.out) or ".", [(args.out, lambda tmp: write_pgm(raster, tmp))],
+          args, label, started,
+          {"depth": args.depth, "resolution": args.resolution, "count": args.count})
+    _emit({"command": "render", "out": args.out, "resolution": args.resolution,
+           "occupied_pixels": occupied_pixels(raster), "depth": args.depth,
+           "count": cloud.count, "seed": args.seed}, args.pretty)
     return EXIT_OK
 
 
-def cmd_cutset(args) -> int:
-    spec, label = _load_spec(args)
-    started = time.monotonic()
+def cmd_cutset(spec, label, args, started) -> int:
     c = cutset(spec, args.s, args.epsilon, node_budget=args.node_budget)
     if args.out:  # checks truncation and the word cap, then writes every file before printing
         rows, log_phi = c.rows()
         fmt = {n: "-".join(["%d"] * n) + f",{n},%r\n" for n in set(map(len, rows))}
-        out_dir = os.path.dirname(args.out) or "."
-        os.makedirs(out_dir, exist_ok=True)
-        _write_text(args.out, "word,depth,log_phi\n" + "".join(
-            fmt[len(row)] % (*row, lph) for row, lph in zip(rows, log_phi)))
-        _write_manifest(out_dir, "cutset", label,
-                        {"s": c.s, "epsilon": c.epsilon, "node_budget": args.node_budget},
-                        args.seed, [args.out], started)
+        csv = "word,depth,log_phi\n" + "".join(
+            fmt[len(row)] % (*row, lph) for row, lph in zip(rows, log_phi))
+        _save(os.path.dirname(args.out) or ".", [(args.out, csv)], args, label, started,
+              {"s": c.s, "epsilon": c.epsilon, "node_budget": args.node_budget})
     log_sum = c.log_sum()
     _emit({"config": label, "s": c.s, "m": c.m, "epsilon": c.epsilon,
            "word_count": c.word_count(), "log_sum": log_sum if math.isfinite(log_sum) else None,
@@ -381,7 +365,8 @@ _FAILURES = (
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        spec, label = _load_spec(args)
+        return args.func(spec, label, args, time.monotonic())
     except Exception as exc:
         error, code = next((e, c) for kind, e, c in _FAILURES if isinstance(exc, kind))
         message = f"{type(exc).__name__}: {exc}" if code == EXIT_INTERNAL else str(exc)

@@ -14,6 +14,8 @@ classifier records its own evidence in the report's trace.
   with no estimate, flagged ``indeterminate_trend``.
 * The stationary pressure root and the Moran product-equation roots classify
   by the sign of their decreasing function: below while it is positive.
+  Like the engine-backed estimators, the Moran roots refuse a system with a
+  map that does not contract or is singular.
 
 The search doubles its upper end while the probe there is below, up to 64.
 A critical value above that gets no estimate, flagged
@@ -37,6 +39,7 @@ from .system import (
     SystemSpec,
     TranslationScheme,
     alpha_bounds,
+    validate,
 )
 
 # Trend split: a series whose global extremum sits in the late region keeps
@@ -69,16 +72,6 @@ class DimensionReport:
     schedule: dict
     flags: list = field(default_factory=list)
     trace: list = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "estimate": self.estimate,
-            "bracket": [self.bracket[0], self.bracket[1]],
-            "schedule": self.schedule,
-            "flags": list(self.flags),
-            "trace": list(self.trace),
-        }
 
 
 def _classify_limsup(xs, vals) -> int:
@@ -355,6 +348,8 @@ def _moran_roots(spec: SystemSpec, k_max: int, depths) -> list:
     if k_max > _MAX_CHAIN_DEPTH:
         raise BudgetExceeded(f"Moran depth {k_max} exceeds {_MAX_CHAIN_DEPTH}")
     ratios = _scalar_ratios(spec)
+    for finding in validate(spec):  # as make_engine: no roots for a broken invariant
+        finding.raise_if_invariant()
     occ = {}  # distinct level -> its occurrences among levels 1..k
 
     def classify(dd):

@@ -50,14 +50,6 @@ class Finding:
     message: str
     where: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "message": self.message,
-            "where": self.where,
-        }
-
     def raise_if_invariant(self) -> None:
         """Raise the matching error for a contraction or nonsingularity finding."""
         if self.code == "ContractionViolated":

@@ -224,7 +224,8 @@ def validate(spec: SystemSpec) -> list:
     singular maps, non-vanishing diameters); HalfNormExceeded is a warning
     that only voids the finite-translation exact-dimension hypothesis.
     The diameter check multiplies per-level max op-norms, a proxy for basic
-    set diameters that is sharp for the axis-aligned systems shipped here.
+    set diameters that is sharp for the axis-aligned systems shipped here;
+    a level of zero maps makes that product vanish.
     """
     findings = []
     levels = spec.schedule.levels
@@ -243,7 +244,7 @@ def validate(spec: SystemSpec) -> list:
                     Finding("NonsingularityViolated", ERROR, "matrix is singular", where)
                 )
     if not any(f.code == "ContractionViolated" for f in findings):
-        level_log_norm = [math.log(nrm) for nrm in level_norm]
+        level_log_norm = [math.log(nrm) if nrm > 0.0 else -math.inf for nrm in level_norm]
         log_prod = 0.0
         vanished = False
         for k in range(1, DIAMETER_MAX_LEVELS + 1):

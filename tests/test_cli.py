@@ -930,3 +930,52 @@ def test_cutset_dump_over_a_lowered_word_cap_leaves_no_file(tmp_path, capsys, mo
     assert json.loads(lines[0]) == {"error": "budget",
                                     "message": "cut-set enumeration exceeds 20 words"}
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# degenerate levels end in a documented exit code
+# ---------------------------------------------------------------------------
+
+ZERO_LEVEL = ("periodic", [(0.0, 0.0), (0.3, 0.3)])
+
+
+@pytest.mark.parametrize("config, argv, code, message", [
+    (ZERO_LEVEL, ["validate"], 2, None),
+    (ZERO_LEVEL, ["dims", "--which", "sstar"], 2, "levels[0].maps[0]: matrix is singular"),
+    (ZERO_LEVEL, ["dims", "--which", "moran"], 2, "levels[0].maps[0]: matrix is singular"),
+    (ZERO_LEVEL, ["cutset", "--s", "0.5", "--epsilon", "0.1"], 2,
+     "levels[0].maps[0]: matrix is singular"),
+    (("constant", [(0.0, 0.0)]), ["boxdim", "--depth", "3"], 0, None),
+    (("constant", [(1.2, 0.3)]), ["dims", "--which", "moran"], 2,
+     "levels[0].maps[0]: op_norm 1.2 >= 1"),
+    (("constant", [(0.0, 0.3)]), ["dims", "--which", "moran"], 2,
+     "levels[0].maps[0]: matrix is singular"),
+])
+def test_degenerate_levels_end_in_a_documented_exit_code(tmp_path, config, argv, code,
+                                                         message):
+    kind, levels = config  # 1-D levels of two maps x -> a x and x -> b x
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "dim": 1, "seed_region": {"lo": [0.0], "hi": [1.0]},
+        "schedule": {"kind": kind, "levels": [
+            {"branch_count": 2, "maps": [[[a]], [[b]]], "digits": [[0.0], [0.5]]}
+            for a, b in levels]},
+        "translations": {"kind": "digit_grid"}}))
+    # a fresh process, so a loop that never ends fails this test instead of hanging the run
+    proc = subprocess.run(CLI + [argv[0], str(path), *argv[1:]], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if message:
+        assert proc.stdout == ""
+        assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+            {"error": "inapplicable", "message": message}]
+        return
+    assert proc.stderr == ""
+    (report,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    if argv[0] == "validate":  # the zero level vanishes: no DiameterNotVanishing
+        assert [(f["code"], f["where"]) for f in report["findings"]] == [
+            ("NonsingularityViolated", "levels[0].maps[0]"),
+            ("NonsingularityViolated", "levels[0].maps[1]")]
+    else:  # two points: the box-counting slope is 0
+        assert abs(report["estimate"]) < 1e-9
+        assert len(report["schedule"]["scales"]) == attractor._MAX_SCALES

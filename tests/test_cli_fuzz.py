@@ -86,7 +86,12 @@ def _paths(node, path=()):
 @st.composite
 def mutated_document(draw):
     doc = fixture_document(draw(st.sampled_from(CHEAP)))
-    for _ in range(draw(st.integers(1, 3))):
+    scaled = draw(st.booleans())
+    if scaled:  # one factor on every entry of one level's maps: a zero or expanding level
+        level = draw(st.sampled_from(doc["schedule"]["levels"]))
+        factor = draw(st.sampled_from(FACTORS))
+        level["maps"] = [[[v * factor for v in row] for row in m] for m in level["maps"]]
+    for _ in range(draw(st.integers(0 if scaled else 1, 3))):
         paths = _paths(doc)
         if not paths:
             break

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -344,7 +345,7 @@ def test_estimator_indeterminate_on_degenerate_diameters():
 
 def test_report_json_shape():
     rep = estimate_sstar(fixture("middle_thirds"))
-    obj = rep.to_json_dict()
+    obj = dataclasses.asdict(rep)
     assert set(obj) == {"quantity", "estimate", "bracket", "schedule", "flags", "trace"}
     assert obj["quantity"] == "s_star"
     assert len(obj["bracket"]) == 2
