@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, MoranDimError, UnresolvedTranslation
 from .linalg import log_singular_values
-from .symbolic import Word
+from .symbolic import Word, validate_word
 from .system import SystemSpec, hash_to_unit, mix64_batch, _mix64
 
 FULL_ENUM_BUDGET = 10_000_000
@@ -180,10 +180,8 @@ def project(spec: SystemSpec, w: Word, seed: int = 0) -> np.ndarray:
     """Projection of one word at its own depth."""
     if len(w) < 1:
         raise ValueError("projection needs a word of length >= 1")
+    validate_word(spec, w)
     codes = np.array([[dgt - 1 for dgt in w.digits]], dtype=np.int64)
-    for k, dgt in enumerate(w.digits, start=1):
-        if not 1 <= dgt <= spec.branch_count(k):
-            raise MoranDimError(f"digit {dgt} invalid at level {k}")
     return _project_codes(spec, codes, seed)[0]
 
 
@@ -199,19 +197,19 @@ def _word_count(spec: SystemSpec, depth: int) -> int:
 
 def _enumerate_codes(spec: SystemSpec, depth: int) -> np.ndarray:
     """Every depth-K word in lexicographic order, as an (N, K) view of a
-    level-major (K, N) array; level k's digits are the smallest unsigned
-    type that holds n_k - 1."""
+    level-major (K, N) array of the smallest unsigned type that holds every
+    level's digits, each level written in place."""
     total = _word_count(spec, depth)
     if total > FULL_ENUM_BUDGET:
         raise BudgetExceeded(f"full enumeration to depth {depth} needs {total} > "
                              f"{FULL_ENUM_BUDGET} words")
-    cols = []
+    widths = list(map(spec.branch_count, range(1, depth + 1)))
+    codes = np.empty((depth, total), dtype=np.min_scalar_type(max(widths) - 1))
     inner = total
-    for n in map(spec.branch_count, range(1, depth + 1)):
+    for row, n in zip(codes, widths):
         inner //= n
-        digits = np.arange(n, dtype=np.min_scalar_type(n - 1))
-        cols.append(np.tile(np.repeat(digits, inner), total // (n * inner)))
-    return np.stack(cols).T
+        row.reshape(-1, n, inner)[:] = np.arange(n)[:, None]
+    return codes.T
 
 
 def sample_cloud(spec: SystemSpec, depth: int, mode: str = "auto",

@@ -11,7 +11,9 @@ call in the process.  It loads the spec and starts the manifest clock once,
 then calls the command's ``handler(spec, label, args, started)``.  A command
 that writes files does so in one step, ``_save``, which writes each file
 whole and then the manifest beside them, before anything is printed.
-Reports and findings are serialized with ``dataclasses.asdict``.
+Reports and findings are serialized from their field dicts (``vars``).  A
+config file is decoded once, by ``parse_structure``, and a name repeated in
+``--which`` runs, prints and is written once.
 
 ``dims --threads N`` splits the generic and lattice class trees' level-wide
 array work over min(N, usable CPUs) threads; every output is byte-identical
@@ -30,7 +32,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
 
 from . import __version__, dims
 from .attractor import (boxdim_fit, default_scales, occupied_pixels, render, sample_cloud,
@@ -51,7 +52,7 @@ ESTIMATORS = ("sstar", "sa", "falconer", "moran")
 
 
 def _names(text: str) -> list:
-    return [w.strip() for w in text.split(",") if w.strip()]
+    return list(dict.fromkeys(w.strip() for w in text.split(",") if w.strip()))
 
 
 def _floats(text: str) -> list:
@@ -91,12 +92,10 @@ def _load_spec(args):
         raise ConfigError("pass a config path or --fixture NAME")
     try:
         with open(args.config) as f:
-            doc = json.load(f)
+            text = f.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
-    return parse_structure(doc), args.config
+    return parse_structure(text), args.config
 
 
 def _cloud(spec, args):
@@ -127,7 +126,7 @@ def _save(out_dir, files, args, label, started, overrides) -> None:
 def cmd_validate(spec, label, args, started) -> int:
     findings = validate(spec)
     errors = sum(1 for f in findings if f.severity == "error")
-    _emit({"config": label, "findings": [asdict(f) for f in findings], "errors": errors,
+    _emit({"config": label, "findings": [vars(f) for f in findings], "errors": errors,
            "warnings": sum(1 for f in findings if f.severity == "warning")}, args.pretty)
     return EXIT_INAPPLICABLE if errors else EXIT_OK
 
@@ -174,7 +173,7 @@ def cmd_dims(spec, label, args, started) -> int:
 
     results = {}
     try:
-        for name in sorted(dict.fromkeys(which), key=lambda name: name == "sstar"):
+        for name in sorted(which, key=lambda name: name == "sstar"):
             try:
                 results[name] = run(name)
             except MoranDimError as exc:
@@ -188,7 +187,7 @@ def cmd_dims(spec, label, args, started) -> int:
             raise results[name]
         reports.extend(results[name])
 
-    objs = [asdict(rep) for rep in reports]
+    objs = [vars(rep) for rep in reports]
     if args.out:  # every file is written before anything is printed
         _save(args.out, [(os.path.join(args.out, f"{obj['quantity']}.json"), _json_text(obj))
                          for obj in objs], args, label, started,

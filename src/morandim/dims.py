@@ -300,8 +300,6 @@ def pressure_root(level: LevelSpec, tol: float = 1e-7,
     class tree, root included, fits ``node_budget``, and k1 is k2 // 2;
     raises BudgetExceeded when that leaves k2 below 2.
     """
-    if level.branch_count < 2:
-        raise InapplicableEstimator("pressure root needs at least 2 maps")
     engine = make_engine(_stationary_spec(level))
     k2 = engine.max_depth_within(node_budget, 96)
     if k2 < 2:

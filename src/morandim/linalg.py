@@ -3,7 +3,9 @@
 Everything here is sized for d <= 8. Singular values are what the rest of
 the package consumes, so they get both a plain and a log-domain form; the
 log form stays finite for extremely contracted products whose entries
-would underflow after squaring.
+would underflow after squaring.  ``log_singular_values`` and ``op_norm``
+rescale by the largest entry, then take the closed form if d = 2 and one SVD
+otherwise (exactly 1.0 for the 1 x 1 +-1), as ``symbolic._stack_log_svs`` does.
 """
 from __future__ import annotations
 
@@ -132,8 +134,6 @@ def log_singular_values(t: Matrix) -> tuple:
     sign, logabsdet = np.linalg.slogdet(unit)
     if sign == 0.0:
         raise NonsingularityViolated("matrix is singular")
-    if d == 1:
-        return (log_scale + math.log(abs(unit[0, 0])),)
     if d == 2:
         s1, _ = _sv2_scaled(unit)
         l1 = math.log(s1)
@@ -164,8 +164,6 @@ def op_norm(t: Matrix) -> float:
     scale = float(np.max(np.abs(arr)))
     if scale == 0.0:
         return 0.0
-    if t.dim == 1:
-        return abs(float(arr[0, 0]))
     if t.dim == 2:
         s1, _ = _sv2_scaled(arr / scale)
         return scale * s1

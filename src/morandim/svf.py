@@ -69,11 +69,3 @@ def phi(t: Matrix, s: float) -> float:
     """phi^s(T) in the plain domain (may underflow for deep products)."""
     return math.exp(log_phi(t, s).log_value)
 
-
-__all__ = [
-    "LogPhi",
-    "branch_index",
-    "log_phi",
-    "log_phi_from_logs",
-    "phi",
-]

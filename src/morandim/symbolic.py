@@ -72,7 +72,9 @@ the bits are the same at any worker count.
 
 ``cutset_rows`` lists the cut-set words themselves, independently of the
 engines, from plain products taken one depth at a time, as digit lists;
-``iter_cutset_words`` yields them as ``Word`` objects.
+``iter_cutset_words`` yields them as ``Word`` objects.  The chain and the
+lister read the singular values of their rescaled products in one step,
+``_stack_log_svs``: d = 2 takes the closed form, any other d one SVD.
 
 Equal-product aggregation is the central performance decision: the shipped
 block fixtures have 9^k-size levels that reduce to O(1) work per depth.
@@ -84,7 +86,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -144,15 +146,9 @@ class ProductNode:
     word: Word
     product: Matrix
     sv: SingularValues
-    log_phi_cache: dict = field(default_factory=dict)
 
     def log_phi(self, s: float) -> float:
-        key = float(s)
-        if key not in self.log_phi_cache:
-            self.log_phi_cache[key] = float(
-                log_phi_from_logs(np.array(self.sv.log_values), key)
-            )
-        return self.log_phi_cache[key]
+        return float(log_phi_from_logs(np.array(self.sv.log_values), float(s)))
 
 
 def product(spec: SystemSpec, w: Word, cache: Optional[dict] = None) -> ProductNode:
@@ -200,6 +196,18 @@ def _log_counts(count: np.ndarray) -> np.ndarray:
     if count.dtype == object:
         return np.array([math.log(c) for c in count], dtype=float)
     return np.log(count)
+
+
+def _stack_log_svs(raw: np.ndarray, log_scale: np.ndarray, log_det: np.ndarray) -> np.ndarray:
+    """(d, N) log singular values of the products exp(log_scale) * raw, with
+    ``raw`` an (N, d, d) stack rescaled by its largest entries: for d = 2 the
+    closed form, the smaller value from log |det|; any other d one SVD."""
+    if raw.shape[-1] == 2:
+        # math.log element by element: np.log differs from it in the last bit on some inputs
+        l1 = log_scale + np.fromiter(map(math.log, sv2_batch(raw)[0]), float, len(raw))
+        return np.stack([l1, log_det - l1])
+    return np.ascontiguousarray(
+        (log_scale[:, None] + np.log(np.linalg.svd(raw, compute_uv=False))).T)
 
 
 def _bucket_log_sums(terms: np.ndarray, bucket, bounds, n: int) -> list:
@@ -417,13 +425,7 @@ class UniformEngine(_Engine):
             log_scale[i], log_det[i] = ls, ld
             count *= lvl.branch_count
             counts.append(count)
-        if d == 2:
-            # math.log element by element: np.log differs from it in the last bit on some inputs
-            l1 = log_scale + np.fromiter(map(math.log, sv2_batch(chains)[0]), float, n)
-            block = np.stack([l1, log_det - l1])
-        else:
-            block = np.ascontiguousarray(
-                (log_scale[:, None] + np.log(np.linalg.svd(chains, compute_uv=False))).T)
+        block = _stack_log_svs(chains, log_scale, log_det)
         self._chain, self._log_scale, self._log_det = chain, ls, ld
         self._counts += counts
         self._log_counts = np.concatenate([self._log_counts, [math.log(c) for c in counts]])
@@ -1150,22 +1152,17 @@ def cutset_rows(spec: SystemSpec, s: float, epsilon: float) -> tuple:
         log_scale = np.repeat(log_scale, n) + np.fromiter(map(math.log, scale), float, len(scale))
         log_det = np.repeat(log_det, n) + np.tile([math.log(abs(mat.det())) for mat in lvl.maps],
                                                   len(Q))
-        if d <= 2:
-            a1 = np.abs(raw[:, 0, 0]) if d == 1 else sv2_batch(raw)[0]
-            l1 = log_scale + np.fromiter(map(math.log, a1), float, len(a1))
-            logs = l1[:, None] if d == 1 else np.stack([l1, log_det - l1], axis=1)
-        else:
-            logs = log_scale[:, None] + np.log(np.linalg.svd(raw, compute_uv=False))
+        logs = _stack_log_svs(raw, log_scale, log_det)
         words = np.empty((len(raw), depth), dtype=digit_type)
         words[:, :-1] = np.repeat(digits, n, axis=0)
         words[:, -1] = np.tile(np.arange(1, n + 1, dtype=digit_type), len(Q))
-        stop = logs[:, m - 1] <= log_eps + _STOP_SNAP
+        stop = logs[m - 1] <= log_eps + _STOP_SNAP
         idx, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
         emitted += idx.size
         if emitted + keep.size > _WORD_ENUM_CAP:
             raise BudgetExceeded(f"cut-set enumeration exceeds {_WORD_ENUM_CAP} words")
         if idx.size:
-            stopped.append((words[idx], log_phi_from_logs(logs[idx].T, s)))
+            stopped.append((words[idx], log_phi_from_logs(logs[:, idx], s)))
         Q, log_scale, log_det, digits = raw[keep], log_scale[keep], log_det[keep], words[keep]
     # depth-first order: by the parent's digits, zero-padded (0 sorts before
     # every digit, so a word's stopped children come before the words below

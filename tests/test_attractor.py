@@ -26,7 +26,7 @@ from morandim.attractor import (
     select_scales,
     write_pgm,
 )
-from morandim.errors import BudgetExceeded, DimensionMismatch, UnresolvedTranslation
+from morandim.errors import BudgetExceeded, DimensionMismatch, MoranDimError, UnresolvedTranslation
 from morandim.symbolic import Word
 from morandim.linalg import Matrix
 from morandim.system import (TRANSLATION_KINDS, Box, LevelSpec, Schedule, SystemSpec,
@@ -69,6 +69,12 @@ def test_project_rejects_bad_digit():
     spec = fixture("middle_thirds")
     with pytest.raises(Exception):
         project(spec, Word((3,)))
+
+
+@pytest.mark.parametrize("digits", [(3,), (0,), (1, 1, 5)])
+def test_project_raises_moran_error_for_an_out_of_range_digit(digits):
+    with pytest.raises(MoranDimError, match="outside 1..2"):
+        project(fixture("middle_thirds"), Word(digits))
 
 
 # ---------------------------------------------------------------------------
@@ -669,3 +675,16 @@ def test_random_codes_sample_stays_under_its_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= SAMPLE_PEAK_BOUND, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_full_enumeration_holds_its_codes_once():
+    # 14 MiB of depth-7 carpet codes; K tiled columns stacked into one array
+    # peaked at twice that
+    spec = fixture("sierpinski_carpet")
+    tracemalloc.start()
+    try:
+        codes = _enumerate_codes(spec, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * codes.nbytes, f"peak {peak / codes.nbytes:.2f} x the codes"

@@ -736,6 +736,63 @@ def test_cutset_on_the_quotiented_tree_keeps_its_counts(tmp_path, capsys, s, eps
         assert hashlib.sha256(data).hexdigest() == CUTSET_DIGESTS[case]["sha256"]
 
 
+# a 1-D periodic schedule of distinct scalar maps, one of them negative:
+# the generic walker's reports and the cut-set lister's rows at d = 1
+PERIODIC_D1 = GOLDEN / "periodic_scalar_d1.json"
+
+
+def test_d1_periodic_dims_reports_match_the_golden_bytes(capsys):
+    code, out, err, _ = _main(capsys, "dims", str(PERIODIC_D1), "--which", "sstar,sa")
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "dims_periodic_scalar_d1_sstar_sa.txt").read_text()
+
+
+def test_d1_periodic_cutset_dump_matches_the_golden_digest(tmp_path, capsys):
+    want = json.loads((GOLDEN / "cutset_periodic_scalar_d1.json").read_text())
+    out = tmp_path / "cut.csv"
+    code, stdout, err, _ = _main(capsys, "cutset", str(PERIODIC_D1), *want["argv"].split(),
+                                 "--out", str(out))
+    assert code == 0 and err == ""
+    data = out.read_bytes()
+    summary = json.loads(stdout)
+    assert summary.pop("config") == str(PERIODIC_D1)
+    assert {"argv": want["argv"], "sha256": hashlib.sha256(data).hexdigest(),
+            "rows": data.count(b"\n") - 1, "summary": summary} == want
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("--fixture", "example_5_1"), "example_5_1"),
+    (("--fixture", "example_5_2"), "example_5_2"),
+    (("--fixture", "middle_thirds"), "middle_thirds"),
+    (("--fixture", "example_5_2", "--pretty"), "example_5_2_pretty"),
+])
+def test_validate_findings_match_the_golden_bytes(capsys, argv, name):
+    code, out, err, _ = _main(capsys, "validate", *argv)
+    assert code == (0 if name == "middle_thirds" else 2) and err == ""
+    assert out == (GOLDEN / f"validate_{name}.txt").read_text()
+
+
+def test_a_repeated_which_name_runs_prints_and_writes_once(tmp_path, capsys):
+    out = tmp_path / "d"
+    code, stdout, err, _ = _main(capsys, "dims", "--fixture", "middle_thirds",
+                                 "--which", "sstar,sstar", "--out", str(out))
+    assert code == 0 and err == ""
+    assert [json.loads(line)["quantity"] for line in stdout.splitlines()] == ["s_star"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [str(out / "s_star.json")]
+    assert manifest["overrides"]["which"] == "sstar,sstar"
+
+
+def test_a_double_encoded_config_is_a_config_error(tmp_path, capsys):
+    # a JSON string holding a config is not a config: the file is decoded once
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps(json.dumps(fixture_document("middle_thirds"))))
+    code, out, err, _ = _main(capsys, "validate", str(path))
+    assert code == 1 and out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "config", "message": "$: expected an object"}]
+
+
 @pytest.mark.parametrize("which,quantities", [("falconer", ["falconer"]),
                                               ("moran", ["moran_lower", "moran_upper"])])
 def test_a_root_above_64_exits_3_with_null_estimates(tmp_path, capsys, which, quantities):

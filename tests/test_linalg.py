@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morandim.errors import DimensionMismatch, NonsingularityViolated
-from morandim.linalg import Matrix, mat_mul, op_norm, singular_values
+from morandim.linalg import Matrix, log_singular_values, mat_mul, op_norm, singular_values
 
 
 def test_mat_mul_diagonal():
@@ -119,3 +119,22 @@ def test_equal_matrices_hash_equal():
     b = Matrix.from_rows([[0.5, 0.0], [-0.0, 0.5]])
     assert a == b and hash(a) == hash(b)
     assert len({a, b, Matrix.from_rows([[0.5, 0.0], [0.0, 0.5]])}) == 1
+
+
+def test_one_by_one_singular_value_is_the_entry_bit_for_bit():
+    # a 1 x 1 matrix goes through the SVD path: rescaled to +-1, whose
+    # singular value is exactly 1.0, at any magnitude
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.example(1e300)
+    @hypothesis.example(-1e-300)
+    @hypothesis.example(5e-324)
+    @hypothesis.example(-1.7976931348623157e308)
+    @hypothesis.given(hypothesis.strategies.floats(allow_nan=False, allow_infinity=False)
+                      .filter(bool))
+    def check(x):
+        m = Matrix([[x]])
+        assert op_norm(m) == abs(x)
+        assert log_singular_values(m) == (math.log(abs(x)),)
+
+    check()
