@@ -15,6 +15,7 @@ Reports and findings are serialized from their field dicts (``vars``).  A
 config file is decoded once, by ``parse_structure``, and a name repeated in
 ``--which`` runs, prints and is written once.
 
+``dims`` runs s*, s_A and ``falconer`` on one engine, built once.
 ``dims --threads N`` splits the generic and lattice class trees' level-wide
 array work over min(N, usable CPUs) threads; every output is byte-identical
 at any N, and the other commands accept the flag and run in one thread.
@@ -142,38 +143,34 @@ def cmd_dims(spec, label, args, started) -> int:
     """Run the ``--which`` estimators one after another and print their
     reports in ``--which`` order.
 
-    s* and s_A share one engine; building it validates the system, once.
-    It gets min(--threads, usable CPUs) workers, whose threads, if a level
-    was wide enough to start them, stop when the estimators end.
-    s_A runs first, so the pruned walks of s* read the level tree it keeps.
-    Each estimator runs once, and errors are raised in ``--which`` order, as
-    if each estimator had run alone.
+    s*, s_A and ``falconer`` share one engine, built once; building it
+    validates the system.  It gets min(--threads, usable CPUs) workers,
+    whose threads, if a level was wide enough to start them, stop when the
+    estimators end.  s_A runs first, so the pruned walks of s* read the
+    level tree it keeps, and ``falconer`` runs after both: it takes their
+    engine, or builds it itself once its schedule check has passed.  Each
+    estimator runs once, and errors are raised in ``--which`` order, as if
+    each estimator had run alone.
     """
     which, tol, budget = _names(args.which), args.tol, args.node_budget
     engine = None
 
     def run(name):
         nonlocal engine
-        if name in ("sstar", "sa") and engine is None:
-            engine = dims.make_engine(spec)  # validates: no engine for a broken invariant
-            engine.workers = min(args.threads or 1, _usable_cpus())
-        if name == "sstar":
-            return [estimate_sstar(spec, tol=tol, node_budget=budget, engine=engine)]
-        if name == "sa":
-            return [estimate_sA(spec, tol=tol, node_budget=budget, engine=engine)]
-        if name == "falconer":
-            if spec.schedule.kind != "constant":
-                raise InapplicableEstimator("the pressure root needs a stationary (constant) "
-                                            "schedule")
-            return [pressure_root(spec.schedule.levels[0], tol=max(tol * 1e-4, 1e-9),
-                                  node_budget=budget)]
         if name == "moran":
             return list(moran_dims(spec, k_max=args.depth))
-        raise AssertionError(name)
+        if name == "falconer":
+            return [pressure_root(spec, tol=max(tol * 1e-4, 1e-9), node_budget=budget,
+                                  engine=engine)]
+        if engine is None:
+            engine = dims.make_engine(spec)  # validates: no engine for a broken invariant
+            engine.workers = min(args.threads or 1, _usable_cpus())
+        estimate = estimate_sstar if name == "sstar" else estimate_sA
+        return [estimate(spec, tol=tol, node_budget=budget, engine=engine)]
 
     results = {}
     try:
-        for name in sorted(which, key=lambda name: name == "sstar"):
+        for name in sorted(which, key=("sa", "sstar", "falconer", "moran").index):
             try:
                 results[name] = run(name)
             except MoranDimError as exc:

@@ -32,15 +32,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, InapplicableEstimator
 from .symbolic import _MAX_CHAIN_DEPTH, DEFAULT_NODE_BUDGET, make_engine
-from .system import (
-    Box,
-    LevelSpec,
-    Schedule,
-    SystemSpec,
-    TranslationScheme,
-    alpha_bounds,
-    validate,
-)
+from .system import SystemSpec, alpha_bounds, validate
 
 # Trend split: a series whose global extremum sits in the late region keeps
 # setting records, i.e. the limit evidence is still growing.
@@ -280,27 +272,22 @@ def estimate_sA(spec: SystemSpec, tol: float = 0.02, depth_schedule=None,
                            series, schedule, spec, engine, tol, node_budget)
 
 
-def _stationary_spec(level: LevelSpec) -> SystemSpec:
-    d = level.dim
-    return SystemSpec(
-        dim=d,
-        schedule=Schedule(kind="constant", levels=(level,)),
-        translations=TranslationScheme(kind="explicit", table={}),
-        seed_region=Box(np.zeros(d), np.ones(d)),
-    )
-
-
-def pressure_root(level: LevelSpec, tol: float = 1e-7,
-                  node_budget: int = DEFAULT_NODE_BUDGET) -> DimensionReport:
-    """Root of the per-level growth rate p(s) = 1 for one stationary family.
+def pressure_root(spec: SystemSpec, tol: float = 1e-7,
+                  node_budget: int = DEFAULT_NODE_BUDGET, engine=None) -> DimensionReport:
+    """Root of the per-level growth rate p(s) = 1 for a stationary family.
 
     p(s) is estimated by the ratio (S_{k2}/S_{k1})^(1/(k2-k1)) of depth
     sums, which cancels the bounded prefactor; p is strictly decreasing in
     s, so plain bisection is sound.  k2 is 96, or the deepest depth whose
     class tree, root included, fits ``node_budget``, and k1 is k2 // 2;
-    raises BudgetExceeded when that leaves k2 below 2.
+    raises BudgetExceeded when that leaves k2 below 2.  A schedule that is
+    not constant raises InapplicableEstimator before anything is built or
+    validated.  ``engine`` is ``make_engine(spec)``, built here when not given.
     """
-    engine = make_engine(_stationary_spec(level))
+    if spec.schedule.kind != "constant":
+        raise InapplicableEstimator("the pressure root needs a stationary (constant) schedule")
+    if engine is None:
+        engine = make_engine(spec)
     k2 = engine.max_depth_within(node_budget, 96)
     if k2 < 2:
         raise BudgetExceeded(f"pressure depths need k2 >= 2; the node budget {node_budget} "
@@ -314,7 +301,7 @@ def pressure_root(level: LevelSpec, tol: float = 1e-7,
         trace.append({"s": s, "log_p": log_p})
         return _sign_class(log_p)
 
-    est, bracket, flags = _bisect(classify, 0.0, level.dim + 1.0, tol)
+    est, bracket, flags = _bisect(classify, 0.0, spec.dim + 1.0, tol)
     schedule = {"kind": "pressure_ratio", "depths": [k1, k2], "engine": engine.kind}
     return DimensionReport("falconer", est, bracket, schedule, list(engine.flags) + flags,
                            trace)

@@ -395,7 +395,6 @@ class UniformEngine(_Engine):
         self._chain = np.eye(self.d)       # normalized running product
         self._log_scale = 0.0
         self._log_det = 0.0
-        self._level_log_dets = {}          # level index -> log |det| of its map
 
     def _extend(self, t: int) -> None:
         """Compute depths T + 1..t in one block, or raise BudgetExceeded
@@ -410,8 +409,7 @@ class UniformEngine(_Engine):
         chain, ls, ld, count, counts = (self._chain, self._log_scale, self._log_det,
                                         self._counts[-1], [])
         for i, k in enumerate(range(T + 1, t + 1)):
-            j = schedule.level_index(k)
-            lvl = schedule.levels[j]
+            lvl = schedule.level(k)
             raw = chain @ lvl.maps[0].entries
             scale = max(map(abs, raw.ravel().tolist()))
             if scale <= 0.0:
@@ -419,9 +417,7 @@ class UniformEngine(_Engine):
             raw /= scale
             chains[i] = chain = raw
             ls += math.log(scale)
-            if j not in self._level_log_dets:
-                self._level_log_dets[j] = math.log(abs(lvl.maps[0].det()))
-            ld += self._level_log_dets[j]
+            ld += lvl.log_dets[0]
             log_scale[i], log_det[i] = ls, ld
             count *= lvl.branch_count
             counts.append(count)
@@ -857,11 +853,13 @@ class GenericEngine(_ClassTree):
         values move by ulps.
         """
         if k not in self._level_cache:
-            mults = collections.Counter(self.spec.level(k).maps)
+            lvl = self.spec.level(k)
+            mults = collections.Counter(lvl.maps)
             if self._quotient is not None and k == self._quotient[0]:
                 mults = _merge_orbits(mults, self._quotient[1])
             mats = np.stack([m.entries for m in mults])
-            logdets = np.array([math.log(abs(m.det())) for m in mults])
+            log_det = dict(zip(lvl.maps[::-1], lvl.log_dets[::-1]))  # first occurrence wins
+            logdets = np.array([log_det[m] for m in mults])
             self._level_cache[k] = (mats, logdets, np.array(list(mults.values()), dtype=np.int64))
         return self._level_cache[k]
 
@@ -1150,8 +1148,7 @@ def cutset_rows(spec: SystemSpec, s: float, epsilon: float) -> tuple:
         raw /= scale[:, None, None]
         # math.log element by element: np.log differs from it in the last bit on some inputs
         log_scale = np.repeat(log_scale, n) + np.fromiter(map(math.log, scale), float, len(scale))
-        log_det = np.repeat(log_det, n) + np.tile([math.log(abs(mat.det())) for mat in lvl.maps],
-                                                  len(Q))
+        log_det = np.repeat(log_det, n) + np.tile(lvl.log_dets, len(Q))
         logs = _stack_log_svs(raw, log_scale, log_det)
         words = np.empty((len(raw), depth), dtype=digit_type)
         words[:, :-1] = np.repeat(digits, n, axis=0)

@@ -60,6 +60,13 @@ class LevelSpec:
         ``validate``, ``alpha_bounds`` and the attractor sampler."""
         return tuple(op_norm(m) for m in self.maps)
 
+    @cached_property
+    def log_dets(self) -> tuple:
+        """Each map's log |det|, -inf for a zero determinant, taken once per
+        parsed level and read by the engines and the cut-set lister."""
+        return tuple(math.log(abs(det)) if det else -math.inf
+                     for det in map(Matrix.det, self.maps))
+
     def maps_all_identical(self) -> bool:
         return all(m == self.maps[0] for m in self.maps[1:])
 
@@ -73,7 +80,8 @@ class Schedule:
 
     geometric_blocks places block boundaries at block_base * block_ratio**(j-1)
     for j = 0, 1, 2, ... and assigns block j the entry levels[j % len(levels)],
-    so depth 1 gets levels[0] and successive blocks grow geometrically.
+    so successive blocks grow geometrically; depth 1 gets levels[0] when
+    block_base >= block_ratio, else block 0 is empty.
     """
 
     kind: str
@@ -90,7 +98,7 @@ class Schedule:
         if self.kind == "constant" and len(self.levels) != 1:
             raise ConfigError("constant schedule takes exactly one level")
         if self.kind == "geometric_blocks":
-            if not self.block_base or not self.block_ratio or self.block_ratio < 2:
+            if (self.block_base or 0) < 1 or (self.block_ratio or 0) < 2:
                 raise ConfigError("geometric_blocks needs block_base >= 1 and block_ratio >= 2")
         if self.kind == "explicit_prefix_then_periodic":
             p = self.period
@@ -109,10 +117,10 @@ class Schedule:
             if k <= n:
                 return k - 1
             return n - p + (k - n - 1) % p
-        # geometric_blocks: smallest j >= 0 with k <= base * ratio**(j-1)
-        j = 0
-        bound = self.block_base / self.block_ratio
-        while k > bound:
+        # geometric_blocks: smallest j >= 0 with k <= base * ratio**(j-1), in
+        # integers as k * ratio <= base * ratio**j, so no bound can overflow
+        j, kr, bound = 0, k * self.block_ratio, self.block_base
+        while kr > bound:
             j += 1
             bound *= self.block_ratio
         return j % len(self.levels)
@@ -310,7 +318,7 @@ def _typed(obj: dict, key: str, kind, path: str, required: bool = False):
 def _vector(value, d: int, path: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int past the float range overflows
         arr = None
     if arr is None or arr.shape != (d,) or not np.isfinite(arr).all():
         raise ConfigError(f"{path}: expected a length-{d} vector of finite numbers")

@@ -2,6 +2,7 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the PASS/FAIL lines.
 """
+import dataclasses
 import itertools
 import json
 import math
@@ -110,7 +111,7 @@ def test_criterion_04_stationary_consistency():
     worst = 0.0
     for name in STATIONARY:
         spec = fixture(name)
-        root = pressure_root(spec.schedule.levels[0]).estimate
+        root = pressure_root(spec).estimate
         ss = estimate_sstar(spec, tol=TOL).estimate
         sa = estimate_sA(spec, tol=TOL).estimate
         worst = max(worst, abs(ss - root), abs(sa - root))
@@ -120,10 +121,10 @@ def test_criterion_04_stationary_consistency():
 
 
 def test_criterion_05_closed_form_pressure_roots():
-    pair = pressure_root(fixture("similarity_pair").schedule.levels[0]).estimate
-    quad = pressure_root(
-        LevelSpec(4, (Matrix.diagonal([0.5, 0.5]),) * 4)).estimate
-    triple = pressure_root(fixture("diag_triple").schedule.levels[0]).estimate
+    pair = pressure_root(fixture("similarity_pair")).estimate
+    quad = pressure_root(dataclasses.replace(fixture("similarity_pair"), schedule=Schedule(
+        "constant", (LevelSpec(4, (Matrix.diagonal([0.5, 0.5]),) * 4),)))).estimate
+    triple = pressure_root(fixture("diag_triple")).estimate
     errs = (abs(pair - math.log(2) / math.log(3)),
             abs(quad - 2.0),
             abs(triple - (1 + math.log(1.5) / math.log(4))))

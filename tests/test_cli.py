@@ -602,22 +602,68 @@ def test_unusable_out_file_leaves_no_stdout_and_no_temp_file(tmp_path, capsys, a
     assert list(taken.iterdir()) == []
 
 
-def _dims_lines(capsys, fixture_name, which, *extra):
-    code, out, err, _ = _main(capsys, "dims", "--fixture", fixture_name, "--which", which,
-                              *extra)
-    assert code == 0 and err == ""
-    return out.splitlines()
+def _dims_lines(capsys, source, which, *extra):
+    """Exit code and stdout lines of one ``dims`` run on ``source``, its config argv."""
+    code, out, err, _ = _main(capsys, "dims", *source, "--which", which, *extra)
+    assert code in (0, 3) and err == ""
+    return code, out.splitlines()
+
+
+# a constant family of three positive, non-diagonal maps: the generic walker
+POS3 = [[[0.45, 0.15], [0.1, 0.3]], [[0.25, 0.2], [0.05, 0.5]], [[0.3, 0.1], [0.12, 0.2]]]
+S_SA_FALCONER = ("sstar", "sa", "falconer")
 
 
 @pytest.mark.parametrize("fixture_name, names, extra", [
-    ("random_diag_pair", ("sstar", "sa", "falconer"), ()),
-    ("example_5_3", ("sstar", "sa"), ("--node-budget", "3000")),  # the generic engine
+    ("middle_thirds", S_SA_FALCONER, ()),  # the chain
+    ("random_diag_pair", S_SA_FALCONER, ()),  # the composition lattice
+    ("pos3", S_SA_FALCONER, ("--node-budget", "20000")),  # the generic walker
+    ("example_5_3", ("sstar", "sa"), ("--node-budget", "3000")),
 ])
-def test_dims_prints_reports_in_which_order(capsys, fixture_name, names, extra):
-    alone = {name: _dims_lines(capsys, fixture_name, name, *extra) for name in names}
+def test_dims_prints_reports_in_which_order(tmp_path, capsys, fixture_name, names, extra):
+    # s*, s_A and falconer share one engine, yet each report keeps the bytes
+    # of its lone run, whatever runs before it on that engine
+    source = ([_config(tmp_path, "random_affine", [{"branch_count": 3, "maps": POS3}])]
+              if fixture_name == "pos3" else ["--fixture", fixture_name])
+    alone = {name: _dims_lines(capsys, source, name, *extra) for name in names}
     for order in itertools.permutations(names):
-        got = _dims_lines(capsys, fixture_name, ",".join(order), *extra)
-        assert got == [line for name in order for line in alone[name]]
+        code, got = _dims_lines(capsys, source, ",".join(order), *extra)
+        assert got == [line for name in order for line in alone[name][1]]
+        assert code == max(alone[name][0] for name in order)
+
+
+@pytest.mark.parametrize("which", ["sstar,sa,falconer", "falconer,sstar", "sa,falconer",
+                                   "falconer", "falconer,moran,sa"])
+def test_a_dims_job_builds_one_engine(monkeypatch, capsys, which):
+    import morandim.dims as dims
+
+    built = []
+
+    def counted(spec):
+        built.append(spec)
+        return symbolic.make_engine(spec)
+
+    monkeypatch.setattr(dims, "make_engine", counted)
+    code, _, err, _ = _main(capsys, "dims", "--fixture", "middle_thirds", "--which", which)
+    assert code == 0 and err == ""
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("which, error", [
+    ("falconer", "the pressure root needs a stationary (constant) schedule"),
+    ("falconer,sa", "the pressure root needs a stationary (constant) schedule"),
+    ("sa,falconer", "levels[1].maps[0]: op_norm 1.5 >= 1"),
+    ("sstar,falconer", "levels[1].maps[0]: op_norm 1.5 >= 1"),
+])
+def test_falconer_blames_the_schedule_before_the_invariant(tmp_path, capsys, which, error):
+    # a non-constant schedule with a map that does not contract: each name
+    # fails as it would alone, and the first in --which order is reported
+    level = fixture_document("middle_thirds")["schedule"]["levels"][0]
+    config = _config(tmp_path, "middle_thirds", [level, {**level, "maps": [[[1.5]]] * 2}],
+                     kind="periodic")
+    code, out, err, _ = _main(capsys, "dims", config, "--which", which)
+    assert code == 2 and out == ""
+    assert [json.loads(line)["message"] for line in err.splitlines()] == [error]
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -835,10 +881,10 @@ def test_dims_on_a_singular_system_is_inapplicable(capsys, which):
     assert json.loads(lines[0])["error"] == "inapplicable"
 
 
-def _config(tmp_path, fixture_name, levels):
-    """A fixture's document with a constant schedule over ``levels``, written to tmp_path."""
+def _config(tmp_path, fixture_name, levels, kind="constant"):
+    """A fixture's document with a ``kind`` schedule over ``levels``, written to tmp_path."""
     doc = fixture_document(fixture_name)
-    doc["schedule"] = {"kind": "constant", "levels": levels}
+    doc["schedule"] = {"kind": kind, "levels": levels}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return str(path)

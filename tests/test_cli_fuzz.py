@@ -5,20 +5,22 @@ error line on stderr, no traceback, and within a wall-clock cap.
 Draws stay cheap: small fixtures only, depth <= 8, count <= 2000, resolution
 <= 64 and small node budgets, and every subcommand gets bounded values of
 those flags before the drawn ones, so no default of 200k points or 10^7
-nodes is ever reached.
+nodes is ever reached.  A run still going at the cap is stopped by an alarm
+and fails the cap check, so a loop that never ends fails instead of hanging.
 """
 import contextlib
 import copy
 import io
 import json
 import os
+import signal
 import tempfile
 import time
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import event, given, strategies as st  # noqa: E402
+from hypothesis import event, example, given, strategies as st  # noqa: E402
 
 from morandim import cli  # noqa: E402
 from morandim.system import fixture_document  # noqa: E402
@@ -62,8 +64,8 @@ OWN = {
     "cutset": ("--fixture", "--s", "--epsilon", "--node-budget", "--seed", "--out"),
 }
 SWITCHES = ("--pretty", "-x", "stray")
-LEAVES = (None, True, False, 0, 1, 2, -1, 0.5, 1.5, -0.5, 1e308, float("nan"),
-          float("inf"), "", "x", [], {}, [1], [[0.5]], [0.0, 0.0])
+LEAVES = (None, True, False, 0, 1, 2, -1, -3, 10 ** 400, 0.5, 1.5, -0.5, 1e308,
+          float("nan"), float("inf"), "", "x", [], {}, [1], [[0.5]], [0.0, 0.0])
 FACTORS = (0.0, -1.0, 0.5, 0.99, 1.01, 2.0)
 DELETE = object()
 
@@ -101,7 +103,8 @@ def mutated_document(draw):
             node = node[k]
         value = draw(st.sampled_from(LEAVES + (DELETE,)))
         old = node[key]
-        if isinstance(old, (int, float)) and not isinstance(old, bool) and draw(st.booleans()):
+        if (isinstance(old, (int, float)) and not isinstance(old, bool) and abs(old) < 1e300
+                and draw(st.booleans())):  # 10**400 times a float overflows
             value = type(old)(old * draw(st.sampled_from(FACTORS)))  # a near-valid document
         if value is DELETE:
             del node[key]
@@ -141,19 +144,33 @@ def _config_args(kind, value, tmp):
     return [path]
 
 
-@given(data=st.data(), command=st.sampled_from(sorted(BOUNDED)), source=config_source())
-def test_cli_never_crashes(data, command, source):
-    flags = data.draw(st.lists(flag_tokens(command), max_size=4))
-    with tempfile.TemporaryDirectory() as tmp:
-        argv = [command] + _config_args(*source, tmp) + BOUNDED[command]
-        argv = [t.format(tmp=tmp) for t in argv + [t for tokens in flags for t in tokens]]
-        out, err = io.StringIO(), io.StringIO()
-        started = time.monotonic()
+class _OverCap(BaseException):
+    """Raised by the alarm in a run that outlives CAP_S; not an Exception, so
+    ``cli.main`` cannot turn it into an exit code."""
+
+
+def _raise_over_cap(signum, frame):
+    raise _OverCap
+
+
+def _check_run(argv):
+    """Run ``cli.main(argv)`` under a CAP_S alarm and check how it ended."""
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _raise_over_cap)
+    signal.setitimer(signal.ITIMER_REAL, CAP_S)
+    started = time.monotonic()
+    try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        elapsed = time.monotonic() - started
+    except _OverCap:
+        code = None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    elapsed = time.monotonic() - started
     out, err = out.getvalue(), err.getvalue()
-    event(f"{command} exit {code}")  # shown by --hypothesis-show-statistics
+    assert elapsed < CAP_S, (argv, elapsed)
+    event(f"{argv[0]} exit {code}")  # shown by --hypothesis-show-statistics
     assert code in (0, 1, 2, 3), (argv, err)
     assert "Traceback" not in out + err
     lines = err.splitlines()
@@ -163,4 +180,25 @@ def test_cli_never_crashes(data, command, source):
         assert set(json.loads(lines[0])) == {"error", "message"}
     elif code != 0:
         assert out, argv  # validate findings, an indeterminate trend, a truncated cut-set
-    assert elapsed < CAP_S, (argv, elapsed)
+
+
+@given(data=st.data(), command=st.sampled_from(sorted(BOUNDED)), source=config_source())
+def test_cli_never_crashes(data, command, source):
+    flags = data.draw(st.lists(flag_tokens(command), max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command] + _config_args(*source, tmp) + BOUNDED[command]
+        argv = [t.format(tmp=tmp) for t in argv + [t for tokens in flags for t in tokens]]
+        _check_run(argv)
+
+
+@given(command=st.sampled_from(sorted(BOUNDED)),
+       field=st.sampled_from(["block_base", "block_ratio"]), value=st.sampled_from(LEAVES))
+@example(command="validate", field="block_base", value=-3)  # the block bound ran off to -inf
+@example(command="dims", field="block_base", value=10 ** 400)  # no float holds these
+@example(command="boxdim", field="block_ratio", value=10 ** 400)
+def test_geometric_block_fields_never_crash(command, field, value):
+    doc = fixture_document("scalar_blocks")
+    doc["schedule"][field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command] + _config_args("document", doc, tmp) + BOUNDED[command]
+        _check_run([t.format(tmp=tmp) for t in argv])

@@ -164,19 +164,30 @@ def test_net_measure_window_over_budget_raises():
 # ---------------------------------------------------------------------------
 
 def test_pressure_root_similarity_pair():
-    rep = pressure_root(fixture("similarity_pair").schedule.levels[0])
+    rep = pressure_root(fixture("similarity_pair"))
     assert rep.estimate == pytest.approx(S_SIM, abs=1e-6)
 
 
 def test_pressure_root_four_half_maps():
     lvl = LevelSpec(4, (Matrix.diagonal([0.5, 0.5]),) * 4)
-    rep = pressure_root(lvl)
+    rep = pressure_root(dataclasses.replace(fixture("similarity_pair"),
+                                            schedule=Schedule("constant", (lvl,))))
     assert rep.estimate == pytest.approx(2.0, abs=1e-6)
 
 
 def test_pressure_root_diag_triple():
-    rep = pressure_root(fixture("diag_triple").schedule.levels[0])
+    rep = pressure_root(fixture("diag_triple"))
     assert rep.estimate == pytest.approx(1 + math.log(1.5) / math.log(4), abs=1e-6)
+
+
+def test_pressure_root_refuses_a_periodic_schedule_before_it_validates(monkeypatch):
+    # the second level does not contract, yet the schedule is what is blamed
+    mt = fixture("middle_thirds")
+    bad = LevelSpec(2, (Matrix.diagonal([1.5]),) * 2)
+    spec = dataclasses.replace(mt, schedule=Schedule("periodic", (mt.schedule.levels[0], bad)))
+    monkeypatch.setattr("morandim.dims.make_engine", lambda spec: pytest.fail("built"))
+    with pytest.raises(InapplicableEstimator, match=r"stationary \(constant\) schedule"):
+        pressure_root(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +460,7 @@ def test_estimators_reject_a_tol_that_is_not_finite_and_positive(tol):
         with pytest.raises(ValueError, match="tol"):
             estimate(mt, tol=tol)
     with pytest.raises(ValueError, match="tol"):
-        pressure_root(mt.schedule.levels[0], tol=tol)
+        pressure_root(mt, tol=tol)
 
 
 def test_tiny_tol_stops_when_the_bracket_cannot_split():
@@ -460,7 +471,7 @@ def test_tiny_tol_stops_when_the_bracket_cannot_split():
     rep = estimate_sstar(mt, tol=1e-300)
     assert len(rep.trace) < 80
     assert rep.bracket[0] <= math.log(2) / math.log(3) <= rep.bracket[1]
-    root = pressure_root(mt.schedule.levels[0], tol=1e-300)
+    root = pressure_root(mt, tol=1e-300)
     assert abs(root.estimate - math.log(2) / math.log(3)) < 1e-9
 
 
@@ -555,6 +566,8 @@ def test_bisect_brackets_every_probe_whatever_the_classifier():
 
 
 def test_pressure_root_above_64_is_flagged():
-    rep = pressure_root(LevelSpec(2, (Matrix.diagonal([0.99]),) * 2))  # root 68.97
+    lvl = LevelSpec(2, (Matrix.diagonal([0.99]),) * 2)  # root 68.97
+    rep = pressure_root(dataclasses.replace(fixture("middle_thirds"),
+                                            schedule=Schedule("constant", (lvl,))))
     assert rep.estimate is None and "upper_endpoint_below" in rep.flags
     assert rep.trace[0]["s"] == 2.0 and rep.trace[0]["log_p"] > 0.0  # the first probe: d + 1

@@ -6,8 +6,10 @@ import pytest
 
 from morandim import system
 from morandim.errors import ConfigError, ContractionViolated
-from morandim.linalg import op_norm
+from morandim.linalg import Matrix, op_norm
 from morandim.system import (
+    LevelSpec,
+    Schedule,
     alpha_bounds,
     fixture,
     fixture_document,
@@ -175,3 +177,55 @@ def test_digit_grid_requires_digits():
     del doc["schedule"]["levels"][0]["digits"]
     with pytest.raises(ConfigError, match="digits"):
         parse_structure(doc)
+
+
+def _float_block_index(k, base, ratio):
+    """geometric_blocks' block of depth k as it was once found, in floats."""
+    j, bound = 0, base / ratio
+    while k > bound:
+        j += 1
+        bound *= ratio
+    return j
+
+
+def test_geometric_block_index_is_the_float_loop_in_integers():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, strategies as st
+
+    levels = (LevelSpec(2, (Matrix.diagonal([0.5]),) * 2),) * 64  # level_index is the block
+
+    @given(st.integers(1, 10_000), st.integers(1, 300), st.integers(2, 40))
+    @example(13, 13, 23)  # 13 / 23 * 23 > 13 in floats
+    def check(k, base, ratio):
+        j = Schedule("geometric_blocks", levels, block_base=base,
+                     block_ratio=ratio).level_index(k)
+        # the smallest j >= 0 with k <= base * ratio**(j - 1), exactly
+        assert k * ratio <= base * ratio ** j
+        assert j == 0 or k * ratio > base * ratio ** (j - 1)
+        # off the block boundaries the float loop agrees; on one, float
+        # rounding of base / ratio could push k into the next block
+        if k not in {base * ratio ** i for i in range(j + 1)}:
+            assert j == _float_block_index(k, base, ratio)
+
+    check()
+
+
+@pytest.mark.parametrize("field, value", [("block_base", -3), ("block_base", 0),
+                                          ("block_ratio", 1), ("block_ratio", -3)])
+def test_geometric_blocks_rejects_a_base_below_1_or_a_ratio_below_2(field, value):
+    doc = fixture_document("scalar_blocks")
+    doc["schedule"][field] = value
+    with pytest.raises(ConfigError, match="block_base >= 1 and block_ratio >= 2"):
+        parse_structure(doc)
+
+
+@pytest.mark.parametrize("field", ["block_base", "block_ratio"])
+def test_geometric_blocks_takes_a_parameter_past_the_float_range(field):
+    doc = fixture_document("scalar_blocks")
+    doc["schedule"][field] = 10 ** 400
+    spec = parse_structure(doc)
+    assert validate(spec) == []
+    # a huge base: block 0 covers every depth; a huge ratio: block 1 holds
+    # depths 1..3, and block 2 every depth after them
+    blocks = [spec.schedule.level_index(k) for k in (1, 3, 4, 10_000)]
+    assert blocks == ([0, 0, 0, 0] if field == "block_base" else [1, 1, 0, 0])

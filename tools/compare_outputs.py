@@ -36,6 +36,11 @@ EXTRA = [
     ("dims:repeated_which", ["dims", "--fixture", "middle_thirds", "--which", "sstar,sstar",
                              "--out", "out/dims"]),
     ("dims:d1_periodic", ["dims", "d1.json", "--which", "sstar,sa", "--out", "out/dims"]),
+    ("dims:lattice_shared", ["dims", "--fixture", "random_diag_pair", "--which",
+                             "sa,falconer,sstar", "--threads", "2"]),
+    ("dims:generic_falconer_sstar", ["dims", "--fixture", "example_5_3", "--which",
+                                     "falconer,sstar"]),
+    ("dims:singular_falconer", ["dims", "--fixture", "example_5_2", "--which", "falconer"]),
     ("validate:pretty", ["validate", "--fixture", "example_5_2", "--pretty"]),
     ("validate:bad_json", ["validate", "bad.json"]),
     ("validate:double_encoded", ["validate", "double.json"]),
