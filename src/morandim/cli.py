@@ -107,11 +107,16 @@ def _cloud(spec, args):
 
 def _save(out_dir, files, args, label, started, overrides) -> None:
     """Make ``out_dir``, write each (path, data) of ``files`` whole in order, then
-    the ``manifest.json`` beside them that records the run."""
+    the ``manifest.json`` beside them that records the run.  A path that is
+    there and not a regular file is refused first, by ``stat``: a FIFO is never opened."""
+    manifest = os.path.join(out_dir, "manifest.json")
+    for path in [path for path, _ in files] + [manifest]:
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise ConfigError(f"--out: {path} exists and is not a regular file")
     os.makedirs(out_dir, exist_ok=True)
     for path, data in files:
         _write_file(path, data)
-    _write_file(os.path.join(out_dir, "manifest.json"), _json_text({
+    _write_file(manifest, _json_text({
         "command": args.command,
         "config": label,
         "overrides": overrides,
@@ -196,17 +201,10 @@ def cmd_dims(spec, label, args, started) -> int:
 def cmd_boxdim(spec, label, args, started) -> int:
     depth = args.depth
     cloud = _cloud(spec, args)
-    if args.scales:
-        scales, source = _floats(args.scales), f"--scales {args.scales}"
-    else:
-        try:
-            candidates = default_scales(spec, depth)
-        except ValueError as exc:
-            raise ConfigError(f"boxdim --depth {depth}: {exc}") from exc
-        scales, source = None, f"--depth {depth}"
-    try:  # a scale too fine for the int64 grid key
-        if scales is None:
-            scales = select_scales(cloud, candidates)
+    source = f"--scales {args.scales}" if args.scales else f"--depth {depth}"
+    try:  # a depth too shallow for default scales, or a scale too fine for the int64 grid key
+        scales = (_floats(args.scales) if args.scales
+                  else select_scales(cloud, default_scales(spec, depth)))
         curve = boxdim_fit(cloud, scales)
     except ValueError as exc:
         raise ConfigError(f"boxdim {source}: {exc}") from exc

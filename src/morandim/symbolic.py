@@ -55,20 +55,19 @@ another's.  The reports carry only each probe's trend class and the
 bisection bracket, which an ulp does not move unless a probe sits on a
 classifier's threshold.
 
-Every per-node array of log singular values, from the level stores
-through the pruned walks and the stop record to ``log_phi_from_logs``, is a
-C-contiguous (d, N) array, axis 0 the singular-value index, or a column
-block of one (the lattice's levels): each index is one contiguous row, so
-gathers, the alpha_m row and phi^s read contiguous memory.  The generic
-walker keeps each level's products the same way, as d^2 contiguous entry
-columns, (d, d, N), and expands them by elementwise multiply-adds.  The
-class tree's level-wide array work (the generic expansion, each level's
-log phi^s, and each depth of the net-measure fold) runs through
-``_Engine._blocks`` in chunks of ``_CHUNK`` columns, and a level of more
-than one chunk is split over ``workers`` threads (1 unless the caller
-sets it, as ``dims --threads`` does), one contiguous block per worker.
-Every chunk does the same elementwise arithmetic on its own columns, so
-the bits are the same at any worker count.
+Every per-node array of log singular values, from the level stores through
+the pruned walks and the stop record to ``log_phi_from_logs``, is a
+C-contiguous (d, N) array, axis 0 the singular-value index: each index is
+one contiguous row, so gathers, the alpha_m row and phi^s read contiguous
+memory.  The generic walker keeps each level's products the same way, as d^2
+contiguous entry columns, (d, d, N), and expands them by elementwise
+multiply-adds.  The class tree's level-wide array work (the generic
+expansion, each level's log phi^s, and each depth of the net-measure fold)
+runs through ``_Engine._blocks`` in chunks of ``_CHUNK`` columns, and a
+level of more than one chunk is split over ``workers`` threads (1 unless the
+caller sets it, as ``dims --threads`` does), one contiguous block per
+worker.  Every chunk does the same elementwise arithmetic on its own
+columns, so the bits are the same at any worker count.
 
 ``cutset_rows`` lists the cut-set words themselves, independently of the
 engines, from plain products taken one depth at a time, as digit lists;
@@ -531,18 +530,16 @@ class _ClassTree(_Engine):
         of one row per window: a window joins at its K, each depth folds
         every row's children with ``_log_row_sums``, and a window leaves at
         its k, where the DP would only add children together, so its value
-        is the logsumexp of its depth-k row weighted by the classes' word
-        counts.  Leaving rows are sliced off when they head the stack, as on
-        the default schedules, whose deeper windows join and leave first.
+        is the logsumexp of its depth-k row weighted by the classes' word counts.
         """
         horizon = self.max_depth_within(node_budget, max(K for _, K in windows))
         logphi = self._log_phis(horizon, s)  # logphi[t - 1]: per-class log phi^s at depth t
         out = [None] * len(windows)
-        joins, leaves = {}, collections.Counter()
+        joins, leaves = {}, set()
         for i, (k, K) in enumerate(windows):
             if K <= horizon:
                 joins.setdefault(K, []).append((i, k))
-                leaves[k] += 1
+                leaves.add(k)
         if not joins:
             return out
         rows, v = [], None  # the stacked windows' (index, k), and their (rows, C_t) values
@@ -562,16 +559,12 @@ class _ClassTree(_Engine):
                 v = np.concatenate([v, new]) if rows else new
                 rows += joins[t]
             if t in leaves:
-                log_mults, n = self._log_mults(t), leaves[t]
-                prefix = all(k == t for _, k in rows[:n])
-                gone = range(n) if prefix else [j for j, (_, k) in enumerate(rows) if k == t]
-                for j in gone:
-                    out[rows[j][0]] = logsumexp(v[j] + log_mults)
-                if prefix:
-                    rows, v = rows[n:], v[n:]
-                else:
-                    left = [j for j, (_, k) in enumerate(rows) if k != t]
-                    rows, v = [rows[j] for j in left], v[left]
+                log_mults = self._log_mults(t)
+                for j, (i, k) in enumerate(rows):
+                    if k == t:
+                        out[i] = logsumexp(v[j] + log_mults)
+                left = [j for j, (_, k) in enumerate(rows) if k != t]
+                rows, v = [rows[j] for j in left], v[left]
         return out
 
     def _level_log_sums(self, s: float, depths: list) -> list:
@@ -622,11 +615,10 @@ class DiagonalEngine(_ClassTree):
     class c's children are c + e_j.  The lattice is extended level by level
     on demand and cached independently of the exponent: per depth the (d,
     C_t) log singular values, the log multinomial word counts, and the
-    (C_t, M) map from each class to its children's rows.  The levels' log
-    singular values are column blocks of one C-contiguous array, and
-    ``_levels`` hands out views of them, so a net-measure probe takes log
-    phi^s of every level in one call (``_log_phis``).  Pruned walks carry
-    exact integer live-word counts per class.
+    (C_t, M) map from each class to its children's rows.  A net-measure
+    probe takes log phi^s of every level in one call over their
+    concatenation (``_log_phis``).  Pruned walks carry exact integer
+    live-word counts per class.
     """
 
     kind = "diagonal"
@@ -639,11 +631,7 @@ class DiagonalEngine(_ClassTree):
             [[math.log(abs(m.entries[i, i])) for i in range(self.d)] for m in lvl.maps]
         )  # (M, d)
         self._comps = np.zeros((1, self.n_maps), dtype=np.int64)  # the deepest level's classes
-        # every level's (d, C_t) log singular values side by side in one array
-        # with spare columns: level t is columns bounds[t]:bounds[t + 1], and
-        # _logs[t] a view of them
-        self._flat, self._bounds = np.zeros((self.d, 1)), [0, 1]
-        self._logs = [self._flat]
+        self._logs = [np.zeros((self.d, 1))]  # per depth, the (d, C_t) log singular values
         self._log_mult = [np.zeros(1)]
         self._child_idx = []  # child_idx[t][i, j] = row of class i + e_j at depth t + 1
         self._log_fact = np.zeros(1)
@@ -656,17 +644,10 @@ class DiagonalEngine(_ClassTree):
             rank, width = _composition_ranks(children)
             nxt = np.empty((width, M), dtype=np.int64)
             nxt[rank] = children  # every class of the next level is some class's child
-            a, b = self._bounds[-1], self._bounds[-1] + width
-            if b > self._flat.shape[1]:  # double the columns: appends copy O(1) per column
-                flat = np.empty((self.d, 2 * b))
-                flat[:, :a] = self._flat[:, :a]
-                self._flat = flat
-                self._logs = [flat[:, lo:hi] for lo, hi in zip(self._bounds, self._bounds[1:])]
-            self._flat[:, a:b] = -np.sort(-(nxt.astype(float) @ self.log_c), axis=1).T
             self._comps = nxt
             self._child_idx.append(rank.reshape(cur.shape[0], M))
-            self._bounds.append(b)
-            self._logs.append(self._flat[:, a:b])
+            self._logs.append(np.ascontiguousarray(
+                -np.sort(-(nxt.astype(float) @ self.log_c), axis=1).T))
             self._log_mult.append(self._log_multinomials(nxt))
 
     def child_rows(self, t: int) -> np.ndarray:
@@ -694,11 +675,11 @@ class DiagonalEngine(_ClassTree):
         return self._logs[1:depth + 1]
 
     def _log_phis(self, depth: int, s: float) -> list:
-        """Per-class log phi^s at depths 1..depth, from one pass over the store."""
-        self._extend(depth)
-        b = self._bounds
-        flat = self._log_phi(self._flat[:, 1:b[depth + 1]], s)
-        return [flat[lo - 1:hi - 1] for lo, hi in zip(b[1:depth + 1], b[2:depth + 2])]
+        """Per-class log phi^s at depths 1..depth, from one call over all the levels."""
+        levels = self._levels(depth)
+        flat = self._log_phi(np.concatenate([np.empty((self.d, 0)), *levels], axis=1), s)
+        ends = [0, *itertools.accumulate(logs.shape[1] for logs in levels)]
+        return [flat[lo:hi] for lo, hi in zip(ends, ends[1:])]
 
     def _log_mults(self, t: int) -> np.ndarray:
         self._extend(t)
@@ -919,10 +900,11 @@ class GenericEngine(_ClassTree):
         self._blocks(N, chunk)
         return raw, scale, det, logs
 
-    def _products(self, idx, depth: int):
+    def _products(self, idx, depth: int, levels: Optional[list] = None):
         """Unit-norm (d, d, N) product columns, log scales and log dets of the
         depth-``depth`` nodes ``idx`` (all of them when None), expanded from
-        the root along their ancestors only."""
+        the root along their ancestors only; each depth's (d, N_t) log
+        singular values are appended to ``levels`` when it is given."""
         wants = []  # the nodes wanted at depths depth, depth - 1, ..., 1
         for t in range(depth, 0, -1):
             wants.append(idx)
@@ -931,7 +913,9 @@ class GenericEngine(_ClassTree):
         Q, log_scale, log_det = np.eye(self.d)[..., None], np.zeros(1), np.zeros(1)
         parents = np.zeros(1, dtype=np.intp)
         for t, want in enumerate(reversed(wants), start=1):
-            Q, log_scale, log_det, _ = self._expand(Q, log_scale, log_det, t)
+            Q, log_scale, log_det, logs = self._expand(Q, log_scale, log_det, t)
+            if levels is not None:
+                levels.append(logs)
             if want is not None:
                 a = self._arity(t)
                 rows = np.searchsorted((parents[:, None] * a + np.arange(a)).reshape(-1), want)
@@ -1005,11 +989,8 @@ class GenericEngine(_ClassTree):
         sliced by later requests; a deeper request expands from the root again.
         """
         if depth > len(self._tree_logs):
-            Q, log_scale, log_det = np.eye(self.d)[..., None], np.zeros(1), np.zeros(1)
-            levels = []
-            for t in range(1, depth + 1):
-                Q, log_scale, log_det, logs = self._expand(Q, log_scale, log_det, t)
-                levels.append(logs)
+            levels = []  # kept only once complete
+            self._products(None, depth, levels)
             self._tree_logs = levels
         return self._tree_logs[:depth]
 
@@ -1106,6 +1087,13 @@ class CutSet:
         return zip(map(Word, rows), log_phi)
 
 
+def _check_cut(s: float, epsilon: float) -> None:
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if s <= 0:
+        raise ValueError("cut-sets need s > 0")
+
+
 def cutset_rows(spec: SystemSpec, s: float, epsilon: float) -> tuple:
     """The cut-set words and their log phi^s, found one depth at a time:
     ``(rows, log_phi)``, the words' digit lists and a list of floats.
@@ -1121,10 +1109,7 @@ def cutset_rows(spec: SystemSpec, s: float, epsilon: float) -> tuple:
     ``_WORD_ENUM_CAP``, and NonsingularityViolated for a singular map
     before it takes any product.  Intended for dumps and small-system tests.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if s <= 0:
-        raise ValueError("cut-sets need s > 0")
+    _check_cut(s, epsilon)
     require_invariants(spec, ("NonsingularityViolated",))
     d = spec.dim
     m = branch_index(s, d)
@@ -1181,10 +1166,7 @@ def cutset(spec: SystemSpec, s: float, epsilon: float,
            node_budget: int = DEFAULT_NODE_BUDGET) -> CutSet:
     """Build the stopping family: descend while alpha_m > epsilon, emit the
     first word where it drops to <= epsilon (ties stop)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if s <= 0:
-        raise ValueError("cut-sets need s > 0")
+    _check_cut(s, epsilon)
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
     engine = make_engine(spec)

@@ -328,6 +328,30 @@ def _vector(value, d: int, path: str) -> np.ndarray:
     return arr
 
 
+def _vectors(values, d: int, path: str):
+    """Length-d vectors: a list of them as a tuple, an object of them as a
+    dict by string key; None stays None."""
+    if values is None:
+        return None
+    if isinstance(values, dict):
+        return {str(key): _vector(v, d, f"{path}[{key!r}]") for key, v in values.items()}
+    return tuple(_vector(v, d, f"{path}[{j}]") for j, v in enumerate(values))
+
+
+def _build(cls, path: str, **fields):
+    """``cls(**fields)``, with a ConfigError it raises prefixed by ``path``."""
+    try:
+        return cls(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _box(obj, d: int, path: str) -> Box:
+    _require_keys(obj, {"lo", "hi"}, {"lo", "hi"}, path)
+    return _build(Box, path, lo=_vector(obj["lo"], d, f"{path}.lo"),
+                  hi=_vector(obj["hi"], d, f"{path}.hi"))
+
+
 def _parse_level(obj, d: int, path: str) -> LevelSpec:
     _require_keys(obj, {"branch_count", "maps", "digits"}, {"branch_count", "maps"}, path)
     n = _typed(obj, "branch_count", int, path, required=True)
@@ -339,13 +363,8 @@ def _parse_level(obj, d: int, path: str) -> LevelSpec:
             raise ConfigError(f"{path}.maps[{j}]: {exc}") from exc
         if maps[-1].dim != d:
             raise ConfigError(f"{path}.maps[{j}]: expected a {d}x{d} matrix")
-    digits = _typed(obj, "digits", list, path)
-    if digits is not None:
-        digits = tuple(_vector(v, d, f"{path}.digits[{j}]") for j, v in enumerate(digits))
-    try:
-        return LevelSpec(branch_count=n, maps=tuple(maps), digits=digits)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    digits = _vectors(_typed(obj, "digits", list, path), d, f"{path}.digits")
+    return _build(LevelSpec, path, branch_count=n, maps=tuple(maps), digits=digits)
 
 
 def parse_structure(document) -> SystemSpec:
@@ -370,10 +389,7 @@ def parse_structure(document) -> SystemSpec:
     if d < 1:
         raise ConfigError("$.dim: expected a positive integer")
 
-    reg = document["seed_region"]
-    _require_keys(reg, {"lo", "hi"}, {"lo", "hi"}, "$.seed_region")
-    seed_region = Box(_vector(reg["lo"], d, "$.seed_region.lo"),
-                      _vector(reg["hi"], d, "$.seed_region.hi"))
+    seed_region = _box(document["seed_region"], d, "$.seed_region")
 
     sch = document["schedule"]
     _require_keys(
@@ -388,10 +404,7 @@ def parse_structure(document) -> SystemSpec:
     )
     ints = {key: _typed(sch, key, int, "$.schedule")
             for key in ("block_base", "block_ratio", "period")}
-    try:
-        schedule = Schedule(kind=sch["kind"], levels=levels, **ints)
-    except ConfigError as exc:
-        raise ConfigError(f"$.schedule: {exc}") from exc
+    schedule = _build(Schedule, "$.schedule", kind=sch["kind"], levels=levels, **ints)
 
     tr = document["translations"]
     _require_keys(
@@ -400,31 +413,15 @@ def parse_structure(document) -> SystemSpec:
         {"kind"},
         "$.translations",
     )
-    alphabet = _typed(tr, "alphabet", list, "$.translations")
-    if alphabet is not None:
-        alphabet = tuple(
-            _vector(v, d, f"$.translations.alphabet[{j}]") for j, v in enumerate(alphabet)
-        )
+    alphabet = _vectors(_typed(tr, "alphabet", list, "$.translations"), d,
+                        "$.translations.alphabet")
     region = None
     if tr.get("region") is not None:
-        _require_keys(tr["region"], {"lo", "hi"}, {"lo", "hi"}, "$.translations.region")
-        region = Box(
-            _vector(tr["region"]["lo"], d, "$.translations.region.lo"),
-            _vector(tr["region"]["hi"], d, "$.translations.region.hi"),
-        )
-    table = _typed(tr, "table", dict, "$.translations")
-    if table is not None:
-        table = {
-            str(word): _vector(vec, d, f"$.translations.table[{word!r}]")
-            for word, vec in table.items()
-        }
+        region = _box(tr["region"], d, "$.translations.region")
+    table = _vectors(_typed(tr, "table", dict, "$.translations"), d, "$.translations.table")
     seed = _typed(tr, "seed", int, "$.translations")
-    try:
-        translations = TranslationScheme(
-            kind=tr["kind"], alphabet=alphabet, seed=seed, region=region, table=table
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"$.translations: {exc}") from exc
+    translations = _build(TranslationScheme, "$.translations", kind=tr["kind"],
+                          alphabet=alphabet, seed=seed, region=region, table=table)
 
     if translations.kind == "digit_grid":
         for i, lvl in enumerate(levels):

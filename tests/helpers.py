@@ -1,0 +1,51 @@
+"""Random systems and a brute-force net-measure oracle shared by the tests."""
+import itertools
+import math
+
+import numpy as np
+
+from morandim.linalg import Matrix, op_norm
+from morandim.symbolic import Word, product
+from morandim.system import Box, LevelSpec, Schedule, SystemSpec, TranslationScheme
+
+
+def random_contraction(rng, d=2, entry=0.6, norms=(0.15, 0.9), min_det=1e-3):
+    """A d x d matrix with entries uniform in (-entry, entry), drawn again
+    until its op norm lies strictly inside ``norms`` and its |det| exceeds
+    ``min_det``."""
+    while True:
+        m = Matrix(rng.uniform(-entry, entry, (d, d)))
+        if norms[0] < op_norm(m) < norms[1] and abs(m.det()) > min_det:
+            return m
+
+
+def random_spec(rng, n_levels):
+    """A 2-d system of ``n_levels`` distinct levels of 2 or 3 random
+    contractions each, the last one repeating."""
+    levels = []
+    for _ in range(n_levels):
+        n = int(rng.integers(2, 4))
+        levels.append(LevelSpec(n, tuple(random_contraction(rng) for _ in range(n))))
+    return SystemSpec(2, Schedule("explicit_prefix_then_periodic", tuple(levels), period=1),
+                      TranslationScheme("explicit", table={}),
+                      Box(np.zeros(2), np.ones(2)))
+
+
+def brute_cover_min(spec, s, k, K):
+    """Explicitly enumerate every antichain cover with depths in [k, K]."""
+    cache = {}
+
+    def options(word, depth):
+        node = product(spec, Word(word), cache)
+        costs = []
+        if depth >= k:
+            costs.append(math.exp(node.log_phi(s)))
+        if depth < K:
+            child_opts = [options(word + (j,), depth + 1)
+                          for j in range(1, spec.branch_count(depth + 1) + 1)]
+            for combo in itertools.product(*child_opts):
+                costs.append(sum(combo))
+        return costs
+
+    root_opts = [options((j,), 1) for j in range(1, spec.branch_count(1) + 1)]
+    return min(sum(c) for c in itertools.product(*root_opts))

@@ -3,7 +3,6 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the PASS/FAIL lines.
 """
 import dataclasses
-import itertools
 import json
 import math
 import subprocess
@@ -13,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import brute_cover_min, random_contraction, random_spec
 from morandim.attractor import boxdim_fit, default_scales, sample_cloud, select_scales
 from morandim.dims import (
     estimate_sA,
@@ -23,16 +23,8 @@ from morandim.dims import (
 )
 from morandim.linalg import Matrix, mat_mul, op_norm
 from morandim.svf import phi
-from morandim.symbolic import Word, cutset, cutset_sum, product
-from morandim.system import (
-    Box,
-    LevelSpec,
-    Schedule,
-    SystemSpec,
-    TranslationScheme,
-    alpha_bounds,
-    fixture,
-)
+from morandim.symbolic import cutset, cutset_sum
+from morandim.system import LevelSpec, Schedule, alpha_bounds, fixture
 
 CLI = [sys.executable, "-m", "morandim.cli"]
 TOL = 0.02
@@ -132,52 +124,15 @@ def test_criterion_05_closed_form_pressure_roots():
            f"closed-form root errors {tuple(f'{e:.2e}' for e in errs)} <= 1e-6")
 
 
-def _random_contraction(rng):
-    while True:
-        m = Matrix(rng.uniform(-0.6, 0.6, (2, 2)))
-        if 0.15 < op_norm(m) < 0.9 and abs(m.det()) > 1e-3:
-            return m
-
-
-def _random_spec(rng, n_levels):
-    levels = []
-    for _ in range(n_levels):
-        n = int(rng.integers(2, 4))
-        levels.append(LevelSpec(n, tuple(_random_contraction(rng) for _ in range(n))))
-    return SystemSpec(2, Schedule("explicit_prefix_then_periodic", tuple(levels),
-                                  period=1),
-                      TranslationScheme("explicit", table={}),
-                      Box(np.zeros(2), np.ones(2)))
-
-
-def _brute_cover_min(spec, s, k, K):
-    cache = {}
-
-    def options(word, depth):
-        node = product(spec, Word(word), cache)
-        costs = []
-        if depth >= k:
-            costs.append(math.exp(node.log_phi(s)))
-        if depth < K:
-            child_opts = [options(word + (j,), depth + 1)
-                          for j in range(1, spec.branch_count(depth + 1) + 1)]
-            for combo in itertools.product(*child_opts):
-                costs.append(sum(combo))
-        return costs
-
-    root_opts = [options((j,), 1) for j in range(1, spec.branch_count(1) + 1)]
-    return min(sum(c) for c in itertools.product(*root_opts))
-
-
 def test_criterion_06_net_measure_oracle_equivalence():
     rng = np.random.default_rng(2718)
     worst = 0.0
     for trial in range(50):
         n_levels = 2 if trial % 2 == 0 else 3
-        spec = _random_spec(rng, n_levels)
+        spec = random_spec(rng, n_levels)
         s = float(rng.uniform(0.2, 2.5))
         dp = net_measure(spec, s, 1, n_levels).value
-        bf = _brute_cover_min(spec, s, 1, n_levels)
+        bf = brute_cover_min(spec, s, 1, n_levels)
         worst = max(worst, abs(dp - bf))
     report("C6", worst <= 1e-12,
            f"DP vs exhaustive cover enumeration: worst |diff| = {worst:.2e} "
@@ -189,13 +144,13 @@ def test_criterion_07_phi_property_suite():
     exponents = (0.3, 1.0, 1.5, 2.0, 2.7)
     violations = 0
     for _ in range(1000):
-        a, b = _random_contraction(rng), _random_contraction(rng)
+        a, b = random_contraction(rng), random_contraction(rng)
         ab = mat_mul(a, b)
         for s in exponents:
             if phi(ab, s) > phi(a, s) * phi(b, s) * (1 + 1e-9):
                 violations += 1
     for _ in range(200):
-        m = _random_contraction(rng)
+        m = random_contraction(rng)
         if op_norm(m) >= 1.0:
             continue
         grid = sorted(rng.uniform(0.05, 2.8, 5))

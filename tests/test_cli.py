@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import time
@@ -546,19 +547,41 @@ def test_boxdim_takes_each_map_norm_once(monkeypatch, capsys, name):
     assert len(calls) == sum(lvl.branch_count for lvl in levels)
 
 
+def _special_file(path, kind):
+    """A directory or a FIFO at ``path``, where the command must write a file."""
+    if kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        os.mkfifo(path)
+    else:
+        path.mkdir()
+
+
+def _is_special(path, kind):
+    mode = os.lstat(path).st_mode
+    return stat.S_ISFIFO(mode) if kind == "fifo" else stat.S_ISDIR(mode)
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
 @pytest.mark.parametrize("argv, blocked", [
     (("boxdim", "--fixture", "middle_thirds", "--depth", "8"), "report.json"),
     (("boxdim", "--fixture", "middle_thirds", "--depth", "8"), "manifest.json"),
     (("dims", "--fixture", "middle_thirds", "--which", "falconer"), "falconer.json"),
 ])
-def test_unwritable_out_file_leaves_no_stdout_and_no_temp_file(tmp_path, capsys, argv, blocked):
+def test_unwritable_out_file_leaves_no_stdout_and_no_temp_file(tmp_path, capsys, argv, blocked,
+                                                               kind):
     out_dir = tmp_path / "out"
-    (out_dir / blocked).mkdir(parents=True)  # a directory where a file must go
+    out_dir.mkdir()
+    _special_file(out_dir / blocked, kind)
     code, out, err, _ = _main(capsys, *argv, "--out", str(out_dir))
     assert code == 1
     assert out == ""
-    assert json.loads(err)["error"] == "config"
-    assert all(not p.name.endswith(".tmp") for p in out_dir.iterdir())
+    assert json.loads(err) == {
+        "error": "config",
+        "message": f"--out: {out_dir / blocked} exists and is not a regular file"}
+    # refused before any write: no data file, no temp file and no manifest.json
+    assert [p.name for p in out_dir.iterdir()] == [blocked]
+    assert _is_special(out_dir / blocked, kind)
 
 
 def test_stale_temp_file_from_a_killed_run_is_overwritten(tmp_path, capsys, monkeypatch):
@@ -597,17 +620,21 @@ def test_out_files_are_complete_and_alone(tmp_path, capsys):
     ("cutset", "--fixture", "middle_thirds", "--s", "0.5", "--epsilon", "0.012"),
     ("render", "--fixture", "sierpinski_carpet", "--depth", "3", "--resolution", "27"),
 ])
-def test_unusable_out_file_leaves_no_stdout_and_no_temp_file(tmp_path, capsys, argv):
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+def test_unusable_out_file_leaves_no_stdout_and_no_temp_file(tmp_path, capsys, argv, kind):
     taken = tmp_path / "taken"
-    taken.mkdir()  # a directory where the file must go
+    _special_file(taken, kind)
     code, out, err, _ = _main(capsys, *argv, "--out", str(taken))
     assert code == 1
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "config"
+    assert json.loads(lines[0]) == {
+        "error": "config", "message": f"--out: {taken} exists and is not a regular file"}
+    # no temp file and no manifest.json beside it, and the FIFO is still one
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
-    assert list(taken.iterdir()) == []
+    assert _is_special(taken, kind)
+    assert kind == "fifo" or list(taken.iterdir()) == []
 
 
 def _dims_lines(capsys, source, which, *extra):

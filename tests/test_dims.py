@@ -1,11 +1,11 @@
 import dataclasses
-import itertools
 import math
 import re
 
 import numpy as np
 import pytest
 
+from helpers import brute_cover_min, random_spec
 from morandim.dims import (
     _bisect,
     _classify_liminf,
@@ -23,8 +23,8 @@ from morandim.dims import (
     pressure_root,
 )
 from morandim.errors import BudgetExceeded, InapplicableEstimator, NonsingularityViolated
-from morandim.linalg import Matrix, op_norm
-from morandim.symbolic import DEFAULT_NODE_BUDGET, GenericEngine, Word, make_engine, product
+from morandim.linalg import Matrix
+from morandim.symbolic import DEFAULT_NODE_BUDGET, GenericEngine, make_engine
 from morandim.system import (
     Box,
     LevelSpec,
@@ -58,52 +58,14 @@ def test_net_measure_middle_thirds_leaf_cover():
     assert net_measure(mt, 1.0, 1, 2).value == pytest.approx(4 / 9)
 
 
-def _random_contraction(rng, d=2):
-    while True:
-        m = Matrix(rng.uniform(-0.6, 0.6, (d, d)))
-        if 0.15 < op_norm(m) < 0.9 and abs(m.det()) > 1e-3:
-            return m
-
-
-def _random_spec(rng, n_levels):
-    levels = []
-    for _ in range(n_levels):
-        n = int(rng.integers(2, 4))
-        levels.append(LevelSpec(n, tuple(_random_contraction(rng) for _ in range(n))))
-    return SystemSpec(2, Schedule("explicit_prefix_then_periodic", tuple(levels), period=1),
-                      TranslationScheme("explicit", table={}),
-                      Box(np.zeros(2), np.ones(2)))
-
-
-def _brute_cover_min(spec, s, k, K):
-    """Explicitly enumerate every antichain cover with depths in [k, K]."""
-    cache = {}
-
-    def options(word, depth):
-        node = product(spec, Word(word), cache)
-        costs = []
-        if depth >= k:
-            costs.append(math.exp(node.log_phi(s)))
-        if depth < K:
-            child_opts = [options(word + (j,), depth + 1)
-                          for j in range(1, spec.branch_count(depth + 1) + 1)]
-            for combo in itertools.product(*child_opts):
-                costs.append(sum(combo))
-        return costs
-
-    n1 = spec.branch_count(1)
-    root_opts = [options((j,), 1) for j in range(1, n1 + 1)]
-    return min(sum(c) for c in itertools.product(*root_opts))
-
-
 def test_net_measure_matches_bruteforce_enumeration():
     rng = np.random.default_rng(314)
     for trial in range(12):
         n_levels = 2 if trial % 2 == 0 else 3
-        spec = _random_spec(rng, n_levels)
+        spec = random_spec(rng, n_levels)
         s = float(rng.uniform(0.2, 2.5))
         dp = net_measure(spec, s, 1, n_levels).value
-        bf = _brute_cover_min(spec, s, 1, n_levels)
+        bf = brute_cover_min(spec, s, 1, n_levels)
         assert dp == pytest.approx(bf, abs=1e-12)
 
 

@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from helpers import random_contraction
 from morandim.errors import DimensionMismatch, NonsingularityViolated
 from morandim.linalg import Matrix, log_singular_values, mat_mul, op_norm, singular_values
 
@@ -67,11 +69,9 @@ def test_matrix_validation():
         Matrix.from_rows([[math.inf]])
 
 
-def _random_contraction(rng, d=2):
-    while True:
-        m = Matrix(rng.uniform(-0.7, 0.7, (d, d)))
-        if op_norm(m) < 0.95 and abs(m.det()) > 1e-6:
-            return m
+# entries in (-0.7, 0.7), op norm below 0.95, |det| above 1e-6
+_random_contraction = functools.partial(random_contraction, entry=0.7, norms=(0.0, 0.95),
+                                        min_det=1e-6)
 
 
 def test_sv_product_matches_det_1000():

@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from morandim.linalg import Matrix, mat_mul, op_norm, singular_values
+from helpers import random_contraction
+from morandim.linalg import Matrix, mat_mul, singular_values
 from morandim.svf import branch_index, log_phi, phi
 from morandim.system import alpha_bounds, fixture
 from morandim.symbolic import Word, product
@@ -46,11 +48,9 @@ def test_branch_index():
     assert branch_index(2.5, 2) == 2  # clamped above ambient
 
 
-def _random_contraction(rng, d=2):
-    while True:
-        m = Matrix(rng.uniform(-0.7, 0.7, (d, d)))
-        if op_norm(m) < 0.95 and abs(m.det()) > 1e-6:
-            return m
+# entries in (-0.7, 0.7), op norm below 0.95, |det| above 1e-6
+_random_contraction = functools.partial(random_contraction, entry=0.7, norms=(0.0, 0.95),
+                                        min_det=1e-6)
 
 
 EXPONENTS = (0.3, 1.0, 1.5, 2.0, 2.7)

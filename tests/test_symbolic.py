@@ -311,9 +311,6 @@ def test_log_singular_values_are_contiguous_d_by_n(name, kind):
 
         engine._walk = checked_walk
         for logs in engine._levels(4):  # the generic walk reads these, then expands its own
-            if kind == "diagonal":  # column views of one (d, sum C_t) store, each row contiguous
-                assert logs.base is engine._flat and logs.strides[1] == logs.itemsize
-                logs = engine._flat
             check(logs, "level")
     log_eps = default_eps_log_schedule(spec, kind)[:6]
     for s in (0.5, 1.5):
@@ -1107,9 +1104,9 @@ def test_lattice_levels_are_in_row_sort_order(M):
 
 
 def test_lattice_flat_log_phi_matches_the_per_level_one():
-    """The lattice's levels are column views of one store, and log phi^s
-    taken over the store in one call is, level by level, the per-level one
-    bit for bit, also after the store has grown in steps."""
+    """The lattice's levels are C-contiguous arrays, and log phi^s taken over
+    all of them in one call is, level by level, the per-level one bit for
+    bit, also after the levels have grown in steps."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
@@ -1123,7 +1120,7 @@ def test_lattice_flat_log_phi_matches_the_per_level_one():
             levels = engine._levels(depth)
             assert len(got) == len(levels) == depth
             for lph, logs in zip(got, levels):
-                assert logs.base is engine._flat
+                assert logs.flags.c_contiguous
                 want = log_phi_from_logs(np.ascontiguousarray(logs), s)
                 assert lph.tobytes() == want.tobytes()
 

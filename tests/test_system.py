@@ -229,3 +229,46 @@ def test_geometric_blocks_takes_a_parameter_past_the_float_range(field):
     # depths 1..3, and block 2 every depth after them
     blocks = [spec.schedule.level_index(k) for k in (1, 3, 4, 10_000)]
     assert blocks == ([0, 0, 0, 0] if field == "block_base" else [1, 1, 0, 0])
+
+
+_DROP = object()
+_VEC1 = "expected a length-1 vector of finite numbers"
+
+
+@pytest.mark.parametrize("patches, message", [
+    ({("seed_region", "hi"): _DROP}, "$.seed_region: missing field(s) ['hi']"),
+    ({("seed_region", "lo"): [0.0, 1.0]}, f"$.seed_region.lo: {_VEC1}"),
+    ({("translations",): {"kind": "random_iid", "region": [0.0, 1.0]}},
+     "$.translations.region: expected an object"),
+    ({("translations",): {"kind": "random_iid", "region": {"lo": ["x"], "hi": [1.0]}}},
+     f"$.translations.region.lo: {_VEC1}"),
+    ({("translations",): {"kind": "finite_alphabet", "alphabet": [[0.0], [1.0, 2.0]]}},
+     f"$.translations.alphabet[1]: {_VEC1}"),
+    ({("schedule", "levels", 0, "digits", 1): "x"}, f"$.schedule.levels[0].digits[1]: {_VEC1}"),
+    ({("schedule", "levels", 0, "branch_count"): 3},
+     "$.schedule.levels[0]: level has 2 maps but branch_count 3"),
+    ({("schedule", "kind"): "spiral"}, "$.schedule: unknown schedule kind 'spiral'"),
+    ({("schedule", "kind"): "explicit_prefix_then_periodic", ("schedule", "period"): 2},
+     "$.schedule: explicit_prefix_then_periodic needs 1 <= period <= len(levels)"),
+    ({("translations", "kind"): "spiral"}, "$.translations: unknown translation kind 'spiral'"),
+    ({("translations", "kind"): "random_iid"}, "$.translations: random_iid needs a region"),
+    ({("translations",): {"kind": "explicit", "table": {"1-2": [0.0, 1.0]}}},
+     f"$.translations.table['1-2']: {_VEC1}"),
+    ({("translations", "seed"): True}, "$.translations.seed: expected an integer"),
+    ({("seed_region", "hi"): [0.0]}, "$.seed_region: box must have nonempty interior (hi > lo)"),
+    ({("translations",): {"kind": "random_iid", "region": {"lo": [1.0], "hi": [1.0]}}},
+     "$.translations.region: box must have nonempty interior (hi > lo)"),
+])
+def test_a_broken_document_gets_its_exact_message(patches, message):
+    doc = fixture_document("middle_thirds")
+    for path, value in patches.items():
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    with pytest.raises(ConfigError) as exc:
+        parse_structure(doc)
+    assert str(exc.value) == message
