@@ -212,12 +212,15 @@ def net_measure(spec: SystemSpec, s: float, k: int, K: int,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> NetMeasureTable:
     """Exact infimum of phi^s cover costs over cylinder depths in [k, K].
 
-    Dynamic program on the level tree: leaves at depth K cost their own
-    phi, inner nodes at depth >= k take the cheaper of covering themselves
-    or their children, shallower nodes must pass to children.  Raises
-    BudgetExceeded when the tree through depth K, root included, holds more
-    than ``node_budget`` nodes: classes on the lattice, words on the generic
-    walker (the chain engine is not budgeted).
+    On a multiplicative system (``SystemSpec.multiplicative``) and on the
+    chain, the least level sum over depths k..K, with no tree built.
+    Otherwise a dynamic program on the level tree: leaves at depth K cost
+    their own phi, inner nodes at depth >= k take the cheaper of covering
+    themselves or their children, shallower nodes must pass to children.
+    Raises BudgetExceeded when the tree through depth K, root included,
+    holds more than ``node_budget`` nodes: classes on the lattice, words on
+    the generic walker, whichever route is taken (the chain engine is not
+    budgeted).
     """
     _check_window(k, K)
     (log_v,) = make_engine(spec).net_measure_series(s, [(k, K)], node_budget)
@@ -243,8 +246,11 @@ def estimate_sA(spec: SystemSpec, tol: float = 0.02, depth_schedule=None,
     """Critical exponent of the net measure, by trend-classified bisection
     over a schedule of (min depth, horizon) windows.
 
-    A window whose tree through its horizon does not fit ``node_budget`` is
-    left out of every probe and the report is flagged ``budget_truncated``.
+    Each probe is one ``net_measure_series`` call: the least level sum per
+    window on the chain and on a multiplicative system, which builds no
+    tree, and the class tree's DP otherwise.  A window whose tree through
+    its horizon does not fit ``node_budget`` is left out of every probe and
+    the report is flagged ``budget_truncated``, on either route.
     An empty ``depth_schedule`` raises ValueError; the default one raises
     BudgetExceeded when ``node_budget`` is too small for any window on the
     generic engine.  ``engine`` is ``make_engine(spec)``, built here when

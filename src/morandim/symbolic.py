@@ -2,8 +2,8 @@
 
 Every tree quantity has four entry points on each engine:
 ``schedule_log_sums`` (cut-set sums over an epsilon schedule),
-``cutset_groups``, ``net_measure_series`` (the net-measure dynamic program
-for a list of (k, K) depth windows, evaluated off one pass) and
+``cutset_groups``, ``net_measure_series`` (the net measure for a list of
+(k, K) depth windows, evaluated off one pass) and
 ``level_log_sums`` (per-depth sums).  ``_Engine`` replays the first two
 from one stop record, which each level store writes with the other two:
 
@@ -29,9 +29,16 @@ from one stop record, which each level store writes with the other two:
   same singular values (see ``GenericEngine``).  That leaves every count
   and budget as it was, and sums over a merged row can move by an ulp.
 
+A multiplicative system (``SystemSpec.multiplicative``: diagonal maps whose
+coordinates keep one order of moduli) has phi^s(T_w) = prod_j
+phi^s(T_{j,w_j}), so on either class tree its net measure takes the chain's
+rule from the level products, and no tree is built for it (see
+``_ClassTree.net_measure_series``).
+
 The two kinds of traversal keep two budget rules.  A net-measure window is
 evaluated exactly when the budget covers the tree through its horizon K,
-root included, and is None otherwise; the tree is built only that deep.  A
+root included, and is None otherwise; the DP builds the tree only that
+deep, and the product path reads the same horizon off the level widths.  A
 pruned walk (the cut-set quantities) pays, per level, what it expands, and
 stops before the level that would exceed the budget.  The lattice counts
 its classes; the generic walker counts the words its classes stand for, so
@@ -43,7 +50,8 @@ schedule, budget), and every probe replays it by one array reduction on
 every store: a chain sum is its level sum, and a class-tree sum may differ
 by an ulp from a group-by-group logsumexp, which the reports do not show.
 
-The class tree's net-measure DP evaluates all the windows of a call in one
+The class tree's net-measure DP (``_net_measure_dp``, every system that is
+not multiplicative) evaluates all the windows of a call in one
 sweep from the deepest horizon up, over a stack with one row per window.
 Each depth reduces every row's children with ``_log_row_sums``, a pairwise
 fold over the children's columns in whole-array ufuncs (max + log1p(exp(min
@@ -524,6 +532,31 @@ class _ClassTree(_Engine):
     def net_measure_series(self, s: float, windows, node_budget: int):
         """Net-measure log values for (k, K) windows, None for a window whose
         tree through K, root included, does not fit the budget.
+
+        A multiplicative system (``SystemSpec.multiplicative``) builds no
+        tree: phi^s(T_w) = prod_j phi^s(T_{j,w_j}), so its level sums are the
+        products S_t = prod_{j<=t} Z_j of the per-level sums Z_j = sum_i
+        phi^s(T_{j,i}), and the cheapest cover over [k, K] costs exactly
+        min(S_k..S_K) (the mass distribution principle: the Bernoulli measure
+        with weights phi^s(T_{j,i}) / Z_j gives every cover mass 1, and each
+        of its cylinders w costs S_|w| times its mass).  log Z_j is taken
+        once per distinct level.  Every other system runs the DP
+        (``_net_measure_dp``).  Both keep the same horizon.
+        """
+        if not self.spec.multiplicative:
+            return self._net_measure_dp(s, windows, node_budget)
+        horizon = self.max_depth_within(node_budget, max(K for _, K in windows))
+        schedule = self.spec.schedule
+        log_z = []  # log Z_j(s) per distinct level
+        for lvl in schedule.levels:
+            moduli = np.abs(np.stack([np.diag(m.entries) for m in lvl.maps], axis=1))  # (d, n)
+            log_z.append(logsumexp(log_phi_from_logs(-np.sort(-np.log(moduli), axis=0), s)))
+        log_s = list(itertools.accumulate(log_z[schedule.level_index(t)]
+                                          for t in range(1, horizon + 1)))
+        return [min(log_s[k - 1:K]) if K <= horizon else None for k, K in windows]
+
+    def _net_measure_dp(self, s: float, windows, node_budget: int):
+        """``net_measure_series`` by the DP on the class tree, for any system.
 
         The tree is built to the deepest K that fits.  One sweep runs the
         min-recursion from the deepest K up to the shallowest k over a stack
@@ -1126,8 +1159,13 @@ def cutset_rows(spec: SystemSpec, s: float, epsilon: float) -> tuple:
         raw = (Q[:, None] @ np.stack([mat.entries for mat in lvl.maps])).reshape(-1, d, d)
         scale = np.abs(raw).max(axis=(1, 2))
         raw /= scale[:, None, None]
-        # math.log element by element: np.log differs from it in the last bit on some inputs
-        log_scale = np.repeat(log_scale, n) + np.fromiter(map(math.log, scale), float, len(scale))
+        # math.log once per run of equal factors (a depth of scalar or shared-
+        # modulus maps is one run): np.log differs from it in the last bit on
+        # some inputs, and np.unique's first sort raises the peak RSS
+        starts = np.flatnonzero(np.concatenate([[True], scale[1:] != scale[:-1]]))
+        log_scale = np.repeat(log_scale, n) + np.repeat(
+            np.fromiter(map(math.log, scale[starts]), float, len(starts)),
+            np.diff(starts, append=len(scale)))
         log_det = np.repeat(log_det, n) + np.tile(lvl.log_dets, len(Q))
         logs = _stack_log_svs(raw, log_scale, log_det)
         words = np.empty((len(raw), depth), dtype=digit_type)

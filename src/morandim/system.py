@@ -204,6 +204,23 @@ class SystemSpec:
         return max(max(lvl.op_norms) for lvl in self.schedule.levels)
 
     @cached_property
+    def multiplicative(self) -> bool:
+        """Whether phi^s multiplies along words, phi^s(T_w) = prod_j phi^s(T_{j,w_j}).
+
+        True when every map is diagonal and, for every pair of coordinates
+        (a, b), either every map has |c_a| >= |c_b| or every map has |c_a| <=
+        |c_b|: one total preorder of the coordinates then fits every map, so a
+        product's singular values are the products of its maps' moduli taken
+        in one fixed order.  Any d = 1 system qualifies.
+        """
+        maps = [m for lvl in self.schedule.levels for m in lvl.maps]
+        if not all(m.is_diagonal() for m in maps):
+            return False
+        c = np.abs(np.array([np.diag(m.entries) for m in maps]))   # (maps, d)
+        above = (c[:, :, None] > c[:, None, :]).any(axis=0)         # some |c_a| > |c_b|
+        return not (above & above.T).any()
+
+    @cached_property
     def findings(self) -> tuple:
         """``validate(self)`` as a tuple, taken once per spec."""
         return tuple(validate(self))

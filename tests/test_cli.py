@@ -686,6 +686,24 @@ def test_a_dims_job_builds_one_engine(monkeypatch, capsys, which):
     assert [engine.workers for engine in built] == [min(2, len(os.sched_getaffinity(0)))]
 
 
+@pytest.mark.parametrize("budget", [(), ("--node-budget", "3000")])
+def test_dims_sa_on_a_multiplicative_lattice_builds_no_level(monkeypatch, capsys, budget):
+    # random_diag_pair's s_A series is its least level product; with the
+    # horizon cut by the budget too, the lattice is never extended
+    extended = []
+    real = symbolic.DiagonalEngine._extend
+
+    def recorded(engine, t):
+        extended.append(t)
+        real(engine, t)
+
+    monkeypatch.setattr(symbolic.DiagonalEngine, "_extend", recorded)
+    code, out, err, _ = _main(capsys, "dims", "--fixture", "random_diag_pair", "--which", "sa",
+                              *budget)
+    assert code == 0 and err == "" and json.loads(out)["schedule"]["engine"] == "diagonal"
+    assert extended == []
+
+
 @pytest.mark.parametrize("which, error", [
     ("falconer", "the pressure root needs a stationary (constant) schedule"),
     ("falconer,sa", "the pressure root needs a stationary (constant) schedule"),

@@ -116,9 +116,27 @@ def test_aggregated_net_measure_matches_generic_walk(name):
     windows = [(1, 4), (2, 6), (3, 6), (5, 6), (4, 4)]
     for s in (0.6, 1.1, 1.7):
         fast = make_engine(spec).net_measure_series(s, windows, DEFAULT_NODE_BUDGET)
-        walk = GenericEngine(spec).net_measure_series(s, windows, DEFAULT_NODE_BUDGET)
+        # the walker's DP itself, not its product path, so the routes stay independent
+        walk = GenericEngine(spec)._net_measure_dp(s, windows, DEFAULT_NODE_BUDGET)
         for a, b in zip(fast, walk):
             assert a == pytest.approx(b, rel=1e-9)
+
+
+@pytest.mark.parametrize("tol", [0.02, 1e-4])
+def test_sA_of_random_diag_pair_is_the_same_report_by_the_lattice_dp(tol):
+    """``random_diag_pair`` is multiplicative, so its s_A series is the least
+    level product and no tree is built.  The lattice's DP, which builds the
+    tree, gives the same report: estimate, bracket, flags and every probe's
+    class.  C4 compares the product route's s_A with the pressure root."""
+    spec = fixture("random_diag_pair")
+    assert spec.multiplicative
+    dp_engine = make_engine(spec)
+    dp_engine.net_measure_series = dp_engine._net_measure_dp
+    dp = estimate_sA(spec, tol=tol, engine=dp_engine)
+    product_engine = make_engine(spec)
+    product = estimate_sA(spec, tol=tol, engine=product_engine)
+    assert len(dp_engine._logs) > 1 and len(product_engine._logs) == 1
+    assert dataclasses.asdict(product) == dataclasses.asdict(dp)
 
 
 def test_net_measure_window_over_budget_raises():

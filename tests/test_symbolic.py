@@ -32,6 +32,7 @@ from morandim.symbolic import (
     product,
 )
 from morandim.system import (
+    SCHEDULE_KINDS,
     Box,
     LevelSpec,
     Schedule,
@@ -798,7 +799,9 @@ def test_worker_counts_give_the_same_bits(monkeypatch):
     on the engine, under the CPU cap that ``dims --threads`` applies, so three
     workers run on any machine.  Every quantity must equal the serial
     engine's, bit for bit: the pruned walks of a fresh engine (which expand
-    their own frontiers), then the kept levels and the net-measure windows."""
+    their own frontiers), then the kept levels and the net-measure windows
+    of the DP, run directly, and on a multiplicative system of the product
+    path too (``net_measure_series`` there folds nothing)."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
@@ -811,11 +814,16 @@ def test_worker_counts_give_the_same_bits(monkeypatch):
         engine = (DiagonalEngine if spec.schedule.kind == "constant" else GenericEngine)(spec)
         engine.workers = workers
         try:
+            # on a multiplicative system net_measure_series builds no level and
+            # starts no pool, so the walks below still run on a fresh engine
+            nets = [engine.net_measure_series(s, windows, budget)
+                    for budget in (40, 20_000) if spec.multiplicative]
+            assert _built_depth(engine) == 0 and engine._pool is None
             walks = [(engine.schedule_log_sums(s, log_eps, budget),
                       [engine.cutset_groups(s, le, budget) for le in log_eps[::2]])
                      for budget in _walk_budgets(spec)]
             levels = engine._levels(6)
-            nets = [engine.net_measure_series(s, windows, budget) for budget in (40, 20_000)]
+            nets += [engine._net_measure_dp(s, windows, budget) for budget in (40, 20_000)]
             # a level wider than one chunk starts the pool
             assert (engine._pool is not None) == (workers > 1
                                                   and max(logs.shape[1] for logs in levels) > 4)
@@ -843,17 +851,18 @@ def test_worker_counts_give_the_same_bits(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-# |net_measure_series - the same DP on _logaddexp_fold| <= NET_ULPS ulps of max(1,
+# |the net-measure DP - the same DP on _logaddexp_fold| <= NET_ULPS ulps of max(1,
 # |reference|): a window's DP takes at most a few dozen fold steps of about an ulp
-# each (2 ulps was the largest seen, on example_5_3)
+# each (2 ulps was the largest seen, on example_5_3).  The DP runs directly, so a
+# multiplicative system, whose net_measure_series folds nothing, checks it too.
 NET_ULPS = 32
 
 
 def _check_net_series_against_the_logaddexp_fold(engine, s, windows, budget):
-    got = engine.net_measure_series(s, windows, budget)
+    got = engine._net_measure_dp(s, windows, budget)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(symbolic, "_log_row_sums", _logaddexp_fold)
-        want = engine.net_measure_series(s, windows, budget)
+        want = engine._net_measure_dp(s, windows, budget)
     assert [g is None for g in got] == [w is None for w in want]
     for g, w in zip(got, want):
         if w is not None:
@@ -1153,8 +1162,9 @@ def test_lattice_matches_the_word_walk_on_generated_diagonal_systems():
     def check(spec, s):
         lattice, words = DiagonalEngine(spec), GenericEngine(spec)
         assert close(lattice.level_log_sums(s, depths), words.level_log_sums(s, depths))
-        nets = [lattice.net_measure_series(s, windows, budget),
-                words.net_measure_series(s, windows, budget)]
+        # the two DPs: on a multiplicative system net_measure_series builds no tree
+        nets = [lattice._net_measure_dp(s, windows, budget),
+                words._net_measure_dp(s, windows, budget)]
         assert None not in nets[0] + nets[1]
         assert close(*nets)
         log_eps = [math.log(e) for e in GEN_EPS]
@@ -1175,9 +1185,12 @@ def test_lattice_matches_the_word_walk_on_generated_diagonal_systems():
 @pytest.mark.parametrize("name", ["random_diag_pair", "example_5_3"])
 def test_net_measure_horizon_is_the_deepest_window_that_fits(name):
     """A window is evaluated exactly when the classes through its K, root
-    included, fit the budget, and the tree is built only that deep."""
+    included, fit the budget, and the DP builds the tree only that deep.
+    ``random_diag_pair`` is multiplicative, so ``net_measure_series`` keeps
+    the horizon there and builds nothing; the DP then runs directly."""
     spec = fixture(name)
     for K in range(2, 7):
+        windows = [(1, K), (K, K), (1, K + 1), (K + 1, K + 1)]
         if name == "random_diag_pair":  # t + 1 choice-count vectors at depth t
             budget = sum(t + 1 for t in range(K + 1))
         else:
@@ -1186,11 +1199,109 @@ def test_net_measure_horizon_is_the_deepest_window_that_fits(name):
         engine = make_engine(spec)
         assert engine.max_depth_within(budget) == K
         assert engine.max_depth_within(budget - 1) == K - 1
-        got = engine.net_measure_series(1.1, [(1, K), (K, K), (1, K + 1), (K + 1, K + 1)],
-                                        budget)
+        got = engine.net_measure_series(1.1, windows, budget)
         assert None not in got[:2] and got[2:] == [None, None]
-        built = engine._tree_logs if name == "example_5_3" else engine._logs[1:]
-        assert len(built) == K
+        assert _built_depth(engine) == (0 if spec.multiplicative else K)
+        dp = engine._net_measure_dp(1.1, windows, budget)
+        assert None not in dp[:2] and dp[2:] == [None, None]
+        assert _built_depth(engine) == K
+
+
+def _built_depth(engine):
+    """How deep a class-tree engine has built its unpruned levels."""
+    return len(engine._tree_logs if isinstance(engine, GenericEngine) else engine._logs[1:])
+
+
+# ---------------------------------------------------------------------------
+# the net measure of a multiplicative system: the least level product
+# ---------------------------------------------------------------------------
+
+# |product path - DP| <= PRODUCT_UNITS units u = 2^-53 of max(1, |DP|), stated
+# before the first run: both routes round once per depth (the running sum of
+# up to nine per-level log sums, the DP's fold), each by an ulp of partial sums
+# that can be some ten times |v|, so a few hundred units was the expected
+# scale; 400 generated systems (18,504 values) measured at most 28
+PRODUCT_UNITS = 4096
+# moduli on a coarse grid, so maps tie on coordinates and scalar maps are common
+MODULI = (0.1, 0.15, 0.2, 0.3, 0.4, 0.45)
+
+
+def _multiplicative_system(d, kind, branches, seed):
+    """A system of diagonal maps, one level per entry of ``branches``, whose
+    coordinates keep one order of moduli (a random permutation of the axes)
+    in every map: ties, scalar maps and negative entries included.  ``kind``
+    is the schedule kind; a constant schedule keeps the first level only."""
+    rng = np.random.default_rng(seed)
+    axes = rng.permutation(d)
+
+    def make():
+        moduli = np.full(d, rng.choice(MODULI)) if rng.random() < 0.25 else \
+            -np.sort(-rng.choice(MODULI, d))
+        entries = np.empty(d)
+        entries[axes] = moduli * rng.choice((-1.0, 1.0), d)
+        return Matrix.diagonal(entries.tolist())
+
+    levels = tuple(LevelSpec(n, tuple(make() for _ in range(n))) for n in branches)
+    if kind == "constant":
+        schedule = Schedule(kind, levels[:1])
+    elif kind == "explicit_prefix_then_periodic":
+        schedule = Schedule(kind, levels, period=int(rng.integers(1, len(levels) + 1)))
+    elif kind == "geometric_blocks":
+        schedule = Schedule(kind, levels, block_base=int(rng.integers(1, 4)),
+                            block_ratio=int(rng.integers(2, 4)))
+    else:
+        schedule = Schedule(kind, levels)
+    return SystemSpec(d, schedule, TranslationScheme("explicit", table={}),
+                      Box(np.zeros(d), np.ones(d)))
+
+
+def test_the_product_path_equals_the_dp_on_multiplicative_systems():
+    """Constant systems go to the lattice and the others to the walker; at
+    every exponent, s > d included, and both budgets, the product path
+    misses the same windows as the DP and is within PRODUCT_UNITS of it."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    windows = [(1, 6), (1, 1), (2, 5), (3, 6), (6, 6), (4, 9)]
+
+    @settings(max_examples=_examples(60))
+    @given(st.builds(_multiplicative_system, st.sampled_from([1, 2, 3]),
+                     st.sampled_from(SCHEDULE_KINDS),
+                     st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3),
+                     st.integers(0, 2 ** 32 - 1)))
+    def check(spec):
+        assert spec.multiplicative
+        engine = (DiagonalEngine if spec.schedule.kind == "constant" else GenericEngine)(spec)
+        for s in (0.0, *GEN_S):
+            for budget in (40, 20_000):
+                got = engine.net_measure_series(s, windows, budget)
+                want = engine._net_measure_dp(s, windows, budget)
+                assert [g is None for g in got] == [w is None for w in want]
+                for g, w in zip(got, want):
+                    if w is not None:
+                        assert abs(g - w) <= PRODUCT_UNITS * 2.0 ** -53 * max(1.0, abs(w)), \
+                            (s, budget, g, w)
+
+    check()
+
+
+def test_the_least_level_sum_is_not_the_net_measure_of_an_unordered_system():
+    """The guard matters: the maps of level A order their coordinates both
+    ways, so phi^s does not multiply, and the DP's net measure lies well
+    below the least level sum over each window."""
+    A = LevelSpec(2, (Matrix.diagonal([0.45, 0.2]), Matrix.diagonal([0.3, 0.45])))
+    B = LevelSpec(3, (Matrix.diagonal([0.2, 0.3]), Matrix.diagonal([0.25, 0.3]),
+                      Matrix.diagonal([0.3, 0.2])))
+    spec = SystemSpec(2, Schedule("periodic", (A, B)), TranslationScheme("explicit", table={}),
+                      Box(np.zeros(2), np.ones(2)))
+    assert not spec.multiplicative
+    engine = make_engine(spec)
+    windows = [(2, 12), (4, 14)]
+    net = engine.net_measure_series(0.75, windows, symbolic.DEFAULT_NODE_BUDGET)
+    sums = engine.level_log_sums(0.75, range(1, 15))
+    least = [min(sums[k - 1:K]) for k, K in windows]
+    assert [round(math.exp(v), 4) for v in net] == [1.0727, 1.1150]
+    assert [round(math.exp(v), 4) for v in least] == [1.1256, 1.1666]
 
 
 # ---------------------------------------------------------------------------
@@ -1577,10 +1688,11 @@ def test_window_sweep_matches_single_window_calls():
     @given(st.one_of(_generated_systems(st), _generated_systems(st, diagonal=True)),
            st.sampled_from(GEN_S), st.sampled_from([40, 400, 4000]), windows)
     def check(spec, s, budget, wins):
-        shared = make_engine(spec)
-        got = shared.net_measure_series(s, wins, budget)
-        assert len(got) == len(wins)
-        for w, item in zip(wins, got):
-            assert item == type(shared)(spec).net_measure_series(s, [w], budget)[0]
+        for route in ("net_measure_series", "_net_measure_dp"):  # the DP on every system
+            shared = make_engine(spec)
+            got = getattr(shared, route)(s, wins, budget)
+            assert len(got) == len(wins)
+            for w, item in zip(wins, got):
+                assert item == getattr(type(shared)(spec), route)(s, [w], budget)[0]
 
     check()

@@ -272,3 +272,60 @@ def test_a_broken_document_gets_its_exact_message(patches, message):
     with pytest.raises(ConfigError) as exc:
         parse_structure(doc)
     assert str(exc.value) == message
+
+
+def _diagonal_system(*levels):
+    """A periodic system with one level per argument, each a list of maps
+    given by their diagonals."""
+    d = len(levels[0][0])
+    return parse_structure({
+        "dim": d,
+        "seed_region": {"lo": [0.0] * d, "hi": [1.0] * d},
+        "schedule": {"kind": "periodic", "levels": [
+            {"branch_count": len(maps), "maps": [np.diag(c).tolist() for c in maps]}
+            for maps in levels]},
+        "translations": {"kind": "explicit", "table": {}},
+    })
+
+
+@pytest.mark.parametrize("levels", [
+    ([(0.5, 0.5), (0.3, 0.4)],),                      # a tie
+    ([(-0.5, 0.2), (0.4, -0.3)],),                    # negative entries
+    ([(0.5, 0.2), (0.4, 0.3)], [(0.3, 0.3), (0.2, 0.1), (-0.25, 0.25)]),
+    ([(0.5, 0.3, 0.3), (0.4, 0.4, 0.2)],),            # d = 3, ties on two pairs
+    ([(0.2, 0.5, 0.3), (0.1, 0.4, 0.4)],),            # one order, not the axes'
+    ([(0.5,), (-0.3,)], [(0.2,), (0.25,), (0.1,)]),   # d = 1
+])
+def test_multiplicative_when_one_order_of_moduli_fits_every_map(levels):
+    assert _diagonal_system(*levels).multiplicative
+
+
+@pytest.mark.parametrize("levels", [
+    ([(0.45, 0.2), (0.3, 0.45)],),
+    ([(0.5, 0.3, 0.2), (0.5, 0.2, 0.3)],),            # d = 3, only the last pair disagrees
+    ([(0.5, 0.2), (0.4, 0.3)], [(0.2, 0.5), (0.3, 0.4)]),  # each level consistent, not both
+])
+def test_not_multiplicative_when_two_maps_order_a_pair_both_ways(levels):
+    assert not _diagonal_system(*levels).multiplicative
+
+
+def test_a_map_that_is_not_diagonal_is_not_multiplicative():
+    doc = fixture_document("random_diag_pair")
+    assert parse_structure(doc).multiplicative
+    doc["schedule"]["levels"][0]["maps"][1][0][1] = 0.01
+    assert not parse_structure(doc).multiplicative
+    assert not fixture("example_5_3").multiplicative
+
+
+def test_every_d1_fixture_is_multiplicative():
+    d1 = [name for name in fixture_names() if fixture(name).dim == 1]
+    assert d1 and all(fixture(name).multiplicative for name in d1)
+
+
+@pytest.mark.parametrize("name", ["random_diag_pair", "example_5_3", "middle_thirds"])
+def test_parsing_leaves_multiplicative_untaken(name):
+    """The predicate is a cached property: a parsed spec has not taken it."""
+    spec = parse_spec(fixture_document(name))
+    assert "multiplicative" not in vars(spec)
+    assert spec.multiplicative in (True, False)
+    assert "multiplicative" in vars(spec)

@@ -38,6 +38,9 @@ EXTRA = [
     ("dims:d1_periodic", ["dims", "d1.json", "--which", "sstar,sa", "--out", "out/dims"]),
     ("dims:lattice_shared", ["dims", "--fixture", "random_diag_pair", "--which",
                              "sa,falconer,sstar", "--threads", "2"]),
+    ("dims:lattice_sa_budget", ["dims", "--fixture", "random_diag_pair", "--which", "sa",
+                                "--node-budget", "3000"]),
+    ("dims:d2_ordered_periodic", ["dims", "ordered.json", "--which", "sstar,sa"]),
     ("dims:generic_falconer_sstar", ["dims", "--fixture", "example_5_3", "--which",
                                      "falconer,sstar"]),
     ("dims:singular_falconer", ["dims", "--fixture", "example_5_2", "--which", "falconer"]),
@@ -67,8 +70,17 @@ def inputs(base_src):
         middle_thirds = json.load(f)
     with open(os.path.join(ROOT, "tests", "golden", "periodic_scalar_d1.json")) as f:
         d1 = f.read()  # distinct scalar maps at d = 1, one of them negative
+    # periodic d = 2 diagonal levels whose coordinates keep one order of moduli
+    # (ties and a negative entry included), so the generic walker serves them
+    # as a multiplicative system
+    ordered = {"dim": 2, "seed_region": {"lo": [0, 0], "hi": [1, 1]},
+               "schedule": {"kind": "periodic", "levels": [
+                   {"branch_count": 2, "maps": [[[0.5, 0], [0, 0.5]], [[-0.4, 0], [0, 0.3]]]},
+                   {"branch_count": 3, "maps": [[[0.3, 0], [0, 0.2]], [[0.25, 0], [0, 0.25]],
+                                                [[0.45, 0], [0, -0.1]]]}]},
+               "translations": {"kind": "explicit", "table": {}}}
     return {"bad.json": '{"dim": 1,', "double.json": json.dumps(json.dumps(middle_thirds)),
-            "d1.json": d1}
+            "d1.json": d1, "ordered.json": json.dumps(ordered)}
 
 
 def run(src, argv, job_dir, files):
