@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, MoranDimError, UnresolvedTranslation
-from .linalg import log_singular_values
+from .errors import BudgetExceeded, DimensionMismatch, UnresolvedTranslation
 from .symbolic import Word, validate_word
 from .system import SystemSpec, hash_to_unit, mix64_batch, _mix64
 
@@ -151,11 +150,10 @@ def _project_codes(spec: SystemSpec, codes: np.ndarray, seed: int) -> np.ndarray
     x = [np.full(N, c) for c in spec.seed_region.center]
     for k in range(K, 0, -1):
         lvl = spec.level(k)
-        if lvl.maps_all_identical():
-            T = lvl.maps[0].entries
+        if lvl.identical:
+            T = lvl.array[0]
         else:
-            T = _gather(np.stack([m.entries.ravel() for m in lvl.maps]),
-                        codes[:, k - 1]).T.reshape(d, d, N)
+            T = _gather(lvl.array.reshape(-1, d * d), codes[:, k - 1]).T.reshape(d, d, N)
         w = translation(k).T
         nxt = []
         for i in range(d):
@@ -326,17 +324,13 @@ def boxdim_fit(cloud: PointCloud, scales) -> BoxCountCurve:
 
 def _all_ternary(spec: SystemSpec) -> bool:
     """Whether every singular value in the schedule is a power of 1/3; stops
-    at the first map whose values are not."""
+    at the first level whose values are not (a zero value is not)."""
     for lvl in spec.schedule.levels:
-        for m in lvl.maps:
-            try:
-                logs = log_singular_values(m)
-            except MoranDimError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.log(np.linalg.svd(lvl.array, compute_uv=False)) / math.log(1.0 / 3.0)
+            power = np.round(ratio)
+            if not ((np.abs(ratio - power) <= 1e-9) & (power >= 1)).all():
                 return False
-            for lv in logs:
-                ratio = lv / math.log(1.0 / 3.0)
-                if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-                    return False
     return True
 
 

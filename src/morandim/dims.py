@@ -319,20 +319,17 @@ def pressure_root(spec: SystemSpec, tol: float = 1e-7,
 
 
 def _scalar_ratios(spec: SystemSpec) -> dict:
-    """Per distinct level, the list of scalar contraction ratios.
-
-    Raises InapplicableEstimator naming the offending level when any map is
-    not scalar.
-    """
+    """Per distinct level, the list of scalar contraction ratios;
+    InapplicableEstimator naming the first map that is not scalar."""
     ratios = {}
     for idx, lvl in enumerate(spec.schedule.levels):
-        for j, m in enumerate(lvl.maps):
-            if not m.is_scalar():
-                raise InapplicableEstimator(
-                    f"levels[{idx}].maps[{j}] is not a scalar matrix; "
-                    "the product-equation dimensions need scalar maps"
-                )
-        ratios[idx] = [abs(float(m.entries[0, 0])) for m in lvl.maps]
+        bad = np.flatnonzero(~lvl.scalar)
+        if bad.size:
+            raise InapplicableEstimator(
+                f"levels[{idx}].maps[{bad[0]}] is not a scalar matrix; "
+                "the product-equation dimensions need scalar maps"
+            )
+        ratios[idx] = lvl.moduli[:, 0].tolist()
     return ratios
 
 

@@ -3,9 +3,10 @@
 Everything here is sized for d <= 8. Singular values are what the rest of
 the package consumes, so they get both a plain and a log-domain form; the
 log form stays finite for extremely contracted products whose entries
-would underflow after squaring.  ``log_singular_values`` and ``op_norm``
-rescale by the largest entry, then take the closed form if d = 2 and one SVD
-otherwise (exactly 1.0 for the 1 x 1 +-1), as ``symbolic._stack_log_svs`` does.
+would underflow after squaring.  ``log_singular_values``, ``op_norm`` and
+``op_norms`` rescale by the largest entry, then take the closed form if d = 2
+and one SVD otherwise (exactly 1.0 for the 1 x 1 +-1), as
+``symbolic._stack_log_svs`` does.
 """
 from __future__ import annotations
 
@@ -55,13 +56,6 @@ class Matrix:
 
     def det(self) -> float:
         return float(np.linalg.det(self.entries))
-
-    def is_diagonal(self) -> bool:
-        return np.array_equal(self.entries, np.diag(np.diag(self.entries)))
-
-    def is_scalar(self) -> bool:
-        diag = np.diag(self.entries)
-        return self.is_diagonal() and bool(np.all(diag == diag[0]))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -168,3 +162,17 @@ def op_norm(t: Matrix) -> float:
         s1, _ = _sv2_scaled(arr / scale)
         return scale * s1
     return scale * float(np.linalg.svd(arr / scale, compute_uv=False)[0])
+
+
+def op_norms(stack: np.ndarray) -> np.ndarray:
+    """``op_norm`` of each matrix of an (n, d, d) stack, bit for bit: the d = 2
+    closed form takes ``math.hypot`` element by element (``np.hypot`` differs
+    from it in the last bit on some inputs)."""
+    scale = np.abs(stack).max(axis=(1, 2))
+    unit = stack / np.where(scale == 0.0, 1.0, scale)[:, None, None]  # a zero map stays 0
+    if stack.shape[-1] != 2:
+        return scale * np.linalg.svd(unit, compute_uv=False)[:, 0]
+    (a, b), (c, d) = unit.transpose(1, 2, 0)  # as in _sv2_scaled
+    q, r = (np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(unit))
+            for x, y in (((a + d) / 2.0, (c - b) / 2.0), ((a - d) / 2.0, (c + b) / 2.0)))
+    return scale * (q + r)

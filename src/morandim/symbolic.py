@@ -7,33 +7,15 @@ Every tree quantity has four entry points on each engine:
 ``level_log_sums`` (per-depth sums).  ``_Engine`` replays the first two
 from one stop record, which each level store writes with the other two:
 
-* ``UniformEngine`` — every level's maps are identical, so all words at a
-  depth share one product; the tree collapses to a chain with
-  multiplicities, kept as one (d, T + 1) array of log singular values that
-  grows in blocks of depths.  Its traversals read that array: a level sum
-  gathers its columns, and the stop record (one node per epsilon) searches
-  its alpha_m row.  A cover there sits at one depth, so a net-measure
-  window [k, K] is the least of the level sums at depths k..K.
-* ``_ClassTree`` — the traversals over a level tree of classes, for two
-  level stores.  ``DiagonalEngine`` is the composition lattice of a
-  stationary diagonal family: diagonal maps commute, so a class is a
-  per-map choice count with a multinomial word count.  ``GenericEngine``
-  has one class per word over each level's distinct maps, whose word count
-  is the product of its maps' multiplicities; it is the only store that
-  pays the exponential price.  Its unpruned levels do not depend on s, so
-  they are expanded once per engine and reused by every probe; the pruned
-  walks read them through the indices of their surviving nodes and expand
-  only past them.  When a signed permutation P maps every level's multiset
-  of maps onto itself by conjugation, one depth keeps one map per orbit of
-  P: the subtrees under the maps of an orbit are mirror images, with the
-  same singular values (see ``GenericEngine``).  That leaves every count
-  and budget as it was, and sums over a merged row can move by an ulp.
-
-A multiplicative system (``SystemSpec.multiplicative``: diagonal maps whose
-coordinates keep one order of moduli) has phi^s(T_w) = prod_j
-phi^s(T_{j,w_j}), so on either class tree its net measure takes the chain's
-rule from the level products, and no tree is built for it (see
-``_ClassTree.net_measure_series``).
+* ``UniformEngine``: every level's maps are identical, so the tree is a
+  chain with multiplicities.
+* ``_ClassTree``: a level tree of classes of words with equal singular
+  values, as the composition lattice of a stationary diagonal family
+  (``DiagonalEngine``) or as words over each level's distinct maps, merged
+  further by a symmetry of the maps (``GenericEngine``, the only store that
+  pays the exponential price).  A multiplicative system
+  (``SystemSpec.multiplicative``) takes its net measure from the level
+  products, with no tree (``_ClassTree.net_measure_series``).
 
 The two kinds of traversal keep two budget rules.  A net-measure window is
 evaluated exactly when the budget covers the tree through its horizon K,
@@ -43,54 +25,31 @@ pruned walk (the cut-set quantities) pays, per level, what it expands, and
 stops before the level that would exceed the budget.  The lattice counts
 its classes; the generic walker counts the words its classes stand for, so
 its horizons and truncation do not depend on how often a level repeats a
-map.  The stop record of an epsilon schedule visits, at each depth, only
-the buckets that depth can reach.  Which edges stop in which bucket depends
-on s only through the branch index m, so the s* sums record once per (m,
-schedule, budget), and every probe replays it by one array reduction on
-every store: a chain sum is its level sum, and a class-tree sum may differ
-by an ulp from a group-by-group logsumexp, which the reports do not show.
-
-The class tree's net-measure DP (``_net_measure_dp``, every system that is
-not multiplicative) evaluates all the windows of a call in one
-sweep from the deepest horizon up, over a stack with one row per window.
-Each depth reduces every row's children with ``_log_row_sums``, a pairwise
-fold over the children's columns in whole-array ufuncs (max + log1p(exp(min
-- max)), numpy's ``logaddexp`` formula); a window joins the stack at its
-horizon and leaves it at its min depth, where its row is summed weighted by
-the word counts.  The fold's ``np.exp`` is numpy's SIMD kernel, so a net
-measure's last bit can differ by an ulp from one CPU's SIMD extensions to
-another's.  The reports carry only each probe's trend class and the
-bisection bracket, which an ulp does not move unless a probe sits on a
-classifier's threshold.
+map.  A stop record visits, at each depth, only the epsilon buckets that
+depth can reach, and every s* probe replays it by one array reduction: a
+class-tree sum may differ by an ulp from a group-by-group logsumexp, and
+the net-measure DP's fold (``_log_row_sums``) from one CPU's SIMD
+extensions to another's.  The reports carry only trend classes and
+brackets, which an ulp does not move unless a probe sits on a classifier's
+threshold.
 
 Every per-node array of log singular values, from the level stores through
 the pruned walks and the stop record to ``log_phi_from_logs``, is a
-C-contiguous (d, N) array, axis 0 the singular-value index: each index is
-one contiguous row, so gathers, the alpha_m row and phi^s read contiguous
-memory.  The generic walker keeps each level's products the same way, as d^2
-contiguous entry columns, (d, d, N), and expands them by elementwise
-multiply-adds.  The class tree's level-wide array work (the generic
-expansion, each level's log phi^s, and each depth of the net-measure fold)
-runs through ``_Engine._blocks`` in chunks of ``_CHUNK`` columns, and a
-level of more than one chunk is split over ``workers`` threads (1 unless the
-caller sets it, as ``dims --threads`` does), one contiguous block per
-worker.  Every chunk does the same elementwise arithmetic on its own
-columns, so the bits are the same at any worker count.
+C-contiguous (d, N) array, axis 0 the singular-value index, so gathers, the
+alpha_m row and phi^s read contiguous memory.  The generic walker keeps each
+level's products as d^2 contiguous entry columns, (d, d, N).  The class
+tree's level-wide array work runs in chunks over ``workers`` threads
+(``_Engine._blocks``), with the same bits at any worker count.
 
 ``cutset_rows`` lists the cut-set words themselves, independently of the
-engines, from plain products taken one depth at a time, as digit lists;
-``iter_cutset_words`` yields them as ``Word`` objects.  The chain and the
+engines, from plain products taken one depth at a time.  The chain and the
 lister read the singular values of their rescaled products in one step,
 ``_stack_log_svs``: d = 2 takes the closed form, any other d one SVD.
-
-Equal-product aggregation is the central performance decision: the shipped
-block fixtures have 9^k-size levels that reduce to O(1) work per depth.
 All multiplicities are exact integers; all magnitudes live in the log
 domain so depth-hundreds products stay finite.
 """
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -101,7 +60,7 @@ import numpy as np
 from .errors import BudgetExceeded, MoranDimError
 from .linalg import Matrix, SingularValues, mat_mul, singular_values, sv2_batch
 from .svf import branch_index, log_phi_from_logs
-from .system import SystemSpec, require_invariants
+from .system import LevelSpec, SystemSpec, require_invariants
 
 DEFAULT_NODE_BUDGET = 10_000_000
 # Deepest chain and Moran depth: 10^4 levels of 9 maps' exact word counts take ~20 MB.
@@ -388,8 +347,7 @@ class UniformEngine(_Engine):
     values, column t for depth t (column 0 the root), and the exact word
     count and its log per depth.  ``_extend`` adds depths in blocks: the
     running product takes one matmul per depth, rescaled by its largest
-    entry, and a block's singular values come from one ``sv2_batch`` call
-    (d = 2, the smaller value from the log |det|) or one stacked SVD.
+    entry, and a block's singular values come from ``_stack_log_svs``.
     """
 
     kind = "uniform"
@@ -417,7 +375,7 @@ class UniformEngine(_Engine):
                                         self._counts[-1], [])
         for i, k in enumerate(range(T + 1, t + 1)):
             lvl = schedule.level(k)
-            raw = chain @ lvl.maps[0].entries
+            raw = chain @ lvl.array[0]
             scale = max(map(abs, raw.ravel().tolist()))
             if scale <= 0.0:
                 raise MoranDimError(f"level {k} map drives the chain product to zero")
@@ -549,7 +507,7 @@ class _ClassTree(_Engine):
         schedule = self.spec.schedule
         log_z = []  # log Z_j(s) per distinct level
         for lvl in schedule.levels:
-            moduli = np.abs(np.stack([np.diag(m.entries) for m in lvl.maps], axis=1))  # (d, n)
+            moduli = np.ascontiguousarray(lvl.moduli.T)  # (d, n)
             log_z.append(logsumexp(log_phi_from_logs(-np.sort(-np.log(moduli), axis=0), s)))
         log_s = list(itertools.accumulate(log_z[schedule.level_index(t)]
                                           for t in range(1, horizon + 1)))
@@ -660,9 +618,7 @@ class DiagonalEngine(_ClassTree):
         super().__init__(spec)
         lvl = spec.schedule.levels[0]
         self.n_maps = lvl.branch_count
-        self.log_c = np.array(
-            [[math.log(abs(m.entries[i, i])) for i in range(self.d)] for m in lvl.maps]
-        )  # (M, d)
+        self.log_c = np.array([list(map(math.log, row)) for row in lvl.moduli.tolist()])  # (M, d)
         self._comps = np.zeros((1, self.n_maps), dtype=np.int64)  # the deepest level's classes
         self._logs = [np.zeros((self.d, 1))]  # per depth, the (d, C_t) log singular values
         self._log_mult = [np.zeros(1)]
@@ -752,18 +708,22 @@ class DiagonalEngine(_ClassTree):
         return -math.inf, nodes
 
 
-def _merge_orbits(mults: collections.Counter, P: np.ndarray) -> collections.Counter:
-    """``mults`` with each orbit of conjugation by P merged into its first
-    map, which takes the orbit's summed multiplicity; ``mults`` must be
-    closed under the conjugation."""
-    out = collections.Counter(mults)
-    for m in mults:
-        if m in out:  # not merged into an earlier map's orbit
-            image = Matrix(P @ m.entries @ P.T)
-            while image != m:
-                out[m] += out.pop(image)
-                image = Matrix(P @ image.entries @ P.T)
-    return out
+def _merge_orbits(lvl: LevelSpec, P: np.ndarray):
+    """``lvl.distinct`` with each orbit of conjugation by P merged into its
+    first map, which takes the orbit's summed multiplicity; the level's maps
+    must be closed under the conjugation."""
+    first, out = lvl.distinct[0], lvl.distinct[1].copy()
+    maps = lvl.array[first]
+    flat, kept = maps.reshape(len(maps), -1), np.ones(len(maps), dtype=bool)
+    for i, m in enumerate(maps):
+        if kept[i]:  # not merged into an earlier map's orbit
+            image = P @ m @ P.T
+            while not np.array_equal(image, m):
+                j = np.flatnonzero((flat == image.reshape(-1)).all(axis=1))[0]
+                out[i] += out[j]
+                kept[j] = False
+                image = P @ image @ P.T
+    return first[kept], out[kept]
 
 
 def _find_quotient(spec: SystemSpec):
@@ -772,17 +732,15 @@ def _find_quotient(spec: SystemSpec):
     level's multiset of maps onto itself and moves some map, with k the
     first depth holding a map it moves; None when there is none, or when k
     would lie past ``_MAX_CHAIN_DEPTH``.  Only d = 2 and d = 3 are searched
-    (4 and 24 candidates, as P and -P conjugate alike).
-
-    Conjugation by P only moves and negates entries, so the tests are exact
-    float comparisons, which count -0.0 equal to 0.0, on (n, d, d) arrays.
-    Of several such P, the one leaving the fewest classes per distinct map
-    at its depth k is taken, the first found on a tie.
+    (4 and 24 candidates, as P and -P conjugate alike), by exact float
+    comparisons of the levels' arrays.  Of several such P, the one leaving
+    the fewest classes per distinct map at its depth k is taken, the first
+    found on a tie.
     """
     d = spec.dim
     if not 2 <= d <= 3:
         return None
-    mats = [np.stack([m.entries for m in lvl.maps]) for lvl in spec.schedule.levels]
+    mats = [lvl.array for lvl in spec.schedule.levels]
 
     def sorted_rows(x):  # equal multisets of maps give equal arrays
         flat = x.reshape(len(x), -1)
@@ -803,8 +761,7 @@ def _find_quotient(spec: SystemSpec):
                       if spec.schedule.level_index(t) in moved), None)
             if k is None:
                 continue
-            mults = collections.Counter(spec.level(k).maps)
-            ratio = len(_merge_orbits(mults, P)) / len(mults)
+            ratio = len(_merge_orbits(spec.level(k), P)[0]) / len(spec.level(k).distinct[0])
             if ratio < best_ratio:
                 best, best_ratio = (k, P), ratio
     return best
@@ -818,10 +775,8 @@ class GenericEngine(_ClassTree):
     equal products, and so do all their extensions.  A class stands for the
     product of its maps' multiplicities in words.  Node i's children sit at
     i*a .. i*a + a - 1 of the next level, for a level of a distinct maps.
-    A level's unit-norm products are d^2 entry columns, (d, d, N), and its
-    log singular values a (d, N) array.  The unpruned tree is expanded once
-    per engine and its levels are kept (``_levels``); the pruned ``_walk``
-    reads them.
+    The unpruned tree is expanded once per engine and its levels are kept
+    (``_levels``); the pruned ``_walk`` reads them.
 
     A symmetry of the maps merges classes further (``_find_quotient``, at
     construction).  Let P be a signed permutation matrix whose conjugation
@@ -850,31 +805,22 @@ class GenericEngine(_ClassTree):
         self._quotient = _find_quotient(spec)
 
     def _level_maps(self, k: int):
-        """Level k's distinct maps in first-occurrence order: their (a, d, d)
-        matrices, log |det|s and int64 multiplicities.
+        """Level k's distinct maps (``LevelSpec.distinct``): their (a, d, d)
+        matrices, log |det|s and int64 multiplicities; at the quotient depth
+        (see the class docstring), one map per orbit of the symmetry.
 
-        At the quotient depth (see the class docstring), the maps are one per
-        orbit of the symmetry.  For d = 2 a mirrored subtree's level logs are
-        bit for bit those of the subtree it mirrors when its maps' float
-        determinants are their images' (as for example_5_3's shears): each
-        product entry is a two-term sum taken in the other order, and
-        ``sv2_batch`` is symmetric under the swap and the sign flips.  A
-        fold of two equal columns gave x + log1p(1) = x + log 2, which the
-        merged class now adds through its multiplicity, so only a sum over
-        a row that holds other classes too can move, by an ulp: the
-        stop-record replay, ``CutSet.log_sum`` and a net-measure window's
-        last logsumexp.  For d = 3 the three-term sums change order, so
-        values move by ulps.
+        For d = 2 a mirrored subtree's level logs are bit for bit those of
+        the subtree it mirrors when its maps' float determinants are their
+        images' (as for example_5_3's shears), so only a sum over a row that
+        holds other classes too can move, by an ulp, as the merged class adds
+        log 2 through its multiplicity.  For d = 3 values move by ulps.
         """
         if k not in self._level_cache:
             lvl = self.spec.level(k)
-            mults = collections.Counter(lvl.maps)
+            first, mults = lvl.distinct
             if self._quotient is not None and k == self._quotient[0]:
-                mults = _merge_orbits(mults, self._quotient[1])
-            mats = np.stack([m.entries for m in mults])
-            log_det = dict(zip(lvl.maps[::-1], lvl.log_dets[::-1]))  # first occurrence wins
-            logdets = np.array([log_det[m] for m in mults])
-            self._level_cache[k] = (mats, logdets, np.array(list(mults.values()), dtype=np.int64))
+                first, mults = _merge_orbits(lvl, self._quotient[1])
+            self._level_cache[k] = (lvl.array[first], lvl.log_dets[first], mults)
         return self._level_cache[k]
 
     def _arity(self, depth: int) -> int:
@@ -1056,9 +1002,9 @@ def make_engine(spec: SystemSpec):
     """
     flags = [f"{f.severity}:{f.code}" for f in require_invariants(spec)]
     levels = spec.schedule.levels
-    if all(lvl.maps_all_identical() for lvl in levels):
+    if all(lvl.identical for lvl in levels):
         engine = UniformEngine(spec)
-    elif spec.schedule.kind == "constant" and levels[0].maps_all_diagonal():
+    elif spec.schedule.kind == "constant" and levels[0].diagonal.all():
         engine = DiagonalEngine(spec)
     else:
         engine = GenericEngine(spec)
@@ -1156,7 +1102,7 @@ def cutset_rows(spec: SystemSpec, s: float, epsilon: float) -> tuple:
         depth += 1
         lvl = spec.level(depth)
         n = lvl.branch_count
-        raw = (Q[:, None] @ np.stack([mat.entries for mat in lvl.maps])).reshape(-1, d, d)
+        raw = (Q[:, None] @ lvl.array).reshape(-1, d, d)
         scale = np.abs(raw).max(axis=(1, 2))
         raw /= scale[:, None, None]
         # math.log once per run of equal factors (a depth of scalar or shared-

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from typing import Optional
 
 import numpy as np
 
-from .errors import ERROR, WARNING, ConfigError, Finding
-from .linalg import SINGULAR_DET_TOL, Matrix, op_norm, singular_values
+from .errors import ERROR, WARNING, ConfigError, Finding, NonsingularityViolated
+from .linalg import MAX_DIM, SINGULAR_DET_TOL, Matrix, op_norms
 
 SCHEDULE_KINDS = ("constant", "periodic", "explicit_prefix_then_periodic", "geometric_blocks")
 TRANSLATION_KINDS = ("digit_grid", "finite_alphabet", "random_iid", "explicit")
@@ -30,44 +30,80 @@ DIAMETER_PRODUCT_TOL = 1e-3
 DIAMETER_MAX_LEVELS = 10_000
 
 
-@dataclass(frozen=True)
 class LevelSpec:
-    """One level of the schedule: n_k maps and optional per-branch translations."""
+    """One level of the schedule: n_k maps and optional per-branch translations.
 
-    branch_count: int
-    maps: tuple
-    digits: Optional[tuple] = None
+    ``maps`` is a sequence of ``Matrix`` objects or d x d arrays, or an (n,
+    d, d) array.  The level keeps them as one read-only float64 (n, d, d)
+    ``array`` and takes every fact of its maps from it, once, on first use:
+    per map its op norm, det, log |det| (-inf for a zero det), whether it is
+    diagonal or scalar and its diagonal moduli; whether all maps are
+    identical, and the distinct ones.  ``maps`` reads them back as ``Matrix``
+    objects.  Where ``math`` and ``numpy`` give other bits (hypot, log), the
+    facts take ``math``'s, as the per-map formulas do.
+    """
 
-    def __post_init__(self):
-        if self.branch_count < 2:
-            raise ConfigError(f"branch_count must be >= 2, got {self.branch_count}")
-        if len(self.maps) != self.branch_count:
-            raise ConfigError(
-                f"level has {len(self.maps)} maps but branch_count {self.branch_count}"
-            )
-        if self.digits is not None and len(self.digits) != self.branch_count:
-            raise ConfigError(
-                f"level has {len(self.digits)} digits but branch_count {self.branch_count}"
-            )
+    def __init__(self, branch_count: int, maps, digits: Optional[tuple] = None):
+        if branch_count < 2:
+            raise ConfigError(f"branch_count must be >= 2, got {branch_count}")
+        if len(maps) != branch_count:
+            raise ConfigError(f"level has {len(maps)} maps but branch_count {branch_count}")
+        if digits is not None and len(digits) != branch_count:
+            raise ConfigError(f"level has {len(digits)} digits but branch_count {branch_count}")
+        if not isinstance(maps, np.ndarray):
+            maps = [getattr(m, "entries", m) for m in maps]
+        try:
+            array = np.array(maps, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            array = None
+        if (array is None or array.ndim != 3 or array.shape[1] != array.shape[2]
+                or not 1 <= array.shape[1] <= MAX_DIM or not np.isfinite(array).all()):
+            raise ConfigError(f"maps do not form one stack of d x d matrices with "
+                              f"1 <= d <= {MAX_DIM} and finite entries")
+        array.flags.writeable = False
+        self.branch_count, self.array, self.digits = branch_count, array, digits
 
     @cached_property
-    def op_norms(self) -> tuple:
-        """Each map's op norm, taken once per parsed level and read by
-        ``validate`` and ``SystemSpec.alpha_plus``."""
-        return tuple(op_norm(m) for m in self.maps)
+    def maps(self) -> tuple:
+        return tuple(map(Matrix, self.array))
 
     @cached_property
-    def log_dets(self) -> tuple:
-        """Each map's log |det|, -inf for a zero determinant, taken once per
-        parsed level and read by the engines and the cut-set lister."""
-        return tuple(math.log(abs(det)) if det else -math.inf
-                     for det in map(Matrix.det, self.maps))
+    def op_norms(self) -> np.ndarray:
+        return op_norms(self.array)
 
-    def maps_all_identical(self) -> bool:
-        return all(m == self.maps[0] for m in self.maps[1:])
+    @cached_property
+    def dets(self) -> np.ndarray:
+        return np.linalg.det(self.array)
 
-    def maps_all_diagonal(self) -> bool:
-        return all(m.is_diagonal() for m in self.maps)
+    @cached_property
+    def log_dets(self) -> np.ndarray:
+        return np.array([math.log(abs(det)) if det else -math.inf for det in self.dets.tolist()])
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        return (self.array[:, ~np.eye(self.array.shape[1], dtype=bool)] == 0.0).all(axis=1)
+
+    @cached_property
+    def scalar(self) -> np.ndarray:
+        diag = np.diagonal(self.array, axis1=1, axis2=2)
+        return self.diagonal & (diag == diag[:, :1]).all(axis=1)
+
+    @cached_property
+    def moduli(self) -> np.ndarray:
+        return np.abs(np.diagonal(self.array, axis1=1, axis2=2))  # (n, d)
+
+    @cached_property
+    def identical(self) -> bool:
+        return bool((self.array == self.array[0]).all())
+
+    @cached_property
+    def distinct(self) -> tuple:
+        """(index of each distinct map's first occurrence, in increasing
+        order; int64 multiplicities), -0.0 equal to 0.0 as in ``Matrix``."""
+        flat = self.array.reshape(self.branch_count, -1) + 0.0
+        _, first, counts = np.unique(flat, axis=0, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return first[order], counts[order].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -198,10 +234,16 @@ class SystemSpec:
     seed_region: Box
     name: str = ""
 
+    def __post_init__(self):
+        for i, lvl in enumerate(self.schedule.levels):
+            if lvl.array.shape[1] != self.dim:
+                raise ConfigError(f"schedule.levels[{i}]: expected {self.dim}x{self.dim} maps, "
+                                  f"got {lvl.array.shape[1]}x{lvl.array.shape[1]}")
+
     @cached_property
     def alpha_plus(self) -> float:
         """sup of the maps' op norms over the schedule, singular maps included."""
-        return max(max(lvl.op_norms) for lvl in self.schedule.levels)
+        return max(float(lvl.op_norms.max()) for lvl in self.schedule.levels)
 
     @cached_property
     def multiplicative(self) -> bool:
@@ -213,10 +255,10 @@ class SystemSpec:
         product's singular values are the products of its maps' moduli taken
         in one fixed order.  Any d = 1 system qualifies.
         """
-        maps = [m for lvl in self.schedule.levels for m in lvl.maps]
-        if not all(m.is_diagonal() for m in maps):
+        levels = self.schedule.levels
+        if not all(lvl.diagonal.all() for lvl in levels):
             return False
-        c = np.abs(np.array([np.diag(m.entries) for m in maps]))   # (maps, d)
+        c = np.concatenate([lvl.moduli for lvl in levels])          # (maps, d)
         above = (c[:, :, None] > c[:, None, :]).any(axis=0)         # some |c_a| > |c_b|
         return not (above & above.T).any()
 
@@ -233,8 +275,13 @@ class SystemSpec:
 
 
 def alpha_bounds(spec: SystemSpec) -> AlphaBounds:
-    """sup alpha_1 and inf alpha_d over the finitely many distinct levels."""
-    minus = min(singular_values(m).values[-1] for lvl in spec.schedule.levels for m in lvl.maps)
+    """sup alpha_1 and inf alpha_d over the finitely many distinct levels;
+    NonsingularityViolated for a map with |det| <= SINGULAR_DET_TOL."""
+    levels = spec.schedule.levels
+    if min(float(np.abs(lvl.dets).min()) for lvl in levels) <= SINGULAR_DET_TOL:
+        raise NonsingularityViolated(
+            f"matrix is singular or near-singular (|det| <= {SINGULAR_DET_TOL})")
+    minus = min(float(np.linalg.svd(lvl.array, compute_uv=False)[:, -1].min()) for lvl in levels)
     return AlphaBounds(alpha_plus=spec.alpha_plus, alpha_minus=minus)
 
 
@@ -251,19 +298,18 @@ def validate(spec: SystemSpec) -> list:
     findings = []
     levels = spec.schedule.levels
     for idx, lvl in enumerate(levels):
-        for j, (m, nrm) in enumerate(zip(lvl.maps, lvl.op_norms)):
+        norms, singular = lvl.op_norms.tolist(), np.abs(lvl.dets) <= SINGULAR_DET_TOL
+        for j in np.flatnonzero((lvl.op_norms >= 1.0) | singular).tolist():
             where = f"levels[{idx}].maps[{j}]"
-            if nrm >= 1.0:
-                findings.append(
-                    Finding("ContractionViolated", ERROR, f"op_norm {nrm:.6g} >= 1", where)
-                )
-            if abs(m.det()) <= SINGULAR_DET_TOL:
-                findings.append(
-                    Finding("NonsingularityViolated", ERROR, "matrix is singular", where)
-                )
+            if norms[j] >= 1.0:
+                findings.append(Finding("ContractionViolated", ERROR,
+                                        f"op_norm {norms[j]:.6g} >= 1", where))
+            if singular[j]:
+                findings.append(Finding("NonsingularityViolated", ERROR,
+                                        "matrix is singular", where))
     if not any(f.code == "ContractionViolated" for f in findings):
         level_log_norm = [math.log(nrm) if nrm > 0.0 else -math.inf
-                          for nrm in (max(lvl.op_norms) for lvl in levels)]
+                          for nrm in (float(lvl.op_norms.max()) for lvl in levels)]
         log_prod = 0.0
         vanished = False
         for k in range(1, DIAMETER_MAX_LEVELS + 1):
@@ -372,16 +418,21 @@ def _box(obj, d: int, path: str) -> Box:
 def _parse_level(obj, d: int, path: str) -> LevelSpec:
     _require_keys(obj, {"branch_count", "maps", "digits"}, {"branch_count", "maps"}, path)
     n = _typed(obj, "branch_count", int, path, required=True)
-    maps = []
-    for j, rows in enumerate(_typed(obj, "maps", list, path, required=True)):
-        try:
-            maps.append(Matrix.from_rows(rows))
-        except Exception as exc:
-            raise ConfigError(f"{path}.maps[{j}]: {exc}") from exc
-        if maps[-1].dim != d:
-            raise ConfigError(f"{path}.maps[{j}]: expected a {d}x{d} matrix")
+    maps = _typed(obj, "maps", list, path, required=True)
+    try:
+        stack = np.asarray(maps, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # an int past the float range overflows
+        stack = None
+    if stack is None or stack.shape[1:] != (d, d) or d > MAX_DIM or not np.isfinite(stack).all():
+        for j, rows in enumerate(maps):  # name the first map that is not d x d and finite
+            try:
+                m = Matrix.from_rows(rows)
+            except Exception as exc:
+                raise ConfigError(f"{path}.maps[{j}]: {exc}") from exc
+            if m.dim != d:
+                raise ConfigError(f"{path}.maps[{j}]: expected a {d}x{d} matrix")
     digits = _vectors(_typed(obj, "digits", list, path), d, f"{path}.digits")
-    return _build(LevelSpec, path, branch_count=n, maps=tuple(maps), digits=digits)
+    return _build(LevelSpec, path, branch_count=n, maps=stack, digits=digits)
 
 
 def parse_structure(document) -> SystemSpec:

@@ -15,7 +15,7 @@ import pytest
 
 from morandim import attractor, cli, linalg, symbolic
 from morandim.errors import ConfigError
-from morandim.linalg import log_singular_values, op_norm
+from morandim.linalg import op_norm, op_norms
 from morandim.system import fixture, fixture_document, fixture_names, parse_structure
 
 CLI = [sys.executable, "-m", "morandim.cli"]
@@ -516,15 +516,19 @@ def test_boxdim_enumerates_a_level_wider_than_uint16(tmp_path, capsys):
     assert rep["schedule"]["count"] == WIDE_LEVEL
 
 
-def test_default_scales_stops_at_the_first_non_ternary_map(tmp_path, capsys, monkeypatch):
-    # 1e-5 is no power of 1/3, so the first map already makes the scales dyadic
-    calls = []
-    monkeypatch.setattr(attractor, "log_singular_values",
-                        lambda m: calls.append(m) or log_singular_values(m))
-    code, out, err, _ = _main(capsys, "boxdim", _wide_level_config(tmp_path), "--depth", "1",
-                              "--count", "5000")
-    assert code == 0 and err == ""
-    assert len(calls) == 1
+def test_default_scales_stops_at_the_first_non_ternary_level(tmp_path, monkeypatch):
+    # 1e-5 is no power of 1/3, so the wide first level already makes the scales
+    # dyadic, in one batched SVD, and the ternary second level is never read
+    wide = json.loads(pathlib.Path(_wide_level_config(tmp_path)).read_text())
+    wide["schedule"]["kind"] = "periodic"
+    wide["schedule"]["levels"].append({"branch_count": 2, "maps": [[[1 / 3]]] * 2,
+                                       "digits": [[0.0], [2 / 3]]})
+    spec = parse_structure(wide)
+    spec.alpha_plus  # the scales' floor reads the op norms, which take SVDs for d = 1
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
+    assert attractor.default_scales(spec, 10)[:2] == [1 / 8, 1 / 16]
+    assert calls == [(WIDE_LEVEL, 1, 1)]
 
 
 TWO_D_FIXTURES = [name for name in fixture_names() if fixture_document(name)["dim"] == 2]
@@ -533,18 +537,23 @@ TWO_D_FIXTURES = [name for name in fixture_names() if fixture_document(name)["di
 @pytest.mark.parametrize("name", TWO_D_FIXTURES)
 def test_boxdim_takes_each_map_norm_once(monkeypatch, capsys, name):
     # validate, the truncation error and the default scales all read the
-    # parsed levels' norms; every name the package binds op_norm to is counted
+    # parsed levels' norms; every name the package binds op_norm or op_norms
+    # to is counted, one call per map or one per stack of maps
     calls = []
-    bound = [(module, attr) for module_name, module in list(sys.modules.items())
+    counted = {"op_norm": lambda m: calls.append(1) or op_norm(m),
+               "op_norms": lambda stack: calls.append(len(stack)) or op_norms(stack)}
+    bound = [(module, attr, counted[value.__name__])
+             for module_name, module in list(sys.modules.items())
              if module_name.split(".")[0] == "morandim"
-             for attr, value in vars(module).items() if value is linalg.op_norm]
-    assert (linalg, "op_norm") in bound
-    for module, attr in bound:
-        monkeypatch.setattr(module, attr, lambda m: calls.append(m) or op_norm(m))
+             for attr, value in vars(module).items()
+             if value is linalg.op_norm or value is linalg.op_norms]
+    assert {(linalg, "op_norm"), (linalg, "op_norms")} <= {b[:2] for b in bound}
+    for module, attr, fn in bound:
+        monkeypatch.setattr(module, attr, fn)
     code, _, _, _ = _main(capsys, "boxdim", "--fixture", name)
     assert code in (0, 1)  # example_5_1 and example_5_3 refuse depth 10 as too shallow
     levels = fixture(name).schedule.levels
-    assert len(calls) == sum(lvl.branch_count for lvl in levels)
+    assert sum(calls) == sum(lvl.branch_count for lvl in levels)
 
 
 def _special_file(path, kind):

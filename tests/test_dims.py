@@ -200,9 +200,25 @@ def test_moran_dk_values():
     assert moran_dk(third, 1) == pytest.approx(S_SIM, abs=1e-9)
 
 
+_NOT_SCALAR = "is not a scalar matrix; the product-equation dimensions need scalar maps"
+
+
 def test_moran_dk_rejects_non_scalar():
-    with pytest.raises(InapplicableEstimator, match="levels"):
+    with pytest.raises(InapplicableEstimator,
+                       match=rf"^levels\[0\]\.maps\[0\] {re.escape(_NOT_SCALAR)}$"):
         moran_dk(fixture("example_5_4"), 3)
+
+
+def test_moran_dk_names_the_first_non_scalar_map_at_a_later_level():
+    # -0.0 off the diagonal and a negative scalar are still scalar maps
+    scalar = Matrix.from_rows([[0.25, -0.0], [0.0, 0.25]])
+    a = LevelSpec(2, (scalar, Matrix.diagonal([-1 / 3, -1 / 3])))
+    b = LevelSpec(4, (scalar, scalar, Matrix.diagonal([0.25, 0.2]), Matrix.from_rows(
+        [[0.25, 0.01], [0.0, 0.25]])))
+    spec = dataclasses.replace(fixture("similarity_pair"), schedule=Schedule("periodic", (a, b)))
+    with pytest.raises(InapplicableEstimator,
+                       match=rf"^levels\[1\]\.maps\[2\] {re.escape(_NOT_SCALAR)}$"):
+        moran_dk(spec, 3)
 
 
 @pytest.mark.parametrize("k, error, match", [

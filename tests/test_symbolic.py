@@ -801,18 +801,34 @@ def test_worker_counts_give_the_same_bits(monkeypatch):
     engine's, bit for bit: the pruned walks of a fresh engine (which expand
     their own frontiers), then the kept levels and the net-measure windows
     of the DP, run directly, and on a multiplicative system of the product
-    path too (``net_measure_series`` there folds nothing)."""
+    path too (``net_measure_series`` there folds nothing).
+
+    The pool must start exactly when some call has handed ``_blocks`` more
+    than one chunk of columns, checked after the walks, ``_levels(6)`` and
+    the DP.  Those widths are not the widths of ``_levels(6)``: the DP builds
+    the tree down to its deepest window, K = 9 (on ``_repeating_system(1,
+    [(0, 0), (0, 0), (0, 1, 0)], 0)`` its 8 classes at depth 9 start the
+    pool, while no level through depth 6 holds more than 4), and the
+    lattice takes log phi^s over all its levels in one call.  Runs with and
+    without a pool must both occur."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
     monkeypatch.setattr(symbolic, "_CHUNK", 4)
     windows = [(1, 6), (2, 5), (3, 6), (6, 6), (4, 9)]
     log_eps = [math.log(e) for e in GEN_EPS]
+    pools = set()  # whether a pool started, over the runs with more than one worker
 
     def run(spec, s, workers):
         # the generated diagonal systems are the constant ones
         engine = (DiagonalEngine if spec.schedule.kind == "constant" else GenericEngine)(spec)
         engine.workers = workers
+        chunked, blocks = [0], engine._blocks  # every width handed to _blocks
+        engine._blocks = lambda n, fn: chunked.append(n) or blocks(n, fn)
+
+        def check_pool():
+            assert (engine._pool is not None) == (workers > 1 and max(chunked) > 4)
+
         try:
             # on a multiplicative system net_measure_series builds no level and
             # starts no pool, so the walks below still run on a fresh engine
@@ -822,11 +838,13 @@ def test_worker_counts_give_the_same_bits(monkeypatch):
             walks = [(engine.schedule_log_sums(s, log_eps, budget),
                       [engine.cutset_groups(s, le, budget) for le in log_eps[::2]])
                      for budget in _walk_budgets(spec)]
+            check_pool()
             levels = engine._levels(6)
+            check_pool()
             nets += [engine._net_measure_dp(s, windows, budget) for budget in (40, 20_000)]
-            # a level wider than one chunk starts the pool
-            assert (engine._pool is not None) == (workers > 1
-                                                  and max(logs.shape[1] for logs in levels) > 4)
+            check_pool()
+            if workers > 1:
+                pools.add(engine._pool is not None)
         finally:
             engine.close()
         return walks, [logs.tobytes() for logs in levels], nets
@@ -846,9 +864,12 @@ def test_worker_counts_give_the_same_bits(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
+        # the DP starts the pool on this one (see above), always run
+        check.hypothesis.inner_test(_repeating_system(1, [(0, 0), (0, 0), (0, 1, 0)], 0), 0.3)
         check()
     finally:
         sys.setswitchinterval(interval)
+    assert pools == {False, True}
 
 
 # |the net-measure DP - the same DP on _logaddexp_fold| <= NET_ULPS ulps of max(1,

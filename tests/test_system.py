@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import json
 import math
 
@@ -6,7 +8,7 @@ import pytest
 
 from morandim import system
 from morandim.errors import ConfigError, ContractionViolated
-from morandim.linalg import Matrix, op_norm
+from morandim.linalg import Matrix, op_norm, op_norms, sv2_batch
 from morandim.system import (
     LevelSpec,
     Schedule,
@@ -115,10 +117,11 @@ def test_validate_middle_thirds_clean():
 def test_validate_takes_each_map_norm_once(monkeypatch, name):
     # the diameter check reuses the per-level max norms of the findings loop
     spec, calls = fixture(name), []
-    monkeypatch.setattr(system, "op_norm", lambda m: calls.append(m) or op_norm(m))
+    monkeypatch.setattr(system, "op_norms",
+                        lambda stack: calls.append(len(stack)) or op_norms(stack))
     codes = [f.code for f in validate(spec)]
     assert "ContractionViolated" not in codes
-    assert len(calls) == sum(lvl.branch_count for lvl in spec.schedule.levels)
+    assert calls == [lvl.branch_count for lvl in spec.schedule.levels]
 
 
 def test_validate_halfnorm_warning_severity():
@@ -258,6 +261,17 @@ _VEC1 = "expected a length-1 vector of finite numbers"
     ({("seed_region", "hi"): [0.0]}, "$.seed_region: box must have nonempty interior (hi > lo)"),
     ({("translations",): {"kind": "random_iid", "region": {"lo": [1.0], "hi": [1.0]}}},
      "$.translations.region: box must have nonempty interior (hi > lo)"),
+    # each map of a level that is not one (n, d, d) stack is named by the first bad one
+    ({("schedule", "levels", 0, "maps", 1): [[0.5, 0.0], [0.0, 0.5]]},
+     "$.schedule.levels[0].maps[1]: expected a 1x1 matrix"),
+    ({("schedule", "levels", 0, "maps", 1): [[0.5, 0.0]]},
+     "$.schedule.levels[0].maps[1]: matrix must be square, got shape (1, 2)"),
+    ({("schedule", "levels", 0, "maps", 0): [[float("inf")]]},
+     "$.schedule.levels[0].maps[0]: matrix entries must be finite"),
+    ({("schedule", "levels", 0, "maps", 1): [["x"]]},
+     "$.schedule.levels[0].maps[1]: could not convert string to float: 'x'"),
+    ({("schedule", "levels", 0, "maps"): []},
+     "$.schedule.levels[0]: level has 0 maps but branch_count 2"),
 ])
 def test_a_broken_document_gets_its_exact_message(patches, message):
     doc = fixture_document("middle_thirds")
@@ -329,3 +343,137 @@ def test_parsing_leaves_multiplicative_untaken(name):
     assert "multiplicative" not in vars(spec)
     assert spec.multiplicative in (True, False)
     assert "multiplicative" in vars(spec)
+
+
+# ---------------------------------------------------------------------------
+# a level's maps are one (n, d, d) array
+# ---------------------------------------------------------------------------
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _per_map_facts(maps):
+    """A level's facts by the per-map formulas, from its ``Matrix`` objects."""
+    diagonal = [np.array_equal(m.entries, np.diag(np.diag(m.entries))) for m in maps]
+    counts, first = collections.Counter(maps), {}
+    for j, m in enumerate(maps):
+        first.setdefault(m, j)
+    return {
+        "op_norms": _bits([op_norm(m) for m in maps]),
+        "log_dets": _bits([math.log(abs(m.det())) if m.det() else -math.inf for m in maps]),
+        "diagonal": diagonal,
+        "scalar": [diag and bool(np.all(np.diag(m.entries) == m.entries[0, 0]))
+                   for diag, m in zip(diagonal, maps)],
+        "identical": all(m == maps[0] for m in maps),
+        "moduli": _bits([np.abs(np.diag(m.entries)) for m in maps]),
+        # the Counter keeps each map's first occurrence, in first-occurrence order
+        "distinct": ([first[key] for key in counts], list(counts.values()),
+                     [key.entries.tobytes() for key in counts]),
+    }
+
+
+def _array_facts(lvl):
+    first, counts = lvl.distinct
+    return {
+        "op_norms": _bits(lvl.op_norms),
+        "log_dets": _bits(lvl.log_dets),
+        "diagonal": lvl.diagonal.tolist(),
+        "scalar": lvl.scalar.tolist(),
+        "identical": lvl.identical,
+        "moduli": _bits(lvl.moduli),
+        "distinct": (first.tolist(), counts.tolist(), [lvl.array[j].tobytes() for j in first]),
+    }
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_level_facts_keep_the_per_map_bits_on_every_fixture(name):
+    doc = fixture_document(name)
+    for lvl, obj in zip(fixture(name).schedule.levels, doc["schedule"]["levels"]):
+        assert _array_facts(lvl) == _per_map_facts([Matrix.from_rows(m) for m in obj["maps"]])
+
+
+def _flip_zeros(entries):
+    """``entries`` with 0.0 and -0.0 swapped: a map equal to the given one."""
+    return np.where(entries == 0.0, -entries, entries)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_level_facts_keep_the_per_map_bits_on_a_wide_random_level(d):
+    """5,000 maps drawn from 3,000, with zeroed entries of either sign; a
+    third of the pool is diagonal and a tenth scalar.  At d = 2, np.hypot
+    gives other bits than math.hypot on about 0.5% of random maps, so an op
+    norm taken through ``sv2_batch`` fails here (checked below)."""
+    rng = np.random.default_rng(d)
+    pool = rng.uniform(-1.0, 1.0, (3000, d, d)) * (rng.random((3000, d, d)) < 0.8)
+    pool[:1000] *= np.eye(d)
+    pool[:300] = np.eye(d) * pool[:300, :1, :1]
+    pool *= np.where(rng.random((3000, d, d)) < 0.5, -1.0, 1.0)  # -0.0 where a zero flips
+    picks = rng.integers(0, 3000, 5000)
+    maps = [Matrix(_flip_zeros(pool[i]) if rng.random() < 0.3 else pool[i]) for i in picks]
+    lvl = LevelSpec(len(maps), maps)
+    assert _array_facts(lvl) == _per_map_facts(maps)
+    if d == 2:  # the data tells the two: the closed form through np.hypot moves some norms
+        scale = np.abs(lvl.array).max(axis=(1, 2))
+        scale[scale == 0.0] = 1.0
+        assert _bits(scale * sv2_batch(lvl.array / scale[:, None, None])[0]) != _bits(lvl.op_norms)
+
+
+def test_level_facts_keep_the_per_map_bits_on_generated_levels():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.25, 1 / 3]),
+                        st.floats(-2.0, 2.0, allow_nan=False))
+
+    @st.composite
+    def levels(draw):
+        d = draw(st.integers(1, 3))
+        pool = draw(st.lists(st.lists(entries, min_size=d * d, max_size=d * d),
+                             min_size=1, max_size=4))
+        picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()),
+                              min_size=2, max_size=8))
+        return [Matrix(_flip_zeros(np.reshape(pool[i], (d, d))) if flip
+                       else np.reshape(pool[i], (d, d))) for i, flip in picks]
+
+    @settings(max_examples=settings.default.max_examples // 2)
+    @given(levels())
+    def check(maps):
+        # np.linalg.det flags a divide by zero on some singular maps with
+        # subnormal entries, map by map as in a stack
+        with np.errstate(divide="ignore"):
+            assert _array_facts(LevelSpec(len(maps), maps)) == _per_map_facts(maps)
+
+    check()
+
+
+@pytest.mark.parametrize("maps", [
+    (Matrix.diagonal([0.5, 0.5]), Matrix.diagonal([0.5, 0.5, 0.5])),
+    (np.eye(2) / 2, np.ones((2, 3)) / 4),
+    (np.eye(2) / 2, np.array([[0.5, math.nan], [0.0, 0.5]])),
+    np.zeros((2, 9, 9)),
+    (np.eye(2) / 2, "x"),
+])
+def test_maps_that_are_not_one_stack_are_rejected(maps):
+    with pytest.raises(ConfigError, match=r"^maps do not form one stack of d x d matrices "):
+        LevelSpec(2, maps)
+
+
+def test_a_level_of_other_than_dim_by_dim_maps_is_rejected():
+    spec = fixture("similarity_pair")  # d = 2
+    three = LevelSpec(2, (Matrix.diagonal([0.5, 0.25, 0.25]),) * 2)
+    with pytest.raises(ConfigError, match=r"^schedule.levels\[1\]: expected 2x2 maps, got 3x3$"):
+        dataclasses.replace(spec, schedule=Schedule("periodic",
+                                                    (spec.schedule.levels[0], three)))
+
+
+def test_a_level_keeps_one_read_only_array():
+    rows = [[[0.5, -0.0], [0.0, 0.25]], [[0.5, 0.0], [0.0, 0.25]]]
+    lvl = parse_structure(dict(fixture_document("similarity_pair"), schedule={
+        "kind": "constant", "levels": [{"branch_count": 2, "maps": rows}]},
+        translations={"kind": "explicit", "table": {}})).schedule.levels[0]
+    assert lvl.array.dtype == np.float64 and lvl.array.shape == (2, 2, 2)
+    assert not lvl.array.flags.writeable
+    assert lvl.array.tobytes() == np.array(rows).tobytes()
+    assert lvl.maps == (Matrix.from_rows(rows[0]), Matrix.from_rows(rows[1]))
+    assert lvl.identical and lvl.distinct[0].tolist() == [0]

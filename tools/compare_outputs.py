@@ -51,6 +51,10 @@ EXTRA = [
                               "--epsilon", "0.012", "--out", "out/cut.csv"]),
     ("cutset:d1_periodic", ["cutset", "d1.json", "--s", "0.6", "--epsilon", "1e-3",
                             "--out", "out/cut.csv"]),
+    ("dims:repeated_signed_zero_shears", ["dims", "shears.json", "--which", "sstar,sa"]),
+    ("dims:moran_non_scalar_fixture", ["dims", "--fixture", "example_5_4", "--which", "moran"]),
+    ("dims:moran_non_scalar_later", ["dims", "later_non_scalar.json", "--which", "moran"]),
+    ("validate:singular_later", ["validate", "singular_later.json"]),
 ]
 
 
@@ -79,8 +83,29 @@ def inputs(base_src):
                    {"branch_count": 3, "maps": [[[0.3, 0], [0, 0.2]], [[0.25, 0], [0, 0.25]],
                                                 [[0.45, 0], [0, -0.1]]]}]},
                "translations": {"kind": "explicit", "table": {}}}
+    z = -0.0
+    # a level of I/3 three times and one of two shears twice each, with zeros of
+    # either sign: equal maps, and a coordinate swap that takes one shear to the other
+    shears = dict(ordered, schedule={"kind": "periodic", "levels": [
+        {"branch_count": 3, "maps": [[[1 / 3, 0], [z, 1 / 3]], [[1 / 3, z], [0, 1 / 3]],
+                                     [[1 / 3, 0], [0, 1 / 3]]]},
+        {"branch_count": 4, "maps": [[[0.4, 0.2], [0, 0.4]], [[0.4, 0], [0.2, 0.4]],
+                                     [[0.4, 0.2], [z, 0.4]], [[0.4, z], [0.2, 0.4]]]}]})
+    # scalar maps (one with -0.0 off the diagonal) until levels[1].maps[2]
+    later_non_scalar = dict(ordered, schedule={"kind": "periodic", "levels": [
+        {"branch_count": 2, "maps": [[[0.25, z], [0, 0.25]], [[-1 / 3, 0], [0, -1 / 3]]]},
+        {"branch_count": 4, "maps": [[[0.25, 0], [0, 0.25]], [[0.25, 0], [0, 0.25]],
+                                     [[0.25, 0], [0, 0.2]], [[0.25, 0.01], [0, 0.25]]]}]})
+    # levels[1].maps[1] neither contracts nor is invertible, levels[1].maps[2] is singular
+    singular_later = dict(ordered, schedule={"kind": "periodic", "levels": [
+        {"branch_count": 2, "maps": [[[0.5, 0], [0, 0.5]], [[0.5, 0], [0, 0.25]]]},
+        {"branch_count": 3, "maps": [[[0.5, 0], [0, 0.5]], [[0.3, 1.2], [0.1, 0.4]],
+                                     [[0.5, 0], [0, 0.0]]]}]})
     return {"bad.json": '{"dim": 1,', "double.json": json.dumps(json.dumps(middle_thirds)),
-            "d1.json": d1, "ordered.json": json.dumps(ordered)}
+            "d1.json": d1, "ordered.json": json.dumps(ordered),
+            "shears.json": json.dumps(shears),
+            "later_non_scalar.json": json.dumps(later_non_scalar),
+            "singular_later.json": json.dumps(singular_later)}
 
 
 def run(src, argv, job_dir, files):
