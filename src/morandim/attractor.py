@@ -94,8 +94,7 @@ def _translations(spec: SystemSpec, codes: np.ndarray, seed: int):
         for k in range(1, K + 1):
             if spec.level(k).digits is None:
                 raise UnresolvedTranslation(f"level {k} has no digits")
-        return lambda k: _gather(np.asarray(spec.level(k).digits, dtype=float),
-                                 codes[:, k - 1])
+        return lambda k: _gather(spec.level(k).digits, codes[:, k - 1])
     if scheme.kind == "explicit":
         table = scheme.table or {}
         keys = [""] * N  # each point's prefix word, extended by one digit per level
@@ -327,7 +326,7 @@ def _all_ternary(spec: SystemSpec) -> bool:
     at the first level whose values are not (a zero value is not)."""
     for lvl in spec.schedule.levels:
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.log(np.linalg.svd(lvl.array, compute_uv=False)) / math.log(1.0 / 3.0)
+            ratio = np.log(lvl.singular_values) / math.log(1.0 / 3.0)
             power = np.round(ratio)
             if not ((np.abs(ratio - power) <= 1e-9) & (power >= 1)).all():
                 return False

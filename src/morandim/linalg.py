@@ -3,10 +3,10 @@
 Everything here is sized for d <= 8. Singular values are what the rest of
 the package consumes, so they get both a plain and a log-domain form; the
 log form stays finite for extremely contracted products whose entries
-would underflow after squaring.  ``log_singular_values``, ``op_norm`` and
-``op_norms`` rescale by the largest entry, then take the closed form if d = 2
-and one SVD otherwise (exactly 1.0 for the 1 x 1 +-1), as
-``symbolic._stack_log_svs`` does.
+would underflow after squaring.  ``op_norms``, ``op_norm`` and
+``log_singular_values`` take the largest singular value by one kernel,
+``_unit_sigma1`` (exactly 1.0 for the 1 x 1 +-1); ``sv2_batch``'s closed
+form through ``np.hypot`` can differ from its ``math.hypot`` in the last bit.
 """
 from __future__ import annotations
 
@@ -89,15 +89,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.entries @ b.entries)
 
 
-def _sv2_scaled(arr: np.ndarray) -> tuple:
-    """Closed-form singular values of a 2x2 matrix (descending)."""
-    a, b = arr[0, 0], arr[0, 1]
-    c, d = arr[1, 0], arr[1, 1]
-    q = math.hypot((a + d) / 2.0, (c - b) / 2.0)
-    r = math.hypot((a - d) / 2.0, (c + b) / 2.0)
-    return q + r, abs(q - r)
-
-
 def sv2_batch(mats: np.ndarray) -> tuple:
     """Vectorized closed-form singular values for an (N, 2, 2) stack.
 
@@ -125,12 +116,12 @@ def log_singular_values(t: Matrix) -> tuple:
         raise NonsingularityViolated("zero matrix has no nonzero singular values")
     log_scale = math.log(scale)
     unit = arr / scale
-    sign, logabsdet = np.linalg.slogdet(unit)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a subnormal pivot
+        sign, logabsdet = np.linalg.slogdet(unit)
     if sign == 0.0:
         raise NonsingularityViolated("matrix is singular")
     if d == 2:
-        s1, _ = _sv2_scaled(unit)
-        l1 = math.log(s1)
+        l1 = math.log(float(_unit_sigma1(unit[None])[0]))
         return (log_scale + l1, log_scale + float(logabsdet) - l1)
     vals = np.linalg.svd(unit, compute_uv=False)
     if vals[-1] <= 0.0:
@@ -153,26 +144,26 @@ def singular_values(t: Matrix) -> SingularValues:
 
 
 def op_norm(t: Matrix) -> float:
-    """Largest singular value of ``t``."""
-    arr = t.entries
-    scale = float(np.max(np.abs(arr)))
-    if scale == 0.0:
-        return 0.0
-    if t.dim == 2:
-        s1, _ = _sv2_scaled(arr / scale)
-        return scale * s1
-    return scale * float(np.linalg.svd(arr / scale, compute_uv=False)[0])
+    """Largest singular value of ``t``: ``op_norms`` of a one-matrix stack."""
+    return float(op_norms(t.entries[None])[0])
+
+
+def _unit_sigma1(unit: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of an (n, d, d) stack rescaled by
+    its largest entries: for d = 2 the closed form, with ``math.hypot``
+    element by element (``np.hypot`` differs from it in the last bit on some
+    inputs); for any other d one SVD."""
+    if unit.shape[-1] != 2:
+        return np.linalg.svd(unit, compute_uv=False)[:, 0]
+    (a, b), (c, d) = unit.transpose(1, 2, 0)
+    q, r = (np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(unit))
+            for x, y in (((a + d) / 2.0, (c - b) / 2.0), ((a - d) / 2.0, (c + b) / 2.0)))
+    return q + r
 
 
 def op_norms(stack: np.ndarray) -> np.ndarray:
-    """``op_norm`` of each matrix of an (n, d, d) stack, bit for bit: the d = 2
-    closed form takes ``math.hypot`` element by element (``np.hypot`` differs
-    from it in the last bit on some inputs)."""
+    """Largest singular value of each matrix of an (n, d, d) stack, by
+    ``_unit_sigma1``: 0.0 for a zero map, inf past the float range."""
     scale = np.abs(stack).max(axis=(1, 2))
-    unit = stack / np.where(scale == 0.0, 1.0, scale)[:, None, None]  # a zero map stays 0
-    if stack.shape[-1] != 2:
-        return scale * np.linalg.svd(unit, compute_uv=False)[:, 0]
-    (a, b), (c, d) = unit.transpose(1, 2, 0)  # as in _sv2_scaled
-    q, r = (np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(unit))
-            for x, y in (((a + d) / 2.0, (c - b) / 2.0), ((a - d) / 2.0, (c + b) / 2.0)))
-    return scale * (q + r)
+    with np.errstate(over="ignore"):
+        return scale * _unit_sigma1(stack / np.where(scale == 0.0, 1.0, scale)[:, None, None])

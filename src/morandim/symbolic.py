@@ -5,7 +5,8 @@ Every tree quantity has four entry points on each engine:
 ``cutset_groups``, ``net_measure_series`` (the net measure for a list of
 (k, K) depth windows, evaluated off one pass) and
 ``level_log_sums`` (per-depth sums).  ``_Engine`` replays the first two
-from one stop record, which each level store writes with the other two:
+from one stop record, which each level store writes, and takes the net
+measure as the least level sum over each window wherever that is exact:
 
 * ``UniformEngine``: every level's maps are identical, so the tree is a
   chain with multiplicities.
@@ -14,8 +15,8 @@ from one stop record, which each level store writes with the other two:
   (``DiagonalEngine``) or as words over each level's distinct maps, merged
   further by a symmetry of the maps (``GenericEngine``, the only store that
   pays the exponential price).  A multiplicative system
-  (``SystemSpec.multiplicative``) takes its net measure from the level
-  products, with no tree (``_ClassTree.net_measure_series``).
+  (``SystemSpec.multiplicative``) gives its level sums as products, with
+  no tree; every other system runs the net-measure DP.
 
 The two kinds of traversal keep two budget rules.  A net-measure window is
 evaluated exactly when the budget covers the tree through its horizon K,
@@ -339,6 +340,16 @@ class _Engine:
                                            rec.logs[m - 1].tolist())]
         return groups, not rec.complete[0], rec.nodes
 
+    def net_measure_series(self, s: float, windows, node_budget: int):
+        """Net-measure log values for (k, K) windows, None for a window whose
+        K lies past the store's horizon: min(S_k..S_K) where the store gives
+        its level sums S_t through its horizon (``_net_level_sums``, which
+        says why that is exact), else the DP (``_net_measure_dp``)."""
+        sums = self._net_level_sums(s, max(K for _, K in windows), node_budget)
+        if sums is None:
+            return self._net_measure_dp(s, windows, node_budget)
+        return [min(sums[k - 1:K]) if K <= len(sums) else None for k, K in windows]
+
 
 class UniformEngine(_Engine):
     """Chain engine for schedules whose levels each hold one repeated map.
@@ -414,14 +425,10 @@ class UniformEngine(_Engine):
                       counts if exact else self._log_counts.take(depths),
                       [True] * len(le), depths[-1] if depths else 1)
 
-    def net_measure_series(self, s: float, windows, node_budget: int):
-        """Net-measure log values for (k, K) windows; the chain is not budgeted.
-
-        All words at a depth share one product, so the cheapest cover sits at
-        one depth: the value is the least level sum over [k, K].
-        """
-        sums = self.level_log_sums(s, range(1, max(K for _, K in windows) + 1))
-        return [min(sums[k - 1:K]) for k, K in windows]
+    def _net_level_sums(self, s: float, K: int, node_budget: int) -> list:
+        """The level sums through K, unbudgeted: all words at a depth share
+        one product, so the cheapest cover sits at one depth."""
+        return self.level_log_sums(s, range(1, K + 1))
 
     def _level_log_sums(self, s: float, depths: list) -> list:
         self._extend(max(depths))
@@ -437,8 +444,7 @@ class _ClassTree(_Engine):
     one class: a word over the level's distinct maps on the generic walker,
     a choice-count vector on the composition lattice.  A subclass gives the
     budgeted nodes per depth (``_widths``), the per-depth (d, C_t) log
-    singular values (``_levels``) and their log phi^s (``_log_phis``, one
-    call per level unless the store overrides it), the log word count of
+    singular values (``_levels``), the log word count of
     each class (``_log_mults``), the children per class at a depth
     (``_arity``), a reader of their values (``_child_values(t, v)``: (lo,
     hi) to the (..., hi - lo, arity) values of the children of classes
@@ -487,34 +493,30 @@ class _ClassTree(_Engine):
                       np.concatenate(counts) if rows else np.empty(0),
                       [frontier_la <= float(v) for v in le], nodes)
 
-    def net_measure_series(self, s: float, windows, node_budget: int):
-        """Net-measure log values for (k, K) windows, None for a window whose
-        tree through K, root included, does not fit the budget.
+    def _net_level_sums(self, s: float, K: int, node_budget: int):
+        """For a multiplicative system, the level sums through the deepest
+        depth <= K whose tree fits the budget, with no tree; else None.
 
-        A multiplicative system (``SystemSpec.multiplicative``) builds no
-        tree: phi^s(T_w) = prod_j phi^s(T_{j,w_j}), so its level sums are the
-        products S_t = prod_{j<=t} Z_j of the per-level sums Z_j = sum_i
-        phi^s(T_{j,i}), and the cheapest cover over [k, K] costs exactly
-        min(S_k..S_K) (the mass distribution principle: the Bernoulli measure
-        with weights phi^s(T_{j,i}) / Z_j gives every cover mass 1, and each
-        of its cylinders w costs S_|w| times its mass).  log Z_j is taken
-        once per distinct level.  Every other system runs the DP
-        (``_net_measure_dp``).  Both keep the same horizon.
+        phi^s(T_w) = prod_j phi^s(T_{j,w_j}), so S_t = prod_{j<=t} Z_j with
+        Z_j = sum_i phi^s(T_{j,i}), log Z_j taken once per distinct level.
+        By the mass distribution principle the least S_t is the net measure:
+        the Bernoulli measure with weights phi^s(T_{j,i}) / Z_j gives every
+        cover mass 1, and each of its cylinders w costs S_|w| times its mass.
         """
         if not self.spec.multiplicative:
-            return self._net_measure_dp(s, windows, node_budget)
-        horizon = self.max_depth_within(node_budget, max(K for _, K in windows))
-        schedule = self.spec.schedule
+            return None
+        horizon, schedule = self.max_depth_within(node_budget, K), self.spec.schedule
         log_z = []  # log Z_j(s) per distinct level
         for lvl in schedule.levels:
             moduli = np.ascontiguousarray(lvl.moduli.T)  # (d, n)
             log_z.append(logsumexp(log_phi_from_logs(-np.sort(-np.log(moduli), axis=0), s)))
-        log_s = list(itertools.accumulate(log_z[schedule.level_index(t)]
-                                          for t in range(1, horizon + 1)))
-        return [min(log_s[k - 1:K]) if K <= horizon else None for k, K in windows]
+        return list(itertools.accumulate(log_z[schedule.level_index(t)]
+                                         for t in range(1, horizon + 1)))
 
     def _net_measure_dp(self, s: float, windows, node_budget: int):
-        """``net_measure_series`` by the DP on the class tree, for any system.
+        """``net_measure_series`` by the DP on the class tree, for any system;
+        a window whose tree through K, root included, does not fit the
+        budget is None.
 
         The tree is built to the deepest K that fits.  One sweep runs the
         min-recursion from the deepest K up to the shallowest k over a stack
@@ -524,7 +526,7 @@ class _ClassTree(_Engine):
         is the logsumexp of its depth-k row weighted by the classes' word counts.
         """
         horizon = self.max_depth_within(node_budget, max(K for _, K in windows))
-        logphi = self._log_phis(horizon, s)  # logphi[t - 1]: per-class log phi^s at depth t
+        logphi = [self._log_phi(logs, s) for logs in self._levels(horizon)]  # [t - 1]: depth t
         out = [None] * len(windows)
         joins, leaves = {}, set()
         for i, (k, K) in enumerate(windows):
@@ -561,10 +563,6 @@ class _ClassTree(_Engine):
     def _level_log_sums(self, s: float, depths: list) -> list:
         levels = self._levels(max(depths))
         return [logsumexp(self._log_phi(levels[t - 1], s) + self._log_mults(t)) for t in depths]
-
-    def _log_phis(self, depth: int, s: float) -> list:
-        """Per-class log phi^s at depths 1..depth, one array per depth."""
-        return [self._log_phi(logs, s) for logs in self._levels(depth)]
 
     def _log_phi(self, logs: np.ndarray, s: float) -> np.ndarray:
         """Per-class log phi^s of (d, C) log singular values."""
@@ -606,10 +604,8 @@ class DiagonalEngine(_ClassTree):
     class c's children are c + e_j.  The lattice is extended level by level
     on demand and cached independently of the exponent: per depth the (d,
     C_t) log singular values, the log multinomial word counts, and the
-    (C_t, M) map from each class to its children's rows.  A net-measure
-    probe takes log phi^s of every level in one call over their
-    concatenation (``_log_phis``).  Pruned walks carry exact integer
-    live-word counts per class.
+    (C_t, M) map from each class to its children's rows.  Pruned walks
+    carry exact integer live-word counts per class.
     """
 
     kind = "diagonal"
@@ -662,13 +658,6 @@ class DiagonalEngine(_ClassTree):
     def _levels(self, depth: int) -> list:
         self._extend(depth)
         return self._logs[1:depth + 1]
-
-    def _log_phis(self, depth: int, s: float) -> list:
-        """Per-class log phi^s at depths 1..depth, from one call over all the levels."""
-        levels = self._levels(depth)
-        flat = self._log_phi(np.concatenate([np.empty((self.d, 0)), *levels], axis=1), s)
-        ends = [0, *itertools.accumulate(logs.shape[1] for logs in levels)]
-        return [flat[lo:hi] for lo, hi in zip(ends, ends[1:])]
 
     def _log_mults(self, t: int) -> np.ndarray:
         self._extend(t)

@@ -30,20 +30,31 @@ DIAMETER_PRODUCT_TOL = 1e-3
 DIAMETER_MAX_LEVELS = 10_000
 
 
+def _float_array(values) -> Optional[np.ndarray]:
+    """A new float64 array of ``values``, or None when they are ragged, not
+    numbers, or an int past the float range (which overflows)."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 class LevelSpec:
     """One level of the schedule: n_k maps and optional per-branch translations.
 
     ``maps`` is a sequence of ``Matrix`` objects or d x d arrays, or an (n,
     d, d) array.  The level keeps them as one read-only float64 (n, d, d)
-    ``array`` and takes every fact of its maps from it, once, on first use:
-    per map its op norm, det, log |det| (-inf for a zero det), whether it is
+    ``array``, and its ``digits``, when given, as one read-only float64 (n,
+    d') array; ``SystemSpec`` checks d' against its dim.  Every fact of the
+    maps is taken from ``array``, once, on first use: per map its op norm,
+    singular values, det, log |det| (-inf for a zero det), whether it is
     diagonal or scalar and its diagonal moduli; whether all maps are
     identical, and the distinct ones.  ``maps`` reads them back as ``Matrix``
     objects.  Where ``math`` and ``numpy`` give other bits (hypot, log), the
     facts take ``math``'s, as the per-map formulas do.
     """
 
-    def __init__(self, branch_count: int, maps, digits: Optional[tuple] = None):
+    def __init__(self, branch_count: int, maps, digits=None):
         if branch_count < 2:
             raise ConfigError(f"branch_count must be >= 2, got {branch_count}")
         if len(maps) != branch_count:
@@ -52,15 +63,17 @@ class LevelSpec:
             raise ConfigError(f"level has {len(digits)} digits but branch_count {branch_count}")
         if not isinstance(maps, np.ndarray):
             maps = [getattr(m, "entries", m) for m in maps]
-        try:
-            array = np.array(maps, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            array = None
+        array = _float_array(maps)
         if (array is None or array.ndim != 3 or array.shape[1] != array.shape[2]
                 or not 1 <= array.shape[1] <= MAX_DIM or not np.isfinite(array).all()):
             raise ConfigError(f"maps do not form one stack of d x d matrices with "
                               f"1 <= d <= {MAX_DIM} and finite entries")
         array.flags.writeable = False
+        if digits is not None:
+            digits = _float_array(digits)
+            if digits is None or digits.ndim != 2 or not np.isfinite(digits).all():
+                raise ConfigError("digits do not form one stack of finite vectors")
+            digits.flags.writeable = False
         self.branch_count, self.array, self.digits = branch_count, array, digits
 
     @cached_property
@@ -72,8 +85,13 @@ class LevelSpec:
         return op_norms(self.array)
 
     @cached_property
+    def singular_values(self) -> np.ndarray:
+        return np.linalg.svd(self.array, compute_uv=False)  # (n, d), descending
+
+    @cached_property
     def dets(self) -> np.ndarray:
-        return np.linalg.det(self.array)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a subnormal pivot
+            return np.linalg.det(self.array)
 
     @cached_property
     def log_dets(self) -> np.ndarray:
@@ -239,6 +257,9 @@ class SystemSpec:
             if lvl.array.shape[1] != self.dim:
                 raise ConfigError(f"schedule.levels[{i}]: expected {self.dim}x{self.dim} maps, "
                                   f"got {lvl.array.shape[1]}x{lvl.array.shape[1]}")
+            if lvl.digits is not None and lvl.digits.shape[1] != self.dim:
+                raise ConfigError(f"schedule.levels[{i}]: expected length-{self.dim} digits, "
+                                  f"got length {lvl.digits.shape[1]}")
 
     @cached_property
     def alpha_plus(self) -> float:
@@ -281,7 +302,7 @@ def alpha_bounds(spec: SystemSpec) -> AlphaBounds:
     if min(float(np.abs(lvl.dets).min()) for lvl in levels) <= SINGULAR_DET_TOL:
         raise NonsingularityViolated(
             f"matrix is singular or near-singular (|det| <= {SINGULAR_DET_TOL})")
-    minus = min(float(np.linalg.svd(lvl.array, compute_uv=False)[:, -1].min()) for lvl in levels)
+    minus = min(float(lvl.singular_values[:, -1].min()) for lvl in levels)
     return AlphaBounds(alpha_plus=spec.alpha_plus, alpha_minus=minus)
 
 
@@ -382,10 +403,7 @@ def _typed(obj: dict, key: str, kind, path: str, required: bool = False):
 
 
 def _vector(value, d: int, path: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # an int past the float range overflows
-        arr = None
+    arr = _float_array(value)
     if arr is None or arr.shape != (d,) or not np.isfinite(arr).all():
         raise ConfigError(f"{path}: expected a length-{d} vector of finite numbers")
     return arr
@@ -419,10 +437,7 @@ def _parse_level(obj, d: int, path: str) -> LevelSpec:
     _require_keys(obj, {"branch_count", "maps", "digits"}, {"branch_count", "maps"}, path)
     n = _typed(obj, "branch_count", int, path, required=True)
     maps = _typed(obj, "maps", list, path, required=True)
-    try:
-        stack = np.asarray(maps, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # an int past the float range overflows
-        stack = None
+    stack = _float_array(maps)
     if stack is None or stack.shape[1:] != (d, d) or d > MAX_DIM or not np.isfinite(stack).all():
         for j, rows in enumerate(maps):  # name the first map that is not d x d and finite
             try:
@@ -431,7 +446,12 @@ def _parse_level(obj, d: int, path: str) -> LevelSpec:
                 raise ConfigError(f"{path}.maps[{j}]: {exc}") from exc
             if m.dim != d:
                 raise ConfigError(f"{path}.maps[{j}]: expected a {d}x{d} matrix")
-    digits = _vectors(_typed(obj, "digits", list, path), d, f"{path}.digits")
+    digits = _typed(obj, "digits", list, path)
+    array = None if digits is None else _float_array(digits)
+    if array is not None and array.shape[1:] == (d,) and np.isfinite(array).all():
+        digits = array
+    else:  # name the first digit that is not a length-d vector, if any
+        _vectors(digits, d, f"{path}.digits")
     return _build(LevelSpec, path, branch_count=n, maps=stack, digits=digits)
 
 

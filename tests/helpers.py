@@ -9,6 +9,43 @@ from morandim.symbolic import Word, product
 from morandim.system import Box, LevelSpec, Schedule, SystemSpec, TranslationScheme
 
 
+def reference_sigma1(unit) -> float:
+    """Largest singular value of one d x d matrix rescaled by its largest
+    entry: the closed form with ``math.hypot`` for d = 2, one SVD otherwise."""
+    if unit.shape == (2, 2):
+        (a, b), (c, d) = unit.tolist()
+        return (math.hypot((a + d) / 2.0, (c - b) / 2.0)
+                + math.hypot((a - d) / 2.0, (c + b) / 2.0))
+    return float(np.linalg.svd(unit, compute_uv=False)[0])
+
+
+def reference_op_norm(entries) -> float:
+    """The op norm of one matrix by ``reference_sigma1``; 0.0 for a zero map."""
+    scale = float(np.abs(entries).max())
+    return 0.0 if scale == 0.0 else scale * reference_sigma1(entries / scale)
+
+
+def reference_log_svs(entries):
+    """Logs of one matrix's singular values, descending, by
+    ``reference_sigma1``, the smaller one at d = 2 from log |det|; None for
+    a matrix with a zero singular value."""
+    scale = float(np.abs(entries).max())
+    if scale == 0.0:
+        return None
+    unit = entries / scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sign, logabsdet = np.linalg.slogdet(unit)
+    if sign == 0.0:
+        return None
+    if unit.shape == (2, 2):
+        l1 = math.log(reference_sigma1(unit))
+        return (math.log(scale) + l1, math.log(scale) + float(logabsdet) - l1)
+    vals = np.linalg.svd(unit, compute_uv=False)
+    if vals[-1] <= 0.0:
+        return None
+    return tuple(math.log(scale) + math.log(float(v)) for v in vals)
+
+
 def random_contraction(rng, d=2, entry=0.6, norms=(0.15, 0.9), min_det=1e-3):
     """A d x d matrix with entries uniform in (-entry, entry), drawn again
     until its op norm lies strictly inside ``norms`` and its |det| exceeds

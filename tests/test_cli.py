@@ -1157,3 +1157,50 @@ def test_degenerate_levels_end_in_a_documented_exit_code(tmp_path, config, argv,
     else:  # two points: the box-counting slope is 0
         assert abs(report["estimate"]) < 1e-9
         assert len(report["schedule"]["scales"]) == attractor._MAX_SCALES
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate"], 2),
+    (["dims"], 2),
+    (["cutset", "--s", "0.5", "--epsilon", "0.1"], 2),
+    (["boxdim"], 0),
+])
+def test_a_subnormal_pivot_prints_no_numpy_warning(tmp_path, argv, code):
+    """LU on [[0, 0], [2.2e-309, 0.25]] divides by a subnormal pivot: numpy's
+    det warns, and a fresh process would print that warning before its JSON.
+    The map is singular, which every command but boxdim reports."""
+    doc = fixture_document("similarity_pair")
+    doc["schedule"]["levels"][0]["maps"][1] = [[0.0, 0.0], [2.2250738585e-309, 0.25]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(CLI + [argv[0], str(path), *argv[1:]], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    singular = {"error": "inapplicable", "message": "levels[0].maps[1]: matrix is singular"}
+    if argv[0] in ("dims", "cutset"):
+        assert proc.stdout == ""
+        assert [json.loads(line) for line in proc.stderr.splitlines()] == [singular]
+        return
+    assert proc.stderr == ""
+    (report,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    if argv[0] == "validate":
+        assert report["findings"] == [{"code": "NonsingularityViolated", "severity": "error",
+                                       "message": "matrix is singular",
+                                       "where": "levels[0].maps[1]"}]
+    else:
+        assert report["flags"] == []
+
+
+def test_an_op_norm_past_the_float_range_prints_no_numpy_warning(tmp_path):
+    doc = fixture_document("similarity_pair")
+    doc["schedule"]["levels"][0]["maps"][0] = [[0.0, 0.0], [1.5e308, 1.5e308]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(CLI + ["validate", str(path)], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert [(f["code"], f["message"]) for f in json.loads(proc.stdout)["findings"]] == [
+        ("ContractionViolated", "op_norm inf >= 1"),
+        ("NonsingularityViolated", "matrix is singular"),
+        ("HalfNormExceeded", "sup op_norm inf >= 1/2 voids the random-translation "
+                             "exact-dimension hypothesis")]

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_contraction
+from helpers import random_contraction, reference_log_svs, reference_op_norm
 from morandim.errors import DimensionMismatch, NonsingularityViolated
-from morandim.linalg import Matrix, log_singular_values, mat_mul, op_norm, singular_values
+from morandim.linalg import (Matrix, log_singular_values, mat_mul, op_norm, op_norms,
+                             singular_values, sv2_batch)
+from morandim.system import fixture, fixture_names
 
 
 def test_mat_mul_diagonal():
@@ -136,5 +138,60 @@ def test_one_by_one_singular_value_is_the_entry_bit_for_bit():
         m = Matrix([[x]])
         assert op_norm(m) == abs(x)
         assert log_singular_values(m) == (math.log(abs(x)),)
+
+    check()
+
+
+def _check_reference_bits(stack):
+    """``op_norms``, ``op_norm`` and ``log_singular_values`` of an (n, d, d)
+    stack carry the per-matrix reference's bits; a singular matrix raises
+    where the reference finds a zero singular value."""
+    want = [reference_op_norm(m) for m in stack]
+    assert op_norms(stack).tobytes() == np.array(want).tobytes()
+    for m, norm in zip(stack, want):
+        assert np.float64(op_norm(Matrix(m))).tobytes() == np.float64(norm).tobytes()
+        logs = reference_log_svs(m)
+        if logs is None:
+            with pytest.raises(NonsingularityViolated):
+                log_singular_values(Matrix(m))
+        else:
+            assert np.array(log_singular_values(Matrix(m))).tobytes() == np.array(logs).tobytes()
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_singular_values_keep_the_reference_bits_on_every_fixture(name):
+    for lvl in fixture(name).schedule.levels:
+        _check_reference_bits(lvl.array)
+
+
+def test_singular_values_keep_the_reference_bits_on_a_wide_random_stack():
+    """At d = 2, np.hypot gives other bits than math.hypot on about 0.5% of
+    random maps, so a largest singular value taken through ``sv2_batch``
+    fails here (checked below)."""
+    rng = np.random.default_rng(505)
+    stack = rng.uniform(-1.0, 1.0, (3000, 2, 2))
+    _check_reference_bits(stack)
+    scale = np.abs(stack).max(axis=(1, 2))
+    assert (scale * sv2_batch(stack / scale[:, None, None])[0]).tobytes() != \
+        op_norms(stack).tobytes()
+
+
+def test_singular_values_keep_the_reference_bits_on_generated_maps():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, strategies as st
+
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324]),
+                        st.floats(-1.7e308, 1.7e308),
+                        st.floats(-2.0, 2.0), st.floats(-1e-290, 1e-290))
+
+    @example([[[0.0, 1e-300], [-0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    @example([[[0.0, 0.0], [1.5e308, 1.5e308]]])  # the op norm is past the float range
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.one_of(st.just([[0.0] * d] * d),
+                                     st.lists(st.lists(entries, min_size=d, max_size=d),
+                                              min_size=d, max_size=d)),
+                           min_size=1, max_size=6)))
+    def check(maps):
+        _check_reference_bits(np.array(maps, dtype=float))
 
     check()

@@ -928,6 +928,22 @@ def test_net_measure_series_of_generated_systems_match_the_logaddexp_fold():
     check()
 
 
+def test_lattice_dp_of_a_system_that_is_not_multiplicative_matches_the_logaddexp_fold():
+    """Four diagonal maps that order their coordinates both ways: the lattice
+    answers ``net_measure_series`` by its DP."""
+    maps = tuple(Matrix.diagonal(c) for c in ((0.3, 0.2), (0.25, 0.3), (0.2, 0.25), (0.3, 0.3)))
+    spec = SystemSpec(2, Schedule("constant", (LevelSpec(4, maps),)),
+                      TranslationScheme("explicit", table={}), Box(np.zeros(2), np.ones(2)))
+    engine = make_engine(spec)
+    assert isinstance(engine, DiagonalEngine) and not spec.multiplicative
+    windows = [(1, 8), (2, 5), (3, 8), (8, 8)]
+    for s in (0.5, 1.0, 1.4, 2.5):
+        for budget in (40, 20_000):
+            _check_net_series_against_the_logaddexp_fold(engine, s, windows, budget)
+            assert (engine.net_measure_series(s, windows, budget)
+                    == engine._net_measure_dp(s, windows, budget))
+
+
 def test_estimate_sstar_walks_once_per_branch_index(monkeypatch):
     walks = []
     walk = DiagonalEngine._walk
@@ -1133,30 +1149,6 @@ def test_lattice_levels_are_in_row_sort_order(M):
     assert np.array_equal(engine._comps, comps)
 
 
-def test_lattice_flat_log_phi_matches_the_per_level_one():
-    """The lattice's levels are C-contiguous arrays, and log phi^s taken over
-    all of them in one call is, level by level, the per-level one bit for
-    bit, also after the levels have grown in steps."""
-    pytest.importorskip("hypothesis")
-    from hypothesis import given, settings, strategies as st
-
-    @settings(max_examples=_examples(60))
-    @given(_generated_systems(st, diagonal=True), st.sampled_from(GEN_S),
-           st.lists(st.integers(1, 40), min_size=1, max_size=3))
-    def check(spec, s, depths):
-        engine = DiagonalEngine(spec)
-        for depth in depths:
-            got = engine._log_phis(depth, s)
-            levels = engine._levels(depth)
-            assert len(got) == len(levels) == depth
-            for lph, logs in zip(got, levels):
-                assert logs.flags.c_contiguous
-                want = log_phi_from_logs(np.ascontiguousarray(logs), s)
-                assert lph.tobytes() == want.tobytes()
-
-    check()
-
-
 def _prefix_counts(spec, s, epsilon):
     """(distinct nonempty prefixes, distinct choice-count vectors of them) of
     the cut-set words, from the independent word walker: the nodes a pruned
@@ -1226,6 +1218,21 @@ def test_net_measure_horizon_is_the_deepest_window_that_fits(name):
         dp = engine._net_measure_dp(1.1, windows, budget)
         assert None not in dp[:2] and dp[2:] == [None, None]
         assert _built_depth(engine) == K
+
+
+def test_a_chain_answers_every_window_at_a_budget_of_one_node():
+    """The chain is not budgeted: each window gets its least level sum."""
+    shear = LevelSpec(2, (Matrix.from_rows([[0.5, 0.25], [0.0, 0.4]]),) * 2)
+    for spec in (fixture("middle_thirds"), SystemSpec(
+            2, Schedule("constant", (shear,)), TranslationScheme("explicit", table={}),
+            Box(np.zeros(2), np.ones(2)))):
+        windows = [(1, 5), (3, 9), (9, 9), (2, 40)]
+        for s in (0.3, 0.63, 1.5):
+            engine = make_engine(spec)
+            assert isinstance(engine, UniformEngine)
+            got = engine.net_measure_series(s, windows, 1)
+            sums = make_engine(spec).level_log_sums(s, range(1, 41))
+            assert got == [min(sums[k - 1:K]) for k, K in windows]
 
 
 def _built_depth(engine):

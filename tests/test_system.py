@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import reference_op_norm
 from morandim import system
 from morandim.errors import ConfigError, ContractionViolated
-from morandim.linalg import Matrix, op_norm, op_norms, sv2_batch
+from morandim.linalg import Matrix, op_norms, sv2_batch
 from morandim.system import (
     LevelSpec,
     Schedule,
@@ -73,6 +74,41 @@ def test_a_digit_that_is_not_a_finite_number_is_rejected_with_path(bad):
     doc["schedule"]["levels"][0]["digits"][0] = [bad]
     with pytest.raises(ConfigError, match=r"digits\[0\]"):
         parse_structure(doc)
+
+
+def _two_map_spec(digits):
+    """A 2-D system of two diag(.3, .3) maps with the given digits."""
+    maps = (Matrix.diagonal([0.3, 0.3]),) * 2
+    return system.SystemSpec(2, Schedule("constant", (LevelSpec(2, maps, digits),)),
+                             system.TranslationScheme("digit_grid"),
+                             system.Box(np.zeros(2), np.ones(2)))
+
+
+# (digits, index of the first one that is not a length-2 vector)
+BAD_DIGITS = {"three coordinates": ([[0.0, 0.0, 0.0], [0.7, 0.7, 0.7]], 0),
+              "one number each": ([0.0, 0.7], 0),
+              "ragged": ([[0.0, 0.0], [0.7]], 1)}
+
+
+@pytest.mark.parametrize("name", BAD_DIGITS)
+def test_digits_that_are_not_one_stack_of_dim_vectors_are_rejected(name):
+    digits, j = BAD_DIGITS[name]
+    with pytest.raises(ConfigError, match="digits"):
+        _two_map_spec(digits)
+    doc = fixture_document("similarity_pair")
+    doc["schedule"]["levels"][0]["digits"] = digits
+    with pytest.raises(ConfigError) as exc:
+        parse_structure(doc)
+    assert str(exc.value) == (f"$.schedule.levels[0].digits[{j}]: "
+                              "expected a length-2 vector of finite numbers")
+
+
+def test_digits_are_one_read_only_stack():
+    digits = _two_map_spec(([0, 0], (0.7, 0.7))).level(1).digits
+    assert digits.dtype == np.float64 and not digits.flags.writeable
+    assert digits.tolist() == [[0.0, 0.0], [0.7, 0.7]]
+    parsed = fixture("similarity_pair").level(1).digits
+    assert parsed.shape == (2, 2) and not parsed.flags.writeable
 
 
 def test_example_5_4_level_schedule():
@@ -360,7 +396,8 @@ def _per_map_facts(maps):
     for j, m in enumerate(maps):
         first.setdefault(m, j)
     return {
-        "op_norms": _bits([op_norm(m) for m in maps]),
+        "op_norms": _bits([reference_op_norm(m.entries) for m in maps]),
+        "singular_values": _bits([np.linalg.svd(m.entries, compute_uv=False) for m in maps]),
         "log_dets": _bits([math.log(abs(m.det())) if m.det() else -math.inf for m in maps]),
         "diagonal": diagonal,
         "scalar": [diag and bool(np.all(np.diag(m.entries) == m.entries[0, 0]))
@@ -377,6 +414,7 @@ def _array_facts(lvl):
     first, counts = lvl.distinct
     return {
         "op_norms": _bits(lvl.op_norms),
+        "singular_values": _bits(lvl.singular_values),
         "log_dets": _bits(lvl.log_dets),
         "diagonal": lvl.diagonal.tolist(),
         "scalar": lvl.scalar.tolist(),

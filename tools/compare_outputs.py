@@ -55,6 +55,9 @@ EXTRA = [
     ("dims:moran_non_scalar_fixture", ["dims", "--fixture", "example_5_4", "--which", "moran"]),
     ("dims:moran_non_scalar_later", ["dims", "later_non_scalar.json", "--which", "moran"]),
     ("validate:singular_later", ["validate", "singular_later.json"]),
+    ("dims:lattice_dp", ["dims", "lattice4.json", "--which", "sa", "--node-budget", "1000000"]),
+    ("dims:chain_non_multiplicative", ["dims", "chain_shear.json", "--which",
+                                       "sstar,sa,falconer"]),
 ]
 
 
@@ -101,11 +104,19 @@ def inputs(base_src):
         {"branch_count": 2, "maps": [[[0.5, 0], [0, 0.5]], [[0.5, 0], [0, 0.25]]]},
         {"branch_count": 3, "maps": [[[0.5, 0], [0, 0.5]], [[0.3, 1.2], [0.1, 0.4]],
                                      [[0.5, 0], [0, 0.0]]]}]})
+    # four diagonal maps whose coordinates are ordered both ways: the lattice's DP
+    lattice4 = dict(ordered, schedule={"kind": "constant", "levels": [
+        {"branch_count": 4, "maps": [[[a, 0.0], [0.0, b]] for a, b in
+                                     ((0.3, 0.2), (0.25, 0.3), (0.2, 0.25), (0.3, 0.3))]}]})
+    # one shear twice: a chain whose phi^s does not multiply along words
+    chain_shear = dict(ordered, schedule={"kind": "constant", "levels": [
+        {"branch_count": 2, "maps": [[[0.5, 0.25], [0, 0.4]]] * 2}]})
     return {"bad.json": '{"dim": 1,', "double.json": json.dumps(json.dumps(middle_thirds)),
             "d1.json": d1, "ordered.json": json.dumps(ordered),
             "shears.json": json.dumps(shears),
             "later_non_scalar.json": json.dumps(later_non_scalar),
-            "singular_later.json": json.dumps(singular_later)}
+            "singular_later.json": json.dumps(singular_later),
+            "lattice4.json": json.dumps(lattice4), "chain_shear.json": json.dumps(chain_shear)}
 
 
 def run(src, argv, job_dir, files):
