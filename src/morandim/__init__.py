@@ -22,8 +22,8 @@ from .dims import (
     net_measure,
     pressure_root,
 )
-from .linalg import Matrix, SingularValues, mat_mul, op_norm, singular_values
-from .svf import LogPhi, log_phi, phi
+from .linalg import op_norm, singular_values
+from .svf import log_phi, phi
 from .symbolic import CutSet, Word, cutset, cutset_sum, product
 from .system import (
     AlphaBounds,
@@ -41,11 +41,11 @@ from .system import (
 
 __all__ = [
     "AlphaBounds", "BoxCountCurve", "CutSet", "DimensionReport", "LevelSpec",
-    "LogPhi", "Matrix", "NetMeasureTable", "PointCloud", "Schedule",
-    "SingularValues", "SystemSpec", "TranslationScheme", "Word",
-    "alpha_bounds", "box_count", "boxdim_fit", "cutset",
-    "cutset_sum", "estimate_sA", "estimate_sstar", "fixture", "fixture_names",
-    "log_phi", "mat_mul", "moran_dims", "moran_dk", "net_measure", "op_norm",
-    "parse_spec", "parse_structure", "phi", "pressure_root", "product",
-    "project", "render", "sample_cloud", "singular_values", "validate",
+    "NetMeasureTable", "PointCloud", "Schedule", "SystemSpec",
+    "TranslationScheme", "Word", "alpha_bounds", "box_count", "boxdim_fit",
+    "cutset", "cutset_sum", "estimate_sA", "estimate_sstar", "fixture",
+    "fixture_names", "log_phi", "moran_dims", "moran_dk", "net_measure",
+    "op_norm", "parse_spec", "parse_structure", "phi", "pressure_root",
+    "product", "project", "render", "sample_cloud", "singular_values",
+    "validate",
 ]

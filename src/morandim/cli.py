@@ -351,6 +351,7 @@ _FAILURES = (
     (BudgetExceeded, "budget", EXIT_BUDGET),
     (MoranDimError, "invalid", EXIT_INAPPLICABLE),
     (OSError, "config", EXIT_CONFIG),  # a config or --out path that cannot be used
+    (MemoryError, "budget", EXIT_BUDGET),  # an allocation the machine refuses
     (Exception, "internal", EXIT_INTERNAL),
 )
 

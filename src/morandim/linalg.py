@@ -1,6 +1,8 @@
 """Small dense linear algebra for d x d contraction matrices.
 
-Everything here is sized for d <= 8. Singular values are what the rest of
+A map is a d x d float array, 1 <= d <= 8 with finite entries: a row of a
+level's (n, d, d) ``array``, or any d x d array-like, which the per-map
+functions read through ``as_map``.  Singular values are what the rest of
 the package consumes, so they get both a plain and a log-domain form; the
 log form stays finite for extremely contracted products whose entries
 would underflow after squaring.  ``op_norms``, ``op_norm`` and
@@ -11,7 +13,6 @@ form through ``np.hypot`` can differ from its ``math.hypot`` in the last bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,72 +22,24 @@ MAX_DIM = 8
 SINGULAR_DET_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """A d x d real matrix, row-major, with 1 <= d <= 8 and finite entries."""
-
-    entries: np.ndarray
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatch(f"matrix must be square, got shape {arr.shape}")
-        d = arr.shape[0]
-        if not 1 <= d <= MAX_DIM:
-            raise DimensionMismatch(f"dim must be in [1, {MAX_DIM}], got {d}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "dim", d)
-
-    @classmethod
-    def from_rows(cls, rows) -> "Matrix":
-        return cls(np.asarray(rows, dtype=float))
-
-    @classmethod
-    def identity(cls, d: int) -> "Matrix":
-        return cls(np.eye(d))
-
-    @classmethod
-    def diagonal(cls, values) -> "Matrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
-
-    def det(self) -> float:
-        return float(np.linalg.det(self.entries))
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.dim == other.dim and np.array_equal(self.entries, other.entries)
-
-    def __hash__(self):
-        # + 0.0 turns -0.0 into 0.0, which __eq__ already counts as equal
-        return hash((self.dim, (self.entries + 0.0).tobytes()))
+def as_map(t) -> np.ndarray:
+    """``t`` as a float64 d x d array, after checking 1 <= d <= 8 and that
+    its entries are finite."""
+    arr = np.asarray(t, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"matrix must be square, got shape {arr.shape}")
+    if not 1 <= arr.shape[0] <= MAX_DIM:
+        raise DimensionMismatch(f"dim must be in [1, {MAX_DIM}], got {arr.shape[0]}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    return arr
 
 
-@dataclass(frozen=True)
-class SingularValues:
-    """Singular values sorted descending, with their natural logs."""
-
-    values: tuple
-    log_values: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            raise ValueError("singular values must be sorted non-increasing")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "log_values", tuple(float(v) for v in self.log_values))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a @ b."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return Matrix(a.entries @ b.entries)
+def dets(stack: np.ndarray) -> np.ndarray:
+    """The determinant of each matrix of a (..., d, d) stack, without the
+    warning that a subnormal pivot or a det past the float range raises."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.linalg.det(stack)
 
 
 def sv2_batch(mats: np.ndarray) -> tuple:
@@ -101,16 +54,15 @@ def sv2_batch(mats: np.ndarray) -> tuple:
     return q + r, np.abs(q - r)
 
 
-def log_singular_values(t: Matrix) -> tuple:
-    """Natural logs of the singular values of ``t``, descending.
+def log_singular_values(t) -> tuple:
+    """Natural logs of the singular values of the map ``t``, descending.
 
     The matrix is rescaled by its largest entry before decomposition so
     that very small products keep finite logs; for d = 2 the smallest
     value comes from the exact log-determinant, which survives extreme
-    contraction ratios.
+    contraction ratios.  Only an exactly singular matrix is rejected.
     """
-    arr = t.entries
-    d = t.dim
+    arr = as_map(t)
     scale = float(np.max(np.abs(arr)))
     if scale == 0.0:
         raise NonsingularityViolated("zero matrix has no nonzero singular values")
@@ -120,7 +72,7 @@ def log_singular_values(t: Matrix) -> tuple:
         sign, logabsdet = np.linalg.slogdet(unit)
     if sign == 0.0:
         raise NonsingularityViolated("matrix is singular")
-    if d == 2:
+    if len(arr) == 2:
         l1 = math.log(float(_unit_sigma1(unit[None])[0]))
         return (log_scale + l1, log_scale + float(logabsdet) - l1)
     vals = np.linalg.svd(unit, compute_uv=False)
@@ -129,23 +81,23 @@ def log_singular_values(t: Matrix) -> tuple:
     return tuple(log_scale + math.log(float(v)) for v in vals)
 
 
-def singular_values(t: Matrix) -> SingularValues:
-    """Singular values of a nonsingular matrix, descending.
+def singular_values(t) -> tuple:
+    """Singular values of a nonsingular map, descending, as floats.
 
     Rejects matrices with |det| <= 1e-14 rather than clamping: the cut-set
     and net-measure machinery assumes nonsingular maps.
     """
-    if abs(t.det()) <= SINGULAR_DET_TOL:
+    arr = as_map(t)
+    if abs(float(dets(arr))) <= SINGULAR_DET_TOL:
         raise NonsingularityViolated(
             f"matrix is singular or near-singular (|det| <= {SINGULAR_DET_TOL})"
         )
-    logs = log_singular_values(t)
-    return SingularValues(tuple(math.exp(v) for v in logs), logs)
+    return tuple(math.exp(v) for v in log_singular_values(arr))
 
 
-def op_norm(t: Matrix) -> float:
-    """Largest singular value of ``t``: ``op_norms`` of a one-matrix stack."""
-    return float(op_norms(t.entries[None])[0])
+def op_norm(t) -> float:
+    """Largest singular value of the map ``t``: ``op_norms`` of a one-matrix stack."""
+    return float(op_norms(as_map(t)[None])[0])
 
 
 def _unit_sigma1(unit: np.ndarray) -> np.ndarray:

@@ -8,24 +8,15 @@ over the descending singular values a_i; for s > d it continues as
 |det T|^(s/d), and phi_0 = 1 by convention so cut-set sums degenerate to
 cardinality counts.  Estimators consume the log form exclusively: plain
 products underflow double precision at the tree depths the estimators
-routinely visit.
+routinely visit.  ``log_phi`` and ``phi`` take one map, a d x d array.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, log_singular_values
-
-
-@dataclass(frozen=True)
-class LogPhi:
-    """log phi^s(T) together with the exponent it was evaluated at."""
-
-    log_value: float
-    s: float
+from .linalg import log_singular_values
 
 
 def branch_index(s: float, d: int) -> int:
@@ -57,15 +48,12 @@ def log_phi_from_logs(log_svs, s: float) -> np.ndarray:
     return out
 
 
-def log_phi(t: Matrix, s: float) -> LogPhi:
-    """log phi^s(T); finite wherever T is nonsingular and s >= 0."""
-    if s < 0:
-        raise ValueError("exponent s must be >= 0")
-    logs = np.array(log_singular_values(t))
-    return LogPhi(float(log_phi_from_logs(logs, s)), float(s))
+def log_phi(t, s: float) -> float:
+    """log phi^s(T) of the map ``t``; finite wherever T is nonsingular and s >= 0."""
+    return float(log_phi_from_logs(np.array(log_singular_values(t)), s))
 
 
-def phi(t: Matrix, s: float) -> float:
+def phi(t, s: float) -> float:
     """phi^s(T) in the plain domain (may underflow for deep products)."""
-    return math.exp(log_phi(t, s).log_value)
+    return math.exp(log_phi(t, s))
 

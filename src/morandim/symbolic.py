@@ -59,7 +59,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import BudgetExceeded, MoranDimError
-from .linalg import Matrix, SingularValues, mat_mul, singular_values, sv2_batch
+from .linalg import log_singular_values, sv2_batch
 from .svf import branch_index, log_phi_from_logs
 from .system import LevelSpec, SystemSpec, require_invariants
 
@@ -108,37 +108,40 @@ def validate_word(spec: SystemSpec, w: Word) -> None:
 
 @dataclass
 class ProductNode:
-    """Cached left-to-right product T_u with its singular values."""
+    """Cached left-to-right product T_u, a d x d array, with the tuple of
+    its log singular values, descending."""
 
     word: Word
-    product: Matrix
-    sv: SingularValues
+    product: np.ndarray
+    log_svs: tuple
 
     def log_phi(self, s: float) -> float:
-        return float(log_phi_from_logs(np.array(self.sv.log_values), float(s)))
+        return float(log_phi_from_logs(np.array(self.log_svs), float(s)))
 
 
 def product(spec: SystemSpec, w: Word, cache: Optional[dict] = None) -> ProductNode:
     """The product node for ``w``; children extend parents by one multiplication.
 
-    Pass a dict as ``cache`` to share prefix products across calls.
+    Pass a dict as ``cache`` to share prefix products across calls.  A
+    system with a singular map raises NonsingularityViolated, and so does a
+    product that is exactly singular: products are not rescaled, so past
+    about depth 708 / log(1 / alpha_minus) their entries can underflow.
     """
     validate_word(spec, w)
+    require_invariants(spec, ("NonsingularityViolated",))
     if cache is None:
         cache = {}
     root = cache.get(())
     if root is None:
-        ident = Matrix.identity(spec.dim)
-        root = ProductNode(Word(()), ident, singular_values(ident))
-        cache[()] = root
+        ident = np.eye(spec.dim)
+        root = cache[()] = ProductNode(Word(()), ident, log_singular_values(ident))
     node = root
     for j, d in enumerate(w.digits, start=1):
         key = w.digits[:j]
         nxt = cache.get(key)
         if nxt is None:
-            mat = mat_mul(node.product, spec.level(j).maps[d - 1])
-            nxt = ProductNode(Word(key), mat, singular_values(mat))
-            cache[key] = nxt
+            mat = node.product @ spec.level(j).array[d - 1]
+            nxt = cache[key] = ProductNode(Word(key), mat, log_singular_values(mat))
         node = nxt
     return node
 

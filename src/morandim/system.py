@@ -17,8 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ERROR, WARNING, ConfigError, Finding, NonsingularityViolated
-from .linalg import MAX_DIM, SINGULAR_DET_TOL, Matrix, op_norms
+from .errors import (ERROR, WARNING, ConfigError, DimensionMismatch, Finding,
+                     NonsingularityViolated)
+from .linalg import MAX_DIM, SINGULAR_DET_TOL, as_map, dets, op_norms
 
 SCHEDULE_KINDS = ("constant", "periodic", "explicit_prefix_then_periodic", "geometric_blocks")
 TRANSLATION_KINDS = ("digit_grid", "finite_alphabet", "random_iid", "explicit")
@@ -42,16 +43,16 @@ def _float_array(values) -> Optional[np.ndarray]:
 class LevelSpec:
     """One level of the schedule: n_k maps and optional per-branch translations.
 
-    ``maps`` is a sequence of ``Matrix`` objects or d x d arrays, or an (n,
-    d, d) array.  The level keeps them as one read-only float64 (n, d, d)
-    ``array``, and its ``digits``, when given, as one read-only float64 (n,
-    d') array; ``SystemSpec`` checks d' against its dim.  Every fact of the
-    maps is taken from ``array``, once, on first use: per map its op norm,
-    singular values, det, log |det| (-inf for a zero det), whether it is
-    diagonal or scalar and its diagonal moduli; whether all maps are
-    identical, and the distinct ones.  ``maps`` reads them back as ``Matrix``
-    objects.  Where ``math`` and ``numpy`` give other bits (hypot, log), the
-    facts take ``math``'s, as the per-map formulas do.
+    ``maps`` is a sequence of d x d array-likes, or an (n, d, d) array.  The
+    level keeps them as one read-only float64 (n, d, d) ``array``, whose row
+    j is map j + 1, and its ``digits``, when given, as one read-only float64
+    (n, d') array; ``SystemSpec`` checks d' against its dim.  Every fact of
+    the maps is taken from ``array``, once, on first use: per map its op
+    norm, singular values, det, log |det| (-inf for a zero det), whether it
+    is diagonal or scalar and its diagonal moduli; whether all maps are
+    identical, and the distinct ones.  Where ``math`` and ``numpy`` give
+    other bits (hypot, log), the facts take ``math``'s, as the per-map
+    formulas do.
     """
 
     def __init__(self, branch_count: int, maps, digits=None):
@@ -61,8 +62,6 @@ class LevelSpec:
             raise ConfigError(f"level has {len(maps)} maps but branch_count {branch_count}")
         if digits is not None and len(digits) != branch_count:
             raise ConfigError(f"level has {len(digits)} digits but branch_count {branch_count}")
-        if not isinstance(maps, np.ndarray):
-            maps = [getattr(m, "entries", m) for m in maps]
         array = _float_array(maps)
         if (array is None or array.ndim != 3 or array.shape[1] != array.shape[2]
                 or not 1 <= array.shape[1] <= MAX_DIM or not np.isfinite(array).all()):
@@ -77,10 +76,6 @@ class LevelSpec:
         self.branch_count, self.array, self.digits = branch_count, array, digits
 
     @cached_property
-    def maps(self) -> tuple:
-        return tuple(map(Matrix, self.array))
-
-    @cached_property
     def op_norms(self) -> np.ndarray:
         return op_norms(self.array)
 
@@ -90,8 +85,7 @@ class LevelSpec:
 
     @cached_property
     def dets(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):  # a subnormal pivot
-            return np.linalg.det(self.array)
+        return dets(self.array)
 
     @cached_property
     def log_dets(self) -> np.ndarray:
@@ -117,7 +111,7 @@ class LevelSpec:
     @cached_property
     def distinct(self) -> tuple:
         """(index of each distinct map's first occurrence, in increasing
-        order; int64 multiplicities), -0.0 equal to 0.0 as in ``Matrix``."""
+        order; int64 multiplicities), a -0.0 entry equal to 0.0."""
         flat = self.array.reshape(self.branch_count, -1) + 0.0
         _, first, counts = np.unique(flat, axis=0, return_index=True, return_counts=True)
         order = np.argsort(first)
@@ -441,10 +435,10 @@ def _parse_level(obj, d: int, path: str) -> LevelSpec:
     if stack is None or stack.shape[1:] != (d, d) or d > MAX_DIM or not np.isfinite(stack).all():
         for j, rows in enumerate(maps):  # name the first map that is not d x d and finite
             try:
-                m = Matrix.from_rows(rows)
-            except Exception as exc:
+                m = as_map(rows)
+            except (DimensionMismatch, ValueError, TypeError, OverflowError) as exc:
                 raise ConfigError(f"{path}.maps[{j}]: {exc}") from exc
-            if m.dim != d:
+            if len(m) != d:
                 raise ConfigError(f"{path}.maps[{j}]: expected a {d}x{d} matrix")
     digits = _typed(obj, "digits", list, path)
     array = None if digits is None else _float_array(digits)

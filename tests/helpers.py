@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from morandim.linalg import Matrix, op_norm
+from morandim.linalg import op_norm
 from morandim.symbolic import Word, product
 from morandim.system import Box, LevelSpec, Schedule, SystemSpec, TranslationScheme
 
@@ -51,8 +51,8 @@ def random_contraction(rng, d=2, entry=0.6, norms=(0.15, 0.9), min_det=1e-3):
     until its op norm lies strictly inside ``norms`` and its |det| exceeds
     ``min_det``."""
     while True:
-        m = Matrix(rng.uniform(-entry, entry, (d, d)))
-        if norms[0] < op_norm(m) < norms[1] and abs(m.det()) > min_det:
+        m = rng.uniform(-entry, entry, (d, d))
+        if norms[0] < op_norm(m) < norms[1] and abs(np.linalg.det(m)) > min_det:
             return m
 
 

@@ -28,7 +28,6 @@ from morandim.attractor import (
 )
 from morandim.errors import BudgetExceeded, DimensionMismatch, MoranDimError, UnresolvedTranslation
 from morandim.symbolic import Word
-from morandim.linalg import Matrix
 from morandim.system import (TRANSLATION_KINDS, Box, LevelSpec, Schedule, SystemSpec,
                              TranslationScheme, _mix64, fixture, hash_to_unit, mix64_batch,
                              parse_structure)
@@ -155,7 +154,7 @@ def _brute_force_explicit(table, codes):
 def test_explicit_translations_match_the_brute_force_keys():
     from morandim.attractor import _translations
     rng = np.random.default_rng(17)
-    maps = (Matrix(np.diag([0.3, 0.2])),) * 3
+    maps = (np.diag([0.3, 0.2]),) * 3
     levels = (LevelSpec(2, maps[:2]), LevelSpec(3, maps))
     words = [*map(str, range(1, 3)),
              *(f"{a}-{b}" for a in range(1, 3) for b in range(1, 4)),
@@ -503,7 +502,7 @@ def _einsum_reference(spec, codes, seed):
                 W.append(lo + unit * (hi - lo))
     x = np.tile(spec.seed_region.center, (N, 1))
     for k in range(K, 0, -1):
-        T = np.stack([m.entries for m in spec.level(k).maps])[codes[:, k - 1]]
+        T = spec.level(k).array[codes[:, k - 1]]
         x = np.einsum("nij,nj->ni", T, x) + W[k - 1]
     return x
 
@@ -535,7 +534,7 @@ def _kernel_cases(st):
                 maps = [draw(matrix)] * n
             else:
                 maps = draw(st.lists(matrix, min_size=n, max_size=n))
-            levels.append(LevelSpec(n, tuple(Matrix(np.array(m)) for m in maps),
+            levels.append(LevelSpec(n, tuple(np.array(m, dtype=float) for m in maps),
                                     tuple(np.array(v) for v in draw(st.lists(
                                         vec, min_size=n, max_size=n)))))
         depth = draw(st.integers(1, 4))
@@ -593,7 +592,7 @@ def test_column_kernel_matches_the_einsum_reference():
 def test_column_kernel_turns_negative_zero_sums_positive_as_einsum_does(d):
     # -1/2 times the center 0.0 is -0.0, and -0.0 + -0.0 stays -0.0; einsum
     # sums from +0.0, so its point is +0.0
-    maps = (Matrix(-0.5 * np.eye(d)), Matrix(0.25 * np.eye(d)))
+    maps = (-0.5 * np.eye(d), 0.25 * np.eye(d))
     digits = (np.full(d, -0.0), np.full(d, 0.5))
     spec = SystemSpec(d, Schedule("constant", (LevelSpec(2, maps, digits),)),
                       TranslationScheme("digit_grid"), Box(-np.ones(d), np.ones(d)))
@@ -628,7 +627,7 @@ def _check_compact_random_codes(spec, depth, count, seed):
 
 
 def _wide_level(n, d, rng, identical):
-    maps = [Matrix(np.diag(rng.uniform(0.05, 0.45, d))) for _ in range(1 if identical else n)]
+    maps = [np.diag(rng.uniform(0.05, 0.45, d)) for _ in range(1 if identical else n)]
     return LevelSpec(n, tuple(maps * n if identical else maps),
                      tuple(rng.uniform(0.0, 1.0, (n, d))))
 

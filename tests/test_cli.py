@@ -187,6 +187,22 @@ def test_boxdim_with_a_zero_map_takes_dyadic_scales(capsys):
     assert scales == [2.0 ** -t for t in range(3, 3 + len(scales))] and len(scales) >= 2
 
 
+@pytest.mark.parametrize("argv", [
+    # a 10^8 x 10^8 uint8 raster: 10^16 bytes
+    ["render", "--fixture", "sierpinski_carpet", "--depth", "2", "--resolution", "100000000"],
+    # 20 levels of 10^15 uint8 digits: 2 * 10^16 bytes
+    ["boxdim", "--fixture", "random_affine", "--depth", "20", "--count", "1000000000000000"],
+])
+def test_an_allocation_the_machine_refuses_is_a_budget_exit(tmp_path, argv):
+    # both sizes are past 2^48 bytes, so no machine maps them and nothing is touched
+    proc = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "budget"
+    assert json.loads(lines[0])["message"].startswith("Unable to allocate ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cutset_over_word_cap_leaves_no_file(tmp_path):
     out = tmp_path / "f.csv"
     proc = run_cli("cutset", "--fixture", "example_5_4", "--s", "1.2",
@@ -1191,16 +1207,20 @@ def test_a_subnormal_pivot_prints_no_numpy_warning(tmp_path, argv, code):
         assert report["flags"] == []
 
 
-def test_an_op_norm_past_the_float_range_prints_no_numpy_warning(tmp_path):
+@pytest.mark.parametrize("bad, norm, singular", [
+    ([[0.0, 0.0], [1.5e308, 1.5e308]], "inf", True),  # the op norm is past the float range
+    ([[0.0, 1e300], [1e300, 0.0]], "1e+300", False),   # the det, -1e600, is
+], ids=["op_norm", "det"])
+def test_a_value_past_the_float_range_prints_no_numpy_warning(tmp_path, bad, norm, singular):
     doc = fixture_document("similarity_pair")
-    doc["schedule"]["levels"][0]["maps"][0] = [[0.0, 0.0], [1.5e308, 1.5e308]]
+    doc["schedule"]["levels"][0]["maps"][0] = bad
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     proc = subprocess.run(CLI + ["validate", str(path)], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 2 and proc.stderr == ""
     assert [(f["code"], f["message"]) for f in json.loads(proc.stdout)["findings"]] == [
-        ("ContractionViolated", "op_norm inf >= 1"),
-        ("NonsingularityViolated", "matrix is singular"),
-        ("HalfNormExceeded", "sup op_norm inf >= 1/2 voids the random-translation "
+        ("ContractionViolated", f"op_norm {norm} >= 1"),
+        *[("NonsingularityViolated", "matrix is singular")] * singular,
+        ("HalfNormExceeded", f"sup op_norm {norm} >= 1/2 voids the random-translation "
                              "exact-dimension hypothesis")]

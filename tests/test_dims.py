@@ -23,7 +23,6 @@ from morandim.dims import (
     pressure_root,
 )
 from morandim.errors import BudgetExceeded, InapplicableEstimator, NonsingularityViolated
-from morandim.linalg import Matrix
 from morandim.symbolic import DEFAULT_NODE_BUDGET, GenericEngine, make_engine
 from morandim.system import (
     Box,
@@ -156,7 +155,7 @@ def test_pressure_root_similarity_pair():
 
 
 def test_pressure_root_four_half_maps():
-    lvl = LevelSpec(4, (Matrix.diagonal([0.5, 0.5]),) * 4)
+    lvl = LevelSpec(4, (np.diag([0.5, 0.5]),) * 4)
     rep = pressure_root(dataclasses.replace(fixture("similarity_pair"),
                                             schedule=Schedule("constant", (lvl,))))
     assert rep.estimate == pytest.approx(2.0, abs=1e-6)
@@ -170,7 +169,7 @@ def test_pressure_root_diag_triple():
 def test_pressure_root_refuses_a_periodic_schedule_before_it_validates(monkeypatch):
     # the second level does not contract, yet the schedule is what is blamed
     mt = fixture("middle_thirds")
-    bad = LevelSpec(2, (Matrix.diagonal([1.5]),) * 2)
+    bad = LevelSpec(2, (np.diag([1.5]),) * 2)
     spec = dataclasses.replace(mt, schedule=Schedule("periodic", (mt.schedule.levels[0], bad)))
     monkeypatch.setattr("morandim.dims.make_engine", lambda spec: pytest.fail("built"))
     with pytest.raises(InapplicableEstimator, match=r"stationary \(constant\) schedule"):
@@ -182,8 +181,8 @@ def test_pressure_root_refuses_a_periodic_schedule_before_it_validates(monkeypat
 # ---------------------------------------------------------------------------
 
 def _scalar_two_phase():
-    a = LevelSpec(2, (Matrix.diagonal([0.25]),) * 2)
-    b = LevelSpec(3, (Matrix.diagonal([1 / 3]),) * 3)
+    a = LevelSpec(2, (np.diag([0.25]),) * 2)
+    b = LevelSpec(3, (np.diag([1 / 3]),) * 3)
     return SystemSpec(1, Schedule("periodic", (a, b)),
                       TranslationScheme("explicit", table={}),
                       Box(np.zeros(1), np.ones(1)))
@@ -194,7 +193,7 @@ def test_moran_dk_values():
     assert moran_dk(spec, 1) == pytest.approx(0.5, abs=1e-9)
     assert moran_dk(spec, 2) == pytest.approx(math.log(6) / math.log(12), abs=1e-9)
     third = SystemSpec(1, Schedule("constant",
-                                   (LevelSpec(2, (Matrix.diagonal([1 / 3]),) * 2),)),
+                                   (LevelSpec(2, (np.diag([1 / 3]),) * 2),)),
                        TranslationScheme("explicit", table={}),
                        Box(np.zeros(1), np.ones(1)))
     assert moran_dk(third, 1) == pytest.approx(S_SIM, abs=1e-9)
@@ -211,9 +210,9 @@ def test_moran_dk_rejects_non_scalar():
 
 def test_moran_dk_names_the_first_non_scalar_map_at_a_later_level():
     # -0.0 off the diagonal and a negative scalar are still scalar maps
-    scalar = Matrix.from_rows([[0.25, -0.0], [0.0, 0.25]])
-    a = LevelSpec(2, (scalar, Matrix.diagonal([-1 / 3, -1 / 3])))
-    b = LevelSpec(4, (scalar, scalar, Matrix.diagonal([0.25, 0.2]), Matrix.from_rows(
+    scalar = np.array([[0.25, -0.0], [0.0, 0.25]])
+    a = LevelSpec(2, (scalar, np.diag([-1 / 3, -1 / 3])))
+    b = LevelSpec(4, (scalar, scalar, np.diag([0.25, 0.2]), np.array(
         [[0.25, 0.01], [0.0, 0.25]])))
     spec = dataclasses.replace(fixture("similarity_pair"), schedule=Schedule("periodic", (a, b)))
     with pytest.raises(InapplicableEstimator,
@@ -236,7 +235,7 @@ def test_moran_depth_outside_1_to_the_chain_cap_is_rejected(k, error, match):
 
 def test_moran_dims_constant_schedule():
     third = SystemSpec(1, Schedule("constant",
-                                   (LevelSpec(2, (Matrix.diagonal([1 / 3]),) * 2),)),
+                                   (LevelSpec(2, (np.diag([1 / 3]),) * 2),)),
                        TranslationScheme("explicit", table={}),
                        Box(np.zeros(1), np.ones(1)))
     lower, upper = moran_dims(third, k_max=40)
@@ -260,8 +259,8 @@ def test_moran_dims_kmax_one():
 
 def _near_one_then_small():
     # d_1 = log 2 / -log 0.99 = 68.97; once the 0.1 level joins, d_k drops below 1
-    near_one = LevelSpec(2, (Matrix.diagonal([0.99]),) * 2)
-    small = LevelSpec(2, (Matrix.diagonal([0.1]),) * 2)
+    near_one = LevelSpec(2, (np.diag([0.99]),) * 2)
+    small = LevelSpec(2, (np.diag([0.1]),) * 2)
     return SystemSpec(1, Schedule("periodic", (near_one, small)),
                       TranslationScheme("explicit", table={}),
                       Box(np.zeros(1), np.ones(1)))
@@ -569,7 +568,7 @@ def test_bisect_brackets_every_probe_whatever_the_classifier():
 
 
 def test_pressure_root_above_64_is_flagged():
-    lvl = LevelSpec(2, (Matrix.diagonal([0.99]),) * 2)  # root 68.97
+    lvl = LevelSpec(2, (np.diag([0.99]),) * 2)  # root 68.97
     rep = pressure_root(dataclasses.replace(fixture("middle_thirds"),
                                             schedule=Schedule("constant", (lvl,))))
     assert rep.estimate is None and "upper_endpoint_below" in rep.flags

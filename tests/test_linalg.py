@@ -6,69 +6,74 @@ import pytest
 
 from helpers import random_contraction, reference_log_svs, reference_op_norm
 from morandim.errors import DimensionMismatch, NonsingularityViolated
-from morandim.linalg import (Matrix, log_singular_values, mat_mul, op_norm, op_norms,
-                             singular_values, sv2_batch)
+from morandim.linalg import (dets, log_singular_values, op_norm, op_norms, singular_values,
+                             sv2_batch)
+from morandim.svf import log_phi, log_phi_from_logs, phi
 from morandim.system import fixture, fixture_names
 
 
-def test_mat_mul_diagonal():
-    a = Matrix.diagonal([1 / 9, 1 / 3])
-    assert np.allclose(mat_mul(a, a).entries, np.diag([1 / 81, 1 / 9]))
+def test_matmul_diagonal():
+    a = np.diag([1 / 9, 1 / 3])
+    assert np.allclose(a @ a, np.diag([1 / 81, 1 / 9]))
 
 
-def test_mat_mul_identity():
-    m = Matrix.from_rows([[0.3, 0.1], [0.2, 0.4]])
-    assert np.allclose(mat_mul(Matrix.identity(2), m).entries, m.entries)
+def test_matmul_identity():
+    m = np.array([[0.3, 0.1], [0.2, 0.4]])
+    assert np.allclose(np.eye(2) @ m, m)
 
 
-def test_mat_mul_hand_oracle():
-    a = Matrix.from_rows([[0.5, 0.5], [0.0, 0.5]])
-    b = Matrix.from_rows([[0.5, 0.0], [0.5, 0.5]])
-    assert np.allclose(mat_mul(a, b).entries, [[0.5, 0.25], [0.25, 0.25]])
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        mat_mul(Matrix.identity(2), Matrix.identity(3))
+def test_matmul_hand_oracle():
+    a = np.array([[0.5, 0.5], [0.0, 0.5]])
+    b = np.array([[0.5, 0.0], [0.5, 0.5]])
+    assert np.allclose(a @ b, [[0.5, 0.25], [0.25, 0.25]])
 
 
 def test_singular_values_diagonal():
-    sv = singular_values(Matrix.diagonal([1 / 9, 1 / 3]))
-    assert sv.values == pytest.approx((1 / 3, 1 / 9))
+    sv = singular_values(np.diag([1 / 9, 1 / 3]))
+    assert sv == pytest.approx((1 / 3, 1 / 9))
 
 
 def test_singular_values_scalar():
-    sv = singular_values(Matrix.diagonal([0.5, 0.5]))
-    assert sv.values == pytest.approx((0.5, 0.5))
+    sv = singular_values(np.diag([0.5, 0.5]))
+    assert sv == pytest.approx((0.5, 0.5))
 
 
 def test_singular_values_shear_oracle():
     # quadratic-formula eigenvalues of T^T T for [[.5,.5],[0,.5]]
-    sv = singular_values(Matrix.from_rows([[0.5, 0.5], [0.0, 0.5]]))
-    assert sv.values[0] == pytest.approx(0.809017, abs=1e-6)
-    assert sv.values[1] == pytest.approx(0.309017, abs=1e-6)
+    sv = singular_values([[0.5, 0.5], [0.0, 0.5]])
+    assert type(sv) is tuple and all(type(v) is float for v in sv)
+    assert sv[0] == pytest.approx(0.809017, abs=1e-6)
+    assert sv[1] == pytest.approx(0.309017, abs=1e-6)
 
 
 def test_singular_matrix_rejected():
     with pytest.raises(NonsingularityViolated):
-        singular_values(Matrix.from_rows([[0.0, 0.0], [0.0, 0.5]]))
+        singular_values([[0.0, 0.0], [0.0, 0.5]])
+
+
+def test_a_subnormal_pivot_is_rejected_without_a_warning():
+    # numpy's det warns on this map; pyproject turns a warning into an error
+    with pytest.raises(NonsingularityViolated, match=r"near-singular"):
+        singular_values([[0.0, 0.0], [2.2250738585e-309, 0.25]])
 
 
 def test_op_norm_values():
-    assert op_norm(Matrix.diagonal([1 / 9, 1 / 3])) == pytest.approx(1 / 3)
-    assert op_norm(Matrix.diagonal([0.5, 0.5])) == pytest.approx(0.5)
-    assert op_norm(Matrix.from_rows([[0.5, 0.5], [0.0, 0.5]])) == pytest.approx(
-        0.809017, abs=1e-6
-    )
+    assert op_norm(np.diag([1 / 9, 1 / 3])) == pytest.approx(1 / 3)
+    assert op_norm(np.diag([0.5, 0.5])) == pytest.approx(0.5)
+    assert op_norm([[0.5, 0.5], [0.0, 0.5]]) == pytest.approx(0.809017, abs=1e-6)
 
 
-def test_matrix_validation():
-    with pytest.raises(DimensionMismatch):
-        Matrix.from_rows([[1.0, 2.0]])
-    with pytest.raises(DimensionMismatch):
-        Matrix(np.eye(9))
-    with pytest.raises(ValueError):
-        Matrix.from_rows([[math.inf]])
+@pytest.mark.parametrize("fn", [op_norm, log_singular_values, singular_values,
+                                lambda m: log_phi(m, 1.0), lambda m: phi(m, 1.0)],
+                         ids=["op_norm", "log_singular_values", "singular_values", "log_phi",
+                              "phi"])
+def test_matrix_validation(fn):
+    with pytest.raises(DimensionMismatch, match=r"^matrix must be square, got shape \(1, 2\)$"):
+        fn([[1.0, 2.0]])
+    with pytest.raises(DimensionMismatch, match=r"^dim must be in \[1, 8\], got 9$"):
+        fn(np.eye(9))
+    with pytest.raises(ValueError, match=r"^matrix entries must be finite$"):
+        fn([[math.inf]])
 
 
 # entries in (-0.7, 0.7), op norm below 0.95, |det| above 1e-6
@@ -81,8 +86,8 @@ def test_sv_product_matches_det_1000():
     for _ in range(1000):
         m = _random_contraction(rng)
         sv = singular_values(m)
-        prod = sv.values[0] * sv.values[1]
-        assert prod == pytest.approx(abs(m.det()), rel=1e-9)
+        prod = sv[0] * sv[1]
+        assert prod == pytest.approx(abs(np.linalg.det(m)), rel=1e-9)
 
 
 def test_op_norm_submultiplicative():
@@ -90,7 +95,7 @@ def test_op_norm_submultiplicative():
     for _ in range(300):
         a = _random_contraction(rng)
         b = _random_contraction(rng)
-        assert op_norm(mat_mul(a, b)) <= op_norm(a) * op_norm(b) * (1 + 1e-12)
+        assert op_norm(a @ b) <= op_norm(a) * op_norm(b) * (1 + 1e-12)
 
 
 def test_orthogonal_invariance():
@@ -100,27 +105,16 @@ def test_orthogonal_invariance():
         theta = rng.uniform(0, 2 * math.pi)
         q = np.array([[math.cos(theta), -math.sin(theta)],
                       [math.sin(theta), math.cos(theta)]])
-        rotated = Matrix(q.T @ m.entries @ q)
-        assert np.allclose(
-            singular_values(rotated).values, singular_values(m).values, rtol=1e-9
-        )
+        rotated = q.T @ m @ q
+        assert np.allclose(singular_values(rotated), singular_values(m), rtol=1e-9)
 
 
 def test_higher_dimension_svd_path():
     rng = np.random.default_rng(404)
-    m = Matrix(np.diag([0.5, 0.4, 0.3]) @ (np.eye(3) + 0.1 * rng.uniform(-1, 1, (3, 3))))
+    m = np.diag([0.5, 0.4, 0.3]) @ (np.eye(3) + 0.1 * rng.uniform(-1, 1, (3, 3)))
     sv = singular_values(m)
-    ref = np.linalg.svd(m.entries, compute_uv=False)
-    assert np.allclose(sv.values, ref, rtol=1e-10)
-
-
-def test_equal_matrices_hash_equal():
-    # -0.0 == 0.0, so a map and its image under a sign flip that negates a
-    # zero entry are one key in a dict or Counter
-    a = Matrix.from_rows([[0.5, -0.0], [0.0, 0.5]])
-    b = Matrix.from_rows([[0.5, 0.0], [-0.0, 0.5]])
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b, Matrix.from_rows([[0.5, 0.0], [0.0, 0.5]])}) == 1
+    ref = np.linalg.svd(m, compute_uv=False)
+    assert np.allclose(sv, ref, rtol=1e-10)
 
 
 def test_one_by_one_singular_value_is_the_entry_bit_for_bit():
@@ -135,27 +129,51 @@ def test_one_by_one_singular_value_is_the_entry_bit_for_bit():
     @hypothesis.given(hypothesis.strategies.floats(allow_nan=False, allow_infinity=False)
                       .filter(bool))
     def check(x):
-        m = Matrix([[x]])
+        m = [[x]]
         assert op_norm(m) == abs(x)
         assert log_singular_values(m) == (math.log(abs(x)),)
 
     check()
 
 
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _outcome(fn, *args):
+    """The bits of ``fn(*args)``, or the OverflowError it raises past the float range."""
+    try:
+        return _bits(fn(*args))
+    except OverflowError:
+        return OverflowError
+
+
 def _check_reference_bits(stack):
-    """``op_norms``, ``op_norm`` and ``log_singular_values`` of an (n, d, d)
-    stack carry the per-matrix reference's bits; a singular matrix raises
-    where the reference finds a zero singular value."""
+    """``op_norms``, ``op_norm``, ``log_singular_values``, ``singular_values``,
+    ``log_phi`` and ``phi`` of an (n, d, d) stack carry the per-matrix
+    reference's bits; a singular matrix raises where the reference finds a
+    zero singular value, and ``singular_values`` where |det| <= 1e-14."""
     want = [reference_op_norm(m) for m in stack]
-    assert op_norms(stack).tobytes() == np.array(want).tobytes()
+    assert op_norms(stack).tobytes() == _bits(want)
     for m, norm in zip(stack, want):
-        assert np.float64(op_norm(Matrix(m))).tobytes() == np.float64(norm).tobytes()
+        assert _bits(op_norm(m)) == _bits(norm)
         logs = reference_log_svs(m)
         if logs is None:
+            for fn in (log_singular_values, singular_values, lambda m: log_phi(m, 1.0)):
+                with pytest.raises(NonsingularityViolated):
+                    fn(m)
+            continue
+        assert _bits(log_singular_values(m)) == _bits(logs)
+        if abs(dets(m)) <= 1e-14:
             with pytest.raises(NonsingularityViolated):
-                log_singular_values(Matrix(m))
+                singular_values(m)
         else:
-            assert np.array(log_singular_values(Matrix(m))).tobytes() == np.array(logs).tobytes()
+            assert _outcome(singular_values, m) == _outcome(lambda: [math.exp(v) for v in logs])
+        d = len(m)
+        for s in (0.5, 1.0, 1.5, d, d + 0.5):
+            want_log = float(log_phi_from_logs(np.array(logs), s))
+            assert _bits(log_phi(m, s)) == _bits(want_log)
+            assert _outcome(phi, m, s) == _outcome(math.exp, want_log)
 
 
 @pytest.mark.parametrize("name", fixture_names())

@@ -12,7 +12,7 @@ from morandim import symbolic
 from morandim.dims import (default_depth_schedule, default_eps_log_schedule, estimate_sA,
                            estimate_sstar)
 from morandim.errors import BudgetExceeded, MoranDimError, NonsingularityViolated
-from morandim.linalg import Matrix, sv2_batch
+from morandim.linalg import sv2_batch
 from morandim.svf import branch_index, log_phi_from_logs
 from morandim.symbolic import (
     _STOP_SNAP,
@@ -49,26 +49,38 @@ S_SIM = math.log(2) / math.log(3)
 def test_product_empty_word_is_identity():
     spec = fixture("example_5_4")
     node = product(spec, Word(()))
-    assert np.allclose(node.product.entries, np.eye(2))
-    assert node.sv.values == pytest.approx((1.0, 1.0))
+    assert np.allclose(node.product, np.eye(2))
+    assert np.exp(node.log_svs) == pytest.approx((1.0, 1.0))
 
 
 def test_product_example_5_4_depth2():
     spec = fixture("example_5_4")
     node = product(spec, Word((1, 2)))
-    assert np.allclose(node.product.entries, np.diag([1 / 81, 1 / 9]))
+    assert np.allclose(node.product, np.diag([1 / 81, 1 / 9]))
+
+
+def test_product_of_a_deep_word_is_read_in_the_log_domain():
+    # (1/27)^40 is far below the 1e-14 det tolerance of an input map; the
+    # logs of the diagonal product are sums of 40 logs, within 1e-9
+    spec = fixture("example_5_4")
+    w = Word(tuple(1 + k % 3 for k in range(40)))
+    moduli = [spec.level(k).moduli[j - 1] for k, j in enumerate(w.digits, start=1)]
+    want = sorted((math.fsum(math.log(m[i]) for m in moduli) for i in range(2)), reverse=True)
+    assert product(spec, w).log_svs == pytest.approx(want, rel=0, abs=1e-9)
+    with pytest.raises(NonsingularityViolated, match=r"^levels\[0\]\.maps\[1\]: "):
+        product(fixture("example_5_2"), Word((1,)))
 
 
 def test_product_hand_oracle_two_levels():
     levels = (
-        LevelSpec(2, (Matrix.from_rows([[0.5, 0.5], [0.0, 0.5]]),) * 2),
-        LevelSpec(2, (Matrix.from_rows([[0.5, 0.0], [0.5, 0.5]]),) * 2),
+        LevelSpec(2, (np.array([[0.5, 0.5], [0.0, 0.5]]),) * 2),
+        LevelSpec(2, (np.array([[0.5, 0.0], [0.5, 0.5]]),) * 2),
     )
     spec = SystemSpec(2, Schedule("periodic", levels),
                       TranslationScheme("explicit", table={}),
                       Box(np.zeros(2), np.ones(2)))
     node = product(spec, Word((1, 2)))
-    assert np.allclose(node.product.entries, [[0.5, 0.25], [0.25, 0.25]])
+    assert np.allclose(node.product, [[0.5, 0.25], [0.25, 0.25]])
 
 
 def test_cutset_middle_thirds_depth5():
@@ -160,8 +172,8 @@ def test_word_singular_value_sandwich():
         w = Word(tuple(int(rng.integers(1, spec.branch_count(j) + 1))
                        for j in range(1, k + 1)))
         node = product(spec, w, cache)
-        assert node.sv.values[-1] >= ab.alpha_minus ** k * (1 - 1e-9)
-        assert node.sv.values[0] <= ab.alpha_plus ** k * (1 + 1e-9)
+        assert math.exp(node.log_svs[-1]) >= ab.alpha_minus ** k * (1 - 1e-9)
+        assert math.exp(node.log_svs[0]) <= ab.alpha_plus ** k * (1 + 1e-9)
 
 
 def test_cutset_sum_deterministic_across_runs():
@@ -266,7 +278,7 @@ def _einsum_expand(engine, Q, log_scale, log_det, k):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_matmul_expansion_matches_einsum(d):
     rng = np.random.default_rng(100 + d)
-    maps = tuple(Matrix(rng.uniform(-0.6, 0.6, (d, d)) + 0.3 * np.eye(d)) for _ in range(3))
+    maps = tuple(rng.uniform(-0.6, 0.6, (d, d)) + 0.3 * np.eye(d) for _ in range(3))
     spec = SystemSpec(d, Schedule("constant", (LevelSpec(3, maps),)),
                       TranslationScheme("explicit", table={}),
                       Box(np.zeros(d), np.ones(d)))
@@ -465,7 +477,7 @@ def test_generic_net_measure_series_on_mixed_branching():
 
     def shear():
         a, b = rng.uniform(0.2, 0.45, 2)
-        return Matrix.from_rows([[a, rng.uniform(-0.2, 0.2)], [0.0, b]])
+        return np.array([[a, rng.uniform(-0.2, 0.2)], [0.0, b]])
 
     levels = (LevelSpec(2, (shear(), shear())), LevelSpec(3, (shear(), shear(), shear())),
               LevelSpec(2, (shear(), shear())))
@@ -490,7 +502,7 @@ def _map_with_svs(rng, d, lo, hi):
     """A d x d matrix whose singular values lie in [lo, hi]."""
     u, _ = np.linalg.qr(rng.normal(size=(d, d)))
     v, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    return Matrix(u @ np.diag(rng.uniform(lo, hi, d)) @ v.T)
+    return u @ np.diag(rng.uniform(lo, hi, d)) @ v.T
 
 
 def _generated_system(d, branches, seed, diagonal=False):
@@ -503,7 +515,7 @@ def _generated_system(d, branches, seed, diagonal=False):
 
     def make(j):
         lo, hi = ((0.1, 0.12), (0.4, 0.5))[j] if j < 2 else (0.1, 0.5)
-        return Matrix(np.diag(rng.uniform(lo, hi, d))) if diagonal else _map_with_svs(rng, d, lo, hi)
+        return np.diag(rng.uniform(lo, hi, d)) if diagonal else _map_with_svs(rng, d, lo, hi)
 
     levels = tuple(LevelSpec(n, tuple(make(j) for j in range(n))) for n in branches)
     return SystemSpec(d, Schedule("constant" if diagonal else "periodic", levels),
@@ -931,7 +943,7 @@ def test_net_measure_series_of_generated_systems_match_the_logaddexp_fold():
 def test_lattice_dp_of_a_system_that_is_not_multiplicative_matches_the_logaddexp_fold():
     """Four diagonal maps that order their coordinates both ways: the lattice
     answers ``net_measure_series`` by its DP."""
-    maps = tuple(Matrix.diagonal(c) for c in ((0.3, 0.2), (0.25, 0.3), (0.2, 0.25), (0.3, 0.3)))
+    maps = tuple(np.diag(c) for c in ((0.3, 0.2), (0.25, 0.3), (0.2, 0.25), (0.3, 0.3)))
     spec = SystemSpec(2, Schedule("constant", (LevelSpec(4, maps),)),
                       TranslationScheme("explicit", table={}), Box(np.zeros(2), np.ones(2)))
     engine = make_engine(spec)
@@ -991,11 +1003,11 @@ class _PerDepthChain:
     def extend(self, t):
         while len(self.counts) <= t:
             lvl = self.spec.level(len(self.counts))
-            raw = self.chain @ lvl.maps[0].entries
+            raw = self.chain @ lvl.array[0]
             scale = float(np.max(np.abs(raw)))
             self.chain = raw / scale
             self.log_scale += math.log(scale)
-            self.log_det += math.log(abs(lvl.maps[0].det()))
+            self.log_det += math.log(abs(np.linalg.det(lvl.array[0])))
             if self.d == 2:
                 s1, _ = sv2_batch(self.chain[None])
                 l1 = self.log_scale + math.log(float(s1[0]))
@@ -1135,7 +1147,7 @@ def test_level_log_sums_take_any_iterable_and_reject_depths_below_1(name, kind):
 def test_lattice_levels_are_in_row_sort_order(M):
     """The closed-form ranks put each level's classes, and each class's
     children, where a lexicographic row sort of the children puts them."""
-    maps = tuple(Matrix(np.diag([0.1 + 0.05 * j, 0.4 - 0.05 * j])) for j in range(M))
+    maps = tuple(np.diag([0.1 + 0.05 * j, 0.4 - 0.05 * j]) for j in range(M))
     spec = SystemSpec(2, Schedule("constant", (LevelSpec(M, maps),)),
                       TranslationScheme("explicit", table={}),
                       Box(np.zeros(2), np.ones(2)))
@@ -1222,7 +1234,7 @@ def test_net_measure_horizon_is_the_deepest_window_that_fits(name):
 
 def test_a_chain_answers_every_window_at_a_budget_of_one_node():
     """The chain is not budgeted: each window gets its least level sum."""
-    shear = LevelSpec(2, (Matrix.from_rows([[0.5, 0.25], [0.0, 0.4]]),) * 2)
+    shear = LevelSpec(2, (np.array([[0.5, 0.25], [0.0, 0.4]]),) * 2)
     for spec in (fixture("middle_thirds"), SystemSpec(
             2, Schedule("constant", (shear,)), TranslationScheme("explicit", table={}),
             Box(np.zeros(2), np.ones(2)))):
@@ -1267,7 +1279,7 @@ def _multiplicative_system(d, kind, branches, seed):
             -np.sort(-rng.choice(MODULI, d))
         entries = np.empty(d)
         entries[axes] = moduli * rng.choice((-1.0, 1.0), d)
-        return Matrix.diagonal(entries.tolist())
+        return np.diag(entries)
 
     levels = tuple(LevelSpec(n, tuple(make() for _ in range(n))) for n in branches)
     if kind == "constant":
@@ -1317,9 +1329,8 @@ def test_the_least_level_sum_is_not_the_net_measure_of_an_unordered_system():
     """The guard matters: the maps of level A order their coordinates both
     ways, so phi^s does not multiply, and the DP's net measure lies well
     below the least level sum over each window."""
-    A = LevelSpec(2, (Matrix.diagonal([0.45, 0.2]), Matrix.diagonal([0.3, 0.45])))
-    B = LevelSpec(3, (Matrix.diagonal([0.2, 0.3]), Matrix.diagonal([0.25, 0.3]),
-                      Matrix.diagonal([0.3, 0.2])))
+    A = LevelSpec(2, (np.diag([0.45, 0.2]), np.diag([0.3, 0.45])))
+    B = LevelSpec(3, (np.diag([0.2, 0.3]), np.diag([0.25, 0.3]), np.diag([0.3, 0.2])))
     spec = SystemSpec(2, Schedule("periodic", (A, B)), TranslationScheme("explicit", table={}),
                       Box(np.zeros(2), np.ones(2)))
     assert not spec.multiplicative
@@ -1341,9 +1352,9 @@ class _WordEngine(GenericEngine):
     the unmerged reference for levels that repeat a map."""
 
     def _level_maps(self, k):
-        maps = self.spec.level(k).maps
-        return (np.stack([m.entries for m in maps]),
-                np.array([math.log(abs(m.det())) for m in maps]),
+        maps = self.spec.level(k).array
+        return (maps.copy(),
+                np.array([math.log(abs(np.linalg.det(m))) for m in maps]),
                 np.ones(len(maps), dtype=np.int64))
 
 
@@ -1378,7 +1389,7 @@ def test_merged_classes_match_the_word_tree_on_repeating_systems():
                      st.integers(0, 2 ** 32 - 1)),
            st.sampled_from(GEN_S), st.booleans())
     def check(spec, s, keep_tree):
-        assume(any(len(set(lvl.maps)) < lvl.branch_count for lvl in spec.schedule.levels))
+        assume(any(len(lvl.distinct[0]) < lvl.branch_count for lvl in spec.schedule.levels))
         merged, words = GenericEngine(spec), _WordEngine(spec)
         if keep_tree:
             merged.level_log_sums(1.0, [KEPT_DEPTH])
@@ -1412,8 +1423,8 @@ def test_merged_classes_match_the_word_tree_on_repeating_systems():
 def test_merged_word_counts_stay_exact_past_int64():
     # one level of 100 copies of a shear and one other shear: a class with
     # j copies among its t maps stands for 100^j words, past 2^63 by depth 10
-    a = Matrix.from_rows([[0.5, 0.1], [0.0, 0.5]])
-    b = Matrix.from_rows([[0.5, 0.0], [0.1, 0.5]])
+    a = np.array([[0.5, 0.1], [0.0, 0.5]])
+    b = np.array([[0.5, 0.0], [0.1, 0.5]])
     spec = SystemSpec(2, Schedule("constant", (LevelSpec(101, (a,) * 100 + (b,)),)),
                       TranslationScheme("explicit", table={}),
                       Box(np.zeros(2), np.ones(2)))
@@ -1427,7 +1438,7 @@ def test_merged_word_counts_stay_exact_past_int64():
         prod, count = stack.pop()
         nodes += 101 * count
         for mat, mult in ((a, 100), (b, 1)):
-            child = prod @ mat.entries
+            child = prod @ mat
             if np.linalg.svd(child, compute_uv=False)[m - 1] <= eps:
                 want += count * mult
             else:
@@ -1438,9 +1449,9 @@ def test_merged_word_counts_stay_exact_past_int64():
 
 
 def test_a_level_with_minus_zero_and_zero_forms_of_a_map_builds_one_class():
-    a = Matrix.from_rows([[0.5, -0.0], [0.1, 0.5]])
-    b = Matrix.from_rows([[0.5, 0.0], [0.1, 0.5]])
-    c = Matrix.from_rows([[0.3, 0.1], [0.0, 0.4]])
+    a = np.array([[0.5, -0.0], [0.1, 0.5]])
+    b = np.array([[0.5, 0.0], [0.1, 0.5]])
+    c = np.array([[0.3, 0.1], [0.0, 0.4]])
     spec = SystemSpec(2, Schedule("constant", (LevelSpec(3, (a, c, b)),)),
                       TranslationScheme("explicit", table={}),
                       Box(np.zeros(2), np.ones(2)))
@@ -1468,7 +1479,7 @@ def _commuting_map(rng, P):
     """a*I + b*P, which conjugation by P maps to itself exactly: it only
     relabels and negates entries.  Its singular values, |a + b*lambda| over
     the eigenvalues lambda of P, lie in [0.25, 0.5]."""
-    return Matrix(rng.uniform(0.35, 0.4) * np.eye(len(P)) + rng.uniform(-0.1, 0.1) * P)
+    return rng.uniform(0.35, 0.4) * np.eye(len(P)) + rng.uniform(-0.1, 0.1) * P
 
 
 def _symmetric_system(P, prefix, shapes, seed):
@@ -1486,7 +1497,7 @@ def _symmetric_system(P, prefix, shapes, seed):
     levels = [LevelSpec(prefix + 1, (*pre, pre[0]))]
     for fixed, copies in shapes:
         orbit = [_map_with_svs(rng, len(P), 0.25, 0.5)]
-        while (image := Matrix(P @ orbit[-1].entries @ P.T)) != orbit[0]:
+        while not np.array_equal(image := P @ orbit[-1] @ P.T, orbit[0]):
             orbit.append(image)
         if len(orbit) * copies + fixed > 5:
             copies = 1
@@ -1533,8 +1544,9 @@ def test_quotient_matches_the_word_tree_on_symmetric_systems():
         merged, words = GenericEngine(spec), _WordEngine(spec)
         k, P = merged._quotient
         # depth 2 keeps the generic map's orbit as one class, and each fixed map
+        lvl = spec.level(2)
         assert k == 2 and merged._arity(2) == 1 + sum(
-            Matrix(P @ m.entries @ P.T) == m for m in set(spec.level(2).maps))
+            np.array_equal(P @ lvl.array[j] @ P.T, lvl.array[j]) for j in lvl.distinct[0])
         if keep_tree:
             merged.level_log_sums(1.0, [KEPT_DEPTH])
         for got, want in zip(merged.level_log_sums(s, range(1, 7)),
@@ -1578,8 +1590,9 @@ def test_asymmetric_systems_keep_one_class_per_distinct_map():
         assert symbolic._find_quotient(spec) is None
         for t in range(1, 7):
             mats, _, mults = engine._level_maps(t)
-            want = collections.Counter(spec.level(t).maps)
-            assert [Matrix(m) for m in mats] == list(want)
+            # + 0.0 turns -0.0 into 0.0: one key for equal maps, in first-occurrence order
+            want = collections.Counter((m + 0.0).tobytes() for m in spec.level(t).array)
+            assert [(m + 0.0).tobytes() for m in mats] == list(want)
             assert mults.tolist() == list(want.values())
 
     check()
@@ -1620,12 +1633,12 @@ def _depth_first_cutset_words(spec, s, epsilon):
         digits, Q, log_scale, log_det = stack.pop()
         lvl = spec.level(len(digits) + 1)
         pending = []
-        for j, mat in enumerate(lvl.maps, start=1):
-            raw = Q @ mat.entries
+        for j, mat in enumerate(lvl.array, start=1):
+            raw = Q @ mat
             scale = float(np.max(np.abs(raw)))
             Q2 = raw / scale
             ls2 = log_scale + math.log(scale)
-            ld2 = log_det + math.log(abs(mat.det()))
+            ld2 = log_det + math.log(abs(np.linalg.det(mat)))
             logs = log_svs_of(Q2, ls2, ld2)
             if logs[m - 1] <= log_eps + _STOP_SNAP:
                 yield Word(digits + (j,)), float(log_phi_from_logs(logs, s))
@@ -1684,8 +1697,8 @@ def test_word_cap_raises_before_the_first_word(monkeypatch, cap):
 
 
 def test_word_walk_on_a_singular_map_raises_before_any_product(monkeypatch):
-    singular = LevelSpec(2, (Matrix(np.diag([0.5, 0.5])), Matrix(np.diag([0.0, 0.5]))))
-    third = Matrix(np.eye(2) / 3)
+    singular = LevelSpec(2, (np.diag([0.5, 0.5]), np.diag([0.0, 0.5])))
+    third = np.eye(2) / 3
     later = SystemSpec(2, Schedule("periodic", (LevelSpec(2, (third, third)), singular)),
                        TranslationScheme("explicit", table={}), Box(np.zeros(2), np.ones(2)))
     products = []

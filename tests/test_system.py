@@ -9,7 +9,7 @@ import pytest
 from helpers import reference_op_norm
 from morandim import system
 from morandim.errors import ConfigError, ContractionViolated
-from morandim.linalg import Matrix, op_norms, sv2_batch
+from morandim.linalg import op_norms, sv2_batch
 from morandim.system import (
     LevelSpec,
     Schedule,
@@ -78,7 +78,7 @@ def test_a_digit_that_is_not_a_finite_number_is_rejected_with_path(bad):
 
 def _two_map_spec(digits):
     """A 2-D system of two diag(.3, .3) maps with the given digits."""
-    maps = (Matrix.diagonal([0.3, 0.3]),) * 2
+    maps = (np.diag([0.3, 0.3]),) * 2
     return system.SystemSpec(2, Schedule("constant", (LevelSpec(2, maps, digits),)),
                              system.TranslationScheme("digit_grid"),
                              system.Box(np.zeros(2), np.ones(2)))
@@ -195,8 +195,8 @@ def test_alpha_bounds_match_bruteforce_over_levels(name):
         key = id(lvl)
         if key not in seen:
             seen[key] = (
-                max(op_norm(m) for m in lvl.maps),
-                min(singular_values(m).values[-1] for m in lvl.maps),
+                max(op_norm(m) for m in lvl.array),
+                min(singular_values(m)[-1] for m in lvl.array),
             )
         p, m = seen[key]
         plus, minus = max(plus, p), min(minus, m)
@@ -231,7 +231,7 @@ def test_geometric_block_index_is_the_float_loop_in_integers():
     pytest.importorskip("hypothesis")
     from hypothesis import example, given, strategies as st
 
-    levels = (LevelSpec(2, (Matrix.diagonal([0.5]),) * 2),) * 64  # level_index is the block
+    levels = (LevelSpec(2, (np.diag([0.5]),) * 2),) * 64  # level_index is the block
 
     @given(st.integers(1, 10_000), st.integers(1, 300), st.integers(2, 40))
     @example(13, 13, 23)  # 13 / 23 * 23 > 13 in floats
@@ -390,23 +390,27 @@ def _bits(values) -> bytes:
 
 
 def _per_map_facts(maps):
-    """A level's facts by the per-map formulas, from its ``Matrix`` objects."""
-    diagonal = [np.array_equal(m.entries, np.diag(np.diag(m.entries))) for m in maps]
-    counts, first = collections.Counter(maps), {}
+    """A level's facts by the per-map formulas, from its maps one at a time."""
+    maps = [np.array(m, dtype=float) for m in maps]
+    diagonal = [np.array_equal(m, np.diag(np.diag(m))) for m in maps]
+    dets = [float(np.linalg.det(m)) for m in maps]
+    counts, first = collections.Counter(), {}
     for j, m in enumerate(maps):
-        first.setdefault(m, j)
+        key = (m + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0: one key for equal maps
+        counts[key] += 1
+        first.setdefault(key, j)
     return {
-        "op_norms": _bits([reference_op_norm(m.entries) for m in maps]),
-        "singular_values": _bits([np.linalg.svd(m.entries, compute_uv=False) for m in maps]),
-        "log_dets": _bits([math.log(abs(m.det())) if m.det() else -math.inf for m in maps]),
+        "op_norms": _bits([reference_op_norm(m) for m in maps]),
+        "singular_values": _bits([np.linalg.svd(m, compute_uv=False) for m in maps]),
+        "log_dets": _bits([math.log(abs(det)) if det else -math.inf for det in dets]),
         "diagonal": diagonal,
-        "scalar": [diag and bool(np.all(np.diag(m.entries) == m.entries[0, 0]))
+        "scalar": [diag and bool(np.all(np.diag(m) == m[0, 0]))
                    for diag, m in zip(diagonal, maps)],
-        "identical": all(m == maps[0] for m in maps),
-        "moduli": _bits([np.abs(np.diag(m.entries)) for m in maps]),
+        "identical": all(np.array_equal(m, maps[0]) for m in maps),
+        "moduli": _bits([np.abs(np.diag(m)) for m in maps]),
         # the Counter keeps each map's first occurrence, in first-occurrence order
         "distinct": ([first[key] for key in counts], list(counts.values()),
-                     [key.entries.tobytes() for key in counts]),
+                     [maps[first[key]].tobytes() for key in counts]),
     }
 
 
@@ -428,7 +432,7 @@ def _array_facts(lvl):
 def test_level_facts_keep_the_per_map_bits_on_every_fixture(name):
     doc = fixture_document(name)
     for lvl, obj in zip(fixture(name).schedule.levels, doc["schedule"]["levels"]):
-        assert _array_facts(lvl) == _per_map_facts([Matrix.from_rows(m) for m in obj["maps"]])
+        assert _array_facts(lvl) == _per_map_facts(obj["maps"])
 
 
 def _flip_zeros(entries):
@@ -448,7 +452,7 @@ def test_level_facts_keep_the_per_map_bits_on_a_wide_random_level(d):
     pool[:300] = np.eye(d) * pool[:300, :1, :1]
     pool *= np.where(rng.random((3000, d, d)) < 0.5, -1.0, 1.0)  # -0.0 where a zero flips
     picks = rng.integers(0, 3000, 5000)
-    maps = [Matrix(_flip_zeros(pool[i]) if rng.random() < 0.3 else pool[i]) for i in picks]
+    maps = [_flip_zeros(pool[i]) if rng.random() < 0.3 else pool[i] for i in picks]
     lvl = LevelSpec(len(maps), maps)
     assert _array_facts(lvl) == _per_map_facts(maps)
     if d == 2:  # the data tells the two: the closed form through np.hypot moves some norms
@@ -471,8 +475,8 @@ def test_level_facts_keep_the_per_map_bits_on_generated_levels():
                              min_size=1, max_size=4))
         picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()),
                               min_size=2, max_size=8))
-        return [Matrix(_flip_zeros(np.reshape(pool[i], (d, d))) if flip
-                       else np.reshape(pool[i], (d, d))) for i, flip in picks]
+        return [_flip_zeros(np.reshape(pool[i], (d, d))) if flip
+                else np.reshape(pool[i], (d, d)) for i, flip in picks]
 
     @settings(max_examples=settings.default.max_examples // 2)
     @given(levels())
@@ -486,7 +490,7 @@ def test_level_facts_keep_the_per_map_bits_on_generated_levels():
 
 
 @pytest.mark.parametrize("maps", [
-    (Matrix.diagonal([0.5, 0.5]), Matrix.diagonal([0.5, 0.5, 0.5])),
+    (np.diag([0.5, 0.5]), np.diag([0.5, 0.5, 0.5])),
     (np.eye(2) / 2, np.ones((2, 3)) / 4),
     (np.eye(2) / 2, np.array([[0.5, math.nan], [0.0, 0.5]])),
     np.zeros((2, 9, 9)),
@@ -499,7 +503,7 @@ def test_maps_that_are_not_one_stack_are_rejected(maps):
 
 def test_a_level_of_other_than_dim_by_dim_maps_is_rejected():
     spec = fixture("similarity_pair")  # d = 2
-    three = LevelSpec(2, (Matrix.diagonal([0.5, 0.25, 0.25]),) * 2)
+    three = LevelSpec(2, (np.diag([0.5, 0.25, 0.25]),) * 2)
     with pytest.raises(ConfigError, match=r"^schedule.levels\[1\]: expected 2x2 maps, got 3x3$"):
         dataclasses.replace(spec, schedule=Schedule("periodic",
                                                     (spec.schedule.levels[0], three)))
@@ -513,5 +517,4 @@ def test_a_level_keeps_one_read_only_array():
     assert lvl.array.dtype == np.float64 and lvl.array.shape == (2, 2, 2)
     assert not lvl.array.flags.writeable
     assert lvl.array.tobytes() == np.array(rows).tobytes()
-    assert lvl.maps == (Matrix.from_rows(rows[0]), Matrix.from_rows(rows[1]))
     assert lvl.identical and lvl.distinct[0].tolist() == [0]

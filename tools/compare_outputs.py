@@ -58,6 +58,8 @@ EXTRA = [
     ("dims:lattice_dp", ["dims", "lattice4.json", "--which", "sa", "--node-budget", "1000000"]),
     ("dims:chain_non_multiplicative", ["dims", "chain_shear.json", "--which",
                                        "sstar,sa,falconer"]),
+    *((f"validate:bad_map_{name}", ["validate", f"bad_map_{name}.json"])
+      for name in ("non_square", "wrong_d", "nine_by_nine", "string_entry", "1e999")),
 ]
 
 
@@ -111,12 +113,26 @@ def inputs(base_src):
     # one shear twice: a chain whose phi^s does not multiply along words
     chain_shear = dict(ordered, schedule={"kind": "constant", "levels": [
         {"branch_count": 2, "maps": [[[0.5, 0.25], [0, 0.4]]] * 2}]})
+    # a level whose second map the parser names: not square, not d x d, 9 x 9
+    # at "dim": 9, a string entry, and an entry 1e999, which JSON reads as inf
+    nine = [[0.5 * (i == j) for j in range(9)] for i in range(9)]
+    bad_maps = {name: dict(ordered, dim=dim, seed_region={"lo": [0] * dim, "hi": [1] * dim},
+                           schedule={"kind": "constant", "levels": [
+                               {"branch_count": 2, "maps": [good, bad]}]})
+                for name, dim, good, bad in (
+                    ("non_square", 2, [[0.5, 0], [0, 0.5]], [[0.5, 0, 0], [0, 0.5, 0]]),
+                    ("wrong_d", 2, [[0.5, 0], [0, 0.5]], [[0.5]]),
+                    ("nine_by_nine", 9, nine, nine),
+                    ("string_entry", 2, [[0.5, 0], [0, 0.5]], [[0.5, "x"], [0, 0.5]]),
+                    ("1e999", 2, [[0.5, 0], [0, 0.5]], [[0.5, 0], [0, "1e999"]]))}
     return {"bad.json": '{"dim": 1,', "double.json": json.dumps(json.dumps(middle_thirds)),
             "d1.json": d1, "ordered.json": json.dumps(ordered),
             "shears.json": json.dumps(shears),
             "later_non_scalar.json": json.dumps(later_non_scalar),
             "singular_later.json": json.dumps(singular_later),
-            "lattice4.json": json.dumps(lattice4), "chain_shear.json": json.dumps(chain_shear)}
+            "lattice4.json": json.dumps(lattice4), "chain_shear.json": json.dumps(chain_shear),
+            **{f"bad_map_{name}.json": json.dumps(doc).replace('"1e999"', "1e999")
+               for name, doc in bad_maps.items()}}
 
 
 def run(src, argv, job_dir, files):
