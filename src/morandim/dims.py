@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, InapplicableEstimator
+from .linalg import exp_or_inf
 from .symbolic import _MAX_CHAIN_DEPTH, DEFAULT_NODE_BUDGET, make_engine
 from .system import SystemSpec, require_invariants
 
@@ -212,25 +213,19 @@ def net_measure(spec: SystemSpec, s: float, k: int, K: int,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> NetMeasureTable:
     """Exact infimum of phi^s cover costs over cylinder depths in [k, K].
 
-    On a multiplicative system (``SystemSpec.multiplicative``) and on the
-    chain, the least level sum over depths k..K, with no tree built.
-    Otherwise a dynamic program on the level tree: leaves at depth K cost
-    their own phi, inner nodes at depth >= k take the cheaper of covering
-    themselves or their children, shallower nodes must pass to children.
-    Raises BudgetExceeded when the tree through depth K, root included,
-    holds more than ``node_budget`` nodes: classes on the lattice, words on
-    the generic walker, whichever route is taken (the chain engine is not
-    budgeted).
+    On the chain and on a multiplicative system (``SystemSpec.multiplicative``),
+    the least level sum over depths k..K, with no tree and no budget (K past
+    10^4 raises BudgetExceeded).  Otherwise a dynamic program on the level
+    tree: leaves at depth K cost their own phi, inner nodes at depth >= k
+    take the cheaper of covering themselves or their children, shallower
+    nodes must pass to children; it raises BudgetExceeded when the tree
+    through K, root included, holds more than ``node_budget`` nodes.
     """
     _check_window(k, K)
     (log_v,) = make_engine(spec).net_measure_series(s, [(k, K)], node_budget)
     if log_v is None:
         raise BudgetExceeded(f"net-measure window [{k}, {K}] does not fit the node budget")
-    try:
-        value = math.exp(log_v)
-    except OverflowError:
-        value = math.inf
-    return NetMeasureTable(s=float(s), k=k, K=K, value=value, log_value=log_v)
+    return NetMeasureTable(s=float(s), k=k, K=K, value=exp_or_inf(log_v), log_value=log_v)
 
 
 def default_depth_schedule(spec: SystemSpec, engine, node_budget: int) -> list:
@@ -248,9 +243,10 @@ def estimate_sA(spec: SystemSpec, tol: float = 0.02, depth_schedule=None,
 
     Each probe is one ``net_measure_series`` call: the least level sum per
     window on the chain and on a multiplicative system, which builds no
-    tree, and the class tree's DP otherwise.  A window whose tree through
-    its horizon does not fit ``node_budget`` is left out of every probe and
-    the report is flagged ``budget_truncated``, on either route.
+    tree and misses no window, and the class tree's DP otherwise.  A DP
+    window whose tree through its horizon does not fit ``node_budget`` is
+    left out of every probe and the report is flagged ``budget_truncated``,
+    so on s_A that flag always means a tree was cut.
     An empty ``depth_schedule`` raises ValueError; the default one raises
     BudgetExceeded when ``node_budget`` is too small for any window on the
     generic engine.  ``engine`` is ``make_engine(spec)``, built here when

@@ -81,8 +81,16 @@ def log_singular_values(t) -> tuple:
     return tuple(log_scale + math.log(float(v)) for v in vals)
 
 
+def exp_or_inf(x: float) -> float:
+    """``math.exp(x)``, or inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def singular_values(t) -> tuple:
-    """Singular values of a nonsingular map, descending, as floats.
+    """Singular values of a nonsingular map, descending, as floats (inf past the float range).
 
     Rejects matrices with |det| <= 1e-14 rather than clamping: the cut-set
     and net-measure machinery assumes nonsingular maps.
@@ -92,7 +100,7 @@ def singular_values(t) -> tuple:
         raise NonsingularityViolated(
             f"matrix is singular or near-singular (|det| <= {SINGULAR_DET_TOL})"
         )
-    return tuple(math.exp(v) for v in log_singular_values(arr))
+    return tuple(map(exp_or_inf, log_singular_values(arr)))
 
 
 def op_norm(t) -> float:

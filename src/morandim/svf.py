@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .linalg import log_singular_values
+from .linalg import exp_or_inf, log_singular_values
 
 
 def branch_index(s: float, d: int) -> int:
@@ -54,6 +54,6 @@ def log_phi(t, s: float) -> float:
 
 
 def phi(t, s: float) -> float:
-    """phi^s(T) in the plain domain (may underflow for deep products)."""
-    return math.exp(log_phi(t, s))
+    """phi^s(T) in the plain domain: it may underflow, and is inf past the float range."""
+    return exp_or_inf(log_phi(t, s))
 

@@ -14,14 +14,14 @@ measure as the least level sum over each window wherever that is exact:
   values, as the composition lattice of a stationary diagonal family
   (``DiagonalEngine``) or as words over each level's distinct maps, merged
   further by a symmetry of the maps (``GenericEngine``, the only store that
-  pays the exponential price).  A multiplicative system
-  (``SystemSpec.multiplicative``) gives its level sums as products, with
-  no tree; every other system runs the net-measure DP.
+  pays the exponential price).  A multiplicative system's level sums, for
+  the net measure and the pressure root alike, are products with no tree
+  (``SystemSpec.multiplicative``); every other system runs the DP.
 
-The two kinds of traversal keep two budget rules.  A net-measure window is
+The two kinds of traversal keep two budget rules.  A DP window is
 evaluated exactly when the budget covers the tree through its horizon K,
-root included, and is None otherwise; the DP builds the tree only that
-deep, and the product path reads the same horizon off the level widths.  A
+root included, and is None otherwise, and the DP builds the tree only that
+deep; the chain and the level products are not budgeted and miss no window.  A
 pruned walk (the cut-set quantities) pays, per level, what it expands, and
 stops before the level that would exceed the budget.  The lattice counts
 its classes; the generic walker counts the words its classes stand for, so
@@ -64,7 +64,7 @@ from .svf import branch_index, log_phi_from_logs
 from .system import LevelSpec, SystemSpec, require_invariants
 
 DEFAULT_NODE_BUDGET = 10_000_000
-# Deepest chain and Moran depth: 10^4 levels of 9 maps' exact word counts take ~20 MB.
+# Deepest chain, level product and Moran depth: 10^4 levels of 9 maps' word counts take ~20 MB.
 _MAX_CHAIN_DEPTH = 10_000
 _WORD_ENUM_CAP = 200_000
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -344,14 +344,14 @@ class _Engine:
         return groups, not rec.complete[0], rec.nodes
 
     def net_measure_series(self, s: float, windows, node_budget: int):
-        """Net-measure log values for (k, K) windows, None for a window whose
-        K lies past the store's horizon: min(S_k..S_K) where the store gives
-        its level sums S_t through its horizon (``_net_level_sums``, which
-        says why that is exact), else the DP (``_net_measure_dp``)."""
-        sums = self._net_level_sums(s, max(K for _, K in windows), node_budget)
-        if sums is None:
+        """Net-measure log values for (k, K) windows: min(S_k..S_K) of one
+        ``level_log_sums`` on the chain, whose words at a depth share one
+        product, and on a multiplicative class tree (``_level_log_sums``);
+        else the DP, None where the budget misses K (``_net_measure_dp``)."""
+        if self.kind != "uniform" and not self.spec.multiplicative:
             return self._net_measure_dp(s, windows, node_budget)
-        return [min(sums[k - 1:K]) if K <= len(sums) else None for k, K in windows]
+        sums = self.level_log_sums(s, range(1, max(K for _, K in windows) + 1))
+        return [min(sums[k - 1:K]) for k, K in windows]
 
 
 class UniformEngine(_Engine):
@@ -428,11 +428,6 @@ class UniformEngine(_Engine):
                       counts if exact else self._log_counts.take(depths),
                       [True] * len(le), depths[-1] if depths else 1)
 
-    def _net_level_sums(self, s: float, K: int, node_budget: int) -> list:
-        """The level sums through K, unbudgeted: all words at a depth share
-        one product, so the cheapest cover sits at one depth."""
-        return self.level_log_sums(s, range(1, K + 1))
-
     def _level_log_sums(self, s: float, depths: list) -> list:
         self._extend(max(depths))
         return (log_phi_from_logs(self._logs.take(depths, axis=1), s)
@@ -496,26 +491,6 @@ class _ClassTree(_Engine):
                       np.concatenate(counts) if rows else np.empty(0),
                       [frontier_la <= float(v) for v in le], nodes)
 
-    def _net_level_sums(self, s: float, K: int, node_budget: int):
-        """For a multiplicative system, the level sums through the deepest
-        depth <= K whose tree fits the budget, with no tree; else None.
-
-        phi^s(T_w) = prod_j phi^s(T_{j,w_j}), so S_t = prod_{j<=t} Z_j with
-        Z_j = sum_i phi^s(T_{j,i}), log Z_j taken once per distinct level.
-        By the mass distribution principle the least S_t is the net measure:
-        the Bernoulli measure with weights phi^s(T_{j,i}) / Z_j gives every
-        cover mass 1, and each of its cylinders w costs S_|w| times its mass.
-        """
-        if not self.spec.multiplicative:
-            return None
-        horizon, schedule = self.max_depth_within(node_budget, K), self.spec.schedule
-        log_z = []  # log Z_j(s) per distinct level
-        for lvl in schedule.levels:
-            moduli = np.ascontiguousarray(lvl.moduli.T)  # (d, n)
-            log_z.append(logsumexp(log_phi_from_logs(-np.sort(-np.log(moduli), axis=0), s)))
-        return list(itertools.accumulate(log_z[schedule.level_index(t)]
-                                         for t in range(1, horizon + 1)))
-
     def _net_measure_dp(self, s: float, windows, node_budget: int):
         """``net_measure_series`` by the DP on the class tree, for any system;
         a window whose tree through K, root included, does not fit the
@@ -564,7 +539,27 @@ class _ClassTree(_Engine):
         return out
 
     def _level_log_sums(self, s: float, depths: list) -> list:
-        levels = self._levels(max(depths))
+        """Sums over the class tree; on a multiplicative system, products
+        with no tree, through depth ``_MAX_CHAIN_DEPTH`` (BudgetExceeded past it).
+
+        phi^s(T_w) = prod_j phi^s(T_{j,w_j}), so S_t = prod_{j<=t} Z_j with
+        Z_j = sum_i phi^s(T_{j,i}).  By the mass distribution principle the
+        least S_t over depths k..K is the net measure: the Bernoulli measure
+        with weights phi^s(T_{j,i}) / Z_j gives every cover mass 1, and each
+        of its cylinders w costs S_|w| times its mass.
+        """
+        K, schedule = max(depths), self.spec.schedule
+        if self.spec.multiplicative:
+            if K > _MAX_CHAIN_DEPTH:
+                raise BudgetExceeded(f"level-product depth exceeds {_MAX_CHAIN_DEPTH}")
+            log_z = []  # log Z_j(s) per distinct level
+            for lvl in schedule.levels:
+                moduli = np.ascontiguousarray(lvl.moduli.T)  # (d, n)
+                log_z.append(logsumexp(log_phi_from_logs(-np.sort(-np.log(moduli), axis=0), s)))
+            sums = list(itertools.accumulate(log_z[schedule.level_index(t)]
+                                             for t in range(1, K + 1)))
+            return [sums[t - 1] for t in depths]
+        levels = self._levels(K)
         return [logsumexp(self._log_phi(levels[t - 1], s) + self._log_mults(t)) for t in depths]
 
     def _log_phi(self, logs: np.ndarray, s: float) -> np.ndarray:

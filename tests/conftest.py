@@ -1,7 +1,15 @@
 """Hypothesis profiles: a derandomized ``ci`` one is loaded by default, so the
 fuzz tests draw the same examples on every run; ``--hypothesis-profile
-thorough`` draws many more, from a fresh seed."""
+thorough`` draws many more, from a fresh seed.
+
+Hypothesis also mixes the literals of every loaded local module that is not
+a test module into its draws, even derandomized.  ``morandim`` imports every
+module but ``cli``, which ``test_cli.py`` imports when it is collected, so
+``cli`` is imported here: a test then draws the same examples whether it
+runs alone, with its own file, or in the full run."""
 import pytest
+
+import morandim.cli  # noqa: F401  (see the module docstring)
 
 try:
     from hypothesis import settings

@@ -713,8 +713,8 @@ def test_a_dims_job_builds_one_engine(monkeypatch, capsys, which):
 
 @pytest.mark.parametrize("budget", [(), ("--node-budget", "3000")])
 def test_dims_sa_on_a_multiplicative_lattice_builds_no_level(monkeypatch, capsys, budget):
-    # random_diag_pair's s_A series is its least level product; with the
-    # horizon cut by the budget too, the lattice is never extended
+    # random_diag_pair's s_A series is its least level product, which misses
+    # no window at any budget, so the lattice is never extended
     extended = []
     real = symbolic.DiagonalEngine._extend
 

@@ -139,10 +139,20 @@ def test_sA_of_random_diag_pair_is_the_same_report_by_the_lattice_dp(tol):
 
 
 def test_net_measure_window_over_budget_raises():
-    spec = fixture("random_diag_pair")
-    assert make_engine(spec).kind == "diagonal"
+    """Only the DP is budgeted: ``example_5_3`` is not multiplicative, while
+    ``random_diag_pair``'s window, whose lattice holds 1,326 classes through
+    depth 50, is its least level sum, with no tree built."""
+    spec = fixture("example_5_3")
+    assert make_engine(spec).kind == "generic" and not spec.multiplicative
     with pytest.raises(BudgetExceeded):
-        net_measure(spec, 1.0, 2, 50, node_budget=100)
+        net_measure(spec, 1.0, 2, 8, node_budget=100)
+    spec = fixture("random_diag_pair")
+    engine = make_engine(spec)
+    assert engine.kind == "diagonal" and spec.multiplicative
+    assert engine.max_depth_within(100, 50) < 50
+    table = net_measure(spec, 1.0, 2, 50, node_budget=100)
+    assert table.log_value == min(engine.level_log_sums(1.0, range(2, 51)))
+    assert len(engine._logs) == 1
 
 
 # ---------------------------------------------------------------------------

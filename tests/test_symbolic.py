@@ -1,6 +1,8 @@
 import collections
 import itertools
+import json
 import math
+import pathlib
 import re
 import sys
 import warnings
@@ -9,8 +11,8 @@ import numpy as np
 import pytest
 
 from morandim import symbolic
-from morandim.dims import (default_depth_schedule, default_eps_log_schedule, estimate_sA,
-                           estimate_sstar)
+from morandim.dims import (_bisect, _sign_class, default_depth_schedule,
+                           default_eps_log_schedule, estimate_sA, estimate_sstar, pressure_root)
 from morandim.errors import BudgetExceeded, MoranDimError, NonsingularityViolated
 from morandim.linalg import sv2_batch
 from morandim.svf import branch_index, log_phi_from_logs
@@ -41,6 +43,7 @@ from morandim.system import (
     alpha_bounds,
     fixture,
     fixture_names,
+    parse_spec,
 )
 
 S_SIM = math.log(2) / math.log(3)
@@ -554,7 +557,7 @@ def test_pruned_walks_on_the_kept_tree_match_fresh_walks():
     def check(spec, s):
         log_eps = [math.log(e) for e in GEN_EPS]
         kept = GenericEngine(spec)
-        kept.level_log_sums(1.0, [KEPT_DEPTH])
+        kept._levels(KEPT_DEPTH)
         assert len(kept._tree_logs) == KEPT_DEPTH
         for budget in _walk_budgets(spec):
             assert (kept.schedule_log_sums(s, log_eps, budget)
@@ -578,7 +581,7 @@ def test_engine_sums_match_independent_walker_on_generated_systems():
     def check(spec, s, keep_tree):
         engine = make_engine(spec)
         if keep_tree and isinstance(engine, GenericEngine):
-            engine.level_log_sums(1.0, [KEPT_DEPTH])
+            engine._levels(KEPT_DEPTH)
         walker = [math.log(math.fsum(math.exp(lp) for _, lp in iter_cutset_words(spec, s, e)))
                   for e in GEN_EPS]
         assert cutset_sum(cutset(spec, s, GEN_EPS[-1])) == pytest.approx(
@@ -1209,10 +1212,11 @@ def test_lattice_matches_the_word_walk_on_generated_diagonal_systems():
 
 @pytest.mark.parametrize("name", ["random_diag_pair", "example_5_3"])
 def test_net_measure_horizon_is_the_deepest_window_that_fits(name):
-    """A window is evaluated exactly when the classes through its K, root
+    """A DP window is evaluated exactly when the classes through its K, root
     included, fit the budget, and the DP builds the tree only that deep.
-    ``random_diag_pair`` is multiplicative, so ``net_measure_series`` keeps
-    the horizon there and builds nothing; the DP then runs directly."""
+    ``random_diag_pair`` is multiplicative, so ``net_measure_series`` answers
+    every window there by the level products and builds nothing; the DP
+    then runs directly."""
     spec = fixture(name)
     for K in range(2, 7):
         windows = [(1, K), (K, K), (1, K + 1), (K + 1, K + 1)]
@@ -1225,8 +1229,11 @@ def test_net_measure_horizon_is_the_deepest_window_that_fits(name):
         assert engine.max_depth_within(budget) == K
         assert engine.max_depth_within(budget - 1) == K - 1
         got = engine.net_measure_series(1.1, windows, budget)
-        assert None not in got[:2] and got[2:] == [None, None]
-        assert _built_depth(engine) == (0 if spec.multiplicative else K)
+        if spec.multiplicative:
+            assert None not in got and _built_depth(engine) == 0
+        else:
+            assert None not in got[:2] and got[2:] == [None, None]
+            assert _built_depth(engine) == K
         dp = engine._net_measure_dp(1.1, windows, budget)
         assert None not in dp[:2] and dp[2:] == [None, None]
         assert _built_depth(engine) == K
@@ -1298,7 +1305,8 @@ def _multiplicative_system(d, kind, branches, seed):
 def test_the_product_path_equals_the_dp_on_multiplicative_systems():
     """Constant systems go to the lattice and the others to the walker; at
     every exponent, s > d included, and both budgets, the product path
-    misses the same windows as the DP and is within PRODUCT_UNITS of it."""
+    answers every window, builds no level, and is within PRODUCT_UNITS of
+    the DP on every window the DP evaluates."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
@@ -1312,17 +1320,71 @@ def test_the_product_path_equals_the_dp_on_multiplicative_systems():
     def check(spec):
         assert spec.multiplicative
         engine = (DiagonalEngine if spec.schedule.kind == "constant" else GenericEngine)(spec)
-        for s in (0.0, *GEN_S):
-            for budget in (40, 20_000):
-                got = engine.net_measure_series(s, windows, budget)
-                want = engine._net_measure_dp(s, windows, budget)
-                assert [g is None for g in got] == [w is None for w in want]
-                for g, w in zip(got, want):
-                    if w is not None:
-                        assert abs(g - w) <= PRODUCT_UNITS * 2.0 ** -53 * max(1.0, abs(w)), \
-                            (s, budget, g, w)
+        probes = [(s, budget) for s in (0.0, *GEN_S) for budget in (40, 20_000)]
+        products = [engine.net_measure_series(s, windows, budget) for s, budget in probes]
+        assert _built_depth(engine) == 0
+        for (s, budget), got in zip(probes, products):
+            assert None not in got
+            for g, w in zip(got, engine._net_measure_dp(s, windows, budget)):
+                if w is not None:
+                    assert abs(g - w) <= PRODUCT_UNITS * 2.0 ** -53 * max(1.0, abs(w)), \
+                        (s, budget, g, w)
 
     check()
+
+
+def _tree_level_sum(engine, s, t):
+    """A class tree's own level sum at depth t, over its built levels, on any system."""
+    return logsumexp(engine._log_phi(engine._levels(t)[t - 1], s) + engine._log_mults(t))
+
+
+def test_the_lattice_tree_sums_equal_the_level_products():
+    """The tree route beside the products (C4 reads the products): on
+    ``random_diag_pair``, ``pressure_root`` builds no level, the lattice's
+    own sums are within PRODUCT_UNITS of ``level_log_sums`` at every depth
+    it reads, t = 1..96, and a root bisected from the tree sums lies within
+    one tol of ``pressure_root``'s, where the two classify a probe alike
+    unless its log p lies within their rounding of 0."""
+    spec = fixture("random_diag_pair")
+    engine = make_engine(spec)
+    assert isinstance(engine, DiagonalEngine) and spec.multiplicative
+    tol = 1e-7
+    report = pressure_root(spec, tol=tol, engine=engine)
+    assert len(engine._logs) == 1 and report.estimate is not None
+    k1, k2 = report.schedule["depths"]
+    assert (k1, k2) == (48, 96)
+    for s in (0.3, 0.9, 1.25, report.estimate, 1.8, 2.6):
+        for t, got in enumerate(engine.level_log_sums(s, range(1, 97)), start=1):
+            want = _tree_level_sum(engine, s, t)
+            assert abs(got - want) <= PRODUCT_UNITS * 2.0 ** -53 * max(1.0, abs(want)), (s, t)
+
+    def classify(s):
+        return _sign_class((_tree_level_sum(engine, s, k2) - _tree_level_sum(engine, s, k1))
+                           / (k2 - k1))
+
+    estimate, _, flags = _bisect(classify, 0.0, spec.dim + 1.0, tol)
+    assert flags == [] and abs(estimate - report.estimate) <= tol
+
+
+def test_walker_level_products_build_no_level():
+    """``periodic_scalar_d1`` (d = 1, on the generic walker) is multiplicative:
+    its depth-200 level sum is the sum of log Z_j over levels 1..200, taken
+    by hand, within PRODUCT_UNITS, and no level of its word tree is built."""
+    doc = json.loads((pathlib.Path(__file__).parent / "golden"
+                      / "periodic_scalar_d1.json").read_text())
+    spec = parse_spec(doc)
+    engine = make_engine(spec)
+    assert isinstance(engine, GenericEngine) and spec.multiplicative
+    ratios = [[abs(m[0][0]) for m in lvl["maps"]] for lvl in doc["schedule"]["levels"]]
+    for s in (0.3, 0.63, 1.0, 1.7):
+        log_z = [math.log(math.fsum(c ** s for c in cs)) for cs in ratios]
+        want = math.fsum(log_z[(t - 1) % len(ratios)] for t in range(1, 201))
+        (got,) = engine.level_log_sums(s, [200])
+        assert abs(got - want) <= PRODUCT_UNITS * 2.0 ** -53 * max(1.0, abs(want)), (s, got, want)
+    # past the chain's depth cap the products raise, as the chain does, before any sum
+    with pytest.raises(BudgetExceeded, match="level-product depth exceeds 10000"):
+        engine.level_log_sums(1.0, [symbolic._MAX_CHAIN_DEPTH + 1])
+    assert engine._tree_logs == []
 
 
 def test_the_least_level_sum_is_not_the_net_measure_of_an_unordered_system():
@@ -1392,7 +1454,7 @@ def test_merged_classes_match_the_word_tree_on_repeating_systems():
         assume(any(len(lvl.distinct[0]) < lvl.branch_count for lvl in spec.schedule.levels))
         merged, words = GenericEngine(spec), _WordEngine(spec)
         if keep_tree:
-            merged.level_log_sums(1.0, [KEPT_DEPTH])
+            merged._levels(KEPT_DEPTH)
         # the windows against the per-word DP; the tree through depth 6 holds
         # at most 1,093 words
         _check_net_measure_series(spec, 20_000, windows, engine=merged, tol=1e-10)
@@ -1548,7 +1610,7 @@ def test_quotient_matches_the_word_tree_on_symmetric_systems():
         assert k == 2 and merged._arity(2) == 1 + sum(
             np.array_equal(P @ lvl.array[j] @ P.T, lvl.array[j]) for j in lvl.distinct[0])
         if keep_tree:
-            merged.level_log_sums(1.0, [KEPT_DEPTH])
+            merged._levels(KEPT_DEPTH)
         for got, want in zip(merged.level_log_sums(s, range(1, 7)),
                              words.level_log_sums(s, range(1, 7))):
             assert close(got, want, d)

@@ -56,6 +56,9 @@ EXTRA = [
     ("dims:moran_non_scalar_later", ["dims", "later_non_scalar.json", "--which", "moran"]),
     ("validate:singular_later", ["validate", "singular_later.json"]),
     ("dims:lattice_dp", ["dims", "lattice4.json", "--which", "sa", "--node-budget", "1000000"]),
+    # the tree route of level_log_sums, on a lattice that is not multiplicative
+    ("dims:lattice4_falconer", ["dims", "lattice4.json", "--which", "falconer",
+                                "--node-budget", "100000"]),
     ("dims:chain_non_multiplicative", ["dims", "chain_shear.json", "--which",
                                        "sstar,sa,falconer"]),
     *((f"validate:bad_map_{name}", ["validate", f"bad_map_{name}.json"])
