@@ -30,6 +30,17 @@ def test_singular_values_shear_oracle():
     assert sv[1] == pytest.approx(0.309017, abs=1e-6)
 
 
+def test_singular_values_and_phi_are_inf_past_the_float_range():
+    # 1.5e308 * sqrt(2) times an orthogonal map: sigma_1 = sigma_2 = 2.12e308
+    a = 1.5e308
+    m = [[a, a], [a, -a]]
+    assert op_norm(m) == math.inf
+    assert singular_values(m) == (math.inf, math.inf)
+    assert phi(m, 1.0) == math.inf and phi(m, 2.0) == math.inf
+    # phi^(1/2) = sqrt(sigma_1) is finite and carries exp's bits
+    assert phi(m, 0.5) == math.exp(0.5 * (math.log(a) + 0.5 * math.log(2.0)))
+
+
 def test_singular_matrix_rejected():
     with pytest.raises(NonsingularityViolated):
         singular_values([[0.0, 0.0], [0.0, 0.5]])

@@ -1366,6 +1366,27 @@ def test_the_lattice_tree_sums_equal_the_level_products():
     assert flags == [] and abs(estimate - report.estimate) <= tol
 
 
+def test_falconer_ratio_of_random_diag_pair_is_its_log_z():
+    """``random_diag_pair`` repeats one level of two diagonal maps whose
+    coordinates share one order, so S_t = t log Z: the ratio falconer reads,
+    (S_96 - S_48) / 48, is log Z taken by hand within PRODUCT_UNITS, and
+    reading it builds no level of the lattice."""
+    spec = fixture("random_diag_pair")
+    engine = make_engine(spec)
+    assert isinstance(engine, DiagonalEngine) and spec.multiplicative
+    pairs = [(0.4584, 0.2917), (0.4114, 0.2595)]
+
+    def hand_phi(a, b, s):
+        return a ** s if s <= 1 else a * b ** (s - 1) if s <= 2 else (a * b) ** (s / 2)
+
+    for s in (0.3, 0.9, 1.25, 1.8, 2.6):
+        want = math.log(math.fsum(hand_phi(a, b, s) for a, b in pairs))
+        s48, s96 = engine.level_log_sums(s, [48, 96])
+        got = (s96 - s48) / 48
+        assert abs(got - want) <= PRODUCT_UNITS * 2.0 ** -53 * max(1.0, abs(want)), (s, got, want)
+    assert len(engine._logs) == 1
+
+
 def test_walker_level_products_build_no_level():
     """``periodic_scalar_d1`` (d = 1, on the generic walker) is multiplicative:
     its depth-200 level sum is the sum of log Z_j over levels 1..200, taken
