@@ -155,12 +155,15 @@ def _project_codes(spec: SystemSpec, codes: np.ndarray, seed: int) -> np.ndarray
             T = _gather(lvl.array.reshape(-1, d * d), codes[:, k - 1]).T.reshape(d, d, N)
         w = translation(k).T
         nxt = []
-        for i in range(d):
-            acc = T[i, 0] * x[0]
-            for j in range(1, d):
-                acc += T[i, j] * x[j]
-            acc += w[i]
-            nxt.append(acc)
+        # translations near the float range can sum past it, to inf or nan,
+        # which the box counter rejects and ``render`` clips or refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(d):
+                acc = T[i, 0] * x[0]
+                for j in range(1, d):
+                    acc += T[i, j] * x[j]
+                acc += w[i]
+                nxt.append(acc)
         x = nxt
     points = np.empty((d, N))
     for i in range(d):
@@ -258,7 +261,8 @@ def _grid_keys(points: np.ndarray, epsilon: float) -> np.ndarray:
     grid for the points' extent; the check runs on the float indices before
     any cast, so nothing wraps.
     """
-    cells = np.floor(points / epsilon + _GRID_SNAP).T
+    with np.errstate(over="ignore"):  # a point near the float range: an inf index, rejected below
+        cells = np.floor(points / epsilon + _GRID_SNAP).T
     lo, hi = [col.min() for col in cells], [col.max() for col in cells]
     # the comparisons also reject nan
     if not all(l >= -_INT64_LIMIT and h < _INT64_LIMIT for l, h in zip(lo, hi)):
@@ -375,7 +379,9 @@ def render(cloud: PointCloud, resolution: int) -> np.ndarray:
     """Binary raster over the seed region's bounding box, origin lower-left.
 
     Returns a (resolution, resolution) uint8 array in display order (row 0
-    on top); a pixel is 255 iff some point maps into it.
+    on top); a pixel is 255 iff some point maps into it.  A point outside
+    the box is clipped onto it before it is scaled, so it lands on the edge
+    pixel, however far out it lies; a nan coordinate raises ValueError.
     """
     if cloud.dim != 2:
         raise DimensionMismatch("rendering needs a 2-dimensional cloud")
@@ -390,7 +396,10 @@ def render(cloud: PointCloud, resolution: int) -> np.ndarray:
     else:
         lo, hi = pts.min(axis=0), pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-300)
-    scaled = (pts - lo) / span * resolution + _GRID_SNAP
+    scaled = (np.clip(pts, lo, hi) - lo) / span * resolution + _GRID_SNAP
+    if np.isnan(scaled).any():
+        raise ValueError("a sampled point has a nan coordinate: its translations "
+                         "sum past the float range")
     px = np.clip(np.floor(scaled[:, 0]).astype(np.int64), 0, resolution - 1)
     py = np.clip(np.floor(scaled[:, 1]).astype(np.int64), 0, resolution - 1)
     raster[resolution - 1 - py, px] = 255

@@ -235,7 +235,10 @@ def cmd_render(spec, label, args, started) -> int:
     if spec.dim != 2:
         raise DimensionMismatch(f"render needs a 2-dimensional system, got d={spec.dim}")
     cloud = _cloud(spec, args)
-    raster = render(cloud, args.resolution)
+    try:  # a sampled point past the float range
+        raster = render(cloud, args.resolution)
+    except ValueError as exc:
+        raise ConfigError(f"render: {exc}") from exc
     # every file is written before anything is printed
     _save(os.path.dirname(args.out) or ".", [(args.out, lambda tmp: write_pgm(raster, tmp))],
           args, label, started,

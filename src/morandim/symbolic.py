@@ -42,6 +42,13 @@ level's products as d^2 contiguous entry columns, (d, d, N).  The class
 tree's level-wide array work runs in chunks over ``workers`` threads
 (``_Engine._blocks``), with the same bits at any worker count.
 
+The generic walker keeps the log singular values of its unpruned tree, and
+each stage of a job holds them and about one level more: the build keeps no
+products of the deepest level, the net-measure DP takes log phi^s one depth
+at a time, and a pruned walk reads each kept level in place, through a live
+mask (see ``_ClassTree``); past the kept levels it carries a compact
+frontier with its products.
+
 ``cutset_rows`` lists the cut-set words themselves, independently of the
 engines, from plain products taken one depth at a time.  The chain and the
 lister read the singular values of their rescaled products in one step,
@@ -75,7 +82,8 @@ _STOP_SNAP = 1e-12
 # Columns per chunk of a level's array work (``_Engine._blocks``): it bounds
 # the temporaries of a wide level, and a level of one chunk is not worth a
 # thread hand-off.  On example_5_3's s* and s_A job, 2^11 to 2^17 gave the
-# same time within noise, and the peak RSS was 145 MB with chunks, 170 without.
+# same time within noise.  A chunk's scratch there (d = 2, two maps) is about
+# 5 MiB, and the build's peak holds one per worker.
 _CHUNK = 1 << 15
 
 
@@ -450,17 +458,23 @@ class _ClassTree(_Engine):
 
     ``_walk(visit, m, log_stop, node_budget)`` walks the tree from the root,
     one level at a time, and keeps the children whose alpha_m lies above
-    ``log_stop``.  Each level goes to ``visit(depth, logs, la, parent_la,
-    count)``: the (d, E) log singular values of every child of every kept
-    class, one column per edge, parent-major, ``_arity(depth)`` edges per
-    parent; their log alpha_m; the kept parents' log alpha_m (+inf for the
-    root); and the exact live word count of each edge, as int64 or as Python
-    integers (the walker switches once a count could leave int64; the
-    lattice always carries them).  A level costs what the subclass budgets
-    for it, and one that would take the count past ``node_budget`` is not
-    expanded.  Returns (max log alpha_m of the unexpanded frontier, nodes
-    expanded); the walk was truncated exactly when that max is above -inf.
-    ``_record_stops`` is the one pruned walk whose record ``_Engine`` replays.
+    ``log_stop``.  Each level goes to ``visit(depth, logs, parent_la, live,
+    count_of)``: the (d, P * a) log singular values of the children of P
+    parents, one column per child, parent-major, a = ``_arity(depth)``
+    children per parent; the parents' (P,) log alpha_m (+inf for the root);
+    the (P,) live mask, True for the parents the walk kept, whose children
+    alone are edges of the walk; and ``count_of(rows)``, the exact live word
+    counts of the children at those columns, as int64 or as Python integers
+    (the walker switches once a count could leave int64; the lattice always
+    carries them).  The generic walker hands its kept levels over as they
+    are, every class of a depth with a mask over them, so a visit gathers
+    only the columns it keeps; the lattice and the walker past its kept
+    levels hand over their kept parents only, all live.  A level costs what
+    the subclass budgets for it, and one that would take the count past
+    ``node_budget`` is not expanded.  Returns (max log alpha_m of the
+    unexpanded frontier, nodes expanded); the walk was truncated exactly
+    when that max is above -inf.  ``_record_stops`` is the one pruned walk
+    whose record ``_Engine`` replays.
     """
 
     def _record_stops(self, m: int, le: np.ndarray, node_budget: int, exact: bool) -> _Stops:
@@ -468,22 +482,23 @@ class _ClassTree(_Engine):
         neg_le = -(le + _STOP_SNAP)  # increasing, for searchsorted
         bucket_of, depth_of, rows, counts = [], [], [], []
 
-        def visit(depth, logs, la, parent_la, count):
-            # bucket i can hold a node only if la.min() <= le[i] + snap < parent_la.max()
-            lo = np.searchsorted(neg_le, -parent_la.max(), side="right")
-            hi = np.searchsorted(neg_le, -la.min(), side="right")
-            if lo >= hi:
-                return
-            pa = np.repeat(parent_la, self._arity(depth))
+        def visit(depth, logs, parent_la, live, count_of):
+            la, arity = logs[m - 1], logs.shape[1] // parent_la.size
+            # bucket i can hold a node only if la.min() <= le[i] + snap < parent_la.max(),
+            # over the live parents and their children
+            lo = np.searchsorted(neg_le, -parent_la.max(where=live, initial=-math.inf),
+                                 side="right")
+            hi = np.searchsorted(neg_le, -la.min(where=np.repeat(live, arity),
+                                                 initial=math.inf), side="right")
             for i in range(lo, hi):
-                eps_i = le[i]
+                thr = le[i] + _STOP_SNAP
                 # row indices: gathering by them is much cheaper than a 2-D boolean mask
-                stop = np.flatnonzero((la <= eps_i + _STOP_SNAP) & (pa > eps_i + _STOP_SNAP))
+                stop = np.flatnonzero((la <= thr) & np.repeat((parent_la > thr) & live, arity))
                 if stop.size:
                     bucket_of.append(i)
                     depth_of.append(depth)
                     rows.append(logs.take(stop, axis=1))
-                    counts.append(count.take(stop) if exact else _log_counts(count.take(stop)))
+                    counts.append(count_of(stop) if exact else _log_counts(count_of(stop)))
 
         frontier_la, nodes = self._walk(visit, m, float(le[-1]), node_budget)
         return _Stops(bucket_of, depth_of, [0, *itertools.accumulate(len(c) for c in counts)],
@@ -504,7 +519,7 @@ class _ClassTree(_Engine):
         is the logsumexp of its depth-k row weighted by the classes' word counts.
         """
         horizon = self.max_depth_within(node_budget, max(K for _, K in windows))
-        logphi = [self._log_phi(logs, s) for logs in self._levels(horizon)]  # [t - 1]: depth t
+        levels = self._levels(horizon)
         out = [None] * len(windows)
         joins, leaves = {}, set()
         for i, (k, K) in enumerate(windows):
@@ -515,7 +530,7 @@ class _ClassTree(_Engine):
             return out
         rows, v = [], None  # the stacked windows' (index, k), and their (rows, C_t) values
         for t in range(max(joins), min(leaves) - 1, -1):
-            lph = logphi[t - 1]
+            lph = self._log_phi(levels[t - 1], s)
             if rows:
                 children = self._child_values(t, v)
                 v = np.empty((len(rows), lph.size))
@@ -685,7 +700,7 @@ class DiagonalEngine(_ClassTree):
             logs = self._logs[depth].take(child, axis=1)
             la = logs[m - 1]
             count = np.repeat(count, self.n_maps)  # per edge
-            visit(depth, logs, la, parent_la, count)
+            visit(depth, logs, parent_la, np.ones(parent_la.size, dtype=bool), count.take)
             keep = la > log_stop + _STOP_SNAP
             merged = np.zeros(classes.size, dtype=object)
             np.add.at(merged, inverse[keep], count[keep])
@@ -813,26 +828,32 @@ class GenericEngine(_ClassTree):
     def _arity(self, depth: int) -> int:
         return self._level_maps(depth)[2].size
 
-    def _expand(self, Q, log_scale, log_det, k: int):
+    def _expand(self, Q, log_scale, log_det, k: int, products: bool = True):
         """Children of every node through level k's distinct maps, rescaled to
         unit norm, with their (d, N) descending log singular values.
 
         Q holds the N parents as (d, d, N) entry columns, and so do the
         children: entry (r, c) of child i*a + j is the multiply-add
         sum_k Q[r, k] * M_j[k, c], in k order.  Parents [lo, hi) make children
-        [lo*a, hi*a), chunk by chunk (``_blocks``).
+        [lo*a, hi*a), chunk by chunk (``_blocks``).  Returns the children's
+        products, log scales, log dets and log singular values; without
+        ``products`` the first three are chunk scratch, returned as None.
         """
         mats, logdets, _ = self._level_maps(k)
         a, d, N = mats.shape[0], self.d, Q.shape[-1]
-        raw = np.empty((d, d, N * a))
         logs = np.empty((d, N * a))
-        # for d <= 2 the log scale is the largest log singular value itself
-        scale = logs[0] if d <= 2 else np.empty(N * a)
-        det = np.empty(N * a)
+        if products:
+            raw, det = np.empty((d, d, N * a)), np.empty(N * a)
+            # for d <= 2 the log scale is the largest log singular value itself
+            scale = logs[0] if d <= 2 else np.empty(N * a)
 
         def chunk(lo, hi):
             kids = slice(lo * a, hi * a)
-            cols = raw[..., kids]
+            if products:
+                cols, det_k, scale_k = raw[..., kids], det[kids], scale[kids]
+            else:
+                cols, det_k = np.empty((d, d, (hi - lo) * a)), np.empty((hi - lo) * a)
+                scale_k = logs[0, kids] if d <= 2 else np.empty((hi - lo) * a)
             # one map at a time: a scalar times a parent column, written to
             # every a-th child column (a broadcast over the short map axis is
             # ten times slower)
@@ -854,17 +875,17 @@ class GenericEngine(_ClassTree):
                 a1 = np.linalg.svd(stack, compute_uv=False)[:, 0]
             log_a1 = np.log(a1).reshape(-1, a)
             for j in range(a):
-                np.add(log_scale[lo:hi], log_a1[:, j], out=scale[kids][j::a])
-                np.add(log_det[lo:hi], logdets[j], out=det[kids][j::a])
+                np.add(log_scale[lo:hi], log_a1[:, j], out=scale_k[j::a])
+                np.add(log_det[lo:hi], logdets[j], out=det_k[j::a])
             cols /= a1
             if d == 2:  # the smaller value from the log |det|, as in UniformEngine
-                np.subtract(det[kids], scale[kids], out=logs[1, kids])
+                np.subtract(det_k, scale_k, out=logs[1, kids])
             elif d > 2:
-                np.add(scale[kids], np.log(np.linalg.svd(stack, compute_uv=False)).T,
+                np.add(scale_k, np.log(np.linalg.svd(stack, compute_uv=False)).T,
                        out=logs[:, kids])
 
         self._blocks(N, chunk)
-        return raw, scale, det, logs
+        return (raw, scale, det, logs) if products else (None, None, None, logs)
 
     def _products(self, idx, depth: int, levels: Optional[list] = None):
         """Unit-norm (d, d, N) product columns, log scales and log dets of the
@@ -892,54 +913,77 @@ class GenericEngine(_ClassTree):
     def _walk(self, visit, m: int, log_stop: float, node_budget: float):
         """The pruned walk (see ``_ClassTree``) over classes, paying words.
 
-        Levels the engine keeps (``_levels``) are read, not expanded: the walk
-        carries the indices of its kept nodes into the level (None while the
-        whole level is kept, which is then read as it is).  Past the kept
-        levels it expands its own frontier, whose products it first
-        re-expands from the root along the frontier's ancestors.  A level
-        costs its parents' live words times its branch count.
+        Levels the engine keeps (``_levels``) go to the visit whole, with a
+        one-byte live mask over the parents, and are never copied.  A class
+        stands for all its words, so a count is read off its row's digits
+        (``_class_counts``), and a depth's live words are the last depth's
+        times its branch count, less the pruned children's.  Past the kept
+        levels the walk carries a compact frontier: its live classes'
+        products, first re-expanded from the root along their ancestors,
+        their log alpha_m and their counts.  A level costs its parents' live
+        words times its branch count.
         """
-        kept = self._tree_logs
-        idx = Q = None
-        parent_la = np.full(1, math.inf)    # the root never stops
-        count = np.ones(1, dtype=np.int64)  # live words in each kept class
-        live = words = 1                    # live words, and all words, at this depth
+        kept, stop = self._tree_logs, log_stop + _STOP_SNAP
+        parent_la = np.full(1, math.inf)  # the root never stops
+        live = np.ones(1, dtype=bool)     # which classes of the current depth are kept
+        Q = count = None                  # past the kept levels: products, per-class counts
+        alive = words = 1                 # live words, and all words, at this depth
         depth = nodes = 0
-        while parent_la.size > 0:
+        while alive:
             depth += 1
             n = self.spec.branch_count(depth)
-            if nodes + live * n > node_budget:
-                return float(np.max(parent_la)), nodes
-            nodes += live * n
+            if nodes + alive * n > node_budget:
+                return float(parent_la.max(where=live, initial=-math.inf)), nodes
+            nodes += alive * n
             words *= n
+            # a count never exceeds the words at its depth; past int64, exact Python integers
+            dtype = np.int64 if words <= _INT64_MAX else object
             mults = self._level_maps(depth)[2]
             a = mults.size
-            # a count never exceeds the words at its depth; past int64, exact Python integers
-            count = np.repeat(count, a).astype(np.int64 if words <= _INT64_MAX else object,
-                                               copy=False)
-            if a < n:  # the level repeats a map
-                count *= np.tile(mults.astype(count.dtype), parent_la.size)
             if depth <= len(kept):
                 logs = kept[depth - 1]
-                if idx is not None:
-                    idx = (idx[:, None] * a + np.arange(a)).reshape(-1)
-                    logs = logs.take(idx, axis=1)
-            else:
-                if Q is None:
-                    Q, log_scale, log_det = self._products(idx, depth - 1)
-                Q, log_scale, log_det, logs = self._expand(Q, log_scale, log_det, depth)
-            la = logs[m - 1]
-            visit(depth, logs, la, parent_la, count)
-            keep = la > log_stop + _STOP_SNAP
+                visit(depth, logs, parent_la, live,
+                      lambda rows: self._class_counts(depth, rows, dtype))
+                edges = np.repeat(live, a)  # the children of live parents
+                above = logs[m - 1] > stop
+                pruned = np.flatnonzero(edges & ~above)
+                alive = alive * n - int(self._class_counts(depth, pruned, dtype).sum())
+                live = np.logical_and(edges, above, out=edges)
+                parent_la = logs[m - 1]
+                continue
+            if Q is None:  # the first level past the kept ones
+                idx = np.flatnonzero(live)
+                Q, log_scale, log_det = self._products(None if idx.size == live.size else idx,
+                                                       depth - 1)
+                parent_la, count = parent_la[idx], self._class_counts(depth - 1, idx, dtype)
+            count = np.repeat(count, a).astype(dtype, copy=False)
+            if a < n:  # the level repeats a map
+                count *= np.tile(mults.astype(count.dtype), parent_la.size)
+            Q, log_scale, log_det, logs = self._expand(Q, log_scale, log_det, depth)
+            visit(depth, logs, parent_la, np.ones(parent_la.size, dtype=bool), count.take)
+            parent_la = logs[m - 1]
+            keep = parent_la > stop
             if not keep.all():
-                la, count = la[keep], count[keep]
-                if Q is not None:
-                    Q, log_scale, log_det = Q[..., keep], log_scale[keep], log_det[keep]
-                else:
-                    idx = np.nonzero(keep)[0] if idx is None else idx[keep]
-            parent_la = la
-            live = int(count.sum())
+                parent_la, count = parent_la[keep], count[keep]
+                Q, log_scale, log_det = Q[..., keep], log_scale[keep], log_det[keep]
+            live = np.ones(parent_la.size, dtype=bool)
+            alive = int(count.sum())
         return -math.inf, nodes
+
+    def _class_counts(self, depth: int, rows: np.ndarray, dtype) -> np.ndarray:
+        """The word counts, in ``dtype``, of the depth-``depth`` classes at
+        ``rows`` of an unpruned level: each the product of its maps'
+        multiplicities, the map at depth t read off the row's digit there."""
+        out = np.ones(rows.size, dtype=dtype)
+        stride = 1  # the depth-``depth`` classes under one class of depth t
+        for t in range(depth, 0, -1):
+            mults = self._level_maps(t)[2]
+            if mults.size == 1:  # one distinct map: every row takes it
+                out *= mults.astype(dtype)[0]
+            elif mults.size < self.spec.branch_count(t):  # the level repeats a map
+                out *= mults.astype(dtype)[rows // stride % mults.size]
+            stride *= mults.size
+        return out
 
     def _widths(self):
         width, t = 1, 0
@@ -956,7 +1000,9 @@ class GenericEngine(_ClassTree):
         """
         if depth > len(self._tree_logs):
             levels = []  # kept only once complete
-            self._products(None, depth, levels)
+            Q, log_scale, log_det = self._products(None, depth - 1, levels)
+            # the deepest level's products have no children to make
+            levels.append(self._expand(Q, log_scale, log_det, depth, products=False)[3])
             self._tree_logs = levels
         return self._tree_logs[:depth]
 

@@ -1224,3 +1224,49 @@ def test_a_value_past_the_float_range_prints_no_numpy_warning(tmp_path, bad, nor
         *[("NonsingularityViolated", "matrix is singular")] * singular,
         ("HalfNormExceeded", f"sup op_norm {norm} >= 1/2 voids the random-translation "
                              "exact-dimension hypothesis")]
+
+
+def _far_digits_config(tmp_path, maps, digits):
+    doc = fixture_document("similarity_pair")
+    level = doc["schedule"]["levels"][0]
+    level["maps"], level["digits"] = maps or level["maps"], digits
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+SHEAR = [[[0.45, 0.45], [0.0, 0.45]]] * 2  # mixes a coordinate near +inf with one near -inf
+
+
+@pytest.mark.parametrize("command, maps, digits, code, message", [
+    ("boxdim", None, [[1e308, 0.0], [2 / 3, 2 / 3]], 1,
+     "boxdim --depth 6: scale 0.1111111111111111 puts grid indices outside int64"),
+    ("render", None, [[1e308, 0.0], [2 / 3, 2 / 3]], 0, None),
+    ("render", SHEAR, [[1.7e308, -1.7e308]] * 2, 1,
+     "render: a sampled point has a nan coordinate: its translations sum past the float range"),
+], ids=["boxdim", "render_clipped", "render_nan"])
+def test_digits_near_the_float_range_print_no_numpy_warning(tmp_path, command, maps, digits,
+                                                            code, message):
+    """Translations near the float range make points near or past it: the
+    box counter refuses them with one JSON line, and ``render`` clips a far
+    point onto the edge of its box (a nan one it refuses), with no numpy
+    warning printed, in a fresh process, before the JSON."""
+    path = _far_digits_config(tmp_path, maps, digits)
+    out = tmp_path / "r.pgm"
+    argv = [command, str(path), "--depth", "6", "--count", "2000"]
+    if command == "render":
+        argv += ["--resolution", "32", "--out", str(out)]
+    proc = subprocess.run(CLI + argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if message:
+        assert proc.stdout == ""
+        assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+            {"error": "config", "message": message}]
+        assert not out.exists()
+        return
+    assert proc.stderr == ""
+    raster = np.frombuffer(out.read_bytes()[-32 * 32:], dtype=np.uint8).reshape(32, 32)
+    assert json.loads(proc.stdout)["occupied_pixels"] == np.count_nonzero(raster)
+    # a word with a digit 1 lies far right, and the word of 2s near (1, 1): every
+    # point is on the right edge column
+    assert raster[:, 31].any() and raster[:, 31].sum() == raster[:, 16:].sum()

@@ -5,6 +5,7 @@ import math
 import pathlib
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -252,9 +253,9 @@ def test_estimate_sA_expands_each_depth_once(monkeypatch):
     calls = collections.Counter()
     expand = GenericEngine._expand
 
-    def counted(self, Q, log_scale, log_det, k):
+    def counted(self, Q, log_scale, log_det, k, **kwargs):
         calls[k] += 1
-        return expand(self, Q, log_scale, log_det, k)
+        return expand(self, Q, log_scale, log_det, k, **kwargs)
 
     monkeypatch.setattr(GenericEngine, "_expand", counted)
     rep = estimate_sA(fixture("example_5_3"), node_budget=TREE_BUDGET)
@@ -319,10 +320,11 @@ def test_log_singular_values_are_contiguous_d_by_n(name, kind):
         walk = engine._walk
 
         def checked_walk(visit, m, log_stop, node_budget):
-            def checked_visit(depth, logs, la, *rest):
+            def checked_visit(depth, logs, parent_la, live, count_of):
                 check(logs, "visit")
-                assert np.array_equal(la, logs[m - 1])
-                return visit(depth, logs, la, *rest)
+                assert live.dtype == bool and live.shape == parent_la.shape
+                assert logs.shape[1] == parent_la.size * engine._arity(depth)
+                return visit(depth, logs, parent_la, live, count_of)
             return walk(checked_visit, m, log_stop, node_budget)
 
         engine._walk = checked_walk
@@ -644,13 +646,14 @@ def _all_bucket_schedule_sums(engine, s, log_eps_list, node_budget):
     le = np.asarray(log_eps_list)
     groups, bucket = [], []
 
-    def visit(depth, logs, la, parent_la, count):
-        pa = np.repeat(parent_la, engine._arity(depth))
-        terms = log_phi_from_logs(logs, s) + _log_counts(count)
+    def visit(depth, logs, parent_la, live, count_of):
+        arity = engine._arity(depth)
+        pa, edges = np.repeat(parent_la, arity), np.flatnonzero(np.repeat(live, arity))
+        la = logs[m - 1]
         for i, eps_i in enumerate(le):
-            mask = (la <= eps_i + _STOP_SNAP) & (pa > eps_i + _STOP_SNAP)
-            if np.any(mask):
-                groups.append(terms[mask])
+            stop = edges[(la[edges] <= eps_i + _STOP_SNAP) & (pa[edges] > eps_i + _STOP_SNAP)]
+            if stop.size:
+                groups.append(log_phi_from_logs(logs[:, stop], s) + _log_counts(count_of(stop)))
                 bucket.append(i)
 
     frontier_la, nodes = engine._walk(visit, m, float(le[-1]), node_budget)
@@ -1820,3 +1823,156 @@ def test_window_sweep_matches_single_window_calls():
                 assert item == getattr(type(shared)(spec), route)(s, [w], budget)[0]
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the generic walker's stop records against a gathered-copy walk, and the
+# memory of its level build
+# ---------------------------------------------------------------------------
+
+def _gathered_stops(engine, m, le, node_budget, exact):
+    """The generic walker's stop record by a walk that copies what it reads:
+    each kept level gathered through the indices of its kept classes, each
+    edge carrying its live-word count and its parent's log alpha_m, every
+    bucket tried at every depth, and past the kept levels the frontier's own
+    products, re-expanded from the root along its ancestors."""
+    kept, groups = engine._tree_logs, []
+    idx = Q = None
+    parent_la, count = np.full(1, math.inf), np.ones(1, dtype=np.int64)
+    live = words = 1
+    depth = nodes = 0
+    frontier = -math.inf
+    while parent_la.size:
+        depth += 1
+        n = engine.spec.branch_count(depth)
+        if nodes + live * n > node_budget:
+            frontier = float(parent_la.max())
+            break
+        nodes += live * n
+        words *= n
+        mults = engine._level_maps(depth)[2]
+        a = mults.size
+        count = np.repeat(count, a).astype(np.int64 if words < 2 ** 63 else object)
+        count = count * np.tile(mults.astype(count.dtype), parent_la.size)
+        if depth <= len(kept):
+            logs = kept[depth - 1]
+            if idx is not None:
+                idx = (idx[:, None] * a + np.arange(a)).reshape(-1)
+                logs = logs.take(idx, axis=1)
+        else:
+            if Q is None:
+                Q, log_scale, log_det = engine._products(idx, depth - 1)
+            Q, log_scale, log_det, logs = engine._expand(Q, log_scale, log_det, depth)
+        la, pa = logs[m - 1], np.repeat(parent_la, a)
+        for i, eps in enumerate(le):
+            stop = np.flatnonzero((la <= eps + _STOP_SNAP) & (pa > eps + _STOP_SNAP))
+            if stop.size:
+                groups.append((i, depth, logs[:, stop], count[stop]))
+        keep = la > le[-1] + _STOP_SNAP
+        parent_la, count = la[keep], count[keep]
+        if Q is not None:
+            Q, log_scale, log_det = Q[..., keep], log_scale[keep], log_det[keep]
+        else:
+            idx = np.flatnonzero(keep) if idx is None else idx[keep]
+        live = int(count.sum())
+    counts = [c if exact else _log_counts(c) for *_, c in groups]
+    return symbolic._Stops(
+        [g[0] for g in groups], [g[1] for g in groups],
+        [0, *itertools.accumulate(len(c) for c in counts)],
+        np.concatenate([g[2] for g in groups], axis=1) if groups else np.empty((engine.d, 0)),
+        np.concatenate(counts) if groups else np.empty(0),
+        [frontier <= float(v) for v in le], nodes)
+
+
+def _check_record_against_gathered_walk(engine, m, le, node_budget, exact):
+    got = engine._record_stops(m, np.asarray(le), node_budget, exact)
+    want = _gathered_stops(engine, m, np.asarray(le), node_budget, exact)
+    assert (got.bucket, got.depth, got.bounds, got.complete, got.nodes) == (
+        want.bucket, want.depth, want.bounds, want.complete, want.nodes)
+    assert got.logs.shape == want.logs.shape and got.logs.tobytes() == want.logs.tobytes()
+    assert got.counts.dtype == want.counts.dtype
+    if exact:
+        assert got.counts.tolist() == want.counts.tolist()
+        assert all(type(c) is int for c in got.counts.tolist())
+    else:
+        assert got.counts.tobytes() == want.counts.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kept_depth, budget", [
+    (21, symbolic.DEFAULT_NODE_BUDGET),  # the dims run: the s* walk fills the kept tree
+    (21, 3000),                          # a walk cut short inside the kept levels
+    (8, 400_000),                        # a walk past the kept horizon
+])
+def test_example_5_3_records_match_the_gathered_walk(m, kept_depth, budget):
+    spec = fixture("example_5_3")
+    engine = make_engine(spec)
+    engine._levels(kept_depth)
+    le = default_eps_log_schedule(spec, engine.kind)
+    for exact in (False, True):
+        rec = _check_record_against_gathered_walk(engine, m, le, budget, exact)
+    if (m, kept_depth, budget) == (1, 21, symbolic.DEFAULT_NODE_BUDGET):
+        # every kept level read, and the walk cut short before depth 22
+        assert rec.nodes == 6_291_177 and max(rec.depth) == 21 and not all(rec.complete)
+
+
+def test_records_match_the_gathered_walk_on_repeating_systems():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=_examples(60))
+    @given(st.builds(_repeating_system, st.sampled_from([1, 2, 3]),
+                     st.lists(st.sampled_from(REPEAT_PATTERNS), min_size=2, max_size=3),
+                     st.integers(0, 2 ** 32 - 1)),
+           st.sampled_from(GEN_S), st.sampled_from([0, 2, KEPT_DEPTH, 6]), st.booleans())
+    def check(spec, s, kept_depth, exact):
+        engine = GenericEngine(spec)
+        if kept_depth:
+            engine._levels(kept_depth)
+        le = [math.log(e) for e in GEN_EPS]
+        for budget in (*_walk_budgets(spec), 40):
+            _check_record_against_gathered_walk(engine, branch_index(s, spec.dim), le, budget,
+                                                exact)
+
+    check()
+
+
+@pytest.mark.parametrize("kept_depth", [0, 9, 10, 12])
+def test_records_match_the_gathered_walk_past_int64(kept_depth):
+    """101 branches over two shears, one of them 100 times: the word counts
+    pass 2^63 at depth 10, so the kept levels switch to exact Python integers
+    at 10 and 12, and the walk past the horizon does at 0 and 9."""
+    a = np.array([[0.5, 0.1], [0.0, 0.5]])
+    b = np.array([[0.5, 0.0], [0.1, 0.5]])
+    spec = SystemSpec(2, Schedule("constant", (LevelSpec(101, (a,) * 100 + (b,)),)),
+                      TranslationScheme("explicit", table={}),
+                      Box(np.zeros(2), np.ones(2)))
+    engine = GenericEngine(spec)
+    if kept_depth:
+        engine._levels(kept_depth)
+    le = [math.log(e) for e in (0.05, 4e-3, 3e-5)]
+    for budget in (101 ** 4, 10 ** 30):  # cut short at depth 4, inside every kept tree; not cut
+        for exact in (False, True):
+            rec = _check_record_against_gathered_walk(engine, 2, le, budget, exact)
+    assert rec.counts.dtype == object and max(rec.depth) > 12
+
+
+# the build's peak, fixed before the new build first ran: example_5_3's tree
+# through depth 21 (2^20 classes' log singular values, 16 MiB) on one worker.
+# Every level's products and dets, the deepest's too, peak at about 51 MiB; the
+# kept levels, the parents' products and one level's log singular values, with
+# chunk scratch for the deepest level, fit in 40.
+LEVELS_PEAK_BOUND = 40 * 2 ** 20
+
+
+def test_the_level_build_holds_no_products_of_its_deepest_level():
+    engine = make_engine(fixture("example_5_3"))
+    tracemalloc.start()
+    try:
+        levels = engine._levels(21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(x.nbytes for x in levels) == 16 * 2 ** 20
+    assert peak <= LEVELS_PEAK_BOUND, f"peak {peak / 2 ** 20:.1f} MiB"

@@ -44,6 +44,13 @@ EXTRA = [
     ("dims:generic_falconer_sstar", ["dims", "--fixture", "example_5_3", "--which",
                                      "falconer,sstar"]),
     ("dims:singular_falconer", ["dims", "--fixture", "example_5_2", "--which", "falconer"]),
+    # the s* walks of a kept tree: m = 1 cut short by the budget after the kept
+    # depth 9, m = 2 past it to depth 11
+    ("dims:generic_walk_budget", ["dims", "--fixture", "example_5_3", "--which", "sa,sstar",
+                                  "--node-budget", "3000"]),
+    # kept through depth 8; the m = 2 walk drops the thin maps' words and reaches depth 11
+    ("dims:generic_walk_past_kept", ["dims", "thin.json", "--which", "falconer,sa,sstar",
+                                     "--node-budget", "20000"]),
     ("validate:pretty", ["validate", "--fixture", "example_5_2", "--pretty"]),
     ("validate:bad_json", ["validate", "bad.json"]),
     ("validate:double_encoded", ["validate", "double.json"]),
@@ -113,6 +120,11 @@ def inputs(base_src):
     lattice4 = dict(ordered, schedule={"kind": "constant", "levels": [
         {"branch_count": 4, "maps": [[[a, 0.0], [0.0, b]] for a, b in
                                      ((0.3, 0.2), (0.25, 0.3), (0.2, 0.25), (0.3, 0.3))]}]})
+    # one map near 1/2 and two whose second singular value is below 1/100: a
+    # constant generic level whose m = 2 cut-sets stop the thin maps' words early
+    thin = dict(ordered, schedule={"kind": "constant", "levels": [
+        {"branch_count": 3, "maps": [[[0.5, 0.1], [0, 0.45]], [[0.3, 0], [0.1, 0.002]],
+                                     [[0.2, 0.05], [0, 0.001]]]}]})
     # one shear twice: a chain whose phi^s does not multiply along words
     chain_shear = dict(ordered, schedule={"kind": "constant", "levels": [
         {"branch_count": 2, "maps": [[[0.5, 0.25], [0, 0.4]]] * 2}]})
@@ -134,6 +146,7 @@ def inputs(base_src):
             "later_non_scalar.json": json.dumps(later_non_scalar),
             "singular_later.json": json.dumps(singular_later),
             "lattice4.json": json.dumps(lattice4), "chain_shear.json": json.dumps(chain_shear),
+            "thin.json": json.dumps(thin),
             **{f"bad_map_{name}.json": json.dumps(doc).replace('"1e999"', "1e999")
                for name, doc in bad_maps.items()}}
 
