@@ -501,9 +501,12 @@ class _ClassTree(_Engine):
                     counts.append(count_of(stop) if exact else _log_counts(count_of(stop)))
 
         frontier_la, nodes = self._walk(visit, m, float(le[-1]), node_budget)
+        # the logs' pieces are dropped before the counts are joined, so the
+        # record is never held twice
+        stop_logs = np.concatenate(rows, axis=1) if rows else np.empty((self.d, 0))
+        rows.clear()
         return _Stops(bucket_of, depth_of, [0, *itertools.accumulate(len(c) for c in counts)],
-                      np.concatenate(rows, axis=1) if rows else np.empty((self.d, 0)),
-                      np.concatenate(counts) if rows else np.empty(0),
+                      stop_logs, np.concatenate(counts) if counts else np.empty(0),
                       [frontier_la <= float(v) for v in le], nodes)
 
     def _net_measure_dp(self, s: float, windows, node_budget: int):

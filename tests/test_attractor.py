@@ -41,6 +41,15 @@ def _manual_cloud(points):
                       seed=0, count=len(pts), trunc_error=0.0)
 
 
+SMALL_BLOCK = 3
+
+
+@pytest.fixture
+def small_block(monkeypatch):
+    """Blocks of three points, so a few dozen points span many blocks."""
+    monkeypatch.setattr(attractor, "_BLOCK", SMALL_BLOCK)
+
+
 # ---------------------------------------------------------------------------
 # projection
 # ---------------------------------------------------------------------------
@@ -176,7 +185,8 @@ def test_explicit_translations_match_the_brute_force_keys():
                 _translations(spec, codes, seed=0)
             assert str(err.value) == want
         else:
-            got = list(map(_translations(spec, codes, seed=0), range(1, codes.shape[1] + 1)))
+            got = list(map(_translations(spec, codes, seed=0)(slice(None)),
+                               range(1, codes.shape[1] + 1)))
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.shape == b.shape and np.array_equal(a, b)
@@ -329,7 +339,7 @@ def test_random_iid_translations_lie_in_region():
     rng = np.random.default_rng(4)
     codes = rng.integers(0, 3, size=(500, 6))
     region = spec.translations.region
-    for W in map(_translations(spec, codes, seed=21), range(1, 7)):
+    for W in map(_translations(spec, codes, seed=21)(slice(None)), range(1, 7)):
         assert (W >= region.lo).all() and (W <= region.hi).all()
 
 
@@ -343,7 +353,7 @@ def _row_sort_count(points, eps):
     return int(np.unique(idx, axis=0).shape[0])
 
 
-def test_box_count_key_equals_row_sort_reference():
+def test_box_count_key_equals_row_sort_reference(small_block):
     pytest.importorskip("hypothesis")
     from hypothesis import given, strategies as st
 
@@ -571,9 +581,11 @@ def _kernel_cases(st):
     return build()
 
 
-def test_column_kernel_matches_the_einsum_reference():
+def test_column_kernel_matches_the_einsum_reference(small_block):
     pytest.importorskip("hypothesis")
     from hypothesis import given, strategies as st
+
+    crossed = set()  # (kind, d) of the cases whose points span more than one block
 
     @given(_kernel_cases(st))
     def check(case):
@@ -584,8 +596,11 @@ def test_column_kernel_matches_the_einsum_reference():
             assert got.tobytes() == want.tobytes()
         else:  # einsum adds d >= 3 terms in interleaved lanes
             assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+        if codes.shape[0] > SMALL_BLOCK:
+            crossed.add((spec.translations.kind, spec.dim))
 
     check()
+    assert crossed == set(itertools.product(TRANSLATION_KINDS, range(1, 5)))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -599,6 +614,113 @@ def test_column_kernel_turns_negative_zero_sums_positive_as_einsum_does(d):
     codes = np.zeros((1, 1), dtype=np.int64)
     got = _project_codes(spec, codes, 0)
     assert got.tobytes() == _einsum_reference(spec, codes, 0).tobytes() == np.zeros((1, d)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# blocks: the projection, the grid keys and the raster across block boundaries
+# ---------------------------------------------------------------------------
+
+def _whole_array_raster(cloud, resolution):
+    """The raster ``render`` made before it went a block at a time, kept as the
+    reference: every point clipped, scaled and marked at once."""
+    raster = np.zeros((resolution, resolution), dtype=np.uint8)
+    pts = cloud.points
+    if cloud.region_lo is not None:
+        lo, hi = cloud.region_lo, cloud.region_hi
+    else:
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = np.maximum(hi - lo, 1e-300)
+    scaled = (np.clip(pts, lo, hi) - lo) / span * resolution + 1e-9
+    px = np.clip(np.floor(scaled[:, 0]).astype(np.int64), 0, resolution - 1)
+    py = np.clip(np.floor(scaled[:, 1]).astype(np.int64), 0, resolution - 1)
+    raster[resolution - 1 - py, px] = 255
+    return raster
+
+
+BLOCK_DEPTH = 4
+
+
+def _block_spec(kind):
+    """d = 2: a level of one diagonal map twice, then one of three maps drawn
+    apart, with ``kind`` translations in [-1, 1]^2 around a seed box
+    [0, 1/2]^2, so most points leave the box and ``render`` clips them."""
+    rng = np.random.default_rng(5)
+    levels = (LevelSpec(2, (np.diag([0.4, 0.3]),) * 2, rng.uniform(-1.0, 1.0, (2, 2))),
+              LevelSpec(3, rng.uniform(-0.3, 0.3, (3, 2, 2)), rng.uniform(-1.0, 1.0, (3, 2))))
+    schedule = Schedule("periodic", levels)
+    if kind == "digit_grid":
+        scheme = TranslationScheme(kind)
+    elif kind == "finite_alphabet":
+        scheme = TranslationScheme(kind, alphabet=tuple(rng.uniform(-1.0, 1.0, (3, 2))), seed=3)
+    elif kind == "random_iid":
+        scheme = TranslationScheme(kind, region=Box(-np.ones(2), np.ones(2)), seed=3)
+    else:
+        words = itertools.chain.from_iterable(
+            itertools.product(*(range(1, schedule.level(k).branch_count + 1)
+                                for k in range(1, t + 1))) for t in range(1, BLOCK_DEPTH + 1))
+        scheme = TranslationScheme(kind, table={"-".join(map(str, w)): rng.uniform(-1.0, 1.0, 2)
+                                                for w in words})
+    return SystemSpec(2, schedule, scheme, Box(np.zeros(2), np.full(2, 0.5)))
+
+
+@pytest.mark.parametrize("block", [SMALL_BLOCK, attractor._BLOCK])
+@pytest.mark.parametrize("kind", TRANSLATION_KINDS)
+def test_blocked_steps_match_their_whole_array_references(monkeypatch, kind, block):
+    monkeypatch.setattr(attractor, "_BLOCK", block)
+    spec = _block_spec(kind)
+    for count in (1, block - 1, block, block + 1, 3 * block + 7):
+        cloud = sample_cloud(spec, BLOCK_DEPTH, mode="random_codes", count=count, seed=count)
+        codes = _int64_random_codes(spec, BLOCK_DEPTH, count, count)
+        assert cloud.points.tobytes() == _einsum_reference(spec, codes, count).tobytes()
+        for eps in (0.5, 0.1, 0.01, 1e-3):
+            assert box_count(cloud, eps) == _row_sort_count(cloud.points, eps)
+        for c in (cloud, _manual_cloud(cloud.points)):  # the seed box, or the points' own
+            assert np.array_equal(render(c, 64), _whole_array_raster(c, 64))
+    assert ((cloud.points < 0.0) | (cloud.points > 0.5)).any()
+
+
+def _explicit_d1(table):
+    level = LevelSpec(2, (np.array([[0.4]]),) * 2)
+    return SystemSpec(1, Schedule("constant", (level,)),
+                      TranslationScheme("explicit", table={w: [0.1] for w in table}),
+                      Box(np.zeros(1), np.ones(1)))
+
+
+@pytest.mark.parametrize("table, later, first, missing", [
+    # only the eighth point, in the third block, has a word missing
+    (("1", "2", "1-1", "1-2", "2-1"), (1, 1), (0, 0), "2-2"),
+    # a word missing at level 2 in the first block, and one at level 1 in the
+    # third: the shallower is named, as over the whole cloud
+    (("1", "1-1"), (1, 0), (0, 1), "2"),
+])
+def test_a_missing_explicit_word_in_a_later_block_is_named(small_block, table, later, first,
+                                                           missing):
+    codes = np.array([first] + [(0, 0)] * 6 + [later], dtype=np.int64)
+    with pytest.raises(UnresolvedTranslation) as err:
+        _project_codes(_explicit_d1(table), codes, 0)
+    assert str(err.value) == f"no table entry for word {missing}"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([2.0 ** 63, 0.0], "scale 1.0 puts grid indices outside int64"),
+    ([0.0, math.nan], "scale 1.0 puts grid indices outside int64"),
+    # spans 2^32 and 2^31: 2^63 keys
+    ([2.0 ** 32 - 1, 2.0 ** 31 - 1],
+     "scale 1.0 is too fine for an int64 grid key over this cloud's extent"),
+])
+def test_grid_keys_refuse_a_bad_point_in_a_later_block(small_block, bad, message):
+    with pytest.raises(ValueError) as err:
+        box_count(_manual_cloud([[0.0, 0.0]] * 7 + [bad]), 1.0)
+    assert str(err.value) == message
+
+
+def test_render_refuses_a_nan_point_in_a_later_block(small_block):
+    cloud = _manual_cloud([[0.5, 0.5]] * 7 + [[0.5, math.nan]])
+    cloud.region_lo, cloud.region_hi = np.zeros(2), np.ones(2)
+    with pytest.raises(ValueError) as err:
+        render(cloud, 8)
+    assert str(err.value) == ("a sampled point has a nan coordinate: its translations "
+                              "sum past the float range")
 
 
 # ---------------------------------------------------------------------------
@@ -666,16 +788,22 @@ def test_random_codes_on_a_level_wider_than_uint16_are_uint32():
 
 
 # sampler memory: tracemalloc peak of one default-size random-codes sample
-# (200,000 codes, depth 10); int64 codes with every level's translations
-# built before the projection peak at 54 MiB
-SAMPLE_PEAK_BOUND = 20 * 2 ** 20
+# (200,000 codes, depth 10), its box counts and its raster.  The uint8 codes
+# (1.9 MiB) and the points (3.1 MiB) are held whole, and each step adds one
+# block's scratch, the int64 keys (1.5 MiB) or the raster (0.5 MiB): about
+# 7 MiB.  Whole-cloud translations, hashes, grid indices and pixels peaked at
+# 13.3 MiB; int64 codes with every level's translations built before the
+# projection peaked at 54 MiB.
+SAMPLE_PEAK_BOUND = 9 * 2 ** 20
 
 
 def test_random_codes_sample_stays_under_its_memory_bound():
     spec = fixture("example_5_4")
     tracemalloc.start()
     try:
-        sample_cloud(spec, 10, mode="random_codes", count=200_000, seed=7)
+        cloud = sample_cloud(spec, 10, mode="random_codes", count=200_000, seed=7)
+        boxdim_fit(cloud, select_scales(cloud, default_scales(spec, 10)))
+        render(cloud, 729)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

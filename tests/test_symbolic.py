@@ -1976,3 +1976,26 @@ def test_the_level_build_holds_no_products_of_its_deepest_level():
         tracemalloc.stop()
     assert sum(x.nbytes for x in levels) == 16 * 2 ** 20
     assert peak <= LEVELS_PEAK_BOUND, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+# the s* record's join, fixed before the joins were reordered: on example_5_3's
+# kept tree through depth 21, the m = 1 record is 367,052 stopping edges, 5.6 MiB
+# of logs and 2.8 MiB of log counts.  Joined while both lists of pieces are
+# alive it peaks at twice the record, 16.8 MiB; with the logs' pieces dropped
+# before the counts are joined, at twice the logs plus the counts, 14.0 MiB.
+RECORD_PEAK_BOUND = 15 * 2 ** 20
+
+
+def test_the_sstar_record_is_never_held_twice():
+    spec = fixture("example_5_3")
+    engine = make_engine(spec)
+    engine._levels(21)
+    le = np.asarray(default_eps_log_schedule(spec, engine.kind))
+    tracemalloc.start()
+    try:
+        rec = engine._record_stops(1, le, symbolic.DEFAULT_NODE_BUDGET, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.logs.shape == (2, 367_052)
+    assert peak <= RECORD_PEAK_BOUND, f"peak {peak / 2 ** 20:.1f} MiB"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -70,6 +71,23 @@ EXTRA = [
                                        "sstar,sa,falconer"]),
     *((f"validate:bad_map_{name}", ["validate", f"bad_map_{name}.json"])
       for name in ("non_square", "wrong_d", "nine_by_nine", "string_entry", "1e999")),
+    # sampled clouds over several blocks of points: every word of an explicit
+    # table, random codes whose count is no multiple of the block, d = 1 and
+    # d = 3, given scales, and points off the seed box that render clips
+    ("boxdim:explicit_scales", ["boxdim", "explicit.json", "--depth", "9", "--scales",
+                                "0.3,0.1,0.03,0.01", "--out", "out/box"]),
+    ("render:explicit", ["render", "explicit.json", "--depth", "9", "--resolution", "200",
+                         "--out", "out/render.pgm"]),
+    ("boxdim:alphabet_count_50001", ["boxdim", "alphabet.json", "--depth", "12", "--count",
+                                     "50001", "--seed", "3", "--out", "out/box"]),
+    ("render:alphabet_clipped", ["render", "alphabet.json", "--depth", "12", "--count", "50001",
+                                 "--seed", "3", "--resolution", "300",
+                                 "--out", "out/render.pgm"]),
+    ("boxdim:d1_random_iid", ["boxdim", "iid_d1.json", "--depth", "16", "--count", "50001",
+                              "--seed", "11", "--out", "out/box"]),
+    ("boxdim:d3_digit_grid", ["boxdim", "grid_d3.json", "--depth", "8", "--out", "out/box"]),
+    ("boxdim:d3_digit_grid_scales", ["boxdim", "grid_d3.json", "--depth", "8", "--scales",
+                                     "0.25,0.125,0.0625,0.03125", "--out", "out/box"]),
 ]
 
 
@@ -140,7 +158,34 @@ def inputs(base_src):
                     ("nine_by_nine", 9, nine, nine),
                     ("string_entry", 2, [[0.5, 0], [0, 0.5]], [[0.5, "x"], [0, 0.5]]),
                     ("1e999", 2, [[0.5, 0], [0, 0.5]], [[0.5, 0], [0, "1e999"]]))}
+    unit2 = {"lo": [0, 0], "hi": [1, 1]}
+    # three maps, each word's translation read from a table of every word to
+    # depth 9: 19,683 points
+    words = [w for t in range(1, 10) for w in itertools.product((1, 2, 3), repeat=t)]
+    explicit = {"dim": 2, "seed_region": unit2, "schedule": {"kind": "constant", "levels": [
+        {"branch_count": 3, "maps": [[[1 / 3, 0], [0, 0.3]]] * 3}]},
+        "translations": {"kind": "explicit", "table": {
+            "-".join(map(str, w)): [(w[-1] - 1) / 3, (w[-1] * len(w)) % 3 * 0.3]
+            for w in words}}}
+    # 4^12 words, past the enumeration budget; negative translations take the
+    # points below the seed box
+    alphabet = {"dim": 2, "seed_region": unit2, "schedule": {"kind": "constant", "levels": [
+        {"branch_count": 4, "maps": [[[0.45, 0.1], [0, 0.4]]] * 4}]},
+        "translations": {"kind": "finite_alphabet", "seed": 5, "alphabet": [
+            [0, 0], [0.7, -0.2], [-0.25, 0.6], [0.65, 0.75]]}}
+    iid_d1 = {"dim": 1, "seed_region": {"lo": [0], "hi": [1]}, "schedule": {
+        "kind": "constant",
+        "levels": [{"branch_count": 3, "maps": [[[0.3]], [[0.3]], [[-0.25]]]}]},
+        "translations": {"kind": "random_iid", "seed": 9, "region": {"lo": [0], "hi": [0.7]}}}
+    grid_d3 = {"dim": 3, "seed_region": {"lo": [0, 0, 0], "hi": [1, 1, 1]}, "schedule": {
+        "kind": "constant", "levels": [{"branch_count": 4,
+                                        "maps": [[[0.5, 0, 0], [0, 0.4, 0], [0, 0, 0.3]]] * 4,
+                                        "digits": [[0, 0, 0], [0.5, 0, 0], [0, 0.6, 0],
+                                                   [0.5, 0.6, 0.7]]}]},
+        "translations": {"kind": "digit_grid"}}
     return {"bad.json": '{"dim": 1,', "double.json": json.dumps(json.dumps(middle_thirds)),
+            "explicit.json": json.dumps(explicit), "alphabet.json": json.dumps(alphabet),
+            "iid_d1.json": json.dumps(iid_d1), "grid_d3.json": json.dumps(grid_d3),
             "d1.json": d1, "ordered.json": json.dumps(ordered),
             "shears.json": json.dumps(shears),
             "later_non_scalar.json": json.dumps(later_non_scalar),
