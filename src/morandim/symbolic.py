@@ -35,19 +35,20 @@ brackets, which an ulp does not move unless a probe sits on a classifier's
 threshold.
 
 Every per-node array of log singular values, from the level stores through
-the pruned walks and the stop record to ``log_phi_from_logs``, is a
-C-contiguous (d, N) array, axis 0 the singular-value index, so gathers, the
-alpha_m row and phi^s read contiguous memory.  The generic walker keeps each
-level's products as d^2 contiguous entry columns, (d, d, N).  The class
-tree's level-wide array work runs in chunks over ``workers`` threads
-(``_Engine._blocks``), with the same bits at any worker count.
+the pruned walks to ``log_phi_from_logs``, is a C-contiguous (d, N) array,
+axis 0 the singular-value index, so gathers, the alpha_m row and phi^s read
+contiguous memory; a stop record at branch index m keeps the first m rows.  The
+generic walker keeps each level's products as d^2 contiguous entry columns,
+(d, d, N).  The class tree's level-wide array work runs in chunks over
+``workers`` threads (``_Engine._blocks``), with the same bits at any worker
+count.
 
 The generic walker keeps the log singular values of its unpruned tree, and
-each stage of a job holds them and about one level more: the build keeps no
-products of the deepest level, the net-measure DP takes log phi^s one depth
-at a time, and a pruned walk reads each kept level in place, through a live
-mask (see ``_ClassTree``); past the kept levels it carries a compact
-frontier with its products.
+each stage of a job holds them and about one level more: the build takes
+the deepest level's products as sub-chunk scratch, the net-measure DP takes
+log phi^s one depth at a time, and a pruned walk reads each kept level in
+place, through a live mask (see ``_ClassTree``); past the kept levels it
+carries a compact frontier with its products.
 
 ``cutset_rows`` lists the cut-set words themselves, independently of the
 engines, from plain products taken one depth at a time.  The chain and the
@@ -82,9 +83,13 @@ _STOP_SNAP = 1e-12
 # Columns per chunk of a level's array work (``_Engine._blocks``): it bounds
 # the temporaries of a wide level, and a level of one chunk is not worth a
 # thread hand-off.  On example_5_3's s* and s_A job, 2^11 to 2^17 gave the
-# same time within noise.  A chunk's scratch there (d = 2, two maps) is about
-# 5 MiB, and the build's peak holds one per worker.
+# same time within noise; a chunk's scratch there is about 5 MiB.
 _CHUNK = 1 << 15
+# Parents per sub-chunk of a chunk of the build's deepest level, whose
+# products are scratch: example_5_3's build through depth 21 on two workers,
+# at 2^15 / 2^14 / 2^13 / 2^12, peaked at 36.0 / 31.3 / 28.7 / 28.0 MiB and
+# took 36 / 34 / 37 / 42 ms.
+_SCRATCH_CHUNK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +250,13 @@ def _log_row_sums(grouped: np.ndarray, out: Optional[np.ndarray] = None) -> np.n
 
 class _Stops(NamedTuple):
     """A recorded stopping walk: the stopping edges in walk order, in groups
-    of one epsilon bucket at one depth; group g is rows bounds[g]:bounds[g + 1]."""
+    of one epsilon bucket at one depth; group g is rows bounds[g]:bounds[g + 1].
+    At branch index m it keeps log singular values 1..m, all that phi^s reads."""
 
     bucket: list        # each group's epsilon bucket
     depth: list         # each group's depth
     bounds: list
-    logs: np.ndarray    # (d, rows) log singular values of the stopping edges
+    logs: np.ndarray    # (m, rows) log singular values 1..m of the stopping edges
     counts: np.ndarray  # their live-word counts: exact integers in exact mode, else logs
     complete: list      # per bucket: no word the walk left unexpanded could stop in it
     nodes: int          # nodes expanded
@@ -432,7 +438,7 @@ class UniformEngine(_Engine):
         depths = (np.searchsorted(-low, -thr) + 1).tolist()
         counts = [self._counts[t] for t in depths]
         return _Stops(list(range(len(le))), depths, list(range(len(le) + 1)),
-                      self._logs.take(depths, axis=1),
+                      self._logs[:m].take(depths, axis=1),
                       counts if exact else self._log_counts.take(depths),
                       [True] * len(le), depths[-1] if depths else 1)
 
@@ -497,13 +503,13 @@ class _ClassTree(_Engine):
                 if stop.size:
                     bucket_of.append(i)
                     depth_of.append(depth)
-                    rows.append(logs.take(stop, axis=1))
+                    rows.append(logs[:m].take(stop, axis=1))
                     counts.append(count_of(stop) if exact else _log_counts(count_of(stop)))
 
         frontier_la, nodes = self._walk(visit, m, float(le[-1]), node_budget)
         # the logs' pieces are dropped before the counts are joined, so the
         # record is never held twice
-        stop_logs = np.concatenate(rows, axis=1) if rows else np.empty((self.d, 0))
+        stop_logs = np.concatenate(rows, axis=1) if rows else np.empty((m, 0))
         rows.clear()
         return _Stops(bucket_of, depth_of, [0, *itertools.accumulate(len(c) for c in counts)],
                       stop_logs, np.concatenate(counts) if counts else np.empty(0),
@@ -591,9 +597,20 @@ class _ClassTree(_Engine):
         return out
 
 
-def _composition_ranks(comps: np.ndarray):
+def _binomials(rows: int, M: int) -> np.ndarray:
+    """binom[n, j] = C(n, j) for n < rows, j < M, as int64, column by
+    column: C(n, j) sums C(i, j - 1) over i < n."""
+    binom = np.ones((rows, M), dtype=np.int64)
+    for j in range(1, M):
+        binom[0, j] = 0
+        np.cumsum(binom[:-1, j - 1], out=binom[1:, j])
+    return binom
+
+
+def _composition_ranks(comps: np.ndarray, binom: np.ndarray):
     """Lexicographic ranks of (R, M) compositions of one total t, and how
-    many compositions of t there are.
+    many compositions of t there are; ``binom`` is ``_binomials`` of at
+    least t + M rows.
 
     Those before c agree with it up to some part i and are smaller there;
     with r_i of the total left for the p_i = M - i parts from i on, they
@@ -603,11 +620,6 @@ def _composition_ranks(comps: np.ndarray):
     total = int(comps[0].sum())
     k = M - 1 - np.arange(M)                       # p_i - 1
     rem = total - np.cumsum(comps, axis=1) + comps  # r_i
-    # binom[n, j] = C(n, j), column by column: C(n, j) sums C(m, j - 1) over m < n
-    binom = np.ones((total + M, M), dtype=np.int64)
-    for j in range(1, M):
-        binom[0, j] = 0
-        np.cumsum(binom[:-1, j - 1], out=binom[1:, j])
     rank = (binom[rem + k, k] - binom[rem - comps + k, k]).sum(axis=1)
     return rank, int(binom[total + M - 1, M - 1])
 
@@ -636,13 +648,16 @@ class DiagonalEngine(_ClassTree):
         self._log_mult = [np.zeros(1)]
         self._child_idx = []  # child_idx[t][i, j] = row of class i + e_j at depth t + 1
         self._log_fact = np.zeros(1)
+        self._binom = _binomials(1, self.n_maps)  # grown to twice the rows a level needs
 
     def _extend(self, t: int) -> None:
         while len(self._logs) <= t:
             cur, M = self._comps, self.n_maps
             children = np.repeat(cur, M, axis=0) + np.tile(np.eye(M, dtype=np.int64),
                                                            (cur.shape[0], 1))
-            rank, width = _composition_ranks(children)
+            if len(self._binom) < len(self._logs) + M:  # rows for the total len(self._logs)
+                self._binom = _binomials(2 * (len(self._logs) + M), M)
+            rank, width = _composition_ranks(children, self._binom)
             nxt = np.empty((width, M), dtype=np.int64)
             nxt[rank] = children  # every class of the next level is some class's child
             self._comps = nxt
@@ -840,7 +855,8 @@ class GenericEngine(_ClassTree):
         sum_k Q[r, k] * M_j[k, c], in k order.  Parents [lo, hi) make children
         [lo*a, hi*a), chunk by chunk (``_blocks``).  Returns the children's
         products, log scales, log dets and log singular values; without
-        ``products`` the first three are chunk scratch, returned as None.
+        ``products`` the first three are scratch of ``_SCRATCH_CHUNK``
+        parents at a time, returned as None.
         """
         mats, logdets, _ = self._level_maps(k)
         a, d, N = mats.shape[0], self.d, Q.shape[-1]
@@ -887,7 +903,11 @@ class GenericEngine(_ClassTree):
                 np.add(scale_k, np.log(np.linalg.svd(stack, compute_uv=False)).T,
                        out=logs[:, kids])
 
-        self._blocks(N, chunk)
+        def scratch_chunk(lo, hi):
+            for c in range(lo, hi, _SCRATCH_CHUNK):
+                chunk(c, min(c + _SCRATCH_CHUNK, hi))
+
+        self._blocks(N, chunk if products else scratch_chunk)
         return (raw, scale, det, logs) if products else (None, None, None, logs)
 
     def _products(self, idx, depth: int, levels: Optional[list] = None):

@@ -304,16 +304,16 @@ def test_matmul_expansion_matches_einsum(d):
                                         ("random_diag_pair", "diagonal"),
                                         ("example_5_4", "uniform")])
 def test_log_singular_values_are_contiguous_d_by_n(name, kind):
-    """The level stores, the pruned walks and the stop records hand out log
-    singular values as C-contiguous (d, N) arrays, axis 0 the singular-value
-    index, never as a transposed view."""
+    """The level stores and the pruned walks hand out log singular values as
+    C-contiguous (d, N) arrays, axis 0 the singular-value index, never as a
+    transposed view; a stop record at branch index m keeps rows 1..m, (m, N)."""
     spec = fixture(name)
     engine = make_engine(spec)
     assert engine.kind == kind
     d, seen = spec.dim, collections.Counter()
 
-    def check(logs, where):
-        assert logs.ndim == 2 and logs.shape[0] == d and logs.flags.c_contiguous, where
+    def check(logs, where, rows=d):
+        assert logs.ndim == 2 and logs.shape[0] == rows and logs.flags.c_contiguous, where
         seen[where] += 1
 
     if kind != "uniform":
@@ -333,12 +333,12 @@ def test_log_singular_values_are_contiguous_d_by_n(name, kind):
     log_eps = default_eps_log_schedule(spec, kind)[:6]
     for s in (0.5, 1.5):
         m = branch_index(s, d)
-        check(engine._sstar_stops(s, log_eps, 3000).logs, "stops")
-        check(engine._record_stops(m, np.array(log_eps[-1:]), 3000, True).logs, "stops")
+        check(engine._sstar_stops(s, log_eps, 3000).logs, "stops", m)
+        check(engine._record_stops(m, np.array(log_eps[-1:]), 3000, True).logs, "stops", m)
         if kind != "uniform":  # a budget of one node: nothing stops
             rec = engine._record_stops(m, np.array(log_eps[-1:]), 1, False)
-            check(rec.logs, "stops")
-            assert rec.logs.shape == (d, 0)
+            check(rec.logs, "stops", m)
+            assert rec.logs.shape == (m, 0)
     assert seen["stops"] == (4 if kind == "uniform" else 6)
     assert (kind == "uniform") == (seen["visit"] == 0)
 
@@ -890,6 +890,33 @@ def test_worker_counts_give_the_same_bits(monkeypatch):
     assert pools == {False, True}
 
 
+def test_scratch_sub_chunks_give_the_same_bits(monkeypatch):
+    """A build's deepest level, taken 1 or 3 parents at a time inside chunks
+    of 4, has the log singular values of whole chunks, bit for bit, on one
+    worker and on three; so does every shallower level."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    monkeypatch.setattr(symbolic, "_CHUNK", 4)
+
+    @settings(max_examples=_examples(30))
+    @given(_generated_systems(st), st.sampled_from([1, 3]), st.integers(1, 5))
+    def check(spec, workers, depth):
+        def build(sub):
+            monkeypatch.setattr(symbolic, "_SCRATCH_CHUNK", sub)
+            engine = GenericEngine(spec)
+            engine.workers = workers
+            try:
+                return [x.tobytes() for x in engine._levels(depth)]
+            finally:
+                engine.close()
+
+        whole = build(4)
+        assert build(1) == whole and build(3) == whole
+
+    check()
+
+
 # |the net-measure DP - the same DP on _logaddexp_fold| <= NET_ULPS ulps of max(1,
 # |reference|): a window's DP takes at most a few dozen fold steps of about an ulp
 # each (2 ulps was the largest seen, on example_5_3).  The DP runs directly, so a
@@ -1091,7 +1118,7 @@ def test_block_extension_matches_the_per_depth_chain():
                 for exact in (False, True):
                     rec = engine._record_stops(m, req, 1, exact)
                     assert rec.depth == want and rec.nodes == want[-1]
-                    assert rec.logs.tobytes() == np.stack([ref.log_svs[t] for t in want],
+                    assert rec.logs.tobytes() == np.stack([ref.log_svs[t][:m] for t in want],
                                                           axis=1).tobytes()
                     counts = [ref.counts[t] for t in want]
                     if exact:
@@ -1165,6 +1192,42 @@ def test_lattice_levels_are_in_row_sort_order(M):
         comps, inverse = np.unique(children, axis=0, return_inverse=True)
         assert np.array_equal(engine.child_rows(t), inverse.reshape(-1, M))
     assert np.array_equal(engine._comps, comps)
+
+
+def _comb_rank(comp):
+    """The lexicographic rank of a composition, by ``math.comb``."""
+    M, rank, left = len(comp), 0, sum(comp)
+    for i, c in enumerate(comp):
+        p = M - i
+        rank += math.comb(left + p - 1, p - 1) - math.comb(left - c + p - 1, p - 1)
+        left -= c
+    return rank
+
+
+@pytest.mark.parametrize("M", [2, 3, 5])
+def test_composition_ranks_match_math_comb(M):
+    """Ranks and level widths read off the lattice's one binomial table,
+    which grows with depth, are the ``math.comb`` values of random
+    compositions, exactly."""
+    rng = np.random.default_rng(M)
+    maps = tuple(np.diag([0.1 + 0.05 * j, 0.4 - 0.05 * j]) for j in range(M))
+    engine = DiagonalEngine(SystemSpec(2, Schedule("constant", (LevelSpec(M, maps),)),
+                                       TranslationScheme("explicit", table={}),
+                                       Box(np.zeros(2), np.ones(2))))
+    built = []
+    real = symbolic._binomials
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbolic, "_binomials", lambda rows, M: built.append(rows) or real(rows, M))
+        engine._extend(60 if M < 5 else 25)
+    assert len(built) <= 6 and built == sorted(built)  # grown by doubling, never per level
+    binom = engine._binom
+    for total in (0, 1, 7, len(binom) - M):
+        cuts = np.sort(rng.integers(0, total + 1, size=(40, M - 1)), axis=1)
+        comps = np.diff(np.column_stack([np.zeros(40, dtype=np.int64), cuts,
+                                         np.full(40, total)]), axis=1)
+        rank, width = symbolic._composition_ranks(comps, binom)
+        assert rank.tolist() == [_comb_rank(c) for c in comps.tolist()]
+        assert width == math.comb(total + M - 1, M - 1)
 
 
 def _prefix_counts(spec, s, epsilon):
@@ -1875,13 +1938,17 @@ def _gathered_stops(engine, m, le, node_budget, exact):
         else:
             idx = np.flatnonzero(keep) if idx is None else idx[keep]
         live = int(count.sum())
+    return _stops_of(groups, engine.d, exact, [frontier <= float(v) for v in le], nodes)
+
+
+def _stops_of(groups, d, exact, complete, nodes):
+    """A full-width ``_Stops`` of (bucket, depth, (d, rows) logs, counts) groups."""
     counts = [c if exact else _log_counts(c) for *_, c in groups]
     return symbolic._Stops(
         [g[0] for g in groups], [g[1] for g in groups],
         [0, *itertools.accumulate(len(c) for c in counts)],
-        np.concatenate([g[2] for g in groups], axis=1) if groups else np.empty((engine.d, 0)),
-        np.concatenate(counts) if groups else np.empty(0),
-        [frontier <= float(v) for v in le], nodes)
+        np.concatenate([g[2] for g in groups], axis=1) if groups else np.empty((d, 0)),
+        np.concatenate(counts) if groups else np.empty(0), complete, nodes)
 
 
 def _check_record_against_gathered_walk(engine, m, le, node_budget, exact):
@@ -1889,7 +1956,9 @@ def _check_record_against_gathered_walk(engine, m, le, node_budget, exact):
     want = _gathered_stops(engine, m, np.asarray(le), node_budget, exact)
     assert (got.bucket, got.depth, got.bounds, got.complete, got.nodes) == (
         want.bucket, want.depth, want.bounds, want.complete, want.nodes)
-    assert got.logs.shape == want.logs.shape and got.logs.tobytes() == want.logs.tobytes()
+    # the record keeps rows 1..m of the reference walk's log singular values
+    assert got.logs.shape == (m, want.logs.shape[1])
+    assert got.logs.tobytes() == np.ascontiguousarray(want.logs[:m]).tobytes()
     assert got.counts.dtype == want.counts.dtype
     if exact:
         assert got.counts.tolist() == want.counts.tolist()
@@ -1958,32 +2027,109 @@ def test_records_match_the_gathered_walk_past_int64(kept_depth):
     assert rec.counts.dtype == object and max(rec.depth) > 12
 
 
-# the build's peak, fixed before the new build first ran: example_5_3's tree
-# through depth 21 (2^20 classes' log singular values, 16 MiB) on one worker.
-# Every level's products and dets, the deepest's too, peak at about 51 MiB; the
-# kept levels, the parents' products and one level's log singular values, with
-# chunk scratch for the deepest level, fit in 40.
-LEVELS_PEAK_BOUND = 40 * 2 ** 20
+def _full_width_stops(engine, m, le, node_budget, exact):
+    """A stop record that keeps all d rows of log singular values: the
+    chain's from its stored levels at the record's depths, a class tree's
+    by its ``_walk`` with a visit that tries every bucket at every depth."""
+    if isinstance(engine, UniformEngine):
+        rec = UniformEngine._record_stops(engine, m, le, node_budget, exact)
+        return rec._replace(logs=engine._logs.take(rec.depth, axis=1))
+    groups = []
+
+    def visit(depth, logs, parent_la, live, count_of):
+        la = logs[m - 1]
+        pa = np.repeat(np.where(live, parent_la, -math.inf), la.size // parent_la.size)
+        for i, eps in enumerate(le):
+            stop = np.flatnonzero((la <= eps + _STOP_SNAP) & (pa > eps + _STOP_SNAP))
+            if stop.size:
+                groups.append((i, depth, logs[:, stop], count_of(stop)))
+
+    frontier, nodes = engine._walk(visit, m, float(le[-1]), node_budget)
+    return _stops_of(groups, engine.d, exact, [frontier <= float(v) for v in le], nodes)
 
 
-def test_the_level_build_holds_no_products_of_its_deepest_level():
+# on both sides of each integer, and past every d drawn
+TRIM_S = (0.3, 0.95, 1.0, 1.05, 1.9, 2.0, 2.1, 2.9, 3.0, 3.2, 4.5)
+
+
+def test_records_of_rows_1_to_m_replay_as_full_width_records():
+    """``schedule_log_sums`` and ``cutset_groups`` over the records, which
+    keep log singular values 1..m, equal bit for bit the same replays over
+    full-width records of the same walks, on chains, lattices and walkers."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    systems = st.one_of(
+        st.builds(_chain_system, st.sampled_from([1, 2, 3]),
+                  st.sampled_from(["constant", "periodic"]),
+                  st.lists(st.sampled_from([2, 3]), min_size=2, max_size=3),
+                  st.integers(0, 2 ** 32 - 1)),
+        _generated_systems(st, diagonal=True), _generated_systems(st))
+
+    @settings(max_examples=_examples(60))
+    @given(systems, st.sampled_from(TRIM_S), st.booleans())
+    def check(spec, s, keep_tree):
+        engine, full = make_engine(spec), make_engine(spec)
+        if keep_tree and isinstance(engine, GenericEngine):
+            engine._levels(KEPT_DEPTH)
+            full._levels(KEPT_DEPTH)
+        full._record_stops = lambda *args: _full_width_stops(full, *args)
+        m, le = branch_index(s, spec.dim), [math.log(e) for e in GEN_EPS]
+        for budget in (*_walk_budgets(spec), 40):
+            rec = engine._record_stops(m, np.asarray(le), budget, False)
+            want = full._record_stops(m, np.asarray(le), budget, False)
+            assert rec.logs.shape == (m, want.logs.shape[1])
+            assert rec.logs.tobytes() == np.ascontiguousarray(want.logs[:m]).tobytes()
+            assert (repr(engine.schedule_log_sums(s, le, budget))
+                    == repr(full.schedule_log_sums(s, le, budget)))
+            for x in le[::2]:
+                assert (repr(engine.cutset_groups(s, x, budget))
+                        == repr(full.cutset_groups(s, x, budget)))
+
+    check()
+
+
+# the build's peaks, each fixed before its build first ran: example_5_3's tree
+# through depth 21 (2^20 classes' log singular values, 16 MiB).  Every level's
+# products and dets, the deepest's too, peak at about 51 MiB on one worker.
+# Without the deepest level's products, the kept levels, its parents' products
+# and log dets (10 MiB) and a chunk of 2^15 parents' scratch (about 5 MiB) per
+# worker peak at 31.3 MiB on one worker and 36.6 MiB on two; with sub-chunks of
+# 2^13 parents (about 1.5 MiB of scratch per worker) they fit in 30 and 32.
+LEVELS_PEAK_BOUND = {1: 30 * 2 ** 20, 2: 32 * 2 ** 20}
+
+
+def _build_peak(workers):
     engine = make_engine(fixture("example_5_3"))
+    engine.workers = workers
     tracemalloc.start()
     try:
         levels = engine._levels(21)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        engine.close()
     assert sum(x.nbytes for x in levels) == 16 * 2 ** 20
-    assert peak <= LEVELS_PEAK_BOUND, f"peak {peak / 2 ** 20:.1f} MiB"
+    return peak
 
 
-# the s* record's join, fixed before the joins were reordered: on example_5_3's
-# kept tree through depth 21, the m = 1 record is 367,052 stopping edges, 5.6 MiB
-# of logs and 2.8 MiB of log counts.  Joined while both lists of pieces are
-# alive it peaks at twice the record, 16.8 MiB; with the logs' pieces dropped
-# before the counts are joined, at twice the logs plus the counts, 14.0 MiB.
-RECORD_PEAK_BOUND = 15 * 2 ** 20
+def test_the_level_build_holds_no_products_of_its_deepest_level():
+    peak = _build_peak(1)
+    assert peak <= LEVELS_PEAK_BOUND[1], f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_the_two_worker_build_holds_one_sub_chunk_of_scratch_per_worker():
+    peak = _build_peak(2)
+    assert peak <= LEVELS_PEAK_BOUND[2], f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+# the s* record's peak, fixed before the record first ran: on example_5_3's
+# kept tree through depth 21, the m = 1 record is 367,052 stopping edges, 2.8
+# MiB of row-1 log singular values and 2.8 MiB of log counts.  With the logs'
+# pieces dropped before the counts are joined, the join peaks at twice the
+# logs plus the counts, 8.4 MiB, which fits in 10; with both rows of logs kept
+# it peaks at 14.0 MiB.
+RECORD_PEAK_BOUND = 10 * 2 ** 20
 
 
 def test_the_sstar_record_is_never_held_twice():
@@ -1997,5 +2143,5 @@ def test_the_sstar_record_is_never_held_twice():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rec.logs.shape == (2, 367_052)
+    assert rec.logs.shape == (1, 367_052)
     assert peak <= RECORD_PEAK_BOUND, f"peak {peak / 2 ** 20:.1f} MiB"

@@ -12,7 +12,9 @@ jobs below.  For each job the two sides must agree on the exit code,
 stdout, stderr (the job directory's path replaced by ``<job>``), the sha256
 of every file the job leaves, and every ``manifest.json`` less its
 ``wall_time_s``.  Prints one line per job that differs, then a summary, and
-exits 1 if any job differs.
+exits 1 if any job differs.  It first checks that each side imports
+``morandim`` from its own tree (an installed copy must not shadow it), and
+exits 2 if not.
 """
 from __future__ import annotations
 
@@ -52,6 +54,14 @@ EXTRA = [
     # kept through depth 8; the m = 2 walk drops the thin maps' words and reaches depth 11
     ("dims:generic_walk_past_kept", ["dims", "thin.json", "--which", "falconer,sa,sstar",
                                      "--node-budget", "20000"]),
+    # a d = 3 walker system: s* probes at s = 4, 2 and 1 walk at m = 3, 2 and 1,
+    # and cut-sets at m = 2 and past d
+    ("dims:generic_d3", ["dims", "generic_d3.json", "--which", "sstar,sa",
+                         "--node-budget", "1000000"]),
+    ("cutset:generic_d3_m2", ["cutset", "generic_d3.json", "--s", "1.5", "--epsilon", "0.01",
+                              "--out", "out/cut.csv"]),
+    ("cutset:generic_d3_past_d", ["cutset", "generic_d3.json", "--s", "3.5", "--epsilon",
+                                  "0.01", "--out", "out/cut.csv"]),
     ("validate:pretty", ["validate", "--fixture", "example_5_2", "--pretty"]),
     ("validate:bad_json", ["validate", "bad.json"]),
     ("validate:double_encoded", ["validate", "double.json"]),
@@ -143,6 +153,14 @@ def inputs(base_src):
     thin = dict(ordered, schedule={"kind": "constant", "levels": [
         {"branch_count": 3, "maps": [[[0.5, 0.1], [0, 0.45]], [[0.3, 0], [0.1, 0.002]],
                                      [[0.2, 0.05], [0, 0.001]]]}]})
+    # three 3 x 3 maps with singular values near 0.5, 0.3 and 0.2, with no
+    # symmetry for the walker to merge
+    generic_d3 = {"dim": 3, "seed_region": {"lo": [0, 0, 0], "hi": [1, 1, 1]},
+                  "schedule": {"kind": "constant", "levels": [{"branch_count": 3, "maps": [
+                      [[0.45, 0.1, 0], [0, 0.3, 0.05], [0, 0, 0.2]],
+                      [[0.3, 0, 0], [0.1, 0.45, 0], [0, 0.05, 0.2]],
+                      [[0.2, 0, 0.05], [0, 0.2, 0], [0.1, 0, 0.45]]]}]},
+                  "translations": {"kind": "explicit", "table": {}}}
     # one shear twice: a chain whose phi^s does not multiply along words
     chain_shear = dict(ordered, schedule={"kind": "constant", "levels": [
         {"branch_count": 2, "maps": [[[0.5, 0.25], [0, 0.4]]] * 2}]})
@@ -191,9 +209,17 @@ def inputs(base_src):
             "later_non_scalar.json": json.dumps(later_non_scalar),
             "singular_later.json": json.dumps(singular_later),
             "lattice4.json": json.dumps(lattice4), "chain_shear.json": json.dumps(chain_shear),
-            "thin.json": json.dumps(thin),
+            "thin.json": json.dumps(thin), "generic_d3.json": json.dumps(generic_d3),
             **{f"bad_map_{name}.json": json.dumps(doc).replace('"1e999"', "1e999")
                for name, doc in bad_maps.items()}}
+
+
+def imported_from(src, cwd):
+    """The directory ``morandim`` is imported from with PYTHONPATH at ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", "import morandim; print(morandim.__file__)"],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+    return os.path.dirname(os.path.realpath(proc.stdout.strip())) if proc.returncode == 0 else None
 
 
 def run(src, argv, job_dir, files):
@@ -226,10 +252,15 @@ def main(argv=None) -> int:
     p.add_argument("base_src")
     p.add_argument("head_src")
     args = p.parse_args(argv)
-    files = inputs(args.base_src)
-    jobs = job_list()
     differ = []
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as work:
+        for src in (args.base_src, args.head_src):
+            want = os.path.realpath(os.path.join(src, "morandim"))
+            got = imported_from(src, work)
+            if got != want:
+                print(f"{src}: morandim imports from {got}, not {want}", file=sys.stderr)
+                return 2
+        files, jobs = inputs(args.base_src), job_list()
         for i, (job_id, job_argv) in enumerate(jobs):
             base, head = (run(src, job_argv, os.path.join(work, side, str(i)), files)
                           for side, src in (("base", args.base_src), ("head", args.head_src)))
